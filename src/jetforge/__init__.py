@@ -11,7 +11,7 @@ from .errors import (BadLevels, DivisionByZero, FieldMismatch,
                      UnboundVariable, UndeclaredVariable, UnknownSuite,
                      UnsupportedTwist)
 from .scalars import QQ, PrimeField, field_by_name
-from .poly import JetVar, Monomial, Poly, eval_at_point, partial_derivative, poly_arith
+from .poly import JetVar, Monomial, Poly
 from .series import BiSeries, TruncSeries, series_invert
 from .localized import LocalPoly
 from .jets import (AlgebraMorphism, AlgebraPresentation, BiJetPresentation,
@@ -27,7 +27,7 @@ from .hsmodules import (HSModulePresentation, KaehlerPresentation,
                         twisted_action_matrix)
 from .p1 import (SectionDescriptor, TransitionMatrix, cocycle_check,
                  global_sections, p1_transition, transition_series)
-from .checks import CheckConfig, CheckReport, random_instance, run_suite
+from .checks import CheckConfig, CheckReport, run_suite
 from .dsl import InputDocument, document_text, parse_document, print_document
 
 __all__ = [name for name in dir() if not name.startswith("_")]

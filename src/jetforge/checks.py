@@ -1,12 +1,15 @@
 """Seeded theorem checker: every in-scope identity on random instances.
 
-Each suite draws its instances from a dedicated deterministic stream
-(derived from the configured seed and the suite name), checks an exact
-polynomial identity, and records any counterexample together with a DSL
-serialization of the instance for replay.  The leibniz and
-jacobian_identity suites additionally evaluate both sides of each trial
-at 20 random rational points drawn from a separate sub-stream; the
-symbolic and numeric verdicts must agree.
+``SUITES`` maps each suite name to its function, in report order.  Every
+suite has the signature ``(rng, orng, cfg) -> (ok, ok_numeric, detail)``:
+it draws one instance from ``rng``, a deterministic stream derived from
+the configured seed and the suite name, and checks an exact polynomial
+identity (``ok``).  Suites that also evaluate both sides at random
+rational points with ``points_agree`` draw those points from ``orng`` and
+return the numeric verdict as ``ok_numeric``; the others return None.  A
+symbolic and a numeric verdict that differ count as an oracle
+disagreement.  ``detail`` describes a failing instance, including a DSL
+serialization for replay, and is None when the check holds.
 """
 
 import random
@@ -14,6 +17,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+from .dsl import print_document
 from .errors import UnknownSuite
 from .hsmodules import (ModulePresentation, TwistedMatrix, base_change_check,
                         cotangent_theorem_check, free_dual_zigzag_check,
@@ -25,22 +29,6 @@ from .jets import (AlgebraMorphism, AlgebraPresentation, bigrade_commute_check,
 from .p1 import cocycle_check
 from .poly import JetVar, Monomial, Poly
 from .scalars import QQ
-
-SUITE_NAMES = (
-    "leibniz",
-    "structural_grading",
-    "induced_grading",
-    "jacobian_identity",
-    "bigrade_commute",
-    "cotruncation",
-    "functoriality",
-    "twisted_ring_hom",
-    "sym_theorem",
-    "cotangent_theorem",
-    "base_change",
-    "zigzag",
-    "p1_cocycle",
-)
 
 ORACLE_POINTS = 20
 
@@ -56,7 +44,7 @@ class CheckConfig:
     max_bilevel: int = 2
     coeff_lo: int = -9
     coeff_hi: int = 9
-    suites: tuple = SUITE_NAMES
+    suites: tuple = dc_field(default_factory=lambda: tuple(SUITES))
 
     def __post_init__(self):
         if self.trials < 1:
@@ -71,7 +59,7 @@ class CheckConfig:
             raise ValueError("max_level must be in 0..4")
         self.suites = tuple(self.suites)
         for s in self.suites:
-            if s not in SUITE_NAMES:
+            if s not in SUITES:
                 raise UnknownSuite("unknown suite: %r" % s)
 
 
@@ -213,31 +201,15 @@ def random_morphism(rng, cfg):
     return AlgebraMorphism(src, tgt, images)
 
 
-def random_instance(kind, cfg, rng):
-    if kind == "poly":
-        nvars = rng.randint(1, cfg.max_vars)
-        return random_poly(rng, list(_VAR_NAMES[:nvars]), cfg)
-    if kind == "algebra":
-        return random_algebra(rng, cfg)
-    if kind == "module":
-        return random_module(rng, cfg)
-    if kind == "morphism":
-        return random_morphism(rng, cfg)
-    raise ValueError("unknown instance kind: %r" % kind)
-
-
-def _random_point(rng, variables):
-    return {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for v in variables}
-
-
-def _points_agree(orng, lhs, rhs):
-    """Numeric verdict: both polynomial families agree at random points."""
+def points_agree(rng, lhs, rhs):
+    """Numeric verdict: the polynomial families lhs and rhs agree termwise at
+    ORACLE_POINTS random rational points drawn from rng."""
     variables = set()
     for p in list(lhs) + list(rhs):
         variables.update(p.vars())
     variables = sorted(variables, key=JetVar.sort_key)
     for _ in range(ORACLE_POINTS):
-        pt = _random_point(orng, variables)
+        pt = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for v in variables}
         for a, b in zip(lhs, rhs):
             if a.eval(pt) != b.eval(pt):
                 return False
@@ -248,15 +220,7 @@ def _points_agree(orng, lhs, rhs):
 # serialization of counterexamples
 
 
-def _doc_for_algebra(A, module=None, morphism=None):
-    from .dsl import print_document
-
-    return print_document(A, module=module, morphism=morphism)
-
-
 def _poly_doc(names, polys):
-    from .dsl import print_document
-
     A = AlgebraPresentation(list(names), [], None, QQ)
     lines = [print_document(A).rstrip("\n")]
     for i, p in enumerate(polys):
@@ -278,25 +242,25 @@ def _suite_leibniz(rng, orng, cfg):
     conv = [sum((cf[k] * cg[i - k] for k in range(i + 1)), Poly.zero(QQ))
             for i in range(n + 1)]
     ok_sym = conv == cfg_
-    ok_num = _points_agree(orng, conv, cfg_)
+    ok_num = points_agree(orng, conv, cfg_)
     detail = None
     if not ok_sym:
         detail = {"n": n, "input": _poly_doc(names, [f, g])}
     return ok_sym, ok_num, detail
 
 
-def _suite_structural(rng, cfg):
-    f = random_instance("poly", cfg, rng)
+def _suite_structural(rng, orng, cfg):
+    f = random_poly(rng, _VAR_NAMES[:rng.randint(1, cfg.max_vars)], cfg)
     n = rng.randint(0, cfg.max_level)
     for i, g in enumerate(hs_components(f, n)):
         for m in g.terms:
             if grade_monomial(m, "structural") != i:
-                return False, {"n": n, "order": i, "monomial": m.render(),
-                               "input": _poly_doc(_VAR_NAMES, [f])}
-    return True, None
+                return False, None, {"n": n, "order": i, "monomial": m.render(),
+                                     "input": _poly_doc(_VAR_NAMES, [f])}
+    return True, None, None
 
 
-def _suite_induced(rng, cfg):
+def _suite_induced(rng, orng, cfg):
     A = random_algebra(rng, cfg, graded=True, max_relations=max(1, cfg.max_relations))
     n = rng.randint(0, cfg.max_level)
     for f in A.relations:
@@ -304,9 +268,9 @@ def _suite_induced(rng, cfg):
         for i, g in enumerate(hs_components(f, n)):
             for m in g.terms:
                 if grade_monomial(m, "induced", A.grading) != d:
-                    return False, {"n": n, "order": i, "degree": d,
-                                   "monomial": m.render(), "input": _doc_for_algebra(A)}
-    return True, None
+                    return False, None, {"n": n, "order": i, "degree": d,
+                                         "monomial": m.render(), "input": print_document(A)}
+    return True, None, None
 
 
 def _suite_jacobian(rng, orng, cfg):
@@ -324,30 +288,30 @@ def _suite_jacobian(rng, orng, cfg):
                 lhs.append(comps[i].partial(JetVar(v.name, v.index, j)))
                 rhs.append(dcomps[i - j] if j <= i else Poly.zero(QQ))
     ok_sym = lhs == rhs
-    ok_num = _points_agree(orng, lhs, rhs)
+    ok_num = points_agree(orng, lhs, rhs)
     detail = None if ok_sym else {"n": n, "input": _poly_doc(names, [f])}
     return ok_sym, ok_num, detail
 
 
-def _suite_bigrade(rng, cfg):
+def _suite_bigrade(rng, orng, cfg):
     A = random_algebra(rng, cfg)
     n = rng.randint(0, cfg.max_bilevel)
     m = rng.randint(0, cfg.max_bilevel)
     ok, report = bigrade_commute_check(A, n, m)
-    return ok, None if ok else {"n": n, "m": m, "report": report,
-                                "input": _doc_for_algebra(A)}
+    return ok, None, None if ok else {"n": n, "m": m, "report": report,
+                                      "input": print_document(A)}
 
 
-def _suite_cotruncation(rng, cfg):
+def _suite_cotruncation(rng, orng, cfg):
     A = random_algebra(rng, cfg)
     n = rng.randint(0, cfg.max_level - 1)
     m = rng.randint(n + 1, cfg.max_level)
     ok, witness = cotruncation_subset_check(A, n, m)
-    return ok, None if ok else {"n": n, "m": m, "witness": witness,
-                                "input": _doc_for_algebra(A)}
+    return ok, None, None if ok else {"n": n, "m": m, "witness": witness,
+                                      "input": print_document(A)}
 
 
-def _suite_functoriality(rng, cfg):
+def _suite_functoriality(rng, orng, cfg):
     phi = random_morphism(rng, cfg)
     g = random_poly(rng, phi.source.vars, cfg)
     n = rng.randint(0, 2)
@@ -355,11 +319,11 @@ def _suite_functoriality(rng, cfg):
     lhs = [fn.apply(c) for c in hs_components(g, n)]
     rhs = hs_components(phi.apply(g), n)
     ok = lhs == rhs
-    return ok, None if ok else {"n": n, "input": _doc_for_algebra(
+    return ok, None, None if ok else {"n": n, "input": print_document(
         phi.source, morphism=phi) + "ideal g = %s\n" % g.render(base_plain=True)}
 
 
-def _suite_twisted(rng, cfg):
+def _suite_twisted(rng, orng, cfg):
     nvars = rng.randint(1, cfg.max_vars)
     names = list(_VAR_NAMES[:nvars])
     p = random_poly(rng, names, cfg, max_terms=3)
@@ -373,83 +337,51 @@ def _suite_twisted(rng, cfg):
         n, [[Poly.constant(1, QQ) if i == j else Poly.zero(QQ)
              for i in range(n + 1)] for j in range(n + 1)])
     ok = add_ok and mul_ok and one_ok
-    return ok, None if ok else {"n": n, "input": _poly_doc(names, [p, q])}
+    return ok, None, None if ok else {"n": n, "input": _poly_doc(names, [p, q])}
 
 
-def _suite_sym(rng, cfg):
+def _suite_sym(rng, orng, cfg):
     M = random_module(rng, cfg)
     n = rng.randint(0, 3)
     ok, report = sym_theorem_check(M, n)
-    return ok, None if ok else {"n": n, "report": report,
-                                "input": _doc_for_algebra(M.over, module=M)}
+    return ok, None, None if ok else {"n": n, "report": report,
+                                      "input": print_document(M.over, module=M)}
 
 
-def _suite_cotangent(rng, cfg):
+def _suite_cotangent(rng, orng, cfg):
     A = random_algebra(rng, cfg)
     n = rng.randint(0, 3)
     ok, report = cotangent_theorem_check(A, n)
-    return ok, None if ok else {"n": n, "report": report, "input": _doc_for_algebra(A)}
+    return ok, None, None if ok else {"n": n, "report": report, "input": print_document(A)}
 
 
-def _suite_base_change(rng, cfg):
+def _suite_base_change(rng, orng, cfg):
     phi = random_morphism(rng, cfg)
     M = random_module(rng, cfg, over=phi.source)
     n = rng.randint(0, 2)
     ok = base_change_check(phi, M, n)
-    return ok, None if ok else {"n": n, "input": _doc_for_algebra(
+    return ok, None, None if ok else {"n": n, "input": print_document(
         phi.source, module=M, morphism=phi)}
 
 
-def _suite_zigzag(rng, cfg):
+def _suite_zigzag(rng, orng, cfg):
     n = rng.randint(0, 6)
     ok = free_dual_zigzag_check(n)
-    return ok, None if ok else {"n": n}
+    return ok, None, None if ok else {"n": n}
 
 
-def _suite_p1(rng, cfg):
+def _suite_p1(rng, orng, cfg):
     d = rng.randint(-2, 2)
     n = rng.randint(0, 3)
     ok = cocycle_check(d, n)
-    return ok, None if ok else {"d": d, "n": n}
+    return ok, None, None if ok else {"d": d, "n": n}
 
 
-def run_suite(config):
-    """Run every configured suite; deterministic for a given config."""
-    report = CheckReport(config)
-    for name in SUITE_NAMES:
-        if name not in config.suites:
-            continue
-        result = SuiteResult(name)
-        rng = random.Random("%d:%s" % (config.seed, name))
-        orng = random.Random("%d:%s:oracle" % (config.seed, name))
-        start = time.perf_counter()
-        for trial in range(config.trials):
-            if name == "leibniz":
-                ok, ok_num, detail = _suite_leibniz(rng, orng, config)
-                result.oracle_trials += 1
-                if ok != ok_num:
-                    result.oracle_disagreements += 1
-            elif name == "jacobian_identity":
-                ok, ok_num, detail = _suite_jacobian(rng, orng, config)
-                result.oracle_trials += 1
-                if ok != ok_num:
-                    result.oracle_disagreements += 1
-            else:
-                ok, detail = _SIMPLE_SUITES[name](rng, config)
-            result.trials += 1
-            if not ok:
-                failure = {"trial": trial}
-                if detail:
-                    failure.update(detail)
-                result.failures.append(failure)
-        result.seconds = time.perf_counter() - start
-        report.suites[name] = result
-    return report
-
-
-_SIMPLE_SUITES = {
+SUITES = {
+    "leibniz": _suite_leibniz,
     "structural_grading": _suite_structural,
     "induced_grading": _suite_induced,
+    "jacobian_identity": _suite_jacobian,
     "bigrade_commute": _suite_bigrade,
     "cotruncation": _suite_cotruncation,
     "functoriality": _suite_functoriality,
@@ -460,3 +392,28 @@ _SIMPLE_SUITES = {
     "zigzag": _suite_zigzag,
     "p1_cocycle": _suite_p1,
 }
+SUITE_NAMES = tuple(SUITES)
+
+
+def run_suite(config):
+    """Run every configured suite; deterministic for a given config."""
+    report = CheckReport(config)
+    for name, suite in SUITES.items():
+        if name not in config.suites:
+            continue
+        result = SuiteResult(name)
+        rng = random.Random("%d:%s" % (config.seed, name))
+        orng = random.Random("%d:%s:oracle" % (config.seed, name))
+        start = time.perf_counter()
+        for trial in range(config.trials):
+            ok, ok_num, detail = suite(rng, orng, config)
+            result.trials += 1
+            if ok_num is not None:
+                result.oracle_trials += 1
+                if ok != ok_num:
+                    result.oracle_disagreements += 1
+            if not ok:
+                result.failures.append({"trial": trial, **(detail or {})})
+        result.seconds = time.perf_counter() - start
+        report.suites[name] = result
+    return report

@@ -16,7 +16,7 @@ from .errors import JetforgeError, ParseError
 from .hsmodules import (hs_module_presentation, kaehler_presentation,
                         sym_presentation)
 from .jets import bijet_presentation, induced_morphism, jet_presentation
-from .p1 import cocycle_check, global_sections, p1_transition
+from .p1 import _cocycle_holds, _matrix_from_series, global_sections, transition_series
 from .scalars import field_by_name
 
 
@@ -130,7 +130,7 @@ def cmd_morphism(args):
 
 
 def cmd_check(args):
-    suites = tuple(SUITE_NAMES) if args.suite == "all" else tuple(args.suite.split(","))
+    suites = SUITE_NAMES if args.suite == "all" else tuple(args.suite.split(","))
     config = CheckConfig(seed=args.seed, trials=args.trials, suites=suites)
     report = run_suite(config)
     if args.format == "json":
@@ -141,11 +141,12 @@ def cmd_check(args):
 
 
 def cmd_p1(args):
+    series = transition_series(args.d, args.n, "overlap")
     out = {
         "d": args.d,
         "n": args.n,
-        "transition": p1_transition(args.d, args.n, "overlap").to_rows(),
-        "cocycle_ok": cocycle_check(args.d, args.n) if args.cocycle else None,
+        "transition": _matrix_from_series(series, args.d, args.n).to_rows(),
+        "cocycle_ok": _cocycle_holds(series, args.d, args.n) if args.cocycle else None,
         "global_sections": None,
     }
     if args.sections:

@@ -6,23 +6,8 @@ coordinate ring of the chart overlap on the jet spaces of P^1, localized
 at t^(0).
 """
 
-from .errors import DivisionByZero, FieldMismatch
-from .poly import NonUnit_msg, Poly
-
-
-def _divide_out(num, v):
-    """Largest k with v^k | num, together with num / v^k."""
-    k = 0
-    while not num.is_zero():
-        quot = {}
-        for m, c in num.terms.items():
-            lower = m.divide_by_var(v)
-            if lower is None:
-                return k, num
-            quot[lower] = c
-        num = Poly(num.field, quot)
-        k += 1
-    return k, num
+from .errors import DivisionByZero, FieldMismatch, NonUnitLeadingCoefficient
+from .poly import Poly
 
 
 class LocalPoly:
@@ -31,13 +16,12 @@ class LocalPoly:
     def __init__(self, numerator, unit_var, denom_exp=0):
         if denom_exp < 0:
             raise ValueError("negative denominator exponent")
-        if denom_exp > 0 and not numerator.is_zero():
-            k, reduced = _divide_out(numerator, unit_var)
-            drop = min(k, denom_exp)
-            if drop:
-                for _ in range(drop):
-                    numerator = _exact_div(numerator, unit_var)
-                denom_exp -= drop
+        # cancel common factors of unit_var, at most denom_exp of them
+        while denom_exp and numerator.terms and all(
+                m.exponent(unit_var) for m in numerator.terms):
+            numerator = Poly(numerator.field, {m.divide_by_var(unit_var): c
+                                               for m, c in numerator.terms.items()})
+            denom_exp -= 1
         if numerator.is_zero():
             denom_exp = 0
         object.__setattr__(self, "numerator", numerator)
@@ -111,12 +95,9 @@ class LocalPoly:
     def unit_inverse(self):
         """Inverse of c * u^a / u^e; requires a single-term numerator in u only."""
         terms = list(self.numerator.terms.items())
-        if len(terms) != 1:
-            raise NonUnit_msg(self)
+        if len(terms) != 1 or any(v != self.unit_var for v in terms[0][0].vars()):
+            raise NonUnitLeadingCoefficient("leading coefficient is not a unit: %s" % self)
         mono, coeff = terms[0]
-        for v, _ in mono.exps:
-            if v != self.unit_var:
-                raise NonUnit_msg(self)
         a = mono.exponent(self.unit_var)
         u = Poly.var(self.unit_var, self.field)
         num = Poly.constant(self.field.inv(coeff), self.field) * u**self.denom_exp
@@ -143,13 +124,3 @@ class LocalPoly:
 
     def __repr__(self):
         return "LocalPoly(%s)" % self.render()
-
-
-def _exact_div(num, v):
-    quot = {}
-    for m, c in num.terms.items():
-        lower = m.divide_by_var(v)
-        if lower is None:
-            raise ValueError("%s does not divide numerator" % v)
-        quot[lower] = c
-    return Poly(num.field, quot)

@@ -75,7 +75,12 @@ def p1_transition(d, n, express_in="chart1", field=QQ):
 def cocycle_check(d, n, field=QQ):
     """Transition composed with the reverse transition over the overlap must
     be the identity of the localized jet ring."""
-    s01 = transition_series(d, n, "overlap", field)          # jets of t1^d
+    return _cocycle_holds(transition_series(d, n, "overlap", field), d, n)
+
+
+def _cocycle_holds(s01, d, n):
+    """cocycle_check for the overlap-coordinate jets s01 of t1^d."""
+    field = s01.coeffs[0].field
     s10 = _chart_series(0, n, unit_chart=0, field=field)     # jets of t0
     s10 = s10**d if d >= 0 else series_invert(s10) ** (-d)   # jets of t0^d
     prod = s01 * s10
@@ -115,18 +120,3 @@ def global_sections(d, n, field=QQ):
             "e1_%d" % j, 1, [p.render() for p in col],
             all(p.denom_exp == 0 for p in col)))
     return sections
-
-
-def p1_report(d, n, with_cocycle=False, with_sections=False, field=QQ):
-    out = {
-        "d": d,
-        "n": n,
-        "transition": p1_transition(d, n, "overlap", field).to_rows(),
-    }
-    out["cocycle_ok"] = cocycle_check(d, n, field) if with_cocycle else None
-    if with_sections:
-        secs = global_sections(1, n, field) if d == 1 else None
-        out["global_sections"] = [s.label for s in secs] if secs else None
-    else:
-        out["global_sections"] = None
-    return out

@@ -15,7 +15,7 @@ for jet order 1 and "x_1_2" in bivariate rings; coefficients render as
 
 from dataclasses import dataclass
 
-from .errors import DivisionByZero, FieldMismatch, UnboundVariable
+from .errors import FieldMismatch, NonUnitLeadingCoefficient, UnboundVariable
 from .scalars import QQ
 
 
@@ -44,7 +44,7 @@ class JetVar:
 class Monomial:
     """Finite map JetVar -> positive exponent; the empty map is the unit."""
 
-    __slots__ = ("exps", "_key")
+    __slots__ = ("exps",)
 
     def __init__(self, exps=()):
         items = tuple(sorted(
@@ -54,7 +54,6 @@ class Monomial:
             if e < 0:
                 raise ValueError("negative exponent in monomial")
         object.__setattr__(self, "exps", items)
-        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
@@ -290,11 +289,9 @@ class Poly:
 
     def unit_inverse(self):
         """Inverse of an invertible constant; the series-inversion hook."""
-        if not self.is_constant():
-            raise NonUnit_msg(self)
         c = self.constant_value()
-        if not c:
-            raise NonUnit_msg(self)
+        if not self.is_constant() or not c:
+            raise NonUnitLeadingCoefficient("leading coefficient is not a unit: %s" % self)
         return Poly.constant(self.field.inv(c), self.field)
 
     # -- canonical rendering ------------------------------------------
@@ -337,28 +334,3 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%s)" % self.render()
-
-
-def NonUnit_msg(p):
-    from .errors import NonUnitLeadingCoefficient
-
-    return NonUnitLeadingCoefficient("leading coefficient is not a unit: %s" % p)
-
-
-def poly_arith(a, b, op):
-    """Dispatch add/sub/mul by name; operands must share a field."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError("unknown op: %r" % op)
-
-
-def eval_at_point(f, assignment):
-    return f.eval(assignment)
-
-
-def partial_derivative(f, v):
-    return f.partial(v)

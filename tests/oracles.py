@@ -1,13 +1,10 @@
-"""Independent oracles used by the tests.
+"""Independent oracle used by the tests.
 
 The naive jet-component oracle expands f(sum x^(i) tau^i) as a single
 untruncated polynomial with an explicit tau variable and collects tau
 powers; it shares no code with the truncated-series engine in
-jetforge.jets.  The random-point oracle compares exact evaluations of
-polynomial families at rational points.
+jetforge.jets.  The random-point oracle is jetforge.checks.points_agree.
 """
-
-from fractions import Fraction
 
 from jetforge.poly import JetVar, Monomial, Poly
 
@@ -30,20 +27,3 @@ def naive_hs_components(f, n):
         stripped = Monomial({v: k for v, k in m.exps if v != TAU})
         out[e] = out[e] + Poly(f.field, {stripped: c})
     return out
-
-
-def random_point(rng, variables):
-    return {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for v in variables}
-
-
-def families_agree_at_points(rng, lhs, rhs, points=20):
-    variables = set()
-    for p in list(lhs) + list(rhs):
-        variables.update(p.vars())
-    variables = sorted(variables, key=JetVar.sort_key)
-    for _ in range(points):
-        pt = random_point(rng, variables)
-        for a, b in zip(lhs, rhs):
-            if a.eval(pt) != b.eval(pt):
-                return False
-    return True

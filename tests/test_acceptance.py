@@ -7,14 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from jetforge.checks import (CheckConfig, random_algebra, random_module,
-                             run_suite)
+from jetforge.checks import (CheckConfig, points_agree, random_algebra,
+                             random_module, run_suite)
 from jetforge.cli import main
 from jetforge.hsmodules import cotangent_theorem_check, sym_theorem_check
 from jetforge.jets import bigrade_commute_check, hs_components
 from jetforge.p1 import cocycle_check, global_sections
 
-from oracles import families_agree_at_points, naive_hs_components
+from oracles import naive_hs_components
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -59,7 +59,7 @@ def test_criterion_2_cusp_golden(capsys, verdict):
     naive = naive_hs_components(f, 2)
     ok = ok and fast == naive
     rng = random.Random("acceptance:cusp")
-    ok = ok and families_agree_at_points(rng, fast, naive, points=20)
+    ok = ok and points_agree(rng, fast, naive)
     verdict("cusp-golden", ok)
 
 

@@ -2,8 +2,11 @@ import random
 
 import pytest
 
-from jetforge.checks import (SUITE_NAMES, CheckConfig, random_instance,
-                             run_suite)
+from jetforge import checks
+from jetforge.checks import (SUITE_NAMES, CheckConfig, random_algebra,
+                             random_module, random_poly, run_suite)
+from jetforge.cli import main
+from jetforge.dsl import parse_document, print_document
 from jetforge.errors import UnknownSuite
 
 
@@ -49,11 +52,11 @@ def test_degenerate_instances_occur():
     rng = random.Random(0)
     saw_zero_poly = saw_free_algebra = saw_free_module = False
     for _ in range(200):
-        if random_instance("poly", cfg, rng).is_zero():
+        if random_poly(rng, ("x", "y", "z")[:rng.randint(1, cfg.max_vars)], cfg).is_zero():
             saw_zero_poly = True
-        if not random_instance("algebra", cfg, rng).relations:
+        if not random_algebra(rng, cfg).relations:
             saw_free_algebra = True
-        m = random_instance("module", cfg, rng)
+        m = random_module(rng, cfg)
         if m.rank and not m.relation_matrix:
             saw_free_module = True
     assert saw_zero_poly and saw_free_algebra and saw_free_module
@@ -61,15 +64,12 @@ def test_degenerate_instances_occur():
 
 def test_counterexamples_replay_through_dsl():
     # instance serializations parse back through the DSL
-    from jetforge.checks import _doc_for_algebra, random_algebra, random_module
-    from jetforge.dsl import parse_document
-
     cfg = CheckConfig(seed=5, trials=1)
     rng = random.Random(4)
     for _ in range(20):
         A = random_algebra(rng, cfg)
         M = random_module(rng, cfg, over=A)
-        doc = parse_document(_doc_for_algebra(A, module=M))
+        doc = parse_document(print_document(A, module=M))
         assert doc.algebra.vars == A.vars
         assert doc.algebra.relations == A.relations
         assert doc.module.rank == M.rank
@@ -81,3 +81,19 @@ def test_report_json_shape():
     assert d["passed"] is True
     assert d["suites"]["zigzag"]["trials"] == 2
     assert "leibniz" not in d["suites"]
+
+
+def test_failing_suite_is_reported(monkeypatch, capsys):
+    def broken(rng, orng, cfg):
+        return False, True, {"input": "ring Q[x]\n"}
+
+    monkeypatch.setitem(checks.SUITES, "broken", broken)
+    report = run_suite(CheckConfig(seed=3, trials=2, suites=("broken",)))
+    result = report.suites["broken"]
+    assert result.failures == [{"trial": 0, "input": "ring Q[x]\n"},
+                               {"trial": 1, "input": "ring Q[x]\n"}]
+    assert result.oracle_trials == 2
+    assert result.oracle_disagreements == 2
+    assert not report.passed
+    assert main(["check", "--suite", "broken", "--trials", "1"]) == 1
+    assert "broken             FAIL" in capsys.readouterr().out

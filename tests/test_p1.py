@@ -1,12 +1,14 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from jetforge.cli import main
 from jetforge.errors import UnsupportedTwist
 from jetforge.localized import LocalPoly
-from jetforge.p1 import (chart_var, cocycle_check, global_sections, p1_report,
-                         p1_transition, transition_series)
+from jetforge.p1 import (chart_var, cocycle_check, global_sections, p1_transition,
+                         transition_series)
 from jetforge.hsmodules import twisted_action_matrix
 from jetforge.poly import JetVar, Poly
 
@@ -80,8 +82,10 @@ def test_global_sections_rejects_other_twists():
         global_sections(2, 1)
 
 
-def test_p1_report_shape():
-    out = p1_report(1, 1, with_cocycle=True, with_sections=True)
+def test_p1_report_shape(capsys):
+    code = main(["p1", "--d", "1", "--n", "1", "--cocycle", "--sections", "--format", "json"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
     assert out["cocycle_ok"] is True
     assert out["global_sections"] == ["e0_0", "e0_1", "e1_0", "e1_1"]
     assert len(out["transition"]) == 2

@@ -62,6 +62,10 @@ def test_localpoly_normalization_idempotent():
     assert lp1.denom_exp == 2
     # normalization strips unit factors entirely when possible
     assert LocalPoly(a * up ** 2, u, 2) == LocalPoly(a, u, 0)
+    # ... but cancels no more than the denominator holds
+    lp3 = LocalPoly(up ** 3 * a, u, 2)
+    assert lp3.numerator == up * a
+    assert lp3.denom_exp == 0
 
 
 def test_localpoly_arith_and_eval():
