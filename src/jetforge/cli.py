@@ -20,6 +20,19 @@ from .p1 import _cocycle_holds, _matrix_from_series, global_sections, transition
 from .scalars import field_by_name
 
 
+def _int_at_least(low):
+    """argparse type: an int >= low; anything else is a usage error (exit 2)."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+    return parse
+
+
 def _emit_json(obj):
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
@@ -181,23 +194,23 @@ def build_parser():
                            help="DSL input file ('-' or omitted for stdin)")
 
     p = sub.add_parser("jet", help="level-n jet presentation")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     common(p)
     p.set_defaults(func=cmd_jet)
 
     p = sub.add_parser("jet2", help="bivariate jet presentation")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
+    p.add_argument("--m", type=_int_at_least(0), required=True)
     common(p)
     p.set_defaults(func=cmd_jet2)
 
     p = sub.add_parser("module", help="Hasse-Schmidt module presentation")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     common(p)
     p.set_defaults(func=cmd_module)
 
     p = sub.add_parser("omega", help="Kaehler differentials (base or jet level)")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_int_at_least(0), default=None)
     common(p)
     p.set_defaults(func=cmd_omega)
 
@@ -206,20 +219,20 @@ def build_parser():
     p.set_defaults(func=cmd_sym)
 
     p = sub.add_parser("morphism", help="induced morphism on jet presentations")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     common(p)
     p.set_defaults(func=cmd_morphism)
 
     p = sub.add_parser("check", help="run the randomized theorem suites")
     p.add_argument("--suite", default="all")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=42)
     common(p, with_input=False)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("p1", help="jet line bundles on the projective line")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--cocycle", action="store_true")
     p.add_argument("--sections", action="store_true")
     common(p, with_input=False)

@@ -7,13 +7,14 @@ dictionaries mapping monomials to nonzero exact field scalars; the zero
 polynomial is the empty map.
 
 Canonical textual form (the bit-exact contract for golden tests and JSON
-output): variables sort by (base index, order1, order2); terms sort by
-exponent vector, lexicographically descending; variables render as "x_1"
-for jet order 1 and "x_1_2" in bivariate rings; coefficients render as
-"p/q" with q omitted when 1.
+output): variables sort by (base index, order1, order2, name), with a
+missing order2 first; terms sort by exponent vector, lexicographically
+descending; variables render as "x_1" for jet order 1 and "x_1_2" in
+bivariate rings; coefficients render as "p/q" with q omitted when 1.
 """
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import FieldMismatch, NonUnitLeadingCoefficient, UnboundVariable
 from .scalars import QQ
@@ -21,14 +22,31 @@ from .scalars import QQ
 
 @dataclass(frozen=True)
 class JetVar:
+    """A jet variable; the hash and the sort key are computed once.
+
+    Orders are non-negative, so the sort key determines the variable."""
+
     name: str
     index: int
     order1: int = 0
     order2: int | None = None
 
+    def __post_init__(self):
+        if self.order1 < 0 or self.order2 is not None and self.order2 < 0:
+            raise ValueError("negative jet order in %s" % self)
+        key = (self.index, self.order1, -1 if self.order2 is None else self.order2, self.name)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: a cached str hash is only valid in one process
+        return JetVar, (self.name, self.index, self.order1, self.order2)
+
     def sort_key(self):
-        o2 = -1 if self.order2 is None else self.order2
-        return (self.index, self.order1, o2)
+        return self._key
 
     def render(self, base_plain=False):
         if self.order2 is not None:
@@ -41,19 +59,35 @@ class JetVar:
         return self.render()
 
 
-class Monomial:
-    """Finite map JetVar -> positive exponent; the empty map is the unit."""
+def _pair_key(ve):
+    return ve[0]._key
 
-    __slots__ = ("exps",)
+
+def _monomial(exps):
+    """Monomial from (var, exponent) pairs already sorted, merged and positive."""
+    m = object.__new__(Monomial)
+    object.__setattr__(m, "exps", exps)
+    object.__setattr__(m, "_hash", hash(exps))
+    return m
+
+
+class Monomial:
+    """Finite map JetVar -> positive exponent; the empty map is the unit.
+
+    ``exps`` holds the (var, exponent) pairs sorted by the variables' sort
+    keys; the hash is computed once."""
+
+    __slots__ = ("exps", "_hash")
 
     def __init__(self, exps=()):
         items = tuple(sorted(
             ((v, e) for v, e in (exps.items() if isinstance(exps, dict) else exps) if e),
-            key=lambda ve: ve[0].sort_key()))
+            key=_pair_key))
         for _, e in items:
             if e < 0:
                 raise ValueError("negative exponent in monomial")
         object.__setattr__(self, "exps", items)
+        object.__setattr__(self, "_hash", hash(items))
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
@@ -71,18 +105,39 @@ class Monomial:
         return 0
 
     def mul(self, other):
-        d = dict(self.exps)
-        for v, e in other.exps:
-            d[v] = d.get(v, 0) + e
-        return Monomial(d)
+        """Product: a merge of the two sorted exponent tuples."""
+        a, b = self.exps, other.exps
+        if not b:
+            return self
+        if not a:
+            return other
+        out = []
+        i = j = 0
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            va, ea = a[i]
+            vb, eb = b[j]
+            ka, kb = va._key, vb._key
+            if ka == kb:
+                out.append((va, ea + eb))
+                i += 1
+                j += 1
+            elif ka < kb:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        return _monomial(tuple(out) + a[i:] + b[j:])
 
     def divide_by_var(self, v):
         """Exact division by one power of v; None if v does not divide."""
-        d = dict(self.exps)
-        if d.get(v, 0) < 1:
-            return None
-        d[v] -= 1
-        return Monomial(d)
+        exps = self.exps
+        for k, (w, e) in enumerate(exps):
+            if w == v:
+                lower = ((w, e - 1),) if e > 1 else ()
+                return _monomial(exps[:k] + lower + exps[k + 1:])
+        return None
 
     def total_degree(self):
         return sum(e for _, e in self.exps)
@@ -104,13 +159,24 @@ class Monomial:
         return isinstance(other, Monomial) and other.exps == self.exps
 
     def __hash__(self):
-        return hash(self.exps)
+        return self._hash
+
+    def __reduce__(self):
+        return _monomial, (self.exps,)
 
     def __repr__(self):
         return "Monomial(%s)" % self.render()
 
 
 UNIT = Monomial()
+
+
+def _poly(field, terms):
+    """Poly from a dict of nonzero scalars already in field (no coercion)."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "field", field)
+    object.__setattr__(p, "terms", terms)
+    return p
 
 
 class Poly:
@@ -134,15 +200,16 @@ class Poly:
 
     @classmethod
     def zero(cls, field=QQ):
-        return cls(field)
+        return _poly(field, {})
 
     @classmethod
     def constant(cls, c, field=QQ):
-        return cls(field, {UNIT: field.coerce(c)})
+        c = field.coerce(c)
+        return _poly(field, {UNIT: c} if c else {})
 
     @classmethod
     def var(cls, v, field=QQ):
-        return cls(field, {Monomial({v: 1}): field.one})
+        return _poly(field, {_monomial(((v, 1),)): field.one})
 
     # -- structure ----------------------------------------------------
 
@@ -172,7 +239,7 @@ class Poly:
     def _check(self, other):
         if not isinstance(other, Poly):
             raise TypeError("expected Poly, got %r" % (other,))
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatch("mixed-field operands: %r vs %r" % (self.field, other.field))
 
     def __add__(self, other):
@@ -181,13 +248,21 @@ class Poly:
         self._check(other)
         d = dict(self.terms)
         for m, c in other.terms.items():
-            d[m] = d.get(m, self.field.zero) + c
-        return Poly(self.field, d)
+            s = d.get(m)
+            if s is None:
+                d[m] = c
+            else:
+                s = s + c
+                if s:
+                    d[m] = s
+                else:
+                    del d[m]
+        return _poly(self.field, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.field, {m: -c for m, c in self.terms.items()})
+        return _poly(self.field, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -198,19 +273,20 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int) or self.field.contains(other) and not isinstance(other, Poly):
-            return Poly(self.field, {m: c * self.field.coerce(other) for m, c in self.terms.items()})
+        if not isinstance(other, Poly) and (isinstance(other, int) or self.field.contains(other)):
+            s = self.field.coerce(other)
+            return _poly(self.field, {m: c * s for m, c in self.terms.items()} if s else {})
         self._check(other)
         d = {}
+        other_terms = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1.mul(m2)
+            mul = m1.mul
+            for m2, c2 in other_terms:
+                m = mul(m2)
                 c = c1 * c2
-                if m in d:
-                    d[m] = d[m] + c
-                else:
-                    d[m] = c
-        return Poly(self.field, d)
+                s = d.get(m)
+                d[m] = c if s is None else s + c
+        return _poly(self.field, {m: c for m, c in d.items() if c})
 
     __rmul__ = __mul__
 
@@ -250,16 +326,36 @@ class Poly:
         return Poly(self.field, d)
 
     def eval(self, assignment):
-        """Exact evaluation at a point; assignment maps JetVar to scalar."""
-        total = self.field.zero
+        """Exact evaluation at a point; assignment maps JetVar to scalar.
+
+        An integer kernel over the scalars' ``as_integer_ratio`` view: each
+        term becomes a numerator/denominator pair built from tabulated
+        integer powers of the assigned values, the pairs are summed over
+        their least common denominator, and one field scalar is made at
+        the end."""
+        field = self.field
+        powers = {}  # var -> (powers of its value's numerator, of its denominator)
+        nums = []
+        dens = []
         for m, c in self.terms.items():
-            val = c
+            num, den = c.as_integer_ratio()
             for v, e in m.exps:
-                if v not in assignment:
-                    raise UnboundVariable("no value for %s" % v)
-                val = val * self.field.coerce(assignment[v]) ** e
-            total = total + val
-        return total
+                tabs = powers.get(v)
+                if tabs is None:
+                    if v not in assignment:
+                        raise UnboundVariable("no value for %s" % v)
+                    vnum, vden = field.coerce(assignment[v]).as_integer_ratio()
+                    tabs = powers[v] = ([1, vnum], [1, vden])
+                pn, pd = tabs
+                while len(pn) <= e:
+                    pn.append(pn[-1] * pn[1])
+                    pd.append(pd[-1] * pd[1])
+                num *= pn[e]
+                den *= pd[e]
+            nums.append(num)
+            dens.append(den)
+        common = lcm(*dens)
+        return field.from_ratio(sum(n * (common // d) for n, d in zip(nums, dens)), common)
 
     def substitute(self, mapping):
         """Replace variables by polynomials; unmapped variables stay."""

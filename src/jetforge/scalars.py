@@ -3,8 +3,11 @@
 Rational scalars are plain ``fractions.Fraction`` values (always reduced,
 positive denominator).  Prime-field scalars are ``Fp`` instances carrying
 their modulus.  A field object (``QQ`` or ``PrimeField(p)``) converts
-integers, provides constants and inversion, and renders coefficients in
-the canonical "p/q" form.
+integers, provides constants and inversion, renders coefficients in the
+canonical "p/q" form, and builds a scalar from an integer ratio
+(``from_ratio``).  Scalars give their integer view through
+``as_integer_ratio()``, which over F_p is the residue over 1; integer
+kernels such as ``Poly.eval`` work on that view.
 """
 
 from fractions import Fraction
@@ -49,6 +52,14 @@ class Fp:
 
     def __neg__(self):
         return Fp(-self.value, self.p)
+
+    def as_integer_ratio(self):
+        return self.value, 1
+
+    def __pow__(self, e):
+        if e < 0:
+            raise ValueError("negative power in F_%d" % self.p)
+        return Fp(pow(self.value, e, self.p), self.p)
 
     def inverse(self):
         if self.value == 0:
@@ -104,6 +115,9 @@ class Rationals:
             return Fraction(c)
         raise FieldMismatch("not a rational scalar: %r" % (c,))
 
+    def from_ratio(self, num, den):
+        return Fraction(num, den)
+
     def render(self, c):
         if c.denominator == 1:
             return str(c.numerator)
@@ -122,13 +136,38 @@ class Rationals:
         return "QQ"
 
 
+def is_prime(n):
+    """Deterministic Miller-Rabin with bases 2, 3, 5 and 7, exact for
+    n < 3,215,031,751 (which covers every modulus below 2**31)."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """The field F_p for a prime p < 2**31."""
 
     def __init__(self, p):
         if not (1 < p < 2**31):
             raise ValueError("modulus out of range: %d" % p)
-        if any(p % q == 0 for q in range(2, min(p, 1 + int(p**0.5) + 1)) if q < p):
+        if not is_prime(p):
             raise ValueError("modulus is not prime: %d" % p)
         self.p = p
         self.name = "F%d" % p
@@ -158,6 +197,9 @@ class PrimeField:
         if isinstance(c, int):
             return Fp(c, self.p)
         raise FieldMismatch("not an F_%d scalar: %r" % (self.p, c))
+
+    def from_ratio(self, num, den):
+        return Fp(num * pow(den, -1, self.p), self.p)
 
     def render(self, c):
         return str(c.value)

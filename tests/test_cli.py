@@ -120,3 +120,20 @@ def test_field_env_default(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "jet", "--n", "0", str(doc))
     assert code == 0
     assert "relation f.0 = x_0^2 + 2" in out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["jet", "--n", "-1"], "--n"),
+    (["jet2", "--n", "-1", "--m", "1"], "--n"),
+    (["jet2", "--n", "1", "--m", "-1"], "--m"),
+    (["module", "--n", "-1"], "--n"),
+    (["omega", "--n", "-1"], "--n"),
+    (["morphism", "--n", "-1"], "--n"),
+    (["p1", "--d", "1", "--n", "-1"], "--n"),
+    (["check", "--trials", "0"], "--trials"),
+])
+def test_out_of_range_level_is_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    assert "argument %s: must be at least" % flag in capsys.readouterr().err

@@ -1,11 +1,15 @@
+import pickle
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from jetforge.errors import DivisionByZero, FieldMismatch, UnboundVariable
+from jetforge.jets import hs_components
 from jetforge.poly import JetVar, Monomial, Poly
-from jetforge.scalars import QQ, Fp, PrimeField
+from jetforge.scalars import QQ, Fp, PrimeField, is_prime
+from oracles import naive_eval
 
 X = JetVar("x", 0, 0)
 Y = JetVar("y", 1, 0)
@@ -105,3 +109,108 @@ def test_monomial_invariants():
     assert m.exps == ((X, 2),)
     assert Monomial().is_unit()
     assert m.mul(Monomial({X: 1})).exponent(X) == 3
+
+
+def test_monomial_order_breaks_ties_on_name():
+    # a source x and a target u share (index, order1, order2)
+    x, u = JetVar("x", 0, 0), JetVar("u", 0, 0)
+    xu, ux = P(x) * P(u), P(u) * P(x)
+    assert xu == ux
+    assert (xu - ux).is_zero()
+    assert xu.render() == "u_0*x_0"
+    assert Monomial({x: 1, u: 2}).exps == ((u, 2), (x, 1))
+    assert Monomial({x: 1}).mul(Monomial({u: 2})) == Monomial({u: 2, x: 1})
+    assert hash(Monomial({x: 1}).mul(Monomial({u: 2}))) == hash(Monomial({u: 2, x: 1}))
+    assert (P(x) + P(u)).vars() == [u, x]
+
+
+def test_jet_variables_hash_once_and_round_trip():
+    v = JetVar("x", 2, 1, 3)
+    assert v == JetVar("x", 2, 1, 3) and hash(v) == hash(JetVar("x", 2, 1, 3))
+    assert repr(v) == "JetVar(name='x', index=2, order1=1, order2=3)"
+    assert "%s" % v == "x_1_3"
+    m = Monomial({v: 2, X: 1})
+    assert pickle.loads(pickle.dumps(m)) == m
+    assert m.divide_by_var(v) == Monomial({v: 1, X: 1})
+    assert m.divide_by_var(X).divide_by_var(v).divide_by_var(v).is_unit()
+    assert m.divide_by_var(Y) is None
+    with pytest.raises(ValueError):
+        JetVar("x", 0, -1)
+
+
+def test_eval_over_prime_fields():
+    f7, f2 = PrimeField(7), PrimeField(2)
+    x7, y7 = Poly.var(X, f7), Poly.var(Y, f7)
+    assert (3 * x7).eval({X: 2}) == Fp(6, 7)
+    assert (x7 ** 3 - y7 ** 2).eval({X: 3, Y: 5}) == Fp(2, 7)   # 27 - 25
+    assert (x7 * y7 + 4).eval({X: Fp(5, 7), Y: -1}) == Fp(6, 7)  # -5 + 4 = -1
+    x2 = Poly.var(X, f2)
+    assert (x2 ** 2 + x2 + 1).eval({X: 1}) == Fp(1, 2)
+    assert (x2 ** 3 + x2).eval({X: 1}) == Fp(0, 2)
+    assert Fp(3, 7) ** 2 == Fp(2, 7) and Fp(3, 7) ** 0 == Fp(1, 7)
+    with pytest.raises(ValueError):
+        Fp(3, 7) ** -1
+    with pytest.raises(FieldMismatch):
+        x7.eval({X: Fp(1, 5)})
+
+
+def _random_point(rng, variables, field):
+    if field is QQ:
+        kinds = (lambda: 0, lambda: rng.randint(-9, -1),
+                 lambda: Fraction(rng.randint(-9, 9), rng.randint(2, 7)))
+    else:
+        kinds = (lambda: 0, lambda: rng.randint(-9, -1), lambda: rng.randrange(10 ** 12))
+    return {v: rng.choice(kinds)() for v in variables}
+
+
+def test_eval_matches_naive_oracle():
+    rng = random.Random(20240531)
+    base = [JetVar(x, i, 0) for i, x in enumerate("xyz")]
+    for field in (QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(2147483647)):
+        def coefficient():
+            if field is QQ:
+                return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+            return field(rng.randrange(-10 ** 12, 10 ** 12))
+
+        for _ in range(12):
+            terms = {Monomial({v: rng.randint(0, 3) for v in base}): coefficient()
+                     for _ in range(rng.randint(1, 5))}
+            f = Poly(field, terms)
+            polys = hs_components(f, rng.randint(0, 3)) + [
+                Poly.zero(field), Poly.constant(coefficient(), field)]
+            for p in polys:
+                for _ in range(3):
+                    pt = _random_point(rng, p.vars(), field)
+                    want = naive_eval(p, pt)
+                    if field is QQ:
+                        assert p.eval(pt) == want
+                    else:
+                        assert want.denominator == 1
+                        assert p.eval(pt) == field(want.numerator)
+                if p.vars():
+                    pt = _random_point(rng, p.vars()[:-1], field)
+                    with pytest.raises(UnboundVariable):
+                        p.eval(pt)
+
+
+def test_is_prime_matches_sieve_and_trial_division():
+    limit = 200000
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for q in range(2, isqrt(limit) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, limit, q)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+    def trial_division(n):
+        return n > 1 and all(n % q for q in range(2, isqrt(n) + 1))
+
+    # 25326001 is a strong pseudoprime to bases 2, 3 and 5; 2147483641 = 2699 * 795659
+    for n, prime in ((2147483647, True), (2147483629, True), (2147483645, False),
+                     (2147483641, False), (25326001, False)):
+        assert is_prime(n) == trial_division(n) == prime
+    assert PrimeField(2147483647).name == "F2147483647"
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(2147483645)
+    with pytest.raises(ValueError, match="out of range"):
+        PrimeField(2 ** 31)

@@ -4,6 +4,7 @@ from fractions import Fraction
 from jetforge.errors import NonUnitLeadingCoefficient
 from jetforge.localized import LocalPoly
 from jetforge.poly import JetVar, Poly
+from jetforge.scalars import Fp, PrimeField
 from jetforge.series import TruncSeries, series_invert
 
 T0 = [JetVar("t0", 0, i) for i in range(4)]
@@ -77,6 +78,15 @@ def test_localpoly_arith_and_eval():
     from jetforge.errors import DivisionByZero
     with pytest.raises(DivisionByZero):
         lp.eval({u: 0})
+
+
+def test_localpoly_eval_over_prime_fields():
+    f7, f2 = PrimeField(7), PrimeField(2)
+    u = T0[0]
+    lp = LocalPoly(Poly.var(T0[1], f7) + Poly.constant(3, f7), u, 2)  # (t0_1 + 3)/t0_0^2
+    assert lp.eval({u: 3, T0[1]: 2}) == Fp(6, 7)  # 5 / 9 = 5 * 2^-1 = 5 * 4 = 20
+    lp2 = LocalPoly(Poly.var(T0[1], f2) ** 2 + Poly.var(T0[1], f2) + Poly.constant(1, f2), u, 2)
+    assert lp2.eval({u: 1, T0[1]: 1}) == Fp(1, 2)
 
 
 def test_localpoly_render():

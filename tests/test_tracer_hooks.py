@@ -1,0 +1,60 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps jetforge functions and
+methods by name.  Installing and uninstalling it here makes a refactor that
+drops or renames one of those names (``Monomial.mul``, ``Rationals.coerce``,
+an ``Fp`` operator, ...) fail in this suite, not only in the benchmark."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import jetforge
+from jetforge import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _namespaces(layers):
+    """Every module namespace and class namespace the tracer may patch."""
+    out = {"jetforge": dict(vars(jetforge))}
+    for layer in layers:
+        mod = importlib.import_module("jetforge." + layer)
+        out[layer] = dict(vars(mod))
+        for attr, value in vars(mod).items():
+            if isinstance(value, type) and value.__module__ == mod.__name__:
+                out["%s.%s" % (layer, attr)] = dict(vars(value))
+    return out
+
+
+def test_tracer_installs_counts_and_uninstalls(tmp_path, capsys):
+    tracer_mod = _load_tracer()
+    layers = tracer_mod.ORCHESTRATION + ("poly", "series", "localized", "scalars")
+    before = _namespaces(layers)
+    fp_doc = tmp_path / "fp.jf"
+    fp_doc.write_text("ring F7[x,y]\nideal f = y^2 - x^3 + 3*x*y\n")
+    tracer = tracer_mod.Tracer(jetforge)
+    try:
+        tracer.install()
+        assert cli.main(["jet", "--n", "2", str(GOLDEN / "cusp.jf")]) == 0
+        assert cli.main(["jet", "--n", "3", str(fp_doc)]) == 0
+        assert cli.main(["p1", "--d", "1", "--n", "2", "--cocycle"]) == 0
+        assert cli.main(["check", "--suite", "leibniz", "--trials", "2", "--seed", "3"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    calls = tracer.by_name(tracer.calls)
+    for name in ("poly.Monomial.mul", "poly.Poly.__mul__", "poly.Poly.__add__",
+                 "poly.Poly.eval", "poly.Poly.render", "scalars.Rationals.coerce",
+                 "scalars.PrimeField.coerce", "scalars.Fp.__mul__", "scalars.Fp.__add__",
+                 "series.TruncSeries.__mul__", "localized.LocalPoly.__mul__",
+                 "checks.points_agree", "cli.main"):
+        assert calls.get(name, 0) > 0, name
+    assert _namespaces(layers) == before
