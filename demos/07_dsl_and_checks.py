@@ -10,7 +10,7 @@ Everything here is also reachable from the command line, e.g.
     jetforge check --trials 100 --seed 42
 
 The check harness replays every structural theorem on seeded random
-instances; two of the suites additionally compare the fast series
+instances; two of the suites additionally compare the jet-component
 engine against numeric evaluation at random rational points.
 """
 from jetforge import CheckConfig, document_text, parse_document, run_suite

@@ -39,14 +39,20 @@ def _emit_json(obj):
 
 def _load_document(args):
     if args.input and args.input != "-":
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as e:
+            raise JetforgeError("cannot read %s: %s" % (args.input, e.strerror))
     else:
         text = sys.stdin.read()
     default_field = None
     env = os.environ.get("JETFORGE_FIELD")
     if env:
-        default_field = field_by_name(env)
+        try:
+            default_field = field_by_name(env)
+        except ValueError as e:
+            raise JetforgeError("JETFORGE_FIELD: %s" % e)
     return parse_document(text, default_field=default_field)
 
 

@@ -185,7 +185,16 @@ def parse_document(text, default_field=None):
                     field = field_by_name(m.group(1))
                 except ValueError as e:
                     raise ParseError(str(e), ln, 1)
-            ring_names = [x.strip() for x in m.group(2).split(",") if x.strip()]
+            ring_names = []
+            col = raw.find(rest) + m.start(2) + 1
+            for piece in re.finditer(r"[^,]+", m.group(2)):
+                x = piece.group().strip()
+                if x in ring_names:
+                    lead = len(piece.group()) - len(piece.group().lstrip())
+                    raise ParseError("duplicate ring variable %r" % x,
+                                     ln, col + piece.start() + lead)
+                if x:
+                    ring_names.append(x)
         elif head == "grade":
             m = re.fullmatch(r"([A-Za-z][A-Za-z0-9]*)\s*=\s*(\d+)", rest)
             if not m:

@@ -2,9 +2,24 @@
 
 The level-n jet algebra of A = k[x_1..x_r]/(f_1..f_s) is presented on the
 jet variables x_l^(i), 0 <= i <= n, with relations the jet components
-d_i(f_k): substitute every base variable x by sum_i x^(i) t^i in a
-truncated series ring and read off the t^i coefficients.  The i-th
-component then satisfies the higher Leibniz rule by construction.
+d_i(f_k): substitute every base variable x by sum_i x^(i) t^i and read
+off the t^i coefficients.  The i-th component then satisfies the higher
+Leibniz rule by construction.
+
+The components are computed by one engine for univariate jets, jets of
+jets and bivariate jets.  Each variable maps to a family of variables
+indexed by grade g (an integer, or a pair (i, j)), and by the
+multinomial theorem
+
+    (sum_g x^(g) t^g)^e = sum over {a_g} with sum a_g = e of
+                          e! / prod a_g! * prod (x^(g))^(a_g) * t^(sum a_g g),
+
+so the grade-d component of a term c * prod_v v^(e_v) is the sum, over
+the ways to split d among its variables, of c times products of these
+monomials and integer multinomials, truncated to the grade box.  A jet
+monomial determines the source term and the split, so every output term
+is written once, with coefficient c * multinomial; over F_p the terms
+whose multinomial vanishes mod p drop out.
 
 Two gradings live on a jet presentation: the structural one
 (deg x^(i) = i) and, when the source algebra is graded, the induced one
@@ -12,10 +27,12 @@ Two gradings live on a jet presentation: the structural one
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
+from itertools import product
+from math import factorial
 
 from .errors import BadLevels, InhomogeneousRelation, MissingGrading, NotABaseElement
-from .poly import JetVar, Monomial, Poly
-from .series import BiSeries, TruncSeries
+from .poly import UNIT, JetVar, Poly, _monomial, _poly
 from .scalars import QQ
 
 
@@ -29,42 +46,93 @@ def _require_base(f):
             raise NotABaseElement("polynomial contains jet variable %s" % v)
 
 
-def _eval_series(f, varmap, one):
-    """Evaluate f after substituting each variable by a (bi)series."""
-    powers = {}
-    acc = None
-    for m, c in f.terms.items():
-        term = None
-        for v, e in m.exps:
-            key = (v, e)
-            if key not in powers:
-                powers[key] = varmap[v] ** e
-            term = powers[key] if term is None else term * powers[key]
-        if term is None:
-            term = one
-        term = _scale(term, c)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = _scale(one, f.field.zero)
-    return acc
+@lru_cache(maxsize=None)
+def _grades(bounds):
+    """The grade box 0 <= g <= bounds in lexicographic order, and its
+    addition table: sums[a][b] is the position of box[a] + box[b] in the
+    box, or None outside it."""
+    box = list(product(*(range(b + 1) for b in bounds)))
+    position = {g: k for k, g in enumerate(box)}
+    sums = [[position.get(tuple(x + y for x, y in zip(g, h))) for h in box] for g in box]
+    return box, sums
 
 
-def _scale(series, c):
-    if isinstance(series, TruncSeries):
-        return TruncSeries(series.level, [p * c for p in series.coeffs])
-    return BiSeries(series.n, series.m, [[p * c for p in row] for row in series.grid])
+@lru_cache(maxsize=None)
+def _expansion(e, bounds):
+    """Multinomial expansion of (sum_g x^(g) t^g)^e, truncated to the box.
+
+    A tuple of (grade, entries) for the grades that occur, grades given by
+    their position in the box; each entry is (parts, k): the multiset
+    {g: a_g} of size e with grade sum ``grade`` as (g, a_g) pairs in box
+    order, and its multinomial k = e! / prod a_g!."""
+    box, _ = _grades(bounds)
+    found = {}
+
+    def split(start, left, total, parts, k):
+        if not left:
+            found.setdefault(total, []).append((tuple(parts), k))
+            return
+        for idx in range(start, len(box)):
+            for a in range(1, left + 1):
+                t = tuple(s + a * x for s, x in zip(total, box[idx]))
+                if any(s > b for s, b in zip(t, bounds)):
+                    break
+                parts.append((idx, a))
+                split(idx + 1, left - a, t, parts, k // factorial(a))
+                parts.pop()
+
+    split(0, e, box[0], [], factorial(e))
+    return tuple((pos, tuple(found[g])) for pos, g in enumerate(box) if g in found)
+
+
+def _substitute(f, families, bounds):
+    """Grade components of f after substituting each variable v by
+    sum_g families[v][g] t^g, truncated to the grade box ``bounds``.
+
+    ``families[v][k]`` is the variable of the k-th grade of the box in
+    lexicographic order; each family must be sorted like its grades, and
+    distinct variables of f must have disjoint families.  Returns one Poly
+    per grade, in box order."""
+    box, sums = _grades(bounds)
+    out = [{} for _ in box]
+    tables = {}
+    for mono, c in f.terms.items():
+        acc = [(0, [(UNIT, 1)])]
+        for v, e in mono.exps:
+            table = tables.get((v, e))
+            if table is None:
+                fam = families[v]
+                table = tables[(v, e)] = [
+                    (g, [(_monomial(tuple((fam[h], a) for h, a in parts)), k)
+                         for parts, k in entries])
+                    for g, entries in _expansion(e, bounds)]
+            nxt = {}
+            for g1, left in acc:
+                row = sums[g1]
+                for g2, right in table:
+                    g = row[g2]
+                    if g is None:
+                        continue
+                    terms = nxt.setdefault(g, [])
+                    for m1, k1 in left:
+                        mul = m1.mul
+                        for m2, k2 in right:
+                            terms.append((mul(m2), k1 * k2))
+            acc = nxt.items()
+        for g, terms in acc:
+            dest = out[g]
+            for m, k in terms:
+                coeff = c if k == 1 else c * k
+                if coeff:
+                    dest[m] = coeff
+    return [_poly(f.field, d) for d in out]
 
 
 def hs_components(f, n):
     """Jet components d_0(f) .. d_n(f) of a base-ring polynomial."""
     _require_base(f)
-    fld = f.field
-    varmap = {
-        v: TruncSeries(n, [Poly.var(JetVar(v.name, v.index, i), fld) for i in range(n + 1)])
-        for v in f.vars()
-    }
-    one = TruncSeries(n, [Poly.constant(1, fld)] + [Poly.zero(fld)] * n)
-    return list(_eval_series(f, varmap, one).coeffs)
+    families = {v: [JetVar(v.name, v.index, i) for i in range(n + 1)] for v in f.vars()}
+    return _substitute(f, families, (n,))
 
 
 def jet_again(f, n, outer_to):
@@ -72,37 +140,25 @@ def jet_again(f, n, outer_to):
     variables; the new (outer) index lands in ``order1`` or ``order2``."""
     if outer_to not in ("order1", "order2"):
         raise ValueError("outer_to must be order1 or order2")
-    fld = f.field
-
-    def lifted(v, a):
+    families = {}
+    for v in f.vars():
         if v.order2 is not None:
             raise NotABaseElement("cannot jet a bivariate variable %s" % v)
         if outer_to == "order1":
-            return JetVar(v.name, v.index, a, v.order1)
-        return JetVar(v.name, v.index, v.order1, a)
-
-    varmap = {
-        v: TruncSeries(n, [Poly.var(lifted(v, a), fld) for a in range(n + 1)])
-        for v in f.vars()
-    }
-    one = TruncSeries(n, [Poly.constant(1, fld)] + [Poly.zero(fld)] * n)
-    return list(_eval_series(f, varmap, one).coeffs)
+            families[v] = [JetVar(v.name, v.index, a, v.order1) for a in range(n + 1)]
+        else:
+            families[v] = [JetVar(v.name, v.index, v.order1, a) for a in range(n + 1)]
+    return _substitute(f, families, (n,))
 
 
 def hs_components_2d(f, n, m):
     """Bivariate jet components: (n+1) x (m+1) matrix of coefficients of
     s^i t^j after substituting x by sum x^(i,j) s^i t^j."""
     _require_base(f)
-    fld = f.field
-    varmap = {
-        v: BiSeries(n, m, [[Poly.var(JetVar(v.name, v.index, i, j), fld)
-                            for j in range(m + 1)] for i in range(n + 1)])
-        for v in f.vars()
-    }
-    z = Poly.zero(fld)
-    one = BiSeries(n, m, [[Poly.constant(1, fld) if (i, j) == (0, 0) else z
-                           for j in range(m + 1)] for i in range(n + 1)])
-    return _eval_series(f, varmap, one).grid
+    families = {v: [JetVar(v.name, v.index, i, j) for i in range(n + 1) for j in range(m + 1)]
+                for v in f.vars()}
+    comps = _substitute(f, families, (n, m))
+    return [comps[i * (m + 1):(i + 1) * (m + 1)] for i in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -57,9 +57,12 @@ class LocalPoly:
         other = self._check(other)
         e = max(self.denom_exp, other.denom_exp)
         u = Poly.var(self.unit_var, self.field)
-        num = (self.numerator * u ** (e - self.denom_exp)
-               + other.numerator * u ** (e - other.denom_exp))
-        return LocalPoly(num, self.unit_var, e)
+        a, b = self.numerator, other.numerator
+        if e > self.denom_exp:
+            a = a * u ** (e - self.denom_exp)
+        if e > other.denom_exp:
+            b = b * u ** (e - other.denom_exp)
+        return LocalPoly(a + b, self.unit_var, e)
 
     __radd__ = __add__
 

@@ -171,6 +171,25 @@ class Monomial:
 UNIT = Monomial()
 
 
+def binary_power(base, e, one):
+    """base ** e for an integer e >= 0 by binary exponentiation; ``one()``
+    gives the unit for e == 0.  The product starts at the lowest set bit
+    and squares only while bits remain, so base ** 1 is base itself."""
+    if not e:
+        return one()
+    while not e & 1:
+        base = base * base
+        e >>= 1
+    out = base
+    e >>= 1
+    while e:
+        base = base * base
+        if e & 1:
+            out = out * base
+        e >>= 1
+    return out
+
+
 def _poly(field, terms):
     """Poly from a dict of nonzero scalars already in field (no coercion)."""
     p = object.__new__(Poly)
@@ -293,14 +312,7 @@ class Poly:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power of a Poly")
-        out = Poly.constant(1, self.field)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return binary_power(self, e, self.unit_one)
 
     def __eq__(self, other):
         return isinstance(other, Poly) and other.field == self.field and other.terms == self.terms

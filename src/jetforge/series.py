@@ -6,6 +6,7 @@ both qualify).  A level-0 series is a plain ring element.
 """
 
 from .errors import NonUnitLeadingCoefficient
+from .poly import binary_power
 
 
 class TruncSeries:
@@ -53,14 +54,7 @@ class TruncSeries:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power; invert first")
-        out = self.one_like()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return binary_power(self, e, self.one_like)
 
     def one_like(self):
         z = self._zero_coeff()
@@ -139,14 +133,10 @@ class BiSeries:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power of a BiSeries")
+        return binary_power(self, e, self.one_like)
+
+    def one_like(self):
         z = self._zero_coeff()
         one = self.grid[0][0].unit_one()
-        out = BiSeries(self.n, self.m, [[one if (i, j) == (0, 0) else z
-                                         for j in range(self.m + 1)] for i in range(self.n + 1)])
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return BiSeries(self.n, self.m, [[one if (i, j) == (0, 0) else z
+                                          for j in range(self.m + 1)] for i in range(self.n + 1)])

@@ -1,11 +1,13 @@
 """Independent oracles used by the tests.
 
-The naive jet-component oracle expands f(sum x^(i) tau^i) as a single
-untruncated polynomial with an explicit tau variable and collects tau
-powers; it shares no code with the truncated-series engine in
-jetforge.jets.  The naive evaluator multiplies Fractions term by term; it
-shares no code with the integer kernel of Poly.eval.  The random-point
-oracle is jetforge.checks.points_agree.
+The naive component oracle substitutes every variable v by
+sum_g w_g tau^g, with explicit tau variables (one per grade coordinate),
+expands the result as a single untruncated polynomial with Poly's public
+ring arithmetic and collects by tau exponents.  It shares no code with the
+multinomial substitution engine in jetforge.jets, which uses none of
+Poly's arithmetic.  The naive evaluator multiplies Fractions term by
+term; it shares no code with the integer kernel of Poly.eval.  The
+random-point oracle is jetforge.checks.points_agree.
 """
 
 from fractions import Fraction
@@ -14,24 +16,35 @@ from jetforge.poly import JetVar, Monomial, Poly
 from jetforge.scalars import Fp
 
 TAU = JetVar("tau", 10**6, 0)
+SIGMA = JetVar("sigma", 10**6 + 1, 0)
+
+
+def naive_components(f, families, taus):
+    """{grade: Poly} of f after substituting each variable v by
+    sum over families[v] of w_g * prod_k taus[k]^g[k], untruncated; the
+    grades that do not occur are missing."""
+    fld = f.field
+    mapping = {}
+    for v in f.vars():
+        s = Poly.zero(fld)
+        for g, w in families[v].items():
+            t = Poly.var(w, fld)
+            for tau, k in zip(taus, g):
+                t = t * Poly.var(tau, fld) ** k
+            s = s + t
+        mapping[v] = s
+    out = {}
+    for m, c in f.substitute(mapping).terms.items():
+        g = tuple(m.exponent(tau) for tau in taus)
+        stripped = Poly(fld, {Monomial({v: k for v, k in m.exps if v not in taus}): c})
+        out[g] = out.get(g, Poly.zero(fld)) + stripped
+    return out
 
 
 def naive_hs_components(f, n):
-    mapping = {}
-    for v in f.vars():
-        s = Poly.zero(f.field)
-        for i in range(n + 1):
-            s = s + Poly.var(JetVar(v.name, v.index, i), f.field) * Poly.var(TAU, f.field)**i
-        mapping[v] = s
-    expanded = f.substitute(mapping)
-    out = [Poly.zero(f.field) for _ in range(n + 1)]
-    for m, c in expanded.terms.items():
-        e = m.exponent(TAU)
-        if e > n:
-            continue
-        stripped = Monomial({v: k for v, k in m.exps if v != TAU})
-        out[e] = out[e] + Poly(f.field, {stripped: c})
-    return out
+    families = {v: {(i,): JetVar(v.name, v.index, i) for i in range(n + 1)} for v in f.vars()}
+    comps = naive_components(f, families, (TAU,))
+    return [comps.get((i,), Poly.zero(f.field)) for i in range(n + 1)]
 
 
 def naive_eval(f, point):

@@ -122,6 +122,28 @@ def test_field_env_default(tmp_path, capsys, monkeypatch):
     assert "relation f.0 = x_0^2 + 2" in out
 
 
+def test_missing_input_file_is_located_error(tmp_path, capsys):
+    missing = tmp_path / "missing.jf"
+    code, out, err = run(capsys, "jet", "--n", "1", str(missing))
+    assert code == 2 and out == ""
+    assert err == "error: cannot read %s: No such file or directory\n" % missing
+
+
+def test_bad_field_env_is_error(capsys, monkeypatch):
+    monkeypatch.setenv("JETFORGE_FIELD", "F4")
+    code, out, err = run(capsys, "jet", "--n", "1", str(GOLDEN / "cusp.jf"))
+    assert code == 2 and out == ""
+    assert err == "error: JETFORGE_FIELD: modulus is not prime: 4\n"
+
+
+def test_duplicate_ring_variable_exit_code(tmp_path, capsys):
+    doc = tmp_path / "dup.jf"
+    doc.write_text("ring Q[x,x]\nideal f = x\n")
+    code, out, err = run(capsys, "jet", "--n", "1", str(doc))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: line 1, col 10: duplicate ring variable")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["jet", "--n", "-1"], "--n"),
     (["jet2", "--n", "-1", "--m", "1"], "--n"),

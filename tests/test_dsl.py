@@ -99,3 +99,13 @@ def test_missing_ring_rejected():
 def test_comments_and_blank_lines():
     doc = parse_document("# cusp\nring Q[x,y]\n\nideal f = y^2 - x^3  # relation\n")
     assert len(doc.algebra.relations) == 1
+
+
+def test_duplicate_ring_variable_located():
+    with pytest.raises(ParseError) as ei:
+        parse_document("ring Q[x,x]\nideal f = x\n")
+    assert (ei.value.line, ei.value.column) == (1, 10)
+    assert "duplicate ring variable 'x'" in str(ei.value)
+    with pytest.raises(ParseError) as ei:
+        parse_document("# header\n  ring F7[ x , y,x ]\n")
+    assert (ei.value.line, ei.value.column) == (2, 18)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -9,11 +10,11 @@ from jetforge.jets import (AlgebraMorphism, AlgebraPresentation,
                            bigrade_commute_check, bijet_presentation,
                            cotruncation_subset_check, grade_monomial,
                            hs_components, hs_components_2d, induced_morphism,
-                           jet_presentation)
+                           jet_again, jet_presentation)
 from jetforge.poly import JetVar, Monomial, Poly
-from jetforge.scalars import QQ
+from jetforge.scalars import QQ, PrimeField
 
-from oracles import naive_hs_components
+from oracles import SIGMA, TAU, naive_components, naive_hs_components
 
 X = JetVar("x", 0, 0)
 Y = JetVar("y", 1, 0)
@@ -77,6 +78,97 @@ def test_leibniz_and_linearity_random():
         mix = hs_components(f * a + g * b, n)
         for i in range(n + 1):
             assert mix[i] == cf[i] * a + cg[i] * b
+
+
+def _random_poly(rng, field, variables, max_degree):
+    """0-3 terms in the given variables, each exponent and each term's total
+    degree at most max_degree; p/q coefficients over Q."""
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        exps, left = {}, max_degree
+        for v in variables:
+            exps[v] = rng.randint(0, left)
+            left -= exps[v]
+        if field is QQ:
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+        else:
+            c = field(rng.randrange(-10 ** 12, 10 ** 12))
+        terms[Monomial(exps)] = c
+    return Poly(field, terms)
+
+
+def _read(comps, grades, field):
+    return [comps.get(g, Poly.zero(field)) for g in grades]
+
+
+def test_engine_matches_naive_oracle():
+    """hs_components, jet_again (both outer indices) and hs_components_2d
+    against the untruncated substitute-and-collect oracle, over Q and F_p,
+    with exponents up to 6 on both sides of the level."""
+    rng = random.Random(4104)
+    fields = (QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(2147483647))
+    seen = set()
+    for field in fields:
+        for _ in range(8):
+            base = [JetVar(x, i, 0) for i, x in enumerate("xyz")][:rng.randint(1, 3)]
+            n = rng.randint(0, 5)
+            f = _random_poly(rng, field, base, 6)
+            assert hs_components(f, n) == naive_hs_components(f, n)
+            seen.update(("e>n" if e > n else "e<n" if e < n else "e=n")
+                        for m in f.terms for _, e in m.exps)
+
+            jets = [JetVar(v.name, v.index, i) for v in base for i in range(2)]
+            g = _random_poly(rng, field, rng.sample(jets, rng.randint(1, min(3, len(jets)))), 4)
+            a = rng.randint(0, 4)
+            for outer, lift in (("order1", lambda v, k: JetVar(v.name, v.index, k, v.order1)),
+                                ("order2", lambda v, k: JetVar(v.name, v.index, v.order1, k))):
+                fams = {v: {(k,): lift(v, k) for k in range(a + 1)} for v in g.vars()}
+                want = _read(naive_components(g, fams, (TAU,)), [(k,) for k in range(a + 1)], field)
+                assert jet_again(g, a, outer) == want
+
+            n, m = rng.randint(0, 5), rng.randint(0, 5)
+            cells = (n + 1) * (m + 1)
+            # keep the untruncated expansion small: C(d + cells - 1, d) terms per power
+            degree = max(d for d in range(1, 7) if comb(d + cells - 1, d) <= 3000)
+            f = _random_poly(rng, field, base, degree)
+            fams = {v: {(i, j): JetVar(v.name, v.index, i, j)
+                        for i in range(n + 1) for j in range(m + 1)} for v in base}
+            comps = naive_components(f, fams, (SIGMA, TAU))
+            want = [_read(comps, [(i, j) for j in range(m + 1)], field) for i in range(n + 1)]
+            assert hs_components_2d(f, n, m) == want
+        for c in (Poly.zero(field), Poly.constant(field(5) if field is not QQ
+                                                  else Fraction(-7, 3), field)):
+            assert hs_components(c, 3) == [c] + [Poly.zero(field)] * 3
+            assert jet_again(c, 2, "order2") == [c] + [Poly.zero(field)] * 2
+            assert hs_components_2d(c, 1, 2) == [[c, Poly.zero(field), Poly.zero(field)],
+                                                 [Poly.zero(field)] * 3]
+    assert seen == {"e>n", "e<n", "e=n"}
+
+
+def test_small_characteristic_components():
+    """Hand-derived: over F_p, (sum x_i t^i)^p = sum x_i^p t^(ip)."""
+    f2, f3 = PrimeField(2), PrimeField(3)
+    x = JetVar("x", 0, 0)
+
+    def xs(field, i, j=None):
+        return Poly.var(JetVar("x", 0, i, j), field)
+
+    zero2 = Poly.zero(f2)
+    assert hs_components(Poly.var(x, f2) ** 2, 3) == [xs(f2, 0) ** 2, zero2, xs(f2, 1) ** 2, zero2]
+    zero3 = Poly.zero(f3)
+    assert hs_components(Poly.var(x, f3) ** 3, 3) == [xs(f3, 0) ** 3, zero3, zero3, xs(f3, 1) ** 3]
+    grid = hs_components_2d(Poly.var(x, f2) ** 2, 2, 2)
+    nonzero = {(i, j) for i in range(3) for j in range(3) if not grid[i][j].is_zero()}
+    assert nonzero == {(0, 0), (2, 0), (0, 2), (2, 2)}
+    for i, j in nonzero:
+        assert grid[i][j] == xs(f2, i // 2, j // 2) ** 2
+
+
+def test_jet_again_rejects_bad_input():
+    with pytest.raises(ValueError):
+        jet_again(P("x", 1), 2, "order3")
+    with pytest.raises(NotABaseElement):
+        jet_again(P("x", 1, 0), 2, "order1")
 
 
 # -- bivariate components ---------------------------------------------

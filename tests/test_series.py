@@ -5,7 +5,7 @@ from jetforge.errors import NonUnitLeadingCoefficient
 from jetforge.localized import LocalPoly
 from jetforge.poly import JetVar, Poly
 from jetforge.scalars import Fp, PrimeField
-from jetforge.series import TruncSeries, series_invert
+from jetforge.series import BiSeries, TruncSeries, series_invert
 
 T0 = [JetVar("t0", 0, i) for i in range(4)]
 
@@ -93,3 +93,52 @@ def test_localpoly_render():
     u = T0[0]
     assert LocalPoly(-Poly.var(T0[1]), u, 2).render() == "(-t0_1)/t0_0^2"
     assert LocalPoly(const(5), u, 0).render() == "5"
+
+
+def _count_products(monkeypatch, cls):
+    calls = []
+    mul = cls.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    return calls
+
+
+def test_power_matches_repeated_multiplication(monkeypatch):
+    x, y = Poly.var(T0[1]), Poly.var(T0[2])
+    cases = [
+        (TruncSeries(3, [x + const(1), y, x * y - const(2), const(3)]), lambda a: a.coeffs),
+        (BiSeries(1, 2, [[x, const(1), y], [const(-1), x * y, const(0)]]), lambda a: a.grid),
+        (x - y * 2 + const(1), lambda a: a),
+    ]
+    for base, view in cases:
+        one = base.unit_one() if isinstance(base, Poly) else base.one_like()
+        powers = [one]
+        for _ in range(9):
+            powers.append(powers[-1] * base)
+        calls = _count_products(monkeypatch, type(base))
+        for e, want in enumerate(powers):
+            del calls[:]
+            assert view(base ** e) == view(want)
+            # one product per squaring and one per set bit after the lowest
+            assert len(calls) == (e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0)
+        assert base ** 1 is base
+        with pytest.raises(ValueError):
+            base ** -1
+
+
+def test_localpoly_add_scales_only_the_smaller_denominator(monkeypatch):
+    u = T0[0]
+    a, b = Poly.var(T0[1]), Poly.var(T0[2])
+    want_same = LocalPoly(a + b, u, 2)
+    want_mixed = LocalPoly(a + b * Poly.var(u) ** 2, u, 2)
+    exponents = []
+    power = Poly.__pow__
+    monkeypatch.setattr(Poly, "__pow__", lambda p, e: exponents.append(e) or power(p, e))
+    assert LocalPoly(a, u, 2) + LocalPoly(b, u, 2) == want_same
+    assert exponents == []
+    assert LocalPoly(a, u, 2) + LocalPoly(b, u, 0) == want_mixed
+    assert exponents == [2]

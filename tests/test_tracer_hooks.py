@@ -39,7 +39,7 @@ def test_tracer_installs_counts_and_uninstalls(tmp_path, capsys):
     layers = tracer_mod.ORCHESTRATION + ("poly", "series", "localized", "scalars")
     before = _namespaces(layers)
     fp_doc = tmp_path / "fp.jf"
-    fp_doc.write_text("ring F7[x,y]\nideal f = y^2 - x^3 + 3*x*y\n")
+    fp_doc.write_text("ring F7[x,y]\nideal f = (x + y)^2 - x^3 + 3*x*y\n")
     tracer = tracer_mod.Tracer(jetforge)
     try:
         tracer.install()
