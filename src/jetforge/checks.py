@@ -6,19 +6,23 @@ it draws one instance from ``rng``, a deterministic stream derived from
 the configured seed and the suite name, and checks an exact polynomial
 identity (``ok``).  Suites that also evaluate both sides at random
 rational points with ``points_agree`` draw those points from ``orng`` and
-return the numeric verdict as ``ok_numeric``; the others return None.  A
-symbolic and a numeric verdict that differ count as an oracle
-disagreement.  ``detail`` describes a failing instance, including a DSL
-serialization for replay, and is None when the check holds.
+return the numeric verdict as ``ok_numeric``; the others return None.  The
+oracle runs on the one integer evaluation kernel that ``Poly.eval`` uses,
+evaluates each distinct polynomial once per point, and compares the two
+sides exactly, as integer ratios.  A symbolic and a numeric verdict that
+differ count as an oracle disagreement.  ``detail`` describes a failing
+instance, including a DSL serialization for replay, and is None when the
+check holds.
 """
 
 import random
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import chain
 
 from .dsl import print_document
-from .errors import UnknownSuite
+from .errors import FieldMismatch, UnknownSuite
 from .hsmodules import (ModulePresentation, TwistedMatrix, base_change_check,
                         cotangent_theorem_check, free_dual_zigzag_check,
                         hs_module_presentation, sym_theorem_check,
@@ -27,7 +31,7 @@ from .jets import (AlgebraMorphism, AlgebraPresentation, bigrade_commute_check,
                    cotruncation_subset_check, grade_monomial, hs_components,
                    induced_morphism)
 from .p1 import cocycle_check
-from .poly import JetVar, Monomial, Poly
+from .poly import JetVar, Monomial, Poly, _eval_ratio
 from .scalars import QQ
 
 ORACLE_POINTS = 20
@@ -202,16 +206,31 @@ def random_morphism(rng, cfg):
 
 
 def points_agree(rng, lhs, rhs):
-    """Numeric verdict: the polynomial families lhs and rhs agree termwise at
-    ORACLE_POINTS random rational points drawn from rng."""
+    """Numeric verdict: the polynomial families lhs and rhs (sequences of
+    Polys over Q) agree termwise at ORACLE_POINTS random rational points
+    drawn from rng.
+
+    Each coordinate is drawn as a numerator in -9..9 and a denominator in
+    1..5, variable by variable in sort order.  At each point the power
+    tables are shared by the whole family, every distinct polynomial object
+    is evaluated once with the integer kernel of ``Poly.eval``, and each
+    pair is compared exactly by cross-multiplication."""
+    distinct = {}
     variables = set()
-    for p in list(lhs) + list(rhs):
-        variables.update(p.vars())
+    for p in chain(lhs, rhs):
+        if p.field != QQ:
+            raise FieldMismatch("the point oracle evaluates over Q, not %r" % (p.field,))
+        if id(p) not in distinct:
+            distinct[id(p)] = p.terms
+            variables.update(p.vars())
     variables = sorted(variables, key=JetVar.sort_key)
     for _ in range(ORACLE_POINTS):
-        pt = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for v in variables}
+        tables = {v: ([1, rng.randint(-9, 9)], [1, rng.randint(1, 5)]) for v in variables}
+        values = {k: _eval_ratio(terms, tables) for k, terms in distinct.items()}
         for a, b in zip(lhs, rhs):
-            if a.eval(pt) != b.eval(pt):
+            na, da = values[id(a)]
+            nb, db = values[id(b)]
+            if na * db != nb * da:
                 return False
     return True
 

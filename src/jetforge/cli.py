@@ -202,39 +202,32 @@ def build_parser():
     p = sub.add_parser("jet", help="level-n jet presentation")
     p.add_argument("--n", type=_int_at_least(0), required=True)
     common(p)
-    p.set_defaults(func=cmd_jet)
 
     p = sub.add_parser("jet2", help="bivariate jet presentation")
     p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--m", type=_int_at_least(0), required=True)
     common(p)
-    p.set_defaults(func=cmd_jet2)
 
     p = sub.add_parser("module", help="Hasse-Schmidt module presentation")
     p.add_argument("--n", type=_int_at_least(0), required=True)
     common(p)
-    p.set_defaults(func=cmd_module)
 
     p = sub.add_parser("omega", help="Kaehler differentials (base or jet level)")
     p.add_argument("--n", type=_int_at_least(0), default=None)
     common(p)
-    p.set_defaults(func=cmd_omega)
 
     p = sub.add_parser("sym", help="symmetric algebra of the declared module")
     common(p)
-    p.set_defaults(func=cmd_sym)
 
     p = sub.add_parser("morphism", help="induced morphism on jet presentations")
     p.add_argument("--n", type=_int_at_least(0), required=True)
     common(p)
-    p.set_defaults(func=cmd_morphism)
 
     p = sub.add_parser("check", help="run the randomized theorem suites")
     p.add_argument("--suite", default="all")
     p.add_argument("--trials", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=42)
     common(p, with_input=False)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("p1", help="jet line bundles on the projective line")
     p.add_argument("--d", type=int, required=True)
@@ -242,16 +235,22 @@ def build_parser():
     p.add_argument("--cocycle", action="store_true")
     p.add_argument("--sections", action="store_true")
     common(p, with_input=False)
-    p.set_defaults(func=cmd_p1)
 
     return parser
 
 
+_parser = None  # built by the first main() call; it depends on no input
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # looked up per call, so the kept parser holds no reference to a command
+    command = globals()["cmd_" + args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 2

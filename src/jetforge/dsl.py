@@ -16,7 +16,6 @@ A parsed document round-trips through the canonical printer.
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InhomogeneousRelation, ParseError, UndeclaredVariable
 from .jets import AlgebraMorphism, AlgebraPresentation
@@ -37,7 +36,7 @@ class InputDocument:
 _TOKEN = re.compile(r"(?:(?P<arrow>->)|(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^(),]))")
 
 
-def _tokenize(text, line_no, col_offset=0):
+def _tokenize(text, line_no, col_offset):
     tokens = []
     pos = 0
     while pos < len(text):
@@ -57,12 +56,13 @@ def _tokenize(text, line_no, col_offset=0):
 class _ExprParser:
     """Recursive-descent parser for polynomial expressions."""
 
-    def __init__(self, tokens, variables, field, line_no):
+    def __init__(self, tokens, variables, field, line_no, end_col):
         self.tokens = tokens
         self.pos = 0
         self.variables = variables  # name -> JetVar
         self.field = field
         self.line_no = line_no
+        self.end_col = end_col  # the column just past the last token
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -70,7 +70,7 @@ class _ExprParser:
     def take(self):
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of expression", self.line_no, 0)
+            raise ParseError("unexpected end of expression", self.line_no, self.end_col)
         self.pos += 1
         return tok
 
@@ -134,10 +134,11 @@ class _ExprParser:
                 dtok = self.take()
                 if dtok[0] != "num":
                     raise ParseError("denominator must be a natural number", dtok[2], dtok[3])
-                return Poly.constant(Fraction(num, int(dtok[1])), self.field) \
-                    if self.field == QQ else \
-                    Poly.constant(self.field(num) * self.field.inv(self.field(int(dtok[1]))),
-                                  self.field)
+                den = self.field(int(dtok[1]))
+                if not den:
+                    raise ParseError("denominator %s is zero in %s" % (dtok[1], self.field.name),
+                                     dtok[2], dtok[3])
+                return Poly.constant(self.field(num) * self.field.inv(den), self.field)
             return Poly.constant(num, self.field)
         if tok[0] == "name":
             v = self.variables.get(tok[1])
@@ -153,9 +154,11 @@ class _ExprParser:
         raise ParseError("unexpected token %r" % tok[1], tok[2], tok[3])
 
 
-def _parse_poly(text, variables, field, line_no, col_offset=0):
+def _parse_poly(text, variables, field, line_no, col_offset):
+    """Parse an expression that starts at column col_offset + 1 of its line."""
     tokens = _tokenize(text, line_no, col_offset)
-    return _ExprParser(tokens, variables, field, line_no).parse()
+    end_col = tokens[-1][3] + len(tokens[-1][1]) if tokens else col_offset + 1
+    return _ExprParser(tokens, variables, field, line_no, end_col).parse()
 
 
 def parse_document(text, default_field=None):
@@ -163,6 +166,7 @@ def parse_document(text, default_field=None):
     field = default_field or QQ
     ring_names = None
     grading = {}
+    grade_at = {}  # name -> (line, column) of its last grade declaration
     ideals = []
     ideal_names = []
     module_rank = None
@@ -176,6 +180,7 @@ def parse_document(text, default_field=None):
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        at = raw.index(rest, raw.index(head) + len(head))  # 0-based column of rest
         if head == "ring":
             m = re.fullmatch(r"(?:([A-Za-z][A-Za-z0-9]*)\s*)?\[\s*([A-Za-z0-9_,\s]*)\]", rest)
             if not m:
@@ -186,7 +191,7 @@ def parse_document(text, default_field=None):
                 except ValueError as e:
                     raise ParseError(str(e), ln, 1)
             ring_names = []
-            col = raw.find(rest) + m.start(2) + 1
+            col = at + m.start(2) + 1
             for piece in re.finditer(r"[^,]+", m.group(2)):
                 x = piece.group().strip()
                 if x in ring_names:
@@ -200,12 +205,13 @@ def parse_document(text, default_field=None):
             if not m:
                 raise ParseError("malformed grade declaration", ln, 1)
             grading[m.group(1)] = int(m.group(2))
+            grade_at[m.group(1)] = (ln, at + 1)
         elif head == "ideal":
             m = re.match(r"([A-Za-z][A-Za-z0-9]*)\s*=\s*", rest)
             if not m:
                 raise ParseError("malformed ideal declaration", ln, 1)
             ideal_names.append(m.group(1))
-            ideals.append((ln, rest[m.end():]))
+            ideals.append((ln, at + m.end(), rest[m.end():]))
         elif head == "module":
             m = re.fullmatch(r"rank\s+(\d+)", rest)
             if not m:
@@ -214,13 +220,13 @@ def parse_document(text, default_field=None):
         elif head == "relation":
             if module_rank is None:
                 raise ParseError("relation before module declaration", ln, 1)
-            module_rows_src.append((ln, rest))
+            module_rows_src.append((ln, at, rest))
         elif head == "morphism":
             m = re.fullmatch(r"\[\s*([A-Za-z0-9_,\s]*)\]\s*:\s*(.*)", rest)
             if not m:
                 raise ParseError("malformed morphism declaration", ln, 1)
             morphism_src = (ln, [x.strip() for x in m.group(1).split(",") if x.strip()],
-                            m.group(2))
+                            at + m.start(2), m.group(2))
         else:
             raise ParseError("unknown declaration %r" % head, ln, 1)
 
@@ -228,13 +234,13 @@ def parse_document(text, default_field=None):
         raise ParseError("missing ring declaration", len(lines) or 1, 1)
     for x in grading:
         if x not in ring_names:
-            raise ParseError("grade for undeclared variable %r" % x, 1, 1)
+            raise ParseError("grade for undeclared variable %r" % x, *grade_at[x])
 
     base = {x: JetVar(x, i, 0) for i, x in enumerate(ring_names)}
     relations = []
     full_grading = ({x: grading.get(x, 0) for x in ring_names} if grading else None)
-    for ln, src in ideals:
-        p = _parse_poly(src, base, field, ln)
+    for ln, at, src in ideals:
+        p = _parse_poly(src, base, field, ln, at)
         if full_grading is not None and not p.is_zero():
             degs = {m.weighted_degree(lambda v: full_grading[v.name]) for m in p.terms}
             if len(degs) != 1:
@@ -250,8 +256,8 @@ def parse_document(text, default_field=None):
         scope = dict(base)
         scope.update(evars)
         rows = []
-        for ln, src in module_rows_src:
-            p = _parse_poly(src, scope, field, ln)
+        for ln, at, src in module_rows_src:
+            p = _parse_poly(src, scope, field, ln, at)
             row = [Poly.zero(field) for _ in range(module_rank)]
             for m, c in p.terms.items():
                 hits = [v for v in m.vars() if v.name in evars]
@@ -265,18 +271,20 @@ def parse_document(text, default_field=None):
 
     morphism = None
     if morphism_src is not None:
-        ln, tgt_names, body = morphism_src
+        ln, tgt_names, at, body = morphism_src
         tgt = AlgebraPresentation(tgt_names, [], None, field)
         tvars = {x: JetVar(x, i, 0) for i, x in enumerate(tgt_names)}
         images = {}
         for piece in _split_commas_toplevel(body):
             m = re.match(r"\s*([A-Za-z][A-Za-z0-9]*)\s*->\s*", piece)
+            piece_at, at = at, at + len(piece) + 1  # pieces are separated by one comma
             if not m:
                 raise ParseError("malformed morphism image", ln, 1)
             name = m.group(1)
             if name not in base:
                 raise UndeclaredVariable("undeclared variable %r" % name, ln, 1)
-            images[base[name]] = _parse_poly(piece[m.end():], tvars, field, ln)
+            images[base[name]] = _parse_poly(piece[m.end():], tvars, field, ln,
+                                             piece_at + m.end())
         for v in base.values():
             if v not in images:
                 raise ParseError("morphism misses image for %r" % v.name, ln, 1)

@@ -7,7 +7,16 @@ at t^(0).
 """
 
 from .errors import DivisionByZero, FieldMismatch, NonUnitLeadingCoefficient
-from .poly import Poly
+from .poly import Poly, _monomial, _poly
+
+
+def _shift(p, v, k):
+    """p * v^k for k >= 0, as a shift of every monomial's exponent of v;
+    the shift is injective, so no terms merge and none vanish."""
+    if not k:
+        return p
+    vk = _monomial(((v, k),))
+    return _poly(p.field, {m.mul(vk): c for m, c in p.terms.items()})
 
 
 class LocalPoly:
@@ -16,12 +25,13 @@ class LocalPoly:
     def __init__(self, numerator, unit_var, denom_exp=0):
         if denom_exp < 0:
             raise ValueError("negative denominator exponent")
-        # cancel common factors of unit_var, at most denom_exp of them
-        while denom_exp and numerator.terms and all(
-                m.exponent(unit_var) for m in numerator.terms):
-            numerator = Poly(numerator.field, {m.divide_by_var(unit_var): c
-                                               for m, c in numerator.terms.items()})
-            denom_exp -= 1
+        # cancel the common power of unit_var, at most denom_exp of it
+        if denom_exp and numerator.terms:
+            k = min(denom_exp, min(m.exponent(unit_var) for m in numerator.terms))
+            if k:
+                numerator = _poly(numerator.field, {m.divide_by_var(unit_var, k): c
+                                                    for m, c in numerator.terms.items()})
+                denom_exp -= k
         if numerator.is_zero():
             denom_exp = 0
         object.__setattr__(self, "numerator", numerator)
@@ -56,12 +66,8 @@ class LocalPoly:
             other = LocalPoly(Poly.constant(other, self.field), self.unit_var)
         other = self._check(other)
         e = max(self.denom_exp, other.denom_exp)
-        u = Poly.var(self.unit_var, self.field)
-        a, b = self.numerator, other.numerator
-        if e > self.denom_exp:
-            a = a * u ** (e - self.denom_exp)
-        if e > other.denom_exp:
-            b = b * u ** (e - other.denom_exp)
+        a = _shift(self.numerator, self.unit_var, e - self.denom_exp)
+        b = _shift(other.numerator, self.unit_var, e - other.denom_exp)
         return LocalPoly(a + b, self.unit_var, e)
 
     __radd__ = __add__
@@ -102,9 +108,8 @@ class LocalPoly:
             raise NonUnitLeadingCoefficient("leading coefficient is not a unit: %s" % self)
         mono, coeff = terms[0]
         a = mono.exponent(self.unit_var)
-        u = Poly.var(self.unit_var, self.field)
-        num = Poly.constant(self.field.inv(coeff), self.field) * u**self.denom_exp
-        return LocalPoly(num, self.unit_var, a)
+        num = Poly.constant(self.field.inv(coeff), self.field)
+        return LocalPoly(_shift(num, self.unit_var, self.denom_exp), self.unit_var, a)
 
     def eval(self, assignment):
         uval = assignment.get(self.unit_var)

@@ -130,13 +130,15 @@ class Monomial:
                 j += 1
         return _monomial(tuple(out) + a[i:] + b[j:])
 
-    def divide_by_var(self, v):
-        """Exact division by one power of v; None if v does not divide."""
+    def divide_by_var(self, v, k=1):
+        """Exact division by v^k, k >= 1; None if v^k does not divide."""
         exps = self.exps
-        for k, (w, e) in enumerate(exps):
+        for i, (w, e) in enumerate(exps):
             if w == v:
-                lower = ((w, e - 1),) if e > 1 else ()
-                return _monomial(exps[:k] + lower + exps[k + 1:])
+                if e < k:
+                    return None
+                lower = ((w, e - k),) if e > k else ()
+                return _monomial(exps[:i] + lower + exps[i + 1:])
         return None
 
     def total_degree(self):
@@ -188,6 +190,32 @@ def binary_power(base, e, one):
             out = out * base
         e >>= 1
     return out
+
+
+def _eval_ratio(terms, tables):
+    """The value of a term dict at a point as an integer pair (num, den),
+    den > 0, not reduced.
+
+    ``tables[v]`` is ``([1, n, n^2, ...], [1, d, d^2, ...])`` for the value
+    n/d of v, d > 0; missing powers are appended as terms need them, so
+    tables shared between polynomials are built once per point.  Each term
+    is its coefficient's ``as_integer_ratio`` times tabulated powers, and
+    the terms are summed over their least common denominator."""
+    nums = []
+    dens = []
+    for m, c in terms.items():
+        num, den = c.as_integer_ratio()
+        for v, e in m.exps:
+            pn, pd = tables[v]
+            while len(pn) <= e:
+                pn.append(pn[-1] * pn[1])
+                pd.append(pd[-1] * pd[1])
+            num *= pn[e]
+            den *= pd[e]
+        nums.append(num)
+        dens.append(den)
+    common = lcm(*dens)
+    return sum(n * (common // d) for n, d in zip(nums, dens)), common
 
 
 def _poly(field, terms):
@@ -340,34 +368,20 @@ class Poly:
     def eval(self, assignment):
         """Exact evaluation at a point; assignment maps JetVar to scalar.
 
-        An integer kernel over the scalars' ``as_integer_ratio`` view: each
-        term becomes a numerator/denominator pair built from tabulated
-        integer powers of the assigned values, the pairs are summed over
-        their least common denominator, and one field scalar is made at
-        the end."""
+        The assigned values are read through their ``as_integer_ratio``
+        view, in the order the terms first use them, and ``_eval_ratio``
+        does the arithmetic on integers; one field scalar is made at the
+        end."""
         field = self.field
-        powers = {}  # var -> (powers of its value's numerator, of its denominator)
-        nums = []
-        dens = []
-        for m, c in self.terms.items():
-            num, den = c.as_integer_ratio()
-            for v, e in m.exps:
-                tabs = powers.get(v)
-                if tabs is None:
+        tables = {}
+        for m in self.terms:
+            for v, _ in m.exps:
+                if v not in tables:
                     if v not in assignment:
                         raise UnboundVariable("no value for %s" % v)
                     vnum, vden = field.coerce(assignment[v]).as_integer_ratio()
-                    tabs = powers[v] = ([1, vnum], [1, vden])
-                pn, pd = tabs
-                while len(pn) <= e:
-                    pn.append(pn[-1] * pn[1])
-                    pd.append(pd[-1] * pd[1])
-                num *= pn[e]
-                den *= pd[e]
-            nums.append(num)
-            dens.append(den)
-        common = lcm(*dens)
-        return field.from_ratio(sum(n * (common // d) for n, d in zip(nums, dens)), common)
+                    tables[v] = ([1, vnum], [1, vden])
+        return field.from_ratio(*_eval_ratio(self.terms, tables))
 
     def substitute(self, mapping):
         """Replace variables by polynomials; unmapped variables stay."""

@@ -7,11 +7,14 @@ ring arithmetic and collects by tau exponents.  It shares no code with the
 multinomial substitution engine in jetforge.jets, which uses none of
 Poly's arithmetic.  The naive evaluator multiplies Fractions term by
 term; it shares no code with the integer kernel of Poly.eval.  The
-random-point oracle is jetforge.checks.points_agree.
+reference point oracle makes the same draws as
+jetforge.checks.points_agree, builds Fraction points and compares the two
+sides pair by pair with Poly.eval.
 """
 
 from fractions import Fraction
 
+from jetforge.checks import ORACLE_POINTS
 from jetforge.poly import JetVar, Monomial, Poly
 from jetforge.scalars import Fp
 
@@ -62,3 +65,16 @@ def naive_eval(f, point):
             term *= rational(point[v]) ** e
         total += term
     return total
+
+
+def naive_points_agree(rng, lhs, rhs):
+    """Reference for checks.points_agree: Fraction points, one Poly.eval per
+    polynomial, pair and point."""
+    variables = sorted({v for p in list(lhs) + list(rhs) for v in p.vars()},
+                       key=JetVar.sort_key)
+    for _ in range(ORACLE_POINTS):
+        pt = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for v in variables}
+        for a, b in zip(lhs, rhs):
+            if a.eval(pt) != b.eval(pt):
+                return False
+    return True

@@ -1,13 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from jetforge import checks
-from jetforge.checks import (SUITE_NAMES, CheckConfig, random_algebra,
-                             random_module, random_poly, run_suite)
+from jetforge.checks import (ORACLE_POINTS, SUITE_NAMES, CheckConfig, points_agree,
+                             random_algebra, random_module, random_poly, run_suite)
 from jetforge.cli import main
 from jetforge.dsl import parse_document, print_document
-from jetforge.errors import UnknownSuite
+from jetforge.errors import FieldMismatch, UnknownSuite
+from jetforge.poly import JetVar, Poly
+from jetforge.scalars import QQ, PrimeField
+from oracles import naive_points_agree
 
 
 def test_all_suites_pass_smoke():
@@ -97,3 +101,77 @@ def test_failing_suite_is_reported(monkeypatch, capsys):
     assert not report.passed
     assert main(["check", "--suite", "broken", "--trials", "1"]) == 1
     assert "broken             FAIL" in capsys.readouterr().out
+
+
+def _points_drawn(start, nvars, end):
+    """How many oracle points were drawn from an rng between two states."""
+    probe = random.Random()
+    probe.setstate(start)
+    for k in range(ORACLE_POINTS + 1):
+        if probe.getstate() == end:
+            return k
+        for _ in range(nvars):
+            probe.randint(-9, 9)
+            probe.randint(1, 5)
+    raise AssertionError("the oracle drew a partial point")
+
+
+def test_points_agree_matches_fraction_reference(monkeypatch):
+    rng = random.Random(2024)
+    x, y, z = (Poly.var(JetVar(name, i, 0)) for i, name in enumerate("xyz"))
+
+    def poly():
+        p = Poly.zero(QQ)
+        for _ in range(rng.randint(0, 4)):
+            t = Poly.constant(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+            for _ in range(rng.randint(0, 3)):
+                t = t * rng.choice((x, y, z))
+            p = p + t
+        return p
+
+    def integer_roots(t):  # vanishes exactly when t is an integer in -2..9
+        out = Poly.constant(1)
+        for k in range(-2, 10):
+            out = out * (t - k)
+        return out
+
+    f, g, h = poly(), poly(), poly()
+    late = integer_roots(x) * integer_roots(y)  # nonzero at about 40% of the points
+    zero, half = Poly.zero(QQ), Poly.constant(Fraction(3, 2))
+    agreeing = [([f * g, f + g, f - g, h], [g * f, g + f, -(g - f), h + zero], True)
+                for f, g, h in ((poly(), poly(), poly()) for _ in range(6))]
+    cases = agreeing + [
+        ([f, g, h, f * g], [f, g, h, f * g + late], False),  # a later pair and point
+        ([zero, half, zero], [zero, half, x - x], True),     # zero and constant polynomials
+        ([half], [Poly.constant(2)], False),                 # no variables, so no draws
+        ([f, f, g, f], [f, f + zero, g, f], True),           # one object repeated
+        ([f, g, f], [f, g, f + late * z], False),
+    ]
+    later = 0
+    for seed in range(8):
+        for lhs, rhs, agrees in cases:
+            ours, ref = random.Random(seed), random.Random(seed)
+            start = ours.getstate()
+            with monkeypatch.context() as m:
+                m.setattr(Poly, "eval", None)  # the oracle evaluates with the kernel only
+                got = points_agree(ours, lhs, rhs)
+            assert got == naive_points_agree(ref, lhs, rhs) == agrees
+            assert ours.getstate() == ref.getstate()
+            nvars = len({v for p in lhs + rhs for v in p.vars()})
+            drawn = _points_drawn(start, nvars, ours.getstate())
+            if not nvars:
+                assert drawn == 0
+            elif agrees:
+                assert drawn == ORACLE_POINTS
+            else:
+                later += drawn > 1
+    assert later >= 4
+
+
+def test_points_agree_rejects_prime_fields():
+    f7 = PrimeField(7)
+    x7 = Poly.var(JetVar("x", 0, 0), f7)
+    with pytest.raises(FieldMismatch):
+        points_agree(random.Random(0), [x7 + 1], [1 + x7])
+    with pytest.raises(FieldMismatch):
+        points_agree(random.Random(0), [Poly.var(JetVar("x", 0, 0))], [Poly.zero(f7)])

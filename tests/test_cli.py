@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from jetforge.cli import main
+from jetforge import cli
+from jetforge.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -159,3 +160,58 @@ def test_out_of_range_level_is_usage_error(argv, flag, capsys):
         main(argv)
     assert ei.value.code == 2
     assert "argument %s: must be at least" % flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, located", [
+    ("ring Q[x]\nideal f = 1/0*x\n", "line 2, col 13: denominator 0 is zero in Q"),
+    ("ring F7[x]\nideal f = 1/7\n", "line 2, col 13: denominator 7 is zero in F7"),
+    ("ring F7[x]\nideal f = x + 1/0\n", "line 2, col 17: denominator 0 is zero in F7"),
+    ("ring Q[x]\ngrade x = 1\n  grade y = 2\n", "line 3, col 9: grade for undeclared variable 'y'"),
+    ("ring Q[x,y]\nideal f = x +  \n", "line 2, col 14: unexpected end of expression"),
+    ("ring Q[x]\nideal f =\n", "line 2, col 10: unexpected end of expression"),
+    ("ring Q[x]\nideal f = (x + 12\n", "line 2, col 18: unexpected end of expression"),
+    ("ring Q[x]\nmorphism [u] : x -> (u\n", "line 2, col 23: unexpected end of expression"),
+])
+def test_dsl_errors_are_located(text, located, tmp_path, capsys):
+    doc = tmp_path / "bad.jf"
+    doc.write_text(text)
+    code, out, err = run(capsys, "jet", "--n", "1", str(doc))
+    assert code == 2 and out == ""
+    assert err == "parse error: %s\n" % located
+
+
+def _fresh_output(argv, capsys):
+    with pytest.raises(SystemExit) as ei:
+        build_parser().parse_args(argv)
+    out = capsys.readouterr()
+    return ei.value.code, out.out, out.err
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    # a usage error leaves the next call's output untouched
+    with pytest.raises(SystemExit) as ei:
+        main(["jet"])
+    assert ei.value.code == 2
+    first_usage = capsys.readouterr().err
+    assert run(capsys, "jet", "--n", "2", str(GOLDEN / "cusp.jf")) == (
+        0, (GOLDEN / "cusp_jet2.txt").read_text(), "")
+    # JETFORGE_FIELD is read on every call
+    doc = tmp_path / "nofld.jf"
+    doc.write_text("ring [x]\nideal f = x^2 + 9\n")
+    monkeypatch.setenv("JETFORGE_FIELD", "F7")
+    assert run(capsys, "jet", "--n", "0", str(doc))[1].endswith("relation f.0 = x_0^2 + 2\n")
+    monkeypatch.setenv("JETFORGE_FIELD", "F5")
+    assert run(capsys, "jet", "--n", "0", str(doc))[1].endswith("relation f.0 = x_0^2 + 4\n")
+    monkeypatch.delenv("JETFORGE_FIELD")
+    assert run(capsys, "jet", "--n", "0", str(doc))[1].endswith("relation f.0 = x_0^2 + 9\n")
+    # help and usage texts are those of a freshly built parser
+    for argv in (["--help"], ["jet", "--help"], ["jet"], ["check", "--trials", "0"], []):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        out = capsys.readouterr()
+        assert (ei.value.code, out.out, out.err) == _fresh_output(argv, capsys)
+    assert _fresh_output(["jet"], capsys)[2] == first_usage
+    assert built == [1]

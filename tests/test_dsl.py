@@ -109,3 +109,17 @@ def test_duplicate_ring_variable_located():
     with pytest.raises(ParseError) as ei:
         parse_document("# header\n  ring F7[ x , y,x ]\n")
     assert (ei.value.line, ei.value.column) == (2, 18)
+
+
+def test_expression_errors_carry_line_columns():
+    # token columns count from the start of the line, not of the expression
+    cases = [
+        ("ring Q[x,y]\nideal f = y^2 - z\n", (2, 17)),
+        ("ring Q[x]\nmodule rank 1\n relation  x*e1 + q*e1\n", (3, 19)),
+        ("ring Q[x,y]\nmorphism [u] : x -> u^2, y -> u + w\n", (2, 35)),
+        ("ring Q[x]\nideal f = 1/0*x\n", (2, 13)),
+    ]
+    for text, where in cases:
+        with pytest.raises(ParseError) as ei:
+            parse_document(text)
+        assert (ei.value.line, ei.value.column) == where, text

@@ -1,10 +1,12 @@
-import pytest
+import random
 from fractions import Fraction
+
+import pytest
 
 from jetforge.errors import NonUnitLeadingCoefficient
 from jetforge.localized import LocalPoly
-from jetforge.poly import JetVar, Poly
-from jetforge.scalars import Fp, PrimeField
+from jetforge.poly import JetVar, Monomial, Poly
+from jetforge.scalars import QQ, Fp, PrimeField
 from jetforge.series import BiSeries, TruncSeries, series_invert
 
 T0 = [JetVar("t0", 0, i) for i in range(4)]
@@ -132,13 +134,62 @@ def test_power_matches_repeated_multiplication(monkeypatch):
 
 def test_localpoly_add_scales_only_the_smaller_denominator(monkeypatch):
     u = T0[0]
-    a, b = Poly.var(T0[1]), Poly.var(T0[2])
+    a, b = Poly.var(T0[1]), Poly.var(T0[2]) + const(3)
     want_same = LocalPoly(a + b, u, 2)
     want_mixed = LocalPoly(a + b * Poly.var(u) ** 2, u, 2)
-    exponents = []
-    power = Poly.__pow__
-    monkeypatch.setattr(Poly, "__pow__", lambda p, e: exponents.append(e) or power(p, e))
+    products = _count_products(monkeypatch, Poly)
+    shifted = []
+    mul = Monomial.mul
+    monkeypatch.setattr(Monomial, "mul", lambda m, n: shifted.append(m) or mul(m, n))
     assert LocalPoly(a, u, 2) + LocalPoly(b, u, 2) == want_same
-    assert exponents == []
+    assert shifted == []
+    # the numerator over the smaller denominator is shifted term by term
     assert LocalPoly(a, u, 2) + LocalPoly(b, u, 0) == want_mixed
-    assert exponents == [2]
+    assert sorted(m.render() for m in shifted) == ["1", "t0_2"]
+    assert products == []
+
+
+def _old_localpoly(numerator, u, denom_exp):
+    """LocalPoly normalization as one division by u per step."""
+    while denom_exp and numerator.terms and all(m.exponent(u) for m in numerator.terms):
+        numerator = Poly(numerator.field, {m.divide_by_var(u): c
+                                           for m, c in numerator.terms.items()})
+        denom_exp -= 1
+    return numerator, denom_exp if numerator.terms else 0
+
+
+def test_localpoly_shift_matches_power_products():
+    # sums and inverses equal the u ** k products they replace
+    rng = random.Random(11)
+    u = T0[0]
+    for field in (QQ, PrimeField(2), PrimeField(7)):
+        gens = [Poly.var(v, field) for v in T0]
+        up = gens[0]
+
+        def numerator():
+            p = Poly.zero(field)
+            for _ in range(rng.randint(0, 4)):
+                t = Poly.constant(rng.randint(-5, 5), field)
+                for _ in range(rng.randint(0, 4)):
+                    t = t * rng.choice(gens)
+                p = p + t
+            return p
+
+        for _ in range(60):
+            a, b = numerator(), numerator()
+            ea, eb = rng.randint(0, 3), rng.randint(0, 3)
+            x, y = LocalPoly(a, u, ea), LocalPoly(b, u, eb)
+            e = max(x.denom_exp, y.denom_exp)
+            want = _old_localpoly(x.numerator * up ** (e - x.denom_exp)
+                                  + y.numerator * up ** (e - y.denom_exp), u, e)
+            got = x + y
+            assert (got.numerator, got.denom_exp) == want
+            assert (x.numerator, x.denom_exp) == _old_localpoly(a, u, ea)
+            c = Poly.constant(rng.choice([1, 3, -5]), field)  # a unit in Q, F2 and F7
+            unit = LocalPoly(c * up ** rng.randint(0, 3), u, rng.randint(0, 3))
+            (mono, coeff), = unit.numerator.terms.items()
+            want = _old_localpoly(Poly.constant(field.inv(coeff), field) * up ** unit.denom_exp,
+                                  u, mono.exponent(u))
+            inv = unit.unit_inverse()
+            assert (inv.numerator, inv.denom_exp) == want
+            assert unit * inv == LocalPoly(Poly.constant(1, field), u)

@@ -8,7 +8,7 @@ import importlib.util
 from pathlib import Path
 
 import jetforge
-from jetforge import cli
+from jetforge import cli, dsl
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -37,6 +37,8 @@ def _namespaces(layers):
 def test_tracer_installs_counts_and_uninstalls(tmp_path, capsys):
     tracer_mod = _load_tracer()
     layers = tracer_mod.ORCHESTRATION + ("poly", "series", "localized", "scalars")
+    # main builds its parser on the first call; build it before the snapshot
+    assert cli.main(["p1", "--d", "0", "--n", "0"]) == 0
     before = _namespaces(layers)
     fp_doc = tmp_path / "fp.jf"
     fp_doc.write_text("ring F7[x,y]\nideal f = (x + y)^2 - x^3 + 3*x*y\n")
@@ -47,6 +49,9 @@ def test_tracer_installs_counts_and_uninstalls(tmp_path, capsys):
         assert cli.main(["jet", "--n", "3", str(fp_doc)]) == 0
         assert cli.main(["p1", "--d", "1", "--n", "2", "--cocycle"]) == 0
         assert cli.main(["check", "--suite", "leibniz", "--trials", "2", "--seed", "3"]) == 0
+        # the point oracle does not call Poly.eval; evaluating a parsed relation does
+        relation = dsl.parse_document((GOLDEN / "cusp.jf").read_text()).algebra.relations[0]
+        assert relation.eval({v: 1 for v in relation.vars()}) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
