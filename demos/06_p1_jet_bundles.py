@@ -8,8 +8,9 @@ has transition matrix T(t1^d), the twisted action matrix, with entries
 written over the overlap (denominators are powers of t0^(0)).
 
 The cocycle condition -- that the transitions for O(d) and O(-d)
-multiply to the identity -- holds exactly, via truncated-series
-inversion in the localized ring.
+multiply to the identity -- holds exactly in the localized ring.  Both
+sides are jets of integer powers of t0, written in closed form by the
+generalized binomial theorem, so no series is ever inverted.
 
 For O(1) the jet bundle is globally generated: each chart basis vector
 e_i^(j) extends across the other chart with denominator-free

@@ -33,6 +33,9 @@ class InputDocument:
     morphism: AlgebraMorphism | None = None
 
 
+# Each nesting level costs the recursive-descent parser four stack frames.
+MAX_PAREN_DEPTH = 100
+
 _TOKEN = re.compile(r"(?:(?P<arrow>->)|(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^(),]))")
 
 
@@ -59,6 +62,7 @@ class _ExprParser:
     def __init__(self, tokens, variables, field, line_no, end_col):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # parentheses open at the current position
         self.variables = variables  # name -> JetVar
         self.field = field
         self.line_no = line_no
@@ -146,10 +150,15 @@ class _ExprParser:
                 raise UndeclaredVariable("undeclared variable %r" % tok[1], tok[2], tok[3])
             return Poly.var(v, self.field)
         if tok[1] == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise ParseError("parentheses nested deeper than %d" % MAX_PAREN_DEPTH,
+                                 tok[2], tok[3])
+            self.depth += 1
             p = self.expr()
             close = self.take()
             if close[1] != ")":
                 raise ParseError("expected ')'", close[2], close[3])
+            self.depth -= 1
             return p
         raise ParseError("unexpected token %r" % tok[1], tok[2], tok[3])
 
@@ -283,6 +292,8 @@ def parse_document(text, default_field=None):
             name = m.group(1)
             if name not in base:
                 raise UndeclaredVariable("undeclared variable %r" % name, ln, 1)
+            if base[name] in images:
+                raise ParseError("duplicate image for %r" % name, ln, piece_at + m.start(1) + 1)
             images[base[name]] = _parse_poly(piece[m.end():], tvars, field, ln,
                                              piece_at + m.end())
         for v in base.values():

@@ -192,12 +192,6 @@ class AlgebraPresentation:
     def base_vars(self):
         return [JetVar(x, i, 0) for i, x in enumerate(self.vars)]
 
-    def base_var(self, name):
-        return JetVar(name, self.vars.index(name), 0)
-
-    def var_poly(self, name):
-        return Poly.var(self.base_var(name), self.field)
-
     def homogeneous_degree(self, f):
         """Degree of f under the grading, or None if inhomogeneous."""
         degs = {m.weighted_degree(lambda v: self.grading[v.name]) for m in f.terms}
@@ -232,9 +226,6 @@ class JetPresentation:
 
     def structural_degree(self, m):
         return grade_monomial(m, "structural")
-
-    def induced_degree(self, m):
-        return grade_monomial(m, "induced", self.source.grading)
 
     def to_json_dict(self):
         out = {

@@ -45,10 +45,6 @@ class LocalPoly:
     def field(self):
         return self.numerator.field
 
-    @classmethod
-    def from_poly(cls, p, unit_var):
-        return cls(p, unit_var, 0)
-
     def is_zero(self):
         return self.numerator.is_zero()
 

@@ -3,46 +3,63 @@
 Two charts with coordinates t0 and t1, glued by t1 = 1/t0.  At jet level
 n each chart becomes a polynomial ring on t_i^(0..n); the overlap is the
 chart-0 jet ring localized at t0^(0).  The bundle O(d) transitions by
-e_0 -> t1^d e_1, and its jet bundle transitions by the corresponding
-twisted-action matrix of t1^d.
+e_0 -> t1^d e_1 = t0^(-d) e_1, and its jet bundle by the twisted-action
+matrix of t1^d, whose entries are jets of an integer power of a chart
+coordinate.  With u = t^(0), the generalized binomial theorem gives
+
+    (u + sum_{h>=1} t^(h) s^h)^k = sum binom(k, m) * m! / prod a_h!
+                                   * u^(k-m) * prod (t^(h))^(a_h) * s^g
+
+over the multisets {a_h}, h >= 1, of size m = sum a_h and grade
+g = sum h * a_h; binom(k, m) = k(k-1)...(k-m+1)/m! is an integer for
+negative k too, so no series is inverted.
 """
 
 from dataclasses import dataclass
 
 from .errors import UnsupportedTwist
+from .jets import _expansion
 from .localized import LocalPoly
-from .poly import JetVar, Poly
+from .poly import JetVar, _monomial, _poly
 from .scalars import QQ
-from .series import TruncSeries, series_invert
+from .series import TruncSeries
 
 
 def chart_var(chart, order):
     return JetVar("t%d" % chart, chart, order)
 
 
-def _chart_series(chart, n, unit_chart, field=QQ):
-    """sum_i t_chart^(i) s^i with coefficients localized at t_unit^(0)."""
-    u = chart_var(unit_chart, 0)
-    return TruncSeries(n, [LocalPoly(Poly.var(chart_var(chart, i), field), u)
-                           for i in range(n + 1)])
+def power_jets(k, chart, n, field=QQ):
+    """Jets of t_chart^k to level n, localized at u = t_chart^(0).  The
+    multisets of size m are the jets._expansion table of grades 0..n-m
+    shifted up by one; numerators carry u^pad so that u's exponent stays
+    non-negative, and LocalPoly cancels the padding."""
+    t = [chart_var(chart, i) for i in range(n + 1)]
+    pad = max(0, n - k)
+    coeffs = [{} for _ in range(n + 1)]
+    b = 1  # binom(k, m)
+    for m in range(n + 1):
+        if not b:
+            break
+        head = ((t[0], k - m + pad),) if k - m + pad else ()
+        for g, entries in _expansion(m, (n - m,)):
+            dest = coeffs[g + m]
+            for parts, mult in entries:
+                c = field(b * mult)
+                if c:
+                    dest[_monomial(head + tuple((t[h + 1], a) for h, a in parts))] = c
+        b = b * (k - m) // (m + 1)
+    return TruncSeries(n, [LocalPoly(_poly(field, c), t[0], pad) for c in coeffs])
 
 
 def transition_series(d, n, express_in="chart1", field=QQ):
-    """Jets of t1^d as a truncated series.
-
-    In chart1 coordinates the coefficients are (localized) polynomials in
-    the t1 jets; in overlap coordinates the t1 jets are replaced by the
-    jets of 1/t0, obtained by series inversion over the t0 chart.
-    """
+    """Jets of t1^d as a truncated series: in the t1 jets ("chart1"), or
+    as the jets of t0^(-d) ("overlap")."""
     if express_in == "chart1":
-        base = _chart_series(1, n, unit_chart=1, field=field)
-    elif express_in == "overlap":
-        base = series_invert(_chart_series(0, n, unit_chart=0, field=field))
-    else:
-        raise ValueError("express_in must be chart1 or overlap")
-    if d >= 0:
-        return base**d
-    return series_invert(base) ** (-d)
+        return power_jets(d, 1, n, field)
+    if express_in == "overlap":
+        return power_jets(-d, 0, n, field)
+    raise ValueError("express_in must be chart1 or overlap")
 
 
 @dataclass
@@ -52,8 +69,6 @@ class TransitionMatrix:
     d: int
     level: int
     entries: list  # (n+1) x (n+1) LocalPoly, row i, column j
-    basis_from: list
-    basis_to: list
 
     def to_rows(self):
         return [[p.render() for p in row] for row in self.entries]
@@ -63,9 +78,7 @@ def _matrix_from_series(s, d, n):
     zero = s.coeffs[0] * 0
     entries = [[s.coeffs[j - i] if i <= j else zero for j in range(n + 1)]
                for i in range(n + 1)]
-    return TransitionMatrix(d, n, entries,
-                            ["e0_%d" % j for j in range(n + 1)],
-                            ["e1_%d" % i for i in range(n + 1)])
+    return TransitionMatrix(d, n, entries)
 
 
 def p1_transition(d, n, express_in="chart1", field=QQ):
@@ -81,12 +94,7 @@ def cocycle_check(d, n, field=QQ):
 def _cocycle_holds(s01, d, n):
     """cocycle_check for the overlap-coordinate jets s01 of t1^d."""
     field = s01.coeffs[0].field
-    s10 = _chart_series(0, n, unit_chart=0, field=field)     # jets of t0
-    s10 = s10**d if d >= 0 else series_invert(s10) ** (-d)   # jets of t0^d
-    prod = s01 * s10
-    one = prod.coeffs[0].unit_one()
-    zero = prod.coeffs[0] * 0
-    return list(prod.coeffs) == [one] + [zero] * n
+    return s01 * power_jets(d, 0, n, field) == power_jets(0, 0, n, field)
 
 
 @dataclass
@@ -104,19 +112,13 @@ def global_sections(d, n, field=QQ):
     if d != 1:
         raise UnsupportedTwist("global sections implemented for d = 1 only")
     sections = []
-    # e_0^(j) on chart 1: column j of the transition matrix in chart-1 jets
-    m01 = p1_transition(1, n, "chart1", field)
-    for j in range(n + 1):
-        col = [m01.entries[i][j] for i in range(n + 1)]
-        sections.append(SectionDescriptor(
-            "e0_%d" % j, 0, [p.render() for p in col],
-            all(p.denom_exp == 0 for p in col)))
-    # e_1^(j) on chart 0: the reverse bundle map e_1 -> t0^1 e_0
-    s10 = _chart_series(0, n, unit_chart=0, field=field)
-    m10 = _matrix_from_series(s10, 1, n)
-    for j in range(n + 1):
-        col = [m10.entries[i][j] for i in range(n + 1)]
-        sections.append(SectionDescriptor(
-            "e1_%d" % j, 1, [p.render() for p in col],
-            all(p.denom_exp == 0 for p in col)))
+    # e_i^(j) lives on chart i; column j of the jets of t_(1-i)^1 expresses
+    # it on the other chart (for i = 0 that is the chart1 transition of O(1))
+    for i in (0, 1):
+        m = _matrix_from_series(power_jets(1, 1 - i, n, field), 1, n)
+        for j in range(n + 1):
+            col = [m.entries[r][j] for r in range(n + 1)]
+            sections.append(SectionDescriptor(
+                "e%d_%d" % (i, j), i, [p.render() for p in col],
+                all(p.denom_exp == 0 for p in col)))
     return sections

@@ -141,9 +141,6 @@ class Monomial:
                 return _monomial(exps[:i] + lower + exps[i + 1:])
         return None
 
-    def total_degree(self):
-        return sum(e for _, e in self.exps)
-
     def weighted_degree(self, weight):
         """Sum of exponent * weight(var) over the monomial."""
         return sum(e * weight(v) for v, e in self.exps)
@@ -277,9 +274,6 @@ class Poly:
 
     def coefficient(self, mono):
         return self.terms.get(mono, self.field.zero)
-
-    def max_order1(self):
-        return max((v.order1 for m in self.terms for v in m.vars()), default=0)
 
     # -- arithmetic ---------------------------------------------------
 

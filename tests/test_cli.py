@@ -171,6 +171,11 @@ def test_out_of_range_level_is_usage_error(argv, flag, capsys):
     ("ring Q[x]\nideal f =\n", "line 2, col 10: unexpected end of expression"),
     ("ring Q[x]\nideal f = (x + 12\n", "line 2, col 18: unexpected end of expression"),
     ("ring Q[x]\nmorphism [u] : x -> (u\n", "line 2, col 23: unexpected end of expression"),
+    ("ring Q[x]\nmorphism [u] : x -> u, x -> u^2\n", "line 2, col 24: duplicate image for 'x'"),
+    # the 101st "(" is at column 111, however deep the nesting goes
+    *[pytest.param("ring Q[x]\nideal f = %sx%s\n" % ("(" * depth, ")" * depth),
+                   "line 2, col 111: parentheses nested deeper than 100",
+                   id="paren-depth-%d" % depth) for depth in (101, 300)],
 ])
 def test_dsl_errors_are_located(text, located, tmp_path, capsys):
     doc = tmp_path / "bad.jf"
@@ -178,6 +183,13 @@ def test_dsl_errors_are_located(text, located, tmp_path, capsys):
     code, out, err = run(capsys, "jet", "--n", "1", str(doc))
     assert code == 2 and out == ""
     assert err == "parse error: %s\n" % located
+
+
+def test_paren_depth_100_parses(tmp_path, capsys):
+    doc = tmp_path / "deep.jf"
+    doc.write_text("ring Q[x]\nideal f = %sx%s\n" % ("(" * 100, ")" * 100))
+    assert run(capsys, "jet", "--n", "0", str(doc)) == (
+        0, "level 0\nvars x_0\nrelation f.0 = x_0\n", "")
 
 
 def _fresh_output(argv, capsys):

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,9 +9,13 @@ from jetforge.cli import main
 from jetforge.errors import UnsupportedTwist
 from jetforge.localized import LocalPoly
 from jetforge.p1 import (chart_var, cocycle_check, global_sections, p1_transition,
-                         transition_series)
+                         power_jets, transition_series)
 from jetforge.hsmodules import twisted_action_matrix
 from jetforge.poly import JetVar, Poly
+from jetforge.scalars import QQ, PrimeField
+from jetforge.series import TruncSeries, series_invert
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_transition_d1_n1_chart1():
@@ -89,3 +94,42 @@ def test_p1_report_shape(capsys):
     assert out["cocycle_ok"] is True
     assert out["global_sections"] == ["e0_0", "e0_1", "e1_0", "e1_1"]
     assert len(out["transition"]) == 2
+
+
+def _series_route(chart, n, field):
+    """Jets of t_chart^k for k in -6..6 by the public series route: powers
+    of sum_i t_chart^(i) s^i over LocalPoly, and of its series inverse."""
+    u = chart_var(chart, 0)
+    base = TruncSeries(n, [LocalPoly(Poly.var(chart_var(chart, i), field), u)
+                           for i in range(n + 1)])
+    inv = series_invert(base)
+    return {k: base**k if k >= 0 else inv ** (-k) for k in range(-6, 7)}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(7),
+                                   PrimeField(2147483647)], ids=lambda f: f.name)
+def test_power_jets_match_series_route(field):
+    for n in range(10):
+        chart0 = _series_route(0, n, field)
+        chart1 = _series_route(1, n, field)
+        for d in range(-6, 7):
+            assert transition_series(d, n, "chart1", field) == chart1[d], (d, n)
+            assert transition_series(d, n, "overlap", field) == chart0[-d], (d, n)
+            assert power_jets(d, 0, n, field) == chart0[d], (d, n)
+
+
+def _p1_grid():
+    for d in range(-3, 4):
+        for n in (0, 3, 6):
+            for fmt in ("text", "json"):
+                yield (["p1", "--d", str(d), "--n", str(n), "--cocycle"]
+                       + (["--sections"] if d == 1 else []) + ["--format", fmt])
+
+
+def test_p1_golden_grid(capsys):
+    """p1_grid.txt holds each command of the grid followed by its output."""
+    parts = []
+    for argv in _p1_grid():
+        assert main(argv) == 0
+        parts.append("$ jetforge %s\n%s" % (" ".join(argv), capsys.readouterr().out))
+    assert "".join(parts) == (GOLDEN / "p1_grid.txt").read_text()
