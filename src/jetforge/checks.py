@@ -13,20 +13,24 @@ sides exactly, as integer ratios.  A symbolic and a numeric verdict that
 differ count as an oracle disagreement.  ``detail`` describes a failing
 instance, including a DSL serialization for replay, and is None when the
 check holds.
+
+``CheckConfig`` holds the seed, the trial count and the suites.  Instance
+sizes are module constants, not options: ``MAX_VARS`` variables,
+``MAX_RELATIONS`` relations, degree ``MAX_DEGREE``, jet level
+``MAX_LEVEL`` (``MAX_BILEVEL`` per bivariate level) and integer
+coefficients in ``COEFF_LO..COEFF_HI``.
 """
 
 import random
 import time
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from itertools import chain
 
 from .dsl import print_document
 from .errors import FieldMismatch, UnknownSuite
 from .hsmodules import (ModulePresentation, TwistedMatrix, base_change_check,
                         cotangent_theorem_check, free_dual_zigzag_check,
-                        hs_module_presentation, sym_theorem_check,
-                        twisted_action_matrix)
+                        sym_theorem_check, twisted_action_matrix, upper_triangle)
 from .jets import (AlgebraMorphism, AlgebraPresentation, bigrade_commute_check,
                    cotruncation_subset_check, grade_monomial, hs_components,
                    induced_morphism)
@@ -36,31 +40,23 @@ from .scalars import QQ
 
 ORACLE_POINTS = 20
 
+MAX_VARS = 3
+MAX_RELATIONS = 2
+MAX_DEGREE = 3
+MAX_LEVEL = 4
+MAX_BILEVEL = 2
+COEFF_LO, COEFF_HI = -9, 9
+
 
 @dataclass
 class CheckConfig:
     seed: int = 42
     trials: int = 100
-    max_vars: int = 3
-    max_relations: int = 2
-    max_degree: int = 3
-    max_level: int = 4
-    max_bilevel: int = 2
-    coeff_lo: int = -9
-    coeff_hi: int = 9
     suites: tuple = dc_field(default_factory=lambda: tuple(SUITES))
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if not (1 <= self.max_vars <= 3):
-            raise ValueError("max_vars must be in 1..3")
-        if not (0 <= self.max_relations <= 2):
-            raise ValueError("max_relations must be in 0..2")
-        if not (1 <= self.max_degree <= 3):
-            raise ValueError("max_degree must be in 1..3")
-        if not (0 <= self.max_level <= 4):
-            raise ValueError("max_level must be in 0..4")
         self.suites = tuple(self.suites)
         for s in self.suites:
             if s not in SUITES:
@@ -129,24 +125,24 @@ _VAR_NAMES = ("x", "y", "z")
 _TARGET_NAMES = ("u", "v", "w")
 
 
-def random_poly(rng, names, cfg, max_terms=5):
+def random_poly(rng, names, max_terms=5):
     gens = [JetVar(x, i, 0) for i, x in enumerate(names)]
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        deg = rng.randint(0, cfg.max_degree)
+        deg = rng.randint(0, MAX_DEGREE)
         mono = {}
         for _ in range(deg):
             v = rng.choice(gens)
             mono[v] = mono.get(v, 0) + 1
-        c = rng.randint(cfg.coeff_lo, cfg.coeff_hi)
+        c = rng.randint(COEFF_LO, COEFF_HI)
         if c == 0:
             continue
         key = Monomial(mono)
         terms[key] = terms.get(key, 0) + c
-    return Poly(QQ, {m: Fraction(c) for m, c in terms.items() if c})
+    return Poly(QQ, terms)
 
 
-def random_homogeneous_poly(rng, names, degrees, target, cfg, max_terms=4):
+def random_homogeneous_poly(rng, names, degrees, target, max_terms=4):
     """Nonzero-by-construction homogeneous polynomial of weighted degree target."""
     gens = [(JetVar(x, i, 0), degrees[x]) for i, x in enumerate(names)]
     terms = {}
@@ -162,46 +158,44 @@ def random_homogeneous_poly(rng, names, degrees, target, cfg, max_terms=4):
                 remaining -= d
         if remaining:
             continue
-        c = rng.randint(cfg.coeff_lo, cfg.coeff_hi) or 1
+        c = rng.randint(COEFF_LO, COEFF_HI) or 1
         key = Monomial(mono)
         terms[key] = terms.get(key, 0) + c
     if not any(terms.values()):
         # fall back to a single pure power of a degree-1 generator
         v = next(v for v, d in gens if d == 1)
         terms = {Monomial({v: target}): 1}
-    return Poly(QQ, {m: Fraction(c) for m, c in terms.items() if c})
+    return Poly(QQ, terms)
 
 
-def random_algebra(rng, cfg, graded=False, max_relations=None):
-    nvars = rng.randint(1, cfg.max_vars)
+def random_algebra(rng, graded=False, max_relations=MAX_RELATIONS):
+    nvars = rng.randint(1, MAX_VARS)
     names = list(_VAR_NAMES[:nvars])
-    maxrel = cfg.max_relations if max_relations is None else max_relations
-    nrel = rng.randint(0, maxrel)
+    nrel = rng.randint(0, max_relations)
     if graded:
         degrees = {x: 1 for x in names}
         for x in names[1:]:
             degrees[x] = rng.randint(1, 2)
-        rels = [random_homogeneous_poly(rng, names, degrees,
-                                        rng.randint(1, cfg.max_degree), cfg)
+        rels = [random_homogeneous_poly(rng, names, degrees, rng.randint(1, MAX_DEGREE))
                 for _ in range(nrel)]
         return AlgebraPresentation(names, rels, degrees, QQ)
-    rels = [random_poly(rng, names, cfg) for _ in range(nrel)]
+    rels = [random_poly(rng, names) for _ in range(nrel)]
     return AlgebraPresentation(names, rels, None, QQ)
 
 
-def random_module(rng, cfg, over=None):
-    A = over or random_algebra(rng, cfg, max_relations=1)
+def random_module(rng, over=None):
+    A = over or random_algebra(rng, max_relations=1)
     rank = rng.randint(0, 2)
-    nrel = rng.randint(0, cfg.max_relations) if rank else 0
-    rows = [[random_poly(rng, A.vars, cfg, max_terms=3) for _ in range(rank)]
+    nrel = rng.randint(0, MAX_RELATIONS) if rank else 0
+    rows = [[random_poly(rng, A.vars, max_terms=3) for _ in range(rank)]
             for _ in range(nrel)]
     return ModulePresentation(A, rank, rows)
 
 
-def random_morphism(rng, cfg):
+def random_morphism(rng):
     src = AlgebraPresentation(list(_VAR_NAMES[:rng.randint(1, 2)]), [], None, QQ)
     tgt = AlgebraPresentation(list(_TARGET_NAMES[:rng.randint(1, 2)]), [], None, QQ)
-    images = {v: random_poly(rng, tgt.vars, cfg, max_terms=3) for v in src.base_vars()}
+    images = {v: random_poly(rng, tgt.vars, max_terms=3) for v in src.base_vars()}
     return AlgebraMorphism(src, tgt, images)
 
 
@@ -252,11 +246,11 @@ def _poly_doc(names, polys):
 
 
 def _suite_leibniz(rng, orng, cfg):
-    nvars = rng.randint(1, cfg.max_vars)
+    nvars = rng.randint(1, MAX_VARS)
     names = list(_VAR_NAMES[:nvars])
-    f = random_poly(rng, names, cfg)
-    g = random_poly(rng, names, cfg)
-    n = rng.randint(0, cfg.max_level)
+    f = random_poly(rng, names)
+    g = random_poly(rng, names)
+    n = rng.randint(0, MAX_LEVEL)
     cf, cg, cfg_ = hs_components(f, n), hs_components(g, n), hs_components(f * g, n)
     conv = [sum((cf[k] * cg[i - k] for k in range(i + 1)), Poly.zero(QQ))
             for i in range(n + 1)]
@@ -269,8 +263,8 @@ def _suite_leibniz(rng, orng, cfg):
 
 
 def _suite_structural(rng, orng, cfg):
-    f = random_poly(rng, _VAR_NAMES[:rng.randint(1, cfg.max_vars)], cfg)
-    n = rng.randint(0, cfg.max_level)
+    f = random_poly(rng, _VAR_NAMES[:rng.randint(1, MAX_VARS)])
+    n = rng.randint(0, MAX_LEVEL)
     for i, g in enumerate(hs_components(f, n)):
         for m in g.terms:
             if grade_monomial(m, "structural") != i:
@@ -280,8 +274,8 @@ def _suite_structural(rng, orng, cfg):
 
 
 def _suite_induced(rng, orng, cfg):
-    A = random_algebra(rng, cfg, graded=True, max_relations=max(1, cfg.max_relations))
-    n = rng.randint(0, cfg.max_level)
+    A = random_algebra(rng, graded=True)
+    n = rng.randint(0, MAX_LEVEL)
     for f in A.relations:
         d = A.homogeneous_degree(f)
         for i, g in enumerate(hs_components(f, n)):
@@ -293,19 +287,20 @@ def _suite_induced(rng, orng, cfg):
 
 
 def _suite_jacobian(rng, orng, cfg):
-    nvars = rng.randint(1, cfg.max_vars)
+    nvars = rng.randint(1, MAX_VARS)
     names = list(_VAR_NAMES[:nvars])
-    f = random_poly(rng, names, cfg)
-    n = rng.randint(0, cfg.max_level)
+    f = random_poly(rng, names)
+    n = rng.randint(0, MAX_LEVEL)
     comps = hs_components(f, n)
     gens = [JetVar(x, l, 0) for l, x in enumerate(names)]
     lhs, rhs = [], []
     for l, v in enumerate(gens):
-        dcomps = hs_components(f.partial(v), n)
+        # d(d_i f)/d x^(j) is entry (j, i) of the twisted matrix of df/dx
+        twisted = upper_triangle(hs_components(f.partial(v), n), Poly.zero(QQ))
         for i in range(n + 1):
             for j in range(n + 1):
                 lhs.append(comps[i].partial(JetVar(v.name, v.index, j)))
-                rhs.append(dcomps[i - j] if j <= i else Poly.zero(QQ))
+                rhs.append(twisted[j][i])
     ok_sym = lhs == rhs
     ok_num = points_agree(orng, lhs, rhs)
     detail = None if ok_sym else {"n": n, "input": _poly_doc(names, [f])}
@@ -313,26 +308,26 @@ def _suite_jacobian(rng, orng, cfg):
 
 
 def _suite_bigrade(rng, orng, cfg):
-    A = random_algebra(rng, cfg)
-    n = rng.randint(0, cfg.max_bilevel)
-    m = rng.randint(0, cfg.max_bilevel)
+    A = random_algebra(rng)
+    n = rng.randint(0, MAX_BILEVEL)
+    m = rng.randint(0, MAX_BILEVEL)
     ok, report = bigrade_commute_check(A, n, m)
     return ok, None, None if ok else {"n": n, "m": m, "report": report,
                                       "input": print_document(A)}
 
 
 def _suite_cotruncation(rng, orng, cfg):
-    A = random_algebra(rng, cfg)
-    n = rng.randint(0, cfg.max_level - 1)
-    m = rng.randint(n + 1, cfg.max_level)
+    A = random_algebra(rng)
+    n = rng.randint(0, MAX_LEVEL - 1)
+    m = rng.randint(n + 1, MAX_LEVEL)
     ok, witness = cotruncation_subset_check(A, n, m)
     return ok, None, None if ok else {"n": n, "m": m, "witness": witness,
                                       "input": print_document(A)}
 
 
 def _suite_functoriality(rng, orng, cfg):
-    phi = random_morphism(rng, cfg)
-    g = random_poly(rng, phi.source.vars, cfg)
+    phi = random_morphism(rng)
+    g = random_poly(rng, phi.source.vars)
     n = rng.randint(0, 2)
     fn = induced_morphism(phi, n)
     lhs = [fn.apply(c) for c in hs_components(g, n)]
@@ -343,11 +338,11 @@ def _suite_functoriality(rng, orng, cfg):
 
 
 def _suite_twisted(rng, orng, cfg):
-    nvars = rng.randint(1, cfg.max_vars)
+    nvars = rng.randint(1, MAX_VARS)
     names = list(_VAR_NAMES[:nvars])
-    p = random_poly(rng, names, cfg, max_terms=3)
-    q = random_poly(rng, names, cfg, max_terms=3)
-    n = rng.randint(0, cfg.max_level)
+    p = random_poly(rng, names, max_terms=3)
+    q = random_poly(rng, names, max_terms=3)
+    n = rng.randint(0, MAX_LEVEL)
     tp, tq = twisted_action_matrix(p, n), twisted_action_matrix(q, n)
     add_ok = twisted_action_matrix(p + q, n).entries == [
         [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(tp.entries, tq.entries)]
@@ -360,7 +355,7 @@ def _suite_twisted(rng, orng, cfg):
 
 
 def _suite_sym(rng, orng, cfg):
-    M = random_module(rng, cfg)
+    M = random_module(rng)
     n = rng.randint(0, 3)
     ok, report = sym_theorem_check(M, n)
     return ok, None, None if ok else {"n": n, "report": report,
@@ -368,15 +363,15 @@ def _suite_sym(rng, orng, cfg):
 
 
 def _suite_cotangent(rng, orng, cfg):
-    A = random_algebra(rng, cfg)
+    A = random_algebra(rng)
     n = rng.randint(0, 3)
     ok, report = cotangent_theorem_check(A, n)
     return ok, None, None if ok else {"n": n, "report": report, "input": print_document(A)}
 
 
 def _suite_base_change(rng, orng, cfg):
-    phi = random_morphism(rng, cfg)
-    M = random_module(rng, cfg, over=phi.source)
+    phi = random_morphism(rng)
+    M = random_module(rng, over=phi.source)
     n = rng.randint(0, 2)
     ok = base_change_check(phi, M, n)
     return ok, None, None if ok else {"n": n, "input": print_document(

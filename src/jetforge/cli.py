@@ -89,8 +89,7 @@ def cmd_jet2(args):
 def cmd_module(args):
     doc = _load_document(args)
     if doc.module is None:
-        print("error: document declares no module", file=sys.stderr)
-        return 2
+        raise JetforgeError("document declares no module")
     hm = hs_module_presentation(doc.module, args.n)
     if args.format == "json":
         _emit_json(hm.to_json_dict())
@@ -122,8 +121,7 @@ def cmd_omega(args):
 def cmd_sym(args):
     doc = _load_document(args)
     if doc.module is None:
-        print("error: document declares no module", file=sys.stderr)
-        return 2
+        raise JetforgeError("document declares no module")
     sp = sym_presentation(doc.module)
     if args.format == "json":
         _emit_json(sp.to_json_dict())
@@ -135,8 +133,7 @@ def cmd_sym(args):
 def cmd_morphism(args):
     doc = _load_document(args)
     if doc.morphism is None:
-        print("error: document declares no morphism", file=sys.stderr)
-        return 2
+        raise JetforgeError("document declares no morphism")
     fn = induced_morphism(doc.morphism, args.n)
     images = sorted(fn.images.items(), key=lambda vi: vi[0].sort_key())
     if args.format == "json":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InhomogeneousRelation, ParseError, UndeclaredVariable
 from .jets import AlgebraMorphism, AlgebraPresentation
-from .hsmodules import ModulePresentation
+from .hsmodules import ModulePresentation, linear_form, module_symbols
 from .poly import JetVar, Poly
 from .scalars import QQ, field_by_name
 
@@ -91,9 +91,9 @@ class _ExprParser:
     def expr(self):
         sign = 1
         tok = self.peek()
-        if tok and tok[1] == "-":
+        if tok and tok[1] in ("+", "-"):
             self.take()
-            sign = -1
+            sign = -1 if tok[1] == "-" else 1
         p = self.term() * sign
         while True:
             tok = self.peek()
@@ -260,21 +260,15 @@ def parse_document(text, default_field=None):
 
     module = None
     if module_rank is not None:
-        evars = {"e%d" % (l + 1): JetVar("e%d" % (l + 1), len(ring_names) + l, 0)
-                 for l in range(module_rank)}
+        symbols = module_symbols(len(ring_names), module_rank, 0)
         scope = dict(base)
-        scope.update(evars)
+        scope.update((e.name, e) for e in symbols)
         rows = []
         for ln, at, src in module_rows_src:
-            p = _parse_poly(src, scope, field, ln, at)
-            row = [Poly.zero(field) for _ in range(module_rank)]
-            for m, c in p.terms.items():
-                hits = [v for v in m.vars() if v.name in evars]
-                if len(hits) != 1 or m.exponent(hits[0]) != 1:
-                    raise ParseError("module relation must be linear in e1..e%d"
-                                     % module_rank, ln, 1)
-                l = hits[0].index - len(ring_names)
-                row[l] = row[l] + Poly(field, {m.divide_by_var(hits[0]): c})
+            row = linear_form(_parse_poly(src, scope, field, ln, at), symbols)
+            if row is None:
+                raise ParseError("module relation must be linear in e1..e%d"
+                                 % module_rank, ln, 1)
             rows.append(row)
         module = ModulePresentation(algebra, module_rank, rows)
 
@@ -335,12 +329,10 @@ def print_document(algebra, ideal_names=None, module=None, morphism=None):
         lines.append("ideal %s = %s" % (name, f.render(base_plain=True)))
     if module is not None:
         lines.append("module rank %d" % module.rank)
+        symbols = module_symbols(len(algebra.vars), module.rank, 0)
         for row in module.relation_matrix:
-            terms = []
-            for l, p in enumerate(row):
-                if p.is_zero():
-                    continue
-                terms.append("(%s)*e%d" % (p.render(base_plain=True), l + 1))
+            terms = ["(%s)*%s" % (p.render(base_plain=True), e.name)
+                     for p, e in zip(row, symbols) if not p.is_zero()]
             lines.append("relation %s" % (" + ".join(terms) if terms else "0*e1"))
     if morphism is not None:
         images = ", ".join(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .jets import (AlgebraPresentation, JetPresentation, hs_components,
                    jet_presentation)
-from .poly import JetVar, Poly
+from .poly import JetVar, Poly, _poly
 
 
 @dataclass
@@ -39,11 +39,15 @@ class TwistedMatrix:
         return TwistedMatrix(n, rows)
 
 
+def upper_triangle(comps, zero):
+    """Rows of the square matrix with comps[i - j] at row j, column i and
+    zero below the diagonal: the layout of a . e^(i) = sum_{j<=i} a^(i-j) e^(j)."""
+    size = len(comps)
+    return [[zero] * j + list(comps[:size - j]) for j in range(size)]
+
+
 def twisted_action_matrix(p, n):
-    comps = hs_components(p, n)
-    zero = Poly.zero(p.field)
-    return TwistedMatrix(n, [[comps[i - j] if j <= i else zero for i in range(n + 1)]
-                             for j in range(n + 1)])
+    return TwistedMatrix(n, upper_triangle(hs_components(p, n), Poly.zero(p.field)))
 
 
 @dataclass
@@ -93,37 +97,27 @@ class HSModulePresentation:
 
 
 def hs_module_presentation(M, n):
-    jp = jet_presentation(M.over, n)
-    zero = Poly.zero(M.field)
-    comp = [[hs_components(p, n) for p in row] for row in M.relation_matrix]
+    """Row (k, i) is column i of the twisted matrices of row k, block by block."""
     rows = []
     row_index = []
-    col_index = [(l, i) for l in range(M.rank) for i in range(n + 1)]
-    for k in range(len(M.relation_matrix)):
+    for k, relation in enumerate(M.relation_matrix):
+        blocks = [twisted_action_matrix(p, n).entries for p in relation]
         for i in range(n + 1):
-            row = []
-            for l in range(M.rank):
-                for j in range(n + 1):
-                    row.append(comp[k][l][i - j] if j <= i else zero)
-            rows.append(row)
+            rows.append([entries[j][i] for entries in blocks for j in range(n + 1)])
             row_index.append((k, i))
-    return HSModulePresentation(jp, M.rank, n, rows, row_index, col_index)
+    col_index = [(l, i) for l in range(M.rank) for i in range(n + 1)]
+    return HSModulePresentation(jet_presentation(M.over, n), M.rank, n, rows, row_index,
+                                col_index)
 
 
 def delta_apply(a, l, i, M, n):
-    """Expand a . (e_l (x) t^[i]) over the basis (l, j), j <= i."""
+    """Expand a . (e_l (x) t^[i]) over the basis (l, j), j <= i: column i of
+    the twisted matrix of a, in block l."""
     if not (0 <= l < M.rank and 0 <= i <= n):
         raise IndexError("basis index out of range: (%d, %d)" % (l, i))
-    comps = hs_components(a, n)
+    column = [row[i] for row in twisted_action_matrix(a, n).entries]
     zero = Poly.zero(M.field)
-    vec = []
-    for ll in range(M.rank):
-        for j in range(n + 1):
-            if ll == l and j <= i:
-                vec.append(comps[i - j])
-            else:
-                vec.append(zero)
-    return vec
+    return [zero] * (l * (n + 1)) + column + [zero] * ((M.rank - 1 - l) * (n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +166,29 @@ def cotangent_theorem_check(A, n):
 # symmetric algebra bridge
 
 
+def module_symbols(first_index, rank, n):
+    """The jets e_l^(j) of the module symbols e1..e_rank, l-major as in the
+    Hasse-Schmidt basis (l, j), j <= n; symbol l has variable index
+    first_index + l, after the base variables."""
+    return [JetVar("e%d" % (l + 1), first_index + l, j) for l in range(rank)
+            for j in range(n + 1)]
+
+
+def linear_form(p, symbols):
+    """The coefficients of p as a linear form in symbols, one Poly each, or
+    None if some term is not a symbol-free monomial times one symbol."""
+    position = {v: k for k, v in enumerate(symbols)}
+    coeffs = [{} for _ in symbols]
+    for m, c in p.terms.items():
+        hits = [(v, e) for v, e in m.exps if v in position]
+        if len(hits) != 1 or hits[0][1] != 1:
+            return None
+        v = hits[0][0]
+        # distinct terms stay distinct once their one symbol is divided out
+        coeffs[position[v]][m.divide_by_var(v)] = c
+    return [_poly(p.field, d) for d in coeffs]
+
+
 @dataclass
 class SymPresentation:
     algebra: AlgebraPresentation
@@ -185,25 +202,19 @@ class SymPresentation:
         }
 
 
-def _sym_basis_name(l):
-    return "e%d" % (l + 1)
-
-
 def sym_presentation(M):
     """Sym of a presented module: adjoin degree-1 symbols e_1..e_r, keep the
     base relations in degree 0, add the module rows as degree-1 relations."""
     A = M.over
-    names = list(A.vars) + [_sym_basis_name(l) for l in range(M.rank)]
+    symbols = module_symbols(len(A.vars), M.rank, 0)
+    names = list(A.vars) + [e.name for e in symbols]
     grading = {x: 0 for x in A.vars}
-    grading.update({_sym_basis_name(l): 1 for l in range(M.rank)})
-    # re-index base variables into the extended ring (indices are unchanged
-    # because module symbols are appended after the base variables)
-    evars = [JetVar(_sym_basis_name(l), len(A.vars) + l, 0) for l in range(M.rank)]
+    grading.update({e.name: 1 for e in symbols})
     relations = list(A.relations)
     for row in M.relation_matrix:
         rel = Poly.zero(A.field)
-        for l, p in enumerate(row):
-            rel = rel + p * Poly.var(evars[l], A.field)
+        for p, e in zip(row, symbols):
+            rel = rel + p * Poly.var(e, A.field)
         relations.append(rel)
     ext = AlgebraPresentation(names, relations, grading, A.field)
     return SymPresentation(ext, M.rank)
@@ -235,20 +246,15 @@ def sym_theorem_check(M, n):
     if want0 != got0:
         return False, {"ok": False, "stage": "degree0", "want": want0, "got": got0}
 
-    # read each degree-1 relation as a linear form in the e_l^(j)
-    evars = {JetVar(_sym_basis_name(l), len(M.over.vars) + l, j): (l, j)
-             for l in range(M.rank) for j in range(n + 1)}
+    # each degree-1 relation is a linear form in the e_l^(j), (l, j) = hsm.col_index
+    symbols = module_symbols(len(M.over.vars), M.rank, n)
     rows_got = []
     for g in deg1:
-        row = {key: Poly.zero(M.field) for key in hsm.col_index}
-        for m, c in g.terms.items():
-            hit = [v for v in m.vars() if v in evars]
-            if len(hit) != 1 or m.exponent(hit[0]) != 1:
-                return False, {"ok": False, "stage": "degree1",
-                               "reason": "not linear in module symbols", "relation": g.render()}
-            rest = m.divide_by_var(hit[0])
-            row[evars[hit[0]]] = row[evars[hit[0]]] + Poly(M.field, {rest: c})
-        rows_got.append(tuple(row[key].render() for key in hsm.col_index))
+        row = linear_form(g, symbols)
+        if row is None:
+            return False, {"ok": False, "stage": "degree1",
+                           "reason": "not linear in module symbols", "relation": g.render()}
+        rows_got.append(tuple(p.render() for p in row))
     # zero rows generate nothing; drop them on both sides
     zero_row = tuple("0" for _ in hsm.col_index)
     rows_want = [tuple(p.render() for p in row) for row in hsm.relation_matrix]

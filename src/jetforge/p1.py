@@ -18,6 +18,7 @@ negative k too, so no series is inverted.
 from dataclasses import dataclass
 
 from .errors import UnsupportedTwist
+from .hsmodules import upper_triangle
 from .jets import _expansion
 from .localized import LocalPoly
 from .poly import JetVar, _monomial, _poly
@@ -75,10 +76,7 @@ class TransitionMatrix:
 
 
 def _matrix_from_series(s, d, n):
-    zero = s.coeffs[0] * 0
-    entries = [[s.coeffs[j - i] if i <= j else zero for j in range(n + 1)]
-               for i in range(n + 1)]
-    return TransitionMatrix(d, n, entries)
+    return TransitionMatrix(d, n, upper_triangle(s.coeffs, s.coeffs[0] * 0))
 
 
 def p1_transition(d, n, express_in="chart1", field=QQ):

@@ -215,6 +215,13 @@ def _eval_ratio(terms, tables):
     return sum(n * (common // d) for n, d in zip(nums, dens)), common
 
 
+_LAST = ((float("inf"),), 0)  # after every (variable key, -exponent) pair
+
+
+def _render_key(term):
+    return tuple([(v._key, -e) for v, e in term[0].exps] + [_LAST])
+
+
 def _poly(field, terms):
     """Poly from a dict of nonzero scalars already in field (no coercion)."""
     p = object.__new__(Poly)
@@ -271,9 +278,6 @@ class Poly:
         for m in self.terms:
             seen.update(m.vars())
         return sorted(seen, key=JetVar.sort_key)
-
-    def coefficient(self, mono):
-        return self.terms.get(mono, self.field.zero)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -413,17 +417,13 @@ class Poly:
     # -- canonical rendering ------------------------------------------
 
     def sorted_terms(self):
-        """Terms in canonical order: exponent vectors, lex descending."""
-        universe = self.vars()
-        pos = {v: i for i, v in enumerate(universe)}
+        """Terms in canonical order: exponent vectors, lex descending.
 
-        def vec(m):
-            row = [0] * len(universe)
-            for v, e in m.exps:
-                row[pos[v]] = e
-            return tuple(row)
-
-        return sorted(self.terms.items(), key=lambda mc: vec(mc[0]), reverse=True)
+        Sorting ascending on the sparse pairs (variable key, -exponent)
+        gives that order: at the first difference, a smaller variable or a
+        larger exponent means the larger vector, and a monomial that ends
+        first, as it has no variable there, sorts last."""
+        return sorted(self.terms.items(), key=_render_key)
 
     def render(self, base_plain=False):
         if not self.terms:

@@ -123,9 +123,6 @@ class Rationals:
             return str(c.numerator)
         return "%d/%d" % (c.numerator, c.denominator)
 
-    def random(self, rng, lo=-9, hi=9):
-        return Fraction(rng.randint(lo, hi))
-
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -203,9 +200,6 @@ class PrimeField:
 
     def render(self, c):
         return str(c.value)
-
-    def random(self, rng, lo=None, hi=None):
-        return Fp(rng.randrange(self.p), self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -65,30 +65,27 @@ def test_criterion_2_cusp_golden(capsys, verdict):
 
 def test_criterion_3_cotangent_50(verdict):
     rng = random.Random("acceptance:cotangent")
-    cfg = CheckConfig(seed=0, trials=1)
     ok = True
     for _ in range(50):
-        A = random_algebra(rng, cfg)
+        A = random_algebra(rng)
         ok = ok and cotangent_theorem_check(A, rng.randint(0, 3))[0]
     verdict("cotangent-50", ok)
 
 
 def test_criterion_4_sym_50(verdict):
     rng = random.Random("acceptance:sym")
-    cfg = CheckConfig(seed=0, trials=1)
     ok = True
     for _ in range(50):
-        M = random_module(rng, cfg)
+        M = random_module(rng)
         ok = ok and sym_theorem_check(M, rng.randint(0, 3))[0]
     verdict("sym-50", ok)
 
 
 def test_criterion_5_bigrade_50(verdict):
     rng = random.Random("acceptance:bigrade")
-    cfg = CheckConfig(seed=0, trials=1)
     ok = True
     for _ in range(50):
-        A = random_algebra(rng, cfg)
+        A = random_algebra(rng)
         ok = ok and bigrade_commute_check(A, rng.randint(0, 2), rng.randint(0, 2))[0]
     verdict("bigrade-50", ok)
 

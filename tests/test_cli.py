@@ -185,6 +185,16 @@ def test_dsl_errors_are_located(text, located, tmp_path, capsys):
     assert err == "parse error: %s\n" % located
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["module", "--n", "1"], "module"),
+    (["sym"], "module"),
+    (["morphism", "--n", "1"], "morphism"),
+])
+def test_missing_declaration_is_error(argv, missing, capsys):
+    code, out, err = run(capsys, *argv, str(GOLDEN / "cusp.jf"))
+    assert (code, out, err) == (2, "", "error: document declares no %s\n" % missing)
+
+
 def test_paren_depth_100_parses(tmp_path, capsys):
     doc = tmp_path / "deep.jf"
     doc.write_text("ring Q[x]\nideal f = %sx%s\n" % ("(" * 100, ")" * 100))

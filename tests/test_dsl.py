@@ -1,5 +1,6 @@
 import pytest
 
+from jetforge.cli import main
 from jetforge.dsl import document_text, parse_document, print_document
 from jetforge.errors import (InhomogeneousRelation, ParseError,
                              UndeclaredVariable)
@@ -57,6 +58,26 @@ def test_module_and_morphism():
 def test_module_relation_must_be_linear():
     with pytest.raises(ParseError):
         parse_document("ring Q[x]\nmodule rank 1\nrelation e1^2\n")
+
+
+@pytest.mark.parametrize("relation", ["e1^2", "e1*e2", "x", "x*e1 + 1"])
+def test_nonlinear_module_relation_is_located(relation, tmp_path, capsys):
+    doc = tmp_path / "bad.jf"
+    doc.write_text("ring Q[x]\nmodule rank 2\nrelation x*e2\nrelation %s\n" % relation)
+    assert main(["module", "--n", "1", str(doc)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "parse error: line 4, col 1: module relation must be linear in e1..e2\n"
+
+
+def test_leading_plus():
+    plain = parse_document("ring Q[x,y]\nideal f = x - y\n")
+    assert parse_document("ring Q[x,y]\nideal f = +x - y\n") == plain
+    assert parse_document("ring Q[x,y]\nideal f = (+x) - (+y)\n") == plain
+    with pytest.raises(ParseError) as ei:
+        parse_document("ring Q[x]\nideal f = +-x\n")
+    assert (ei.value.line, ei.value.column) == (2, 12)
+    assert "unexpected token '-'" in str(ei.value)
 
 
 def test_rational_coefficients_and_juxtaposition():

@@ -1,18 +1,22 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from jetforge.cli import main
 from jetforge.hsmodules import (HSModulePresentation, ModulePresentation,
                                 TwistedMatrix, base_change_check,
                                 cotangent_theorem_check, delta_apply,
                                 free_dual_zigzag_check, hs_module_presentation,
-                                kaehler_presentation, sym_presentation,
-                                sym_theorem_check, twisted_action_matrix)
+                                kaehler_presentation, linear_form, module_symbols,
+                                sym_presentation, sym_theorem_check,
+                                twisted_action_matrix, upper_triangle)
 from jetforge.jets import (AlgebraMorphism, AlgebraPresentation, hs_components,
                            jet_presentation)
 from jetforge.poly import JetVar, Poly
 from jetforge.scalars import QQ
 
+GOLDEN = Path(__file__).parent / "golden"
 X0 = Poly.var(JetVar("x", 0, 0))
 Y0 = Poly.var(JetVar("y", 1, 0))
 
@@ -34,6 +38,12 @@ def free_xy():
 
 
 # -- twisted matrices -------------------------------------------------
+
+
+def test_upper_triangle_layout():
+    # comps[i - j] at row j, column i; the zero below the diagonal
+    assert upper_triangle(("a", "b", "c"), 0) == [["a", "b", "c"], [0, "a", "b"], [0, 0, "a"]]
+    assert upper_triangle(["a"], 0) == [["a"]]
 
 
 def test_twisted_identity():
@@ -104,6 +114,44 @@ def test_delta_apply():
     assert [p.render() for p in vec] == ["5", "0"]
     with pytest.raises(IndexError):
         delta_apply(X0, 1, 0, M, 1)
+
+
+def _hs_grid():
+    for doc in ("full.jf", "hs_f7.jf", "hs_f2.jf"):
+        for cmd in ([["module", "--n", str(n)] for n in range(4)]
+                    + [["sym"], ["omega"], ["omega", "--n", "2"]]):
+            for fmt in ("text", "json"):
+                yield cmd + ["--format", fmt], doc
+
+
+def test_hs_golden_grid(capsys):
+    """hs_grid.txt holds each command of the grid followed by its output."""
+    parts = []
+    for argv, doc in _hs_grid():
+        assert main(argv + [str(GOLDEN / doc)]) == 0
+        parts.append("$ jetforge %s tests/golden/%s\n%s"
+                     % (" ".join(argv), doc, capsys.readouterr().out))
+    assert "".join(parts) == (GOLDEN / "hs_grid.txt").read_text()
+
+
+# -- module symbols ---------------------------------------------------
+
+
+def test_module_symbols_follow_the_hs_basis():
+    symbols = module_symbols(2, 2, 1)
+    assert symbols == [JetVar("e1", 2, 0), JetVar("e1", 2, 1),
+                       JetVar("e2", 3, 0), JetVar("e2", 3, 1)]
+    M = ModulePresentation(free_xy(), 2, [[X0, Y0]])
+    assert hs_module_presentation(M, 1).col_index == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_linear_form():
+    e = [Poly.var(v) for v in module_symbols(2, 2, 1)]
+    row = linear_form(X0 * 3 * e[1] + Y0 * X0 * e[2] - e[2] + e[3], module_symbols(2, 2, 1))
+    assert [p.render() for p in row] == ["0", "3*x_0", "x_0*y_0 - 1", "1"]
+    assert linear_form(Poly.zero(QQ), module_symbols(2, 2, 1)) == [Poly.zero(QQ)] * 4
+    for bad in (e[0] ** 2, e[0] * e[3], X0, X0 * e[0] + 1):
+        assert linear_form(bad, module_symbols(2, 2, 1)) is None
 
 
 # -- Kaehler ----------------------------------------------------------
