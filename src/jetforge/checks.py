@@ -8,11 +8,11 @@ identity (``ok``).  Suites that also evaluate both sides at random
 rational points with ``points_agree`` draw those points from ``orng`` and
 return the numeric verdict as ``ok_numeric``; the others return None.  The
 oracle runs on the one integer evaluation kernel that ``Poly.eval`` uses,
-evaluates each distinct polynomial once per point, and compares the two
-sides exactly, as integer ratios.  A symbolic and a numeric verdict that
-differ count as an oracle disagreement.  ``detail`` describes a failing
-instance, including a DSL serialization for replay, and is None when the
-check holds.
+compiles each distinct polynomial once per family, evaluates it once per
+point, and compares the two sides exactly, as integer ratios.  A symbolic
+and a numeric verdict that differ count as an oracle disagreement.
+``detail`` describes a failing instance, including a DSL serialization
+for replay, and is None when the check holds.
 
 ``CheckConfig`` holds the seed, the trial count and the suites.  Instance
 sizes are module constants, not options: ``MAX_VARS`` variables,
@@ -35,7 +35,7 @@ from .jets import (AlgebraMorphism, AlgebraPresentation, bigrade_commute_check,
                    cotruncation_subset_check, grade_monomial, hs_components,
                    induced_morphism)
 from .p1 import cocycle_check
-from .poly import JetVar, Monomial, Poly, _eval_ratio
+from .poly import JetVar, Monomial, Poly, _compile, _eval_ratio, _powers
 from .scalars import QQ
 
 ORACLE_POINTS = 20
@@ -205,10 +205,12 @@ def points_agree(rng, lhs, rhs):
     drawn from rng.
 
     Each coordinate is drawn as a numerator in -9..9 and a denominator in
-    1..5, variable by variable in sort order.  At each point the power
-    tables are shared by the whole family, every distinct polynomial object
-    is evaluated once with the integer kernel of ``Poly.eval``, and each
-    pair is compared exactly by cross-multiplication."""
+    1..5, variable by variable in sort order, and the variable's slot is
+    its place in that order.  Every distinct polynomial object is compiled
+    once per family (``_compile``); at each point the power lists are built
+    once for the whole family, every compiled polynomial is evaluated once
+    with the integer kernel of ``Poly.eval``, and each pair is compared
+    exactly by cross-multiplication."""
     distinct = {}
     variables = set()
     for p in chain(lhs, rhs):
@@ -217,13 +219,19 @@ def points_agree(rng, lhs, rhs):
         if id(p) not in distinct:
             distinct[id(p)] = p.terms
             variables.update(p.vars())
-    variables = sorted(variables, key=JetVar.sort_key)
+    slots = {v: s for s, v in enumerate(sorted(variables, key=JetVar.sort_key))}
+    top = max((e for terms in distinct.values() for m in terms for _, e in m.exps), default=0)
+    compiled = {k: _compile(terms, slots) for k, terms in distinct.items()}
+    pairs = [(id(a), id(b)) for a, b in zip(lhs, rhs)]
     for _ in range(ORACLE_POINTS):
-        tables = {v: ([1, rng.randint(-9, 9)], [1, rng.randint(1, 5)]) for v in variables}
-        values = {k: _eval_ratio(terms, tables) for k, terms in distinct.items()}
-        for a, b in zip(lhs, rhs):
-            na, da = values[id(a)]
-            nb, db = values[id(b)]
+        nums, dens = [], []
+        for _ in slots:
+            nums.append(_powers(rng.randint(-9, 9), top))
+            dens.append(_powers(rng.randint(1, 5), top))
+        values = {k: _eval_ratio(rows, nums, dens) for k, rows in compiled.items()}
+        for a, b in pairs:
+            na, da = values[a]
+            nb, db = values[b]
             if na * db != nb * da:
                 return False
     return True

@@ -226,6 +226,7 @@ def parse_document(text, default_field=None):
             if not m:
                 raise ParseError("malformed module declaration", ln, 1)
             module_rank = int(m.group(1))
+            module_at = (ln, at + m.start(1) + 1)
         elif head == "relation":
             if module_rank is None:
                 raise ParseError("relation before module declaration", ln, 1)
@@ -261,6 +262,9 @@ def parse_document(text, default_field=None):
     module = None
     if module_rank is not None:
         symbols = module_symbols(len(ring_names), module_rank, 0)
+        for e in symbols:
+            if e.name in base:
+                raise ParseError("module symbol %r is also a ring variable" % e.name, *module_at)
         scope = dict(base)
         scope.update((e.name, e) for e in symbols)
         rows = []
@@ -268,7 +272,7 @@ def parse_document(text, default_field=None):
             row = linear_form(_parse_poly(src, scope, field, ln, at), symbols)
             if row is None:
                 raise ParseError("module relation must be linear in e1..e%d"
-                                 % module_rank, ln, 1)
+                                 % module_rank, ln, at + 1)
             rows.append(row)
         module = ModulePresentation(algebra, module_rank, rows)
 

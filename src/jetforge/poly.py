@@ -189,30 +189,42 @@ def binary_power(base, e, one):
     return out
 
 
-def _eval_ratio(terms, tables):
-    """The value of a term dict at a point as an integer pair (num, den),
+def _compile(terms, slots):
+    """The rows ``(num, den, ((slot, e), ...))`` of a term dict, one per
+    term: the coefficient's ``as_integer_ratio`` and the monomial with each
+    variable replaced by its slot, ``slots[v]``."""
+    return [c.as_integer_ratio() + (tuple([(slots[v], e) for v, e in m.exps]),)
+            for m, c in terms.items()]
+
+
+def _powers(b, top):
+    """[1, b, b^2, ..., b^top]."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * b)
+    return out
+
+
+def _eval_ratio(rows, nums, dens):
+    """The value of compiled rows at a point as an integer pair (num, den),
     den > 0, not reduced.
 
-    ``tables[v]`` is ``([1, n, n^2, ...], [1, d, d^2, ...])`` for the value
-    n/d of v, d > 0; missing powers are appended as terms need them, so
-    tables shared between polynomials are built once per point.  Each term
-    is its coefficient's ``as_integer_ratio`` times tabulated powers, and
-    the terms are summed over their least common denominator."""
-    nums = []
-    dens = []
-    for m, c in terms.items():
-        num, den = c.as_integer_ratio()
-        for v, e in m.exps:
-            pn, pd = tables[v]
-            while len(pn) <= e:
-                pn.append(pn[-1] * pn[1])
-                pd.append(pd[-1] * pd[1])
-            num *= pn[e]
-            den *= pd[e]
-        nums.append(num)
-        dens.append(den)
-    common = lcm(*dens)
-    return sum(n * (common // d) for n, d in zip(nums, dens)), common
+    Slot s holds the value n/d, d > 0, as the power lists
+    ``nums[s] = [1, n, n^2, ...]`` and ``dens[s] = [1, d, d^2, ...]``
+    (``_powers``), long enough for every exponent the rows give s.  Each
+    row is its coefficient ratio times looked-up powers, all on integers,
+    and the rows are summed over their least common denominator; no rows
+    give (0, 1)."""
+    tnums = []
+    tdens = []
+    for num, den, factors in rows:
+        for s, e in factors:
+            num *= nums[s][e]
+            den *= dens[s][e]
+        tnums.append(num)
+        tdens.append(den)
+    common = lcm(*tdens)
+    return sum(n * (common // d) for n, d in zip(tnums, tdens)), common
 
 
 _LAST = ((float("inf"),), 0)  # after every (variable key, -exponent) pair
@@ -366,20 +378,27 @@ class Poly:
     def eval(self, assignment):
         """Exact evaluation at a point; assignment maps JetVar to scalar.
 
-        The assigned values are read through their ``as_integer_ratio``
-        view, in the order the terms first use them, and ``_eval_ratio``
-        does the arithmetic on integers; one field scalar is made at the
-        end."""
+        The variables get slots in the order the terms first use them, and
+        their values are read through the ``as_integer_ratio`` view; the
+        first variable without a value raises ``UnboundVariable``.  The
+        terms are compiled once (``_compile``) and ``_eval_ratio`` does the
+        arithmetic on integers; one field scalar is made at the end."""
         field = self.field
-        tables = {}
+        slots = {}
+        values = []
+        top = 0
         for m in self.terms:
-            for v, _ in m.exps:
-                if v not in tables:
+            for v, e in m.exps:
+                if e > top:
+                    top = e
+                if v not in slots:
                     if v not in assignment:
                         raise UnboundVariable("no value for %s" % v)
-                    vnum, vden = field.coerce(assignment[v]).as_integer_ratio()
-                    tables[v] = ([1, vnum], [1, vden])
-        return field.from_ratio(*_eval_ratio(self.terms, tables))
+                    slots[v] = len(values)
+                    values.append(field.coerce(assignment[v]).as_integer_ratio())
+        nums = [_powers(n, top) for n, _ in values]
+        dens = [_powers(d, top) for _, d in values]
+        return field.from_ratio(*_eval_ratio(_compile(self.terms, slots), nums, dens))
 
     def substitute(self, mapping):
         """Replace variables by polynomials; unmapped variables stay."""

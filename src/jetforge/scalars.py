@@ -1,8 +1,11 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Rational scalars are plain ``fractions.Fraction`` values (always reduced,
-positive denominator).  Prime-field scalars are ``Fp`` instances carrying
-their modulus.  A field object (``QQ`` or ``PrimeField(p)``) converts
+A rational scalar is a Python ``int`` when it is integral and a reduced
+``fractions.Fraction`` (positive denominator) otherwise.  The two types
+compare and hash equal on equal values, so a term may hold either, and
+products of integral coefficients, such as the integer multinomials of jet
+components, stay off ``Fraction``.  Prime-field scalars are ``Fp``
+instances carrying their modulus.  A field object (``QQ`` or ``PrimeField(p)``) converts
 integers, provides constants and inversion, renders coefficients in the
 canonical "p/q" form, and builds a scalar from an integer ratio
 (``from_ratio``).  Scalars give their integer view through
@@ -84,39 +87,46 @@ class Fp:
         return str(self.value)
 
 
+def _rational(q):
+    """A Fraction as a rational scalar: its numerator when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Rationals:
-    """The field Q; scalars are Fraction."""
+    """The field Q; scalars are int when integral and Fraction otherwise."""
 
     name = "Q"
 
     def __call__(self, n):
-        return Fraction(n)
+        return n if type(n) is int else _rational(Fraction(n))
 
     @property
     def zero(self):
-        return Fraction(0)
+        return 0
 
     @property
     def one(self):
-        return Fraction(1)
+        return 1
 
     def inv(self, c):
         if c == 0:
             raise DivisionByZero("inverse of 0 in Q")
-        return 1 / Fraction(c)
+        return _rational(1 / Fraction(c))
 
     def contains(self, c):
         return isinstance(c, (Fraction, int))
 
     def coerce(self, c):
-        if isinstance(c, Fraction):
+        if type(c) is int:
             return c
+        if isinstance(c, Fraction):
+            return _rational(c)
         if isinstance(c, int):
-            return Fraction(c)
+            return int(c)
         raise FieldMismatch("not a rational scalar: %r" % (c,))
 
     def from_ratio(self, num, den):
-        return Fraction(num, den)
+        return _rational(Fraction(num, den))
 
     def render(self, c):
         if c.denominator == 1:

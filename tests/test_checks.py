@@ -141,6 +141,9 @@ def test_points_agree_matches_fraction_reference(monkeypatch):
         ([half], [Poly.constant(2)], False),                 # no variables, so no draws
         ([f, f, g, f], [f, f + zero, g, f], True),           # one object repeated
         ([f, g, f], [f, g, f + late * z], False),
+        # x at top exponents 1, 3 and 6 in one family, and an empty polynomial
+        ([x, x ** 3 - y, zero, x ** 6], [x, -y + x ** 3, x ** 4 - x ** 4, x ** 3 * x ** 3], True),
+        ([x ** 3, zero, y], [x * x * x, x ** 6 * late, y], False),
     ]
     later = 0
     for seed in range(8):

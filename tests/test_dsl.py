@@ -67,7 +67,20 @@ def test_nonlinear_module_relation_is_located(relation, tmp_path, capsys):
     assert main(["module", "--n", "1", str(doc)]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "parse error: line 4, col 1: module relation must be linear in e1..e2\n"
+    assert out.err == "parse error: line 4, col 10: module relation must be linear in e1..e2\n"
+
+
+@pytest.mark.parametrize("ideal", ["x^2", "e1^2 - x"])
+def test_module_symbol_may_not_be_a_ring_variable(ideal, tmp_path, capsys):
+    doc = tmp_path / "clash.jf"
+    doc.write_text("ring Q[e1,x]\nideal f = %s\nmodule rank 1\nrelation x*e1\n" % ideal)
+    assert main(["sym", str(doc)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "parse error: line 3, col 13: module symbol 'e1' is also a ring variable\n"
+    # without the module, and with a symbol the ring does not name, the ring parses
+    assert parse_document("ring Q[e1,x]\nideal f = %s\n" % ideal).algebra.vars == ["e1", "x"]
+    assert parse_document("ring Q[e2,x]\nmodule rank 1\nrelation e2*e1\n").module.rank == 1
 
 
 def test_leading_plus():

@@ -51,8 +51,10 @@ def test_eval_examples():
     assert f.eval({X: 2, Y: 3}) == 12
     assert Poly.zero().eval({}) == 0
     assert (P(Y) ** 2 - P(X) ** 3).eval({X: 1, Y: 1}) == 0
-    with pytest.raises(UnboundVariable):
+    with pytest.raises(UnboundVariable, match="y_0"):
         f.eval({X: 2})
+    with pytest.raises(UnboundVariable, match="y_0"):  # the first one in term order
+        (P(Y) ** 3 + P(X) * P(Y)).eval({})
 
 
 def test_ring_axioms_random():
