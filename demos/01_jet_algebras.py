@@ -19,10 +19,11 @@ x = Poly.var(JetVar("x", 0, 0))
 y = Poly.var(JetVar("y", 1, 0))
 cusp = AlgebraPresentation(["x", "y"], [y ** 2 - x ** 3])
 
-# second jet algebra of the cuspidal cubic
+# second jet algebra of the cuspidal cubic; its one relation f has
+# components f_0, f_1, f_2, so relation i is f_i
 jp = jet_presentation(cusp, 2)
 print("variables:", " ".join(v.render() for v in jp.jet_vars))
-for (k, i), rel in zip(jp.relation_index, jp.relations):
+for i, rel in enumerate(jp.relations):
     print("f_%d =" % i, rel.render())
 
 # the components d_i are multiplicative in the Leibniz sense
@@ -33,6 +34,6 @@ for i in range(3):
     print("Leibniz at i=%d:" % i, "ok" if leibniz == dfg[i] else "VIOLATED")
 
 # structural grading: deg x_i = i makes every f_i homogeneous of degree i
-for (k, i), rel in zip(jp.relation_index, jp.relations):
+for i, rel in enumerate(jp.relations):
     degs = {jp.structural_degree(m) for m in rel.terms}
     print("f_%d is structurally homogeneous of degree %s" % (i, degs))

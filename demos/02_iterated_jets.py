@@ -21,8 +21,9 @@ x = Poly.var(JetVar("x", 0, 0))
 y = Poly.var(JetVar("y", 1, 0))
 cusp = AlgebraPresentation(["x", "y"], [y ** 2 - x ** 3])
 
+# the components f_{i,j} of the one relation come row by row
 bp = bijet_presentation(cusp, 1, 1)
-for (k, i, j), rel in zip(bp.relation_index, bp.relations):
+for (i, j), rel in zip([(0, 0), (0, 1), (1, 0), (1, 1)], bp.relations):
     print("f_%d_%d =" % (i, j), rel.render())
 
 ok, report = bigrade_commute_check(cusp, 2, 2)

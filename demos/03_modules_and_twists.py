@@ -24,9 +24,11 @@ for row in t.entries:
 lhs = twisted_action_matrix(x, 2).matmul(twisted_action_matrix(y, 2))
 print("T(x) T(y) == T(x*y):", "ok" if lhs == t else "FAILED")
 
-# a rank-2 module with one relation x e1 + y e2, pushed to level 1
+# a rank-2 module with one relation x e1 + y e2, pushed to level 1:
+# basis vector c is e_l^(j) and row r is relation k at order i, with
+# (l, j) = divmod(c, 2) and (k, i) = divmod(r, 2)
 M = ModulePresentation(free, 2, [[x, y]])
 hm = hs_module_presentation(M, 1)
-print("basis:", " ".join(hm.basis_labels()))
-for (k, i), row in zip(hm.row_index, hm.relation_matrix):
-    print("row %d.%d :" % (k, i), " ; ".join(p.render() for p in row))
+print("basis:", " ".join("e%d_%d" % divmod(c, 2) for c in range(hm.rank)))
+for r, row in enumerate(hm.relation_matrix):
+    print("row %d.%d :" % divmod(r, 2), " ; ".join(p.render() for p in row))

@@ -28,7 +28,7 @@ for row in direct.relation_matrix:
 
 # (b) the base cotangent module, pushed through the module construction
 base = kaehler_presentation(cusp)
-pushed = hs_module_presentation(base.as_module(cusp), 1)
+pushed = hs_module_presentation(base, 1)
 print("base differentials pushed to level 1:")
 for row in pushed.relation_matrix:
     print("  [ " + " ; ".join(p.render() for p in row) + " ]")

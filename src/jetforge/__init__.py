@@ -18,13 +18,11 @@ from .jets import (AlgebraMorphism, AlgebraPresentation, BiJetPresentation,
                    JetPresentation, bigrade_commute_check, bijet_presentation,
                    cotruncation_subset_check, grade_monomial, hs_components,
                    hs_components_2d, induced_morphism, jet_presentation)
-from .hsmodules import (HSModulePresentation, KaehlerPresentation,
-                        ModulePresentation, SymPresentation, TwistedMatrix,
-                        base_change_check, cotangent_theorem_check,
-                        delta_apply, free_dual_zigzag_check,
-                        hs_module_presentation, kaehler_presentation,
-                        sym_presentation, sym_theorem_check,
-                        twisted_action_matrix)
+from .hsmodules import (ModulePresentation, TwistedMatrix, base_change_check,
+                        cotangent_theorem_check, delta_apply,
+                        free_dual_zigzag_check, hs_module_presentation,
+                        kaehler_presentation, sym_presentation,
+                        sym_theorem_check, twisted_action_matrix)
 from .p1 import (SectionDescriptor, TransitionMatrix, cocycle_check,
                  global_sections, p1_transition, transition_series)
 from .checks import CheckConfig, CheckReport, run_suite

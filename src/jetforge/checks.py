@@ -1,7 +1,7 @@
 """Seeded theorem checker: every in-scope identity on random instances.
 
 ``SUITES`` maps each suite name to its function, in report order.  Every
-suite has the signature ``(rng, orng, cfg) -> (ok, ok_numeric, detail)``:
+suite has the signature ``(rng, orng) -> (ok, ok_numeric, detail)``:
 it draws one instance from ``rng``, a deterministic stream derived from
 the configured seed and the suite name, and checks an exact polynomial
 identity (``ok``).  Suites that also evaluate both sides at random
@@ -238,50 +238,38 @@ def points_agree(rng, lhs, rhs):
 
 
 # ---------------------------------------------------------------------------
-# serialization of counterexamples
-
-
-def _poly_doc(names, polys):
-    A = AlgebraPresentation(list(names), [], None, QQ)
-    lines = [print_document(A).rstrip("\n")]
-    for i, p in enumerate(polys):
-        lines.append("ideal f%d = %s" % (i, p.render(base_plain=True)))
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # suites
 
 
-def _suite_leibniz(rng, orng, cfg):
+def _suite_leibniz(rng, orng):
     nvars = rng.randint(1, MAX_VARS)
     names = list(_VAR_NAMES[:nvars])
     f = random_poly(rng, names)
     g = random_poly(rng, names)
     n = rng.randint(0, MAX_LEVEL)
-    cf, cg, cfg_ = hs_components(f, n), hs_components(g, n), hs_components(f * g, n)
+    cf, cg, cfg = hs_components(f, n), hs_components(g, n), hs_components(f * g, n)
     conv = [sum((cf[k] * cg[i - k] for k in range(i + 1)), Poly.zero(QQ))
             for i in range(n + 1)]
-    ok_sym = conv == cfg_
-    ok_num = points_agree(orng, conv, cfg_)
-    detail = None
-    if not ok_sym:
-        detail = {"n": n, "input": _poly_doc(names, [f, g])}
+    ok_sym = conv == cfg
+    ok_num = points_agree(orng, conv, cfg)
+    detail = None if ok_sym else {"n": n, "input": print_document(
+        AlgebraPresentation(names, [f, g]))}
     return ok_sym, ok_num, detail
 
 
-def _suite_structural(rng, orng, cfg):
+def _suite_structural(rng, orng):
     f = random_poly(rng, _VAR_NAMES[:rng.randint(1, MAX_VARS)])
     n = rng.randint(0, MAX_LEVEL)
     for i, g in enumerate(hs_components(f, n)):
         for m in g.terms:
             if grade_monomial(m, "structural") != i:
                 return False, None, {"n": n, "order": i, "monomial": m.render(),
-                                     "input": _poly_doc(_VAR_NAMES, [f])}
+                                     "input": print_document(
+                                         AlgebraPresentation(list(_VAR_NAMES), [f]))}
     return True, None, None
 
 
-def _suite_induced(rng, orng, cfg):
+def _suite_induced(rng, orng):
     A = random_algebra(rng, graded=True)
     n = rng.randint(0, MAX_LEVEL)
     for f in A.relations:
@@ -294,7 +282,7 @@ def _suite_induced(rng, orng, cfg):
     return True, None, None
 
 
-def _suite_jacobian(rng, orng, cfg):
+def _suite_jacobian(rng, orng):
     nvars = rng.randint(1, MAX_VARS)
     names = list(_VAR_NAMES[:nvars])
     f = random_poly(rng, names)
@@ -311,11 +299,11 @@ def _suite_jacobian(rng, orng, cfg):
                 rhs.append(twisted[j][i])
     ok_sym = lhs == rhs
     ok_num = points_agree(orng, lhs, rhs)
-    detail = None if ok_sym else {"n": n, "input": _poly_doc(names, [f])}
+    detail = None if ok_sym else {"n": n, "input": print_document(AlgebraPresentation(names, [f]))}
     return ok_sym, ok_num, detail
 
 
-def _suite_bigrade(rng, orng, cfg):
+def _suite_bigrade(rng, orng):
     A = random_algebra(rng)
     n = rng.randint(0, MAX_BILEVEL)
     m = rng.randint(0, MAX_BILEVEL)
@@ -324,7 +312,7 @@ def _suite_bigrade(rng, orng, cfg):
                                       "input": print_document(A)}
 
 
-def _suite_cotruncation(rng, orng, cfg):
+def _suite_cotruncation(rng, orng):
     A = random_algebra(rng)
     n = rng.randint(0, MAX_LEVEL - 1)
     m = rng.randint(n + 1, MAX_LEVEL)
@@ -333,7 +321,7 @@ def _suite_cotruncation(rng, orng, cfg):
                                       "input": print_document(A)}
 
 
-def _suite_functoriality(rng, orng, cfg):
+def _suite_functoriality(rng, orng):
     phi = random_morphism(rng)
     g = random_poly(rng, phi.source.vars)
     n = rng.randint(0, 2)
@@ -345,7 +333,7 @@ def _suite_functoriality(rng, orng, cfg):
         phi.source, morphism=phi) + "ideal g = %s\n" % g.render(base_plain=True)}
 
 
-def _suite_twisted(rng, orng, cfg):
+def _suite_twisted(rng, orng):
     nvars = rng.randint(1, MAX_VARS)
     names = list(_VAR_NAMES[:nvars])
     p = random_poly(rng, names, max_terms=3)
@@ -359,10 +347,11 @@ def _suite_twisted(rng, orng, cfg):
         n, [[Poly.constant(1, QQ) if i == j else Poly.zero(QQ)
              for i in range(n + 1)] for j in range(n + 1)])
     ok = add_ok and mul_ok and one_ok
-    return ok, None, None if ok else {"n": n, "input": _poly_doc(names, [p, q])}
+    return ok, None, None if ok else {"n": n, "input": print_document(
+        AlgebraPresentation(names, [p, q]))}
 
 
-def _suite_sym(rng, orng, cfg):
+def _suite_sym(rng, orng):
     M = random_module(rng)
     n = rng.randint(0, 3)
     ok, report = sym_theorem_check(M, n)
@@ -370,14 +359,14 @@ def _suite_sym(rng, orng, cfg):
                                       "input": print_document(M.over, module=M)}
 
 
-def _suite_cotangent(rng, orng, cfg):
+def _suite_cotangent(rng, orng):
     A = random_algebra(rng)
     n = rng.randint(0, 3)
     ok, report = cotangent_theorem_check(A, n)
     return ok, None, None if ok else {"n": n, "report": report, "input": print_document(A)}
 
 
-def _suite_base_change(rng, orng, cfg):
+def _suite_base_change(rng, orng):
     phi = random_morphism(rng)
     M = random_module(rng, over=phi.source)
     n = rng.randint(0, 2)
@@ -386,13 +375,13 @@ def _suite_base_change(rng, orng, cfg):
         phi.source, module=M, morphism=phi)}
 
 
-def _suite_zigzag(rng, orng, cfg):
+def _suite_zigzag(rng, orng):
     n = rng.randint(0, 6)
     ok = free_dual_zigzag_check(n)
     return ok, None, None if ok else {"n": n}
 
 
-def _suite_p1(rng, orng, cfg):
+def _suite_p1(rng, orng):
     d = rng.randint(-2, 2)
     n = rng.randint(0, 3)
     ok = cocycle_check(d, n)
@@ -428,7 +417,7 @@ def run_suite(config):
         orng = random.Random("%d:%s:oracle" % (config.seed, name))
         start = time.perf_counter()
         for trial in range(config.trials):
-            ok, ok_num, detail = suite(rng, orng, config)
+            ok, ok_num, detail = suite(rng, orng)
             result.trials += 1
             if ok_num is not None:
                 result.oracle_trials += 1

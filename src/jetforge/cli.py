@@ -68,7 +68,8 @@ def cmd_jet(args):
         return 0
     print("level %d" % jp.level)
     print("vars %s" % " ".join(v.render() for v in jp.jet_vars))
-    for (k, i), g in zip(jp.relation_index, jp.relations):
+    for r, g in enumerate(jp.relations):
+        k, i = divmod(r, args.n + 1)
         print("relation %s.%d = %s" % (_rel_name(doc, k), i, g.render()))
     return 0
 
@@ -81,7 +82,9 @@ def cmd_jet2(args):
         return 0
     print("levels %d %d" % bp.levels)
     print("vars %s" % " ".join(v.render() for v in bp.jet_vars))
-    for (k, i, j), g in zip(bp.relation_index, bp.relations):
+    for r, g in enumerate(bp.relations):
+        k, ij = divmod(r, (args.n + 1) * (args.m + 1))
+        i, j = divmod(ij, args.m + 1)
         print("relation %s.%d.%d = %s" % (_rel_name(doc, k), i, j, g.render()))
     return 0
 
@@ -91,12 +94,19 @@ def cmd_module(args):
     if doc.module is None:
         raise JetforgeError("document declares no module")
     hm = hs_module_presentation(doc.module, args.n)
+    basis = ["e%d_%d" % divmod(c, args.n + 1) for c in range(hm.rank)]
     if args.format == "json":
-        _emit_json(hm.to_json_dict())
+        _emit_json({
+            "level": args.n,
+            "rank": doc.module.rank,
+            "basis": basis,
+            "rows": [[p.render() for p in row] for row in hm.relation_matrix],
+        })
         return 0
-    print("level %d" % hm.level)
-    print("basis %s" % " ".join(hm.basis_labels()))
-    for (k, i), row in zip(hm.row_index, hm.relation_matrix):
+    print("level %d" % args.n)
+    print("basis %s" % " ".join(basis))
+    for r, row in enumerate(hm.relation_matrix):
+        k, i = divmod(r, args.n + 1)
         print("row %d.%d : %s" % (k, i, " ; ".join(p.render() for p in row)))
     return 0
 
@@ -105,14 +115,16 @@ def cmd_omega(args):
     doc = _load_document(args)
     target = doc.algebra if args.n is None else jet_presentation(doc.algebra, args.n)
     kp = kaehler_presentation(target)
+    gens = doc.algebra.base_vars() if args.n is None else target.jet_vars
+    basis = ["d" + v.render(base_plain=args.n is None) for v in gens]
     if args.format == "json":
         _emit_json({
             "level": args.n,
-            "basis": ["d" + v.render(base_plain=args.n is None) for v in kp.basis],
+            "basis": basis,
             "rows": [[p.render() for p in row] for row in kp.relation_matrix],
         })
         return 0
-    print("basis %s" % " ".join("d" + v.render(base_plain=args.n is None) for v in kp.basis))
+    print("basis %s" % " ".join(basis))
     for k, row in enumerate(kp.relation_matrix):
         print("row %d : %s" % (k, " ; ".join(p.render() for p in row)))
     return 0
@@ -124,9 +136,13 @@ def cmd_sym(args):
         raise JetforgeError("document declares no module")
     sp = sym_presentation(doc.module)
     if args.format == "json":
-        _emit_json(sp.to_json_dict())
+        _emit_json({
+            "vars": sp.vars,
+            "grading": sp.grading,
+            "relations": [f.render(base_plain=True) for f in sp.relations],
+        })
         return 0
-    sys.stdout.write(print_document(sp.algebra))
+    sys.stdout.write(print_document(sp))
     return 0
 
 

@@ -35,6 +35,8 @@ class InputDocument:
 
 # Each nesting level costs the recursive-descent parser four stack frames.
 MAX_PAREN_DEPTH = 100
+# Jet components of x^e take e! and enumerate splits of e; no input needs more.
+MAX_EXPONENT = 1000
 
 _TOKEN = re.compile(r"(?:(?P<arrow>->)|(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^(),]))")
 
@@ -125,7 +127,11 @@ class _ExprParser:
             etok = self.take()
             if etok[0] != "num":
                 raise ParseError("exponent must be a natural number", etok[2], etok[3])
-            p = p**int(etok[1])
+            # compare lengths first: int() refuses very long digit strings
+            digits = etok[1].lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ParseError("exponent larger than %d" % MAX_EXPONENT, etok[2], etok[3])
+            p = p**int(digits)
         return p
 
     def atom(self):

@@ -8,12 +8,16 @@ cokernel presentation are block matrices of those twisted actions, and
 the cotangent module of a jet algebra is exactly the Hasse-Schmidt
 module of the base cotangent module (checked entrywise through the
 identity  d(d_i f)/d x^(j) = d_{i-j}(df/dx)).
+
+Base, Kaehler and Hasse-Schmidt modules are all one ModulePresentation.
+Indices follow from position: in a level-n Hasse-Schmidt module, row r
+is relation k at order i and basis vector c is e_l at order j, with
+(k, i) = divmod(r, n+1) and (l, j) = divmod(c, n+1).
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
-from .jets import (AlgebraPresentation, JetPresentation, hs_components,
-                   jet_presentation)
+from .jets import AlgebraPresentation, JetPresentation, hs_components, jet_presentation
 from .poly import JetVar, Poly, _poly
 
 
@@ -52,9 +56,10 @@ def twisted_action_matrix(p, n):
 
 @dataclass
 class ModulePresentation:
-    """Cokernel of a relation matrix: rows are relations sum_l p_kl e_l."""
+    """Cokernel of a relation matrix over an algebra or a jet presentation:
+    row k is the relation sum_c p_kc e_c."""
 
-    over: AlgebraPresentation
+    over: object  # AlgebraPresentation or JetPresentation
     rank: int
     relation_matrix: list  # s rows, each of length rank
 
@@ -68,46 +73,18 @@ class ModulePresentation:
         return self.over.field
 
 
-@dataclass
-class HSModulePresentation:
-    """Level-n Hasse-Schmidt module of a presented module.
-
-    Basis (l, i) for l < rank, i <= n, ordered l-major; relation rows
-    indexed (k, i), k-major; entry at row (k, i), column (l, j) is
-    d_{i-j}(p_kl), zero for j > i.
-    """
-
-    over: JetPresentation
-    rank: int
-    level: int
-    relation_matrix: list
-    row_index: list = dc_field(default_factory=list)
-    col_index: list = dc_field(default_factory=list)
-
-    def basis_labels(self):
-        return ["e%d_%d" % (l, i) for l, i in self.col_index]
-
-    def to_json_dict(self):
-        return {
-            "level": self.level,
-            "rank": self.rank,
-            "basis": self.basis_labels(),
-            "rows": [[p.render() for p in row] for row in self.relation_matrix],
-        }
-
-
 def hs_module_presentation(M, n):
-    """Row (k, i) is column i of the twisted matrices of row k, block by block."""
+    """Level-n Hasse-Schmidt module of M, over the level-n jet presentation.
+
+    Position rule: row r is (k, i) = divmod(r, n+1), basis vector c is
+    (l, j) = divmod(c, n+1); entry (r, c) is d_{i-j}(p_kl), zero for j > i,
+    i.e. column i of the twisted matrices of row k, block by block."""
     rows = []
-    row_index = []
-    for k, relation in enumerate(M.relation_matrix):
+    for relation in M.relation_matrix:
         blocks = [twisted_action_matrix(p, n).entries for p in relation]
         for i in range(n + 1):
             rows.append([entries[j][i] for entries in blocks for j in range(n + 1)])
-            row_index.append((k, i))
-    col_index = [(l, i) for l in range(M.rank) for i in range(n + 1)]
-    return HSModulePresentation(jet_presentation(M.over, n), M.rank, n, rows, row_index,
-                                col_index)
+    return ModulePresentation(jet_presentation(M.over, n), M.rank * (n + 1), rows)
 
 
 def delta_apply(a, l, i, M, n):
@@ -124,42 +101,31 @@ def delta_apply(a, l, i, M, n):
 # Kaehler differentials
 
 
-@dataclass
-class KaehlerPresentation:
-    """Module of differentials: basis d(var), relations the Jacobian rows."""
-
-    over: object
-    rank: int
-    relation_matrix: list
-    basis: list
-
-    def as_module(self, base):
-        return ModulePresentation(base, self.rank, self.relation_matrix)
-
-
 def kaehler_presentation(P):
+    """Module of differentials of P: basis d(generator), in the order of
+    P.jet_vars or P.base_vars(); relations the Jacobian rows."""
     gens = P.jet_vars if isinstance(P, JetPresentation) else P.base_vars()
     rows = [[f.partial(v) for v in gens] for f in P.relations]
-    return KaehlerPresentation(P, len(gens), rows, list(gens))
+    return ModulePresentation(P, len(gens), rows)
 
 
 def cotangent_theorem_check(A, n):
-    """Jacobian of the jet presentation vs block twisted-matrix of the base
-    Jacobian, entrywise; rows (k, i), columns (l, j)."""
+    """Omega of the level-n jet algebra against the level-n Hasse-Schmidt
+    module of Omega_A, entrywise; a mismatch is labelled by its row (k, i)
+    and column (l, j)."""
     jet_jac = kaehler_presentation(jet_presentation(A, n))
-    base = kaehler_presentation(A)
-    block = hs_module_presentation(base.as_module(A), n)
-    mismatches = []
+    block = hs_module_presentation(kaehler_presentation(A), n)
     if len(jet_jac.relation_matrix) != len(block.relation_matrix):
         return False, {"ok": False, "reason": "row count mismatch"}
+    mismatches = []
     for r, (row1, row2) in enumerate(zip(jet_jac.relation_matrix, block.relation_matrix)):
         for c, (p1, p2) in enumerate(zip(row1, row2)):
             if p1 != p2:
-                mismatches.append({"row": block.row_index[r], "col": block.col_index[c],
+                mismatches.append({"row": divmod(r, n + 1), "col": divmod(c, n + 1),
                                    "jet_jacobian": p1.render(), "block": p2.render()})
     ok = not mismatches
-    return ok, {"ok": ok, "rows": len(block.relation_matrix),
-                "cols": len(block.col_index), "mismatches": mismatches}
+    return ok, {"ok": ok, "rows": len(block.relation_matrix), "cols": block.rank,
+                "mismatches": mismatches}
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +155,6 @@ def linear_form(p, symbols):
     return [_poly(p.field, d) for d in coeffs]
 
 
-@dataclass
-class SymPresentation:
-    algebra: AlgebraPresentation
-    module_rank: int
-
-    def to_json_dict(self):
-        return {
-            "vars": self.algebra.vars,
-            "grading": dict(self.algebra.grading),
-            "relations": [f.render(base_plain=True) for f in self.algebra.relations],
-        }
-
-
 def sym_presentation(M):
     """Sym of a presented module: adjoin degree-1 symbols e_1..e_r, keep the
     base relations in degree 0, add the module rows as degree-1 relations."""
@@ -216,8 +169,7 @@ def sym_presentation(M):
         for p, e in zip(row, symbols):
             rel = rel + p * Poly.var(e, A.field)
         relations.append(rel)
-    ext = AlgebraPresentation(names, relations, grading, A.field)
-    return SymPresentation(ext, M.rank)
+    return AlgebraPresentation(names, relations, grading, A.field)
 
 
 def sym_theorem_check(M, n):
@@ -225,8 +177,7 @@ def sym_theorem_check(M, n):
     jet relations of the base algebra, degree-1 relations the rows of the
     Hasse-Schmidt module presentation."""
     sym = sym_presentation(M)
-    sp = jet_presentation(sym.algebra, n)
-    base_jets = jet_presentation(M.over, n)
+    sp = jet_presentation(sym, n)
     hsm = hs_module_presentation(M, n)
 
     deg0 = []
@@ -234,19 +185,19 @@ def sym_theorem_check(M, n):
     for g in sp.relations:
         if g.is_zero():
             continue
-        d = sym.algebra.homogeneous_degree(g)
+        d = sym.homogeneous_degree(g)
         # jets of homogeneous relations stay homogeneous for the induced grading
         if d is None:
             return False, {"ok": False, "stage": "degree1",
                            "reason": "not homogeneous", "relation": g.render()}
         (deg0 if d == 0 else deg1).append(g)
 
-    want0 = sorted(g.render() for g in base_jets.relations if not g.is_zero())
+    want0 = sorted(g.render() for g in hsm.over.relations if not g.is_zero())
     got0 = sorted(g.render() for g in deg0)
     if want0 != got0:
         return False, {"ok": False, "stage": "degree0", "want": want0, "got": got0}
 
-    # each degree-1 relation is a linear form in the e_l^(j), (l, j) = hsm.col_index
+    # each degree-1 relation is a linear form in the e_l^(j), basis vector (l, j) of hsm
     symbols = module_symbols(len(M.over.vars), M.rank, n)
     rows_got = []
     for g in deg1:
@@ -256,7 +207,7 @@ def sym_theorem_check(M, n):
                            "reason": "not linear in module symbols", "relation": g.render()}
         rows_got.append(tuple(p.render() for p in row))
     # zero rows generate nothing; drop them on both sides
-    zero_row = tuple("0" for _ in hsm.col_index)
+    zero_row = ("0",) * hsm.rank
     rows_want = [tuple(p.render() for p in row) for row in hsm.relation_matrix]
     rows_want = [r for r in rows_want if r != zero_row]
     rows_got = [r for r in rows_got if r != zero_row]

@@ -26,12 +26,13 @@ Two gradings live on a jet presentation: the structural one
 (deg x^(i) = deg x).
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import factorial
 
-from .errors import BadLevels, InhomogeneousRelation, MissingGrading, NotABaseElement
+from .errors import (BadLevels, InhomogeneousRelation, JetforgeError, MissingGrading,
+                     NotABaseElement)
 from .poly import UNIT, JetVar, Poly, _monomial, _poly
 from .scalars import QQ
 
@@ -175,6 +176,9 @@ class AlgebraPresentation:
     field: object = QQ
 
     def __post_init__(self):
+        for k, x in enumerate(self.vars):
+            if x in self.vars[:k]:
+                raise JetforgeError("duplicate variable %r" % x)
         declared = set(self.base_vars())
         for f in self.relations:
             _require_base(f)
@@ -216,9 +220,8 @@ def grade_monomial(m, mode, grading=None):
 class JetPresentation:
     level: int
     source: AlgebraPresentation
-    jet_vars: list = dc_field(default_factory=list)
-    relations: list = dc_field(default_factory=list)
-    relation_index: list = dc_field(default_factory=list)
+    jet_vars: list
+    relations: list
 
     @property
     def field(self):
@@ -241,25 +244,19 @@ class JetPresentation:
 
 
 def jet_presentation(A, n):
-    """Level-n jet presentation of A; relations ordered (relation, order)."""
+    """Level-n jet presentation of A; relation r is d_i(f_k) with
+    (k, i) = divmod(r, n+1)."""
     jet_vars = [JetVar(x, l, i) for l, x in enumerate(A.vars) for i in range(n + 1)]
-    relations = []
-    index = []
-    for k, f in enumerate(A.relations):
-        comps = hs_components(f, n)
-        for i, g in enumerate(comps):
-            relations.append(g)
-            index.append((k, i))
-    return JetPresentation(n, A, jet_vars, relations, index)
+    relations = [g for f in A.relations for g in hs_components(f, n)]
+    return JetPresentation(n, A, jet_vars, relations)
 
 
 @dataclass
 class BiJetPresentation:
     levels: tuple
     source: AlgebraPresentation
-    jet_vars: list = dc_field(default_factory=list)
-    relations: list = dc_field(default_factory=list)
-    relation_index: list = dc_field(default_factory=list)
+    jet_vars: list
+    relations: list
 
     def to_json_dict(self):
         return {
@@ -270,31 +267,27 @@ class BiJetPresentation:
 
 
 def bijet_presentation(A, n, m):
+    """Levels (n, m) jet presentation of A; relations in (k, i, j) order,
+    relation k's (n+1)(m+1) components row by row."""
     jet_vars = [JetVar(x, l, i, j)
                 for l, x in enumerate(A.vars) for i in range(n + 1) for j in range(m + 1)]
-    relations = []
-    index = []
-    for k, f in enumerate(A.relations):
-        grid = hs_components_2d(f, n, m)
-        for i in range(n + 1):
-            for j in range(m + 1):
-                relations.append(grid[i][j])
-                index.append((k, i, j))
-    return BiJetPresentation((n, m), A, jet_vars, relations, index)
+    relations = [g for f in A.relations for row in hs_components_2d(f, n, m) for g in row]
+    return BiJetPresentation((n, m), A, jet_vars, relations)
 
 
 def cotruncation_subset_check(A, n, m):
     """Level-n jet relations must appear verbatim among the level-m ones
-    (same relation, same order); the co-truncation map is variable inclusion."""
+    (same relation, same order): d_0..d_n of each relation are the first
+    n+1 of its level-m components; the co-truncation map is variable
+    inclusion."""
     if m <= n:
         raise BadLevels("need m > n, got n=%d m=%d" % (n, m))
-    low = jet_presentation(A, n)
-    high = jet_presentation(A, m)
-    high_by_index = dict(zip(high.relation_index, high.relations))
-    for (k, i), g in zip(low.relation_index, low.relations):
-        if high_by_index.get((k, i)) != g:
-            return False, {"relation": k, "order": i,
-                           "level_n": g.render(), "level_m": str(high_by_index.get((k, i)))}
+    for k, f in enumerate(A.relations):
+        high = hs_components(f, m)
+        for i, g in enumerate(hs_components(f, n)):
+            if high[i] != g:
+                return False, {"relation": k, "order": i,
+                               "level_n": g.render(), "level_m": high[i].render()}
     return True, None
 
 

@@ -83,7 +83,7 @@ def test_report_json_shape():
 
 
 def test_failing_suite_is_reported(monkeypatch, capsys):
-    def broken(rng, orng, cfg):
+    def broken(rng, orng):
         return False, True, {"input": "ring Q[x]\n"}
 
     monkeypatch.setitem(checks.SUITES, "broken", broken)

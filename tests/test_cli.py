@@ -176,6 +176,13 @@ def test_out_of_range_level_is_usage_error(argv, flag, capsys):
     *[pytest.param("ring Q[x]\nideal f = %sx%s\n" % ("(" * depth, ")" * depth),
                    "line 2, col 111: parentheses nested deeper than 100",
                    id="paren-depth-%d" % depth) for depth in (101, 300)],
+    # an exponent above dsl.MAX_EXPONENT is located at the exponent token,
+    # also when it is too long for int()
+    ("ring Q[x]\nideal f = x^1001\n", "line 2, col 13: exponent larger than 1000"),
+    ("ring Q[x]\nideal f = x^99999999999999999999\n",
+     "line 2, col 13: exponent larger than 1000"),
+    pytest.param("ring Q[x]\nideal f = 2*x^%s + 1\n" % ("9" * 5000),
+                 "line 2, col 15: exponent larger than 1000", id="exponent-5000-digits"),
 ])
 def test_dsl_errors_are_located(text, located, tmp_path, capsys):
     doc = tmp_path / "bad.jf"
@@ -200,6 +207,14 @@ def test_paren_depth_100_parses(tmp_path, capsys):
     doc.write_text("ring Q[x]\nideal f = %sx%s\n" % ("(" * 100, ")" * 100))
     assert run(capsys, "jet", "--n", "0", str(doc)) == (
         0, "level 0\nvars x_0\nrelation f.0 = x_0\n", "")
+
+
+def test_exponent_1000_parses(tmp_path, capsys):
+    doc = tmp_path / "power.jf"
+    doc.write_text("ring Q[x]\nideal f = x^01000\n")
+    assert run(capsys, "jet", "--n", "1", str(doc)) == (
+        0, "level 1\nvars x_0 x_1\nrelation f.0 = x_0^1000\n"
+           "relation f.1 = 1000*x_0^999*x_1\n", "")
 
 
 def _fresh_output(argv, capsys):

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from jetforge import hsmodules
 from jetforge.cli import main
-from jetforge.hsmodules import (HSModulePresentation, ModulePresentation,
-                                TwistedMatrix, base_change_check,
+from jetforge.errors import JetforgeError
+from jetforge.hsmodules import (ModulePresentation, TwistedMatrix, base_change_check,
                                 cotangent_theorem_check, delta_apply,
                                 free_dual_zigzag_check, hs_module_presentation,
                                 kaehler_presentation, linear_form, module_symbols,
@@ -86,7 +87,7 @@ def test_free_module_stays_free():
     M = ModulePresentation(free_xy(), 1, [])
     hm = hs_module_presentation(M, 3)
     assert hm.relation_matrix == []
-    assert len(hm.col_index) == 4
+    assert hm.rank == 4
 
 
 def test_rank2_single_relation():
@@ -95,7 +96,8 @@ def test_rank2_single_relation():
     # row (0, i) has entry d_{i-j}(p_l) at column (l, j)
     assert [p.render() for p in hm.relation_matrix[0]] == ["x_0", "0", "y_0", "0"]
     assert [p.render() for p in hm.relation_matrix[1]] == ["x_1", "x_0", "y_1", "y_0"]
-    assert hm.basis_labels() == ["e0_0", "e0_1", "e1_0", "e1_1"]
+    # column c is (l, j) = divmod(c, n+1); the module lives over the level-n jets
+    assert hm.rank == 4 and hm.over.level == 1 and hm.over.source is M.over
 
 
 def test_level0_is_module_itself():
@@ -142,7 +144,9 @@ def test_module_symbols_follow_the_hs_basis():
     assert symbols == [JetVar("e1", 2, 0), JetVar("e1", 2, 1),
                        JetVar("e2", 3, 0), JetVar("e2", 3, 1)]
     M = ModulePresentation(free_xy(), 2, [[X0, Y0]])
-    assert hs_module_presentation(M, 1).col_index == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # symbol c is e_{l+1}^(j) for the basis vector (l, j) = divmod(c, n+1)
+    assert [(v.index - 2, v.order1) for v in symbols] == [
+        divmod(c, 2) for c in range(hs_module_presentation(M, 1).rank)]
 
 
 def test_linear_form():
@@ -180,6 +184,26 @@ def test_cotangent_theorem():
     assert cotangent_theorem_check(cusp(), 0)[0]
 
 
+def test_cotangent_theorem_fails_on_transposed_twist(monkeypatch):
+    """Transposed twisted matrices put d_{j-i} where d_{i-j} belongs; the
+    first mismatch is labelled by its row (k, i) and column (l, j)."""
+    twisted = hsmodules.twisted_action_matrix
+
+    def transposed(p, n):
+        t = twisted(p, n)
+        return TwistedMatrix(n, [list(col) for col in zip(*t.entries)])
+
+    monkeypatch.setattr(hsmodules, "twisted_action_matrix", transposed)
+    # the linear relation has constant partials, so its rows stay right
+    A = AlgebraPresentation(["x", "y"], [X0 + Y0 * 2, Y0 ** 2 - X0 ** 3])
+    ok, report = cotangent_theorem_check(A, 2)
+    assert not ok
+    assert (report["rows"], report["cols"]) == (6, 6)
+    first = report["mismatches"][0]
+    assert (first["row"], first["col"]) == ((1, 0), (0, 1))
+    assert (first["jet_jacobian"], first["block"]) == ("0", "-6*x_0*x_1")
+
+
 def test_jacobian_identity_entrywise_random():
     rng = random.Random(17)
     for _ in range(10):
@@ -201,22 +225,31 @@ def test_jacobian_identity_entrywise_random():
 def test_sym_of_free_module():
     M = ModulePresentation(AlgebraPresentation(["x"], []), 2, [])
     sp = sym_presentation(M)
-    assert sp.algebra.vars == ["x", "e1", "e2"]
-    assert sp.algebra.relations == []
-    assert sp.algebra.grading == {"x": 0, "e1": 1, "e2": 1}
+    assert sp.vars == ["x", "e1", "e2"]
+    assert sp.relations == []
+    assert sp.grading == {"x": 0, "e1": 1, "e2": 1}
 
 
 def test_sym_adds_degree1_relation():
     M = ModulePresentation(free_xy(), 2, [[X0, Y0]])
     sp = sym_presentation(M)
-    assert sp.algebra.homogeneous_degree(sp.algebra.relations[-1]) == 1
+    assert sp.homogeneous_degree(sp.relations[-1]) == 1
 
 
 def test_sym_of_zero_module():
     M = ModulePresentation(cusp(), 0, [])
     sp = sym_presentation(M)
-    assert sp.algebra.vars == ["x", "y"]
-    assert len(sp.algebra.relations) == 1
+    assert sp.vars == ["x", "y"]
+    assert len(sp.relations) == 1
+
+
+def test_sym_symbol_may_not_shadow_a_ring_variable():
+    x = Poly.var(JetVar("x", 1, 0))
+    M = ModulePresentation(AlgebraPresentation(["e1", "x"], [], None), 1, [[x]])
+    with pytest.raises(JetforgeError, match="duplicate variable 'e1'"):
+        sym_presentation(M)
+    with pytest.raises(JetforgeError, match="duplicate variable 'x'"):
+        AlgebraPresentation(["x", "y", "x"], [])
 
 
 def test_sym_theorem():
