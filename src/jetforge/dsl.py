@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import InhomogeneousRelation, ParseError, UndeclaredVariable
 from .jets import AlgebraMorphism, AlgebraPresentation
 from .hsmodules import ModulePresentation, linear_form, module_symbols
-from .poly import JetVar, Poly
+from .poly import JetVar, Monomial, Poly, _poly
 from .scalars import QQ, field_by_name
 
 
@@ -37,124 +37,144 @@ class InputDocument:
 MAX_PAREN_DEPTH = 100
 # Jet components of x^e take e! and enumerate splits of e; no input needs more.
 MAX_EXPONENT = 1000
+# int() refuses longer digit strings (sys.get_int_max_str_digits()).
+MAX_LITERAL_DIGITS = 4300
 
-_TOKEN = re.compile(r"(?:(?P<arrow>->)|(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^(),]))")
+_TOKEN = re.compile(r"\s*(?:(?P<arrow>->)|(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
+                    r"|(?P<op>[-+*/^(),])|(?P<bad>\S))")
+_NAME_LIST = re.compile(r"[^,]+")
+_RING = re.compile(r"(?:([A-Za-z][A-Za-z0-9]*)\s*)?\[\s*([A-Za-z0-9_,\s]*)\]")
+_GRADE = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*=\s*(\d+)")
+_IDEAL = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*=\s*")
+_MODULE = re.compile(r"rank\s+(\d+)")
+_MORPHISM = re.compile(r"\[\s*([A-Za-z0-9_,\s]*)\]\s*:\s*(.*)")
+_IMAGE = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*)\s*->\s*")
 
 
 def _tokenize(text, line_no, col_offset):
+    """Tokens (kind, text, line, column) and an "end" token just past them."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError("unexpected character %r" % text[pos],
-                             line_no, col_offset + pos + 1)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), line_no, col_offset + pos + 1))
-        pos = m.end()
+    end = 0
+    for m in _TOKEN.finditer(text):
+        kind, end = m.lastgroup, m.end()
+        col = col_offset + m.start(kind) + 1
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % m.group(kind), line_no, col)
+        tokens.append((kind, m.group(kind), line_no, col))
+    tokens.append(("end", "", line_no, col_offset + end + 1))
     return tokens
 
 
-class _ExprParser:
-    """Recursive-descent parser for polynomial expressions."""
+def _natural(tok, most_digits, message):
+    """The value of a numeric token; its length is compared before int()."""
+    digits = tok[1].lstrip("0") or "0"
+    if len(digits) > most_digits:
+        raise ParseError(message, tok[2], tok[3])
+    return int(digits)
 
-    def __init__(self, tokens, variables, field, line_no, end_col):
+
+class _ExprParser:
+    """Recursive-descent parser for polynomial expressions.  A term is one
+    field scalar times one {JetVar: exponent} map; only parenthesized
+    factors become Polys.  An expression adds its terms into one dict."""
+
+    def __init__(self, tokens, variables, field):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0  # parentheses open at the current position
         self.variables = variables  # name -> JetVar
         self.field = field
-        self.line_no = line_no
-        self.end_col = end_col  # the column just past the last token
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", self.line_no, self.end_col)
+        tok = self.tokens[self.pos]
+        if tok[0] == "end":
+            raise ParseError("unexpected end of expression", tok[2], tok[3])
         self.pos += 1
         return tok
 
-    def expect_end(self):
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError("trailing input %r" % tok[1], tok[2], tok[3])
-
     def parse(self):
         p = self.expr()
-        self.expect_end()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError("trailing input %r" % tok[1], tok[2], tok[3])
         return p
 
     def expr(self):
-        sign = 1
-        tok = self.peek()
-        if tok and tok[1] in ("+", "-"):
-            self.take()
-            sign = -1 if tok[1] == "-" else 1
-        p = self.term() * sign
+        terms = {}
+        sign = self.take()[1] if self.peek()[1] in ("+", "-") else "+"
         while True:
-            tok = self.peek()
-            if tok is None or tok[1] not in ("+", "-"):
-                return p
-            self.take()
-            q = self.term()
-            p = p + q if tok[1] == "+" else p - q
+            self.term(terms, -1 if sign == "-" else 1)
+            if self.peek()[1] not in ("+", "-"):
+                return _poly(self.field, terms)
+            sign = self.take()[1]
 
-    def term(self):
-        p = self.factor()
+    def term(self, terms, sign):
+        """Parse one term and add sign times it into terms."""
+        c = self.field(sign)
+        exps = {}
+        group = None  # the product of the parenthesized factors
         while True:
+            a = self.atom()
+            e = self.exponent()
+            if isinstance(a, JetVar):
+                exps[a] = exps.get(a, 0) + e
+            elif isinstance(a, Poly):
+                group = a**e if group is None else group * a**e
+            else:
+                c = c * (a if e == 1 else a**e)
             tok = self.peek()
-            if tok is None:
-                return p
             if tok[1] == "*":
                 self.take()
-                p = p * self.factor()
-            elif tok[0] in ("num", "name") or tok[1] == "(":
-                p = p * self.factor()
+            elif tok[0] not in ("num", "name") and tok[1] != "(":
+                break
+        m = Monomial(exps)
+        items = ((m, c),) if group is None else (group * _poly(self.field, {m: c})).terms.items()
+        for key, t in items:
+            s = terms.get(key)
+            s = t if s is None else s + t
+            if s:
+                terms[key] = s
             else:
-                return p
+                terms.pop(key, None)
 
-    def factor(self):
-        p = self.atom()
-        tok = self.peek()
-        if tok and tok[1] == "^":
-            self.take()
-            etok = self.take()
-            if etok[0] != "num":
-                raise ParseError("exponent must be a natural number", etok[2], etok[3])
-            # compare lengths first: int() refuses very long digit strings
-            digits = etok[1].lstrip("0") or "0"
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-                raise ParseError("exponent larger than %d" % MAX_EXPONENT, etok[2], etok[3])
-            p = p**int(digits)
-        return p
+    def exponent(self):
+        if self.peek()[1] != "^":
+            return 1
+        self.take()
+        etok = self.take()
+        if etok[0] != "num":
+            raise ParseError("exponent must be a natural number", etok[2], etok[3])
+        message = "exponent larger than %d" % MAX_EXPONENT
+        e = _natural(etok, len(str(MAX_EXPONENT)), message)
+        if e > MAX_EXPONENT:
+            raise ParseError(message, etok[2], etok[3])
+        return e
 
     def atom(self):
+        """A field scalar, a JetVar or a parenthesized Poly."""
         tok = self.take()
         if tok[0] == "num":
-            num = int(tok[1])
-            nxt = self.peek()
-            if nxt and nxt[1] == "/":
-                self.take()
-                dtok = self.take()
-                if dtok[0] != "num":
-                    raise ParseError("denominator must be a natural number", dtok[2], dtok[3])
-                den = self.field(int(dtok[1]))
-                if not den:
-                    raise ParseError("denominator %s is zero in %s" % (dtok[1], self.field.name),
-                                     dtok[2], dtok[3])
-                return Poly.constant(self.field(num) * self.field.inv(den), self.field)
-            return Poly.constant(num, self.field)
+            too_long = "literal longer than %d digits" % MAX_LITERAL_DIGITS
+            num = _natural(tok, MAX_LITERAL_DIGITS, too_long)
+            if self.peek()[1] != "/":
+                return self.field.coerce(num)
+            self.take()
+            dtok = self.take()
+            if dtok[0] != "num":
+                raise ParseError("denominator must be a natural number", dtok[2], dtok[3])
+            den = _natural(dtok, MAX_LITERAL_DIGITS, too_long)
+            if not self.field(den):
+                raise ParseError("denominator %s is zero in %s" % (dtok[1], self.field.name),
+                                 dtok[2], dtok[3])
+            return self.field.from_ratio(num, den)
         if tok[0] == "name":
             v = self.variables.get(tok[1])
             if v is None:
                 raise UndeclaredVariable("undeclared variable %r" % tok[1], tok[2], tok[3])
-            return Poly.var(v, self.field)
+            return v
         if tok[1] == "(":
             if self.depth == MAX_PAREN_DEPTH:
                 raise ParseError("parentheses nested deeper than %d" % MAX_PAREN_DEPTH,
@@ -171,9 +191,7 @@ class _ExprParser:
 
 def _parse_poly(text, variables, field, line_no, col_offset):
     """Parse an expression that starts at column col_offset + 1 of its line."""
-    tokens = _tokenize(text, line_no, col_offset)
-    end_col = tokens[-1][3] + len(tokens[-1][1]) if tokens else col_offset + 1
-    return _ExprParser(tokens, variables, field, line_no, end_col).parse()
+    return _ExprParser(_tokenize(text, line_no, col_offset), variables, field).parse()
 
 
 def parse_document(text, default_field=None):
@@ -197,7 +215,7 @@ def parse_document(text, default_field=None):
         rest = rest.strip()
         at = raw.index(rest, raw.index(head) + len(head))  # 0-based column of rest
         if head == "ring":
-            m = re.fullmatch(r"(?:([A-Za-z][A-Za-z0-9]*)\s*)?\[\s*([A-Za-z0-9_,\s]*)\]", rest)
+            m = _RING.fullmatch(rest)
             if not m:
                 raise ParseError("malformed ring declaration", ln, 1)
             if m.group(1):
@@ -205,30 +223,21 @@ def parse_document(text, default_field=None):
                     field = field_by_name(m.group(1))
                 except ValueError as e:
                     raise ParseError(str(e), ln, 1)
-            ring_names = []
-            col = at + m.start(2) + 1
-            for piece in re.finditer(r"[^,]+", m.group(2)):
-                x = piece.group().strip()
-                if x in ring_names:
-                    lead = len(piece.group()) - len(piece.group().lstrip())
-                    raise ParseError("duplicate ring variable %r" % x,
-                                     ln, col + piece.start() + lead)
-                if x:
-                    ring_names.append(x)
+            ring_names = _name_list(m.group(2), "ring variable", ln, at + m.start(2))
         elif head == "grade":
-            m = re.fullmatch(r"([A-Za-z][A-Za-z0-9]*)\s*=\s*(\d+)", rest)
+            m = _GRADE.fullmatch(rest)
             if not m:
                 raise ParseError("malformed grade declaration", ln, 1)
             grading[m.group(1)] = int(m.group(2))
             grade_at[m.group(1)] = (ln, at + 1)
         elif head == "ideal":
-            m = re.match(r"([A-Za-z][A-Za-z0-9]*)\s*=\s*", rest)
+            m = _IDEAL.match(rest)
             if not m:
                 raise ParseError("malformed ideal declaration", ln, 1)
             ideal_names.append(m.group(1))
             ideals.append((ln, at + m.end(), rest[m.end():]))
         elif head == "module":
-            m = re.fullmatch(r"rank\s+(\d+)", rest)
+            m = _MODULE.fullmatch(rest)
             if not m:
                 raise ParseError("malformed module declaration", ln, 1)
             module_rank = int(m.group(1))
@@ -238,10 +247,10 @@ def parse_document(text, default_field=None):
                 raise ParseError("relation before module declaration", ln, 1)
             module_rows_src.append((ln, at, rest))
         elif head == "morphism":
-            m = re.fullmatch(r"\[\s*([A-Za-z0-9_,\s]*)\]\s*:\s*(.*)", rest)
+            m = _MORPHISM.fullmatch(rest)
             if not m:
                 raise ParseError("malformed morphism declaration", ln, 1)
-            morphism_src = (ln, [x.strip() for x in m.group(1).split(",") if x.strip()],
+            morphism_src = (ln, _name_list(m.group(1), "target variable", ln, at + m.start(1)),
                             at + m.start(2), m.group(2))
         else:
             raise ParseError("unknown declaration %r" % head, ln, 1)
@@ -289,7 +298,7 @@ def parse_document(text, default_field=None):
         tvars = {x: JetVar(x, i, 0) for i, x in enumerate(tgt_names)}
         images = {}
         for piece in _split_commas_toplevel(body):
-            m = re.match(r"\s*([A-Za-z][A-Za-z0-9]*)\s*->\s*", piece)
+            m = _IMAGE.match(piece)
             piece_at, at = at, at + len(piece) + 1  # pieces are separated by one comma
             if not m:
                 raise ParseError("malformed morphism image", ln, 1)
@@ -306,6 +315,20 @@ def parse_document(text, default_field=None):
         morphism = AlgebraMorphism(algebra, tgt, images)
 
     return InputDocument(field, algebra, ideal_names, module, morphism)
+
+
+def _name_list(text, kind, line_no, col_offset):
+    """The names of a ring or morphism target list at column col_offset + 1."""
+    names = []
+    for piece in _NAME_LIST.finditer(text):
+        x = piece.group().strip()
+        if x in names:
+            lead = len(piece.group()) - len(piece.group().lstrip())
+            raise ParseError("duplicate %s %r" % (kind, x), line_no,
+                             col_offset + piece.start() + lead + 1)
+        if x:
+            names.append(x)
+    return names
 
 
 def _split_commas_toplevel(text):

@@ -27,7 +27,7 @@ Two gradings live on a jet presentation: the structural one
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import factorial
 
@@ -221,11 +221,15 @@ class JetPresentation:
     level: int
     source: AlgebraPresentation
     jet_vars: list
-    relations: list
 
     @property
     def field(self):
         return self.source.field
+
+    @cached_property
+    def relations(self):
+        """Relation r is d_i(f_k), (k, i) = divmod(r, level+1); built when read."""
+        return [g for f in self.source.relations for g in hs_components(f, self.level)]
 
     def structural_degree(self, m):
         return grade_monomial(m, "structural")
@@ -244,11 +248,9 @@ class JetPresentation:
 
 
 def jet_presentation(A, n):
-    """Level-n jet presentation of A; relation r is d_i(f_k) with
-    (k, i) = divmod(r, n+1)."""
-    jet_vars = [JetVar(x, l, i) for l, x in enumerate(A.vars) for i in range(n + 1)]
-    relations = [g for f in A.relations for g in hs_components(f, n)]
-    return JetPresentation(n, A, jet_vars, relations)
+    """Level-n jet presentation of A; the relations are built when first read."""
+    return JetPresentation(n, A, [JetVar(x, l, i) for l, x in enumerate(A.vars)
+                                  for i in range(n + 1)])
 
 
 @dataclass

@@ -183,6 +183,11 @@ def test_out_of_range_level_is_usage_error(argv, flag, capsys):
      "line 2, col 13: exponent larger than 1000"),
     pytest.param("ring Q[x]\nideal f = 2*x^%s + 1\n" % ("9" * 5000),
                  "line 2, col 15: exponent larger than 1000", id="exponent-5000-digits"),
+    # a literal longer than dsl.MAX_LITERAL_DIGITS is located at its token
+    pytest.param("ring Q[x]\nideal f = %s*x\n" % ("9" * 5000),
+                 "line 2, col 11: literal longer than 4300 digits", id="coefficient-5000-digits"),
+    pytest.param("ring Q[x]\nideal f = x + 1/%s\n" % ("9" * 5000),
+                 "line 2, col 17: literal longer than 4300 digits", id="denominator-5000-digits"),
 ])
 def test_dsl_errors_are_located(text, located, tmp_path, capsys):
     doc = tmp_path / "bad.jf"

@@ -145,6 +145,16 @@ def test_duplicate_ring_variable_located():
     assert (ei.value.line, ei.value.column) == (2, 18)
 
 
+def test_duplicate_morphism_target_located():
+    with pytest.raises(ParseError) as ei:
+        parse_document("ring Q[x]\nmorphism [u,u] : x -> u\n")
+    assert (ei.value.line, ei.value.column) == (2, 13)
+    assert "duplicate target variable 'u'" in str(ei.value)
+    with pytest.raises(ParseError) as ei:
+        parse_document("ring Q[x,y]\nmorphism [ u , v,u ] : x -> u, y -> v\n")
+    assert (ei.value.line, ei.value.column) == (2, 18)
+
+
 def test_expression_errors_carry_line_columns():
     # token columns count from the start of the line, not of the expression
     cases = [

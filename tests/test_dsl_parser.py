@@ -1,0 +1,160 @@
+"""The expression parser against an independent reference.
+
+A seeded generator writes random expression text and, side by side, builds
+the Poly that text denotes with the public Poly arithmetic; each parse must
+equal its reference.  The error corpus pins the message, line and column of
+malformed inputs, one or more for every place the tokenizer and the
+expression parser raise."""
+
+import random
+
+import pytest
+
+from jetforge.dsl import parse_document
+from jetforge.errors import ParseError, UndeclaredVariable
+from jetforge.poly import JetVar, Poly
+from jetforge.scalars import QQ, PrimeField
+
+FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(2147483647)]
+NAMES = ["x", "y", "z"]
+
+
+class _Generator:
+    """Random expression text and its reference Poly over one field."""
+
+    def __init__(self, rng, field):
+        self.rng = rng
+        self.field = field
+        self.vars = {x: Poly.var(JetVar(x, i, 0), field) for i, x in enumerate(NAMES)}
+
+    def const(self, c):
+        return Poly.constant(c, self.field)
+
+    def expr(self, depth):
+        rng = self.rng
+        sign = rng.choice(["", "", "-", "+"])
+        text, ref = self.term(depth)
+        text, ref = sign + text, -ref if sign == "-" else ref
+        for _ in range(rng.randrange(3)):
+            if rng.random() < 0.2:
+                # a term and its negation cancel
+                t, r = self.term(depth)
+                text, ref = "%s + %s - %s" % (text, t, t), ref + r - r
+                continue
+            op = rng.choice([" + ", " - ", "+", "-"])
+            t, r = self.term(depth)
+            text = text + op + t
+            ref = ref + r if "+" in op else ref - r
+        return text, ref
+
+    def term(self, depth):
+        text, ref = self.factor(depth)
+        for _ in range(self.rng.randrange(3)):
+            t, r = self.factor(depth)
+            text, ref = text + self.rng.choice(["*", " ", " * "]) + t, ref * r
+        return text, ref
+
+    def factor(self, depth):
+        rng = self.rng
+        if rng.random() < 0.1:
+            x = rng.choice(NAMES)
+            if rng.random() < 0.5:
+                return "0*%s" % x, self.const(0)
+            return "%s^0" % x, self.const(1)
+        text, ref = self.atom(depth)
+        if rng.random() < 0.3:
+            e = rng.randrange(4)
+            text, ref = "%s^%d" % (text, e), ref**e
+        return text, ref
+
+    def atom(self, depth):
+        rng = self.rng
+        kind = rng.choice(["num", "ratio", "var", "var", "group" if depth else "var"])
+        if kind == "num":
+            n = rng.randrange(13)
+            return rng.choice(["%d", "0%d"]) % n, self.const(n)
+        if kind == "ratio":
+            a = rng.randrange(13)
+            b = rng.choice([b for b in range(1, 13) if self.field(b)])
+            return "%d/%d" % (a, b), self.const(a) * self.const(self.field.inv(self.field(b)))
+        if kind == "var":
+            x = rng.choice(NAMES)
+            return x, self.vars[x]
+        text, ref = self.expr(depth - 1)
+        return "(%s)" % text, ref
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_parse_matches_reference_poly(field):
+    rng = random.Random("dsl-parser:%s" % field.name)
+    gen = _Generator(rng, field)
+    for _ in range(300):
+        text, ref = gen.expr(2)
+        doc = parse_document("ring %s[%s]\nideal f = %s\n" % (field.name, ",".join(NAMES), text))
+        got = doc.algebra.relations[0]
+        assert got == ref, text
+        assert got.render() == ref.render(), text
+
+
+# Recorded from the parser before it gathered terms as scalar times
+# exponent map; the documents start with "ring Q[x,y]" unless they
+# declare their own ring.
+ERROR_CORPUS = [
+    ('ideal f = x $ 2\n', ParseError, 2, 13, "unexpected character '$'"),
+    ('ideal f = x + é\n', ParseError, 2, 15, "unexpected character 'é'"),
+    ('ideal f = x_1\n', ParseError, 2, 12, "unexpected character '_'"),
+    ('ideal f = 2.5*x\n', ParseError, 2, 12, "unexpected character '.'"),
+    ('module rank 1\nrelation  x*e1 ; y*e1\n', ParseError, 3, 16, "unexpected character ';'"),
+    ('ideal f = x^\n', ParseError, 2, 13, 'unexpected end of expression'),
+    ('ideal f = 1/\n', ParseError, 2, 13, 'unexpected end of expression'),
+    ('ideal f = x*\n', ParseError, 2, 13, 'unexpected end of expression'),
+    ('ideal f = -\n', ParseError, 2, 12, 'unexpected end of expression'),
+    ('ideal f = ((x)\n', ParseError, 2, 15, 'unexpected end of expression'),
+    ('morphism [u] : x -> u, y ->\n', ParseError, 2, 28, 'unexpected end of expression'),
+    ('ideal f = x)\n', ParseError, 2, 12, "trailing input ')'"),
+    ('ideal f = x^2^3\n', ParseError, 2, 14, "trailing input '^'"),
+    ('ideal f = x/2\n', ParseError, 2, 12, "trailing input '/'"),
+    ('ideal f = 1/2/3\n', ParseError, 2, 14, "trailing input '/'"),
+    ('ideal f = x -> y\n', ParseError, 2, 13, "trailing input '->'"),
+    ('ideal f = (x + y) (x - y))\n', ParseError, 2, 26, "trailing input ')'"),
+    ('ideal f = x^y\n', ParseError, 2, 13, 'exponent must be a natural number'),
+    ('ideal f = x^-1\n', ParseError, 2, 13, 'exponent must be a natural number'),
+    ('ideal f = (x + 1)^(2)\n', ParseError, 2, 19, 'exponent must be a natural number'),
+    ('ideal f = (x + 1)^2000\n', ParseError, 2, 19, 'exponent larger than 1000'),
+    ('ideal f = 3^1001 x\n', ParseError, 2, 13, 'exponent larger than 1000'),
+    ('ideal f = 1/x\n', ParseError, 2, 13, 'denominator must be a natural number'),
+    ('ideal f = 1/(2)\n', ParseError, 2, 13, 'denominator must be a natural number'),
+    ('ideal f = 3/-2\n', ParseError, 2, 13, 'denominator must be a natural number'),
+    ('ideal f = y + 1/0\n', ParseError, 2, 17, 'denominator 0 is zero in Q'),
+    ('ring F7[x]\nideal f = x^2 - 5/14\n', ParseError, 2, 19, 'denominator 14 is zero in F7'),
+    ('ring F2[x]\nideal f = 3/2 x\n', ParseError, 2, 13, 'denominator 2 is zero in F2'),
+    ('ring F2147483647[x]\nideal f = 1/2147483647\n', ParseError, 2, 13,
+     'denominator 2147483647 is zero in F2147483647'),
+    ('ideal f = x*z\n', UndeclaredVariable, 2, 13, "undeclared variable 'z'"),
+    ('ideal f = (x + (y - w))\n', UndeclaredVariable, 2, 21, "undeclared variable 'w'"),
+    ('module rank 2\nrelation x*e1 + e3\n', UndeclaredVariable, 3, 17, "undeclared variable 'e3'"),
+    ('morphism [u,v] : x -> u*v, y -> u + w^2\n', UndeclaredVariable, 2, 37,
+     "undeclared variable 'w'"),
+    ('ideal f = x + %s1%s\n' % ("(" * 101, ")" * 101), ParseError, 2, 115,
+     'parentheses nested deeper than 100'),
+    ('ideal f = (x, y)\n', ParseError, 2, 13, "expected ')'"),
+    ('ideal f = (x -> y)\n', ParseError, 2, 14, "expected ')'"),
+    ('ideal f = (1/2/3)\n', ParseError, 2, 15, "expected ')'"),
+    ('ideal f = +-x\n', ParseError, 2, 12, "unexpected token '-'"),
+    ('ideal f = *x\n', ParseError, 2, 11, "unexpected token '*'"),
+    ('ideal f = )\n', ParseError, 2, 11, "unexpected token ')'"),
+    ('ideal f = x + * y\n', ParseError, 2, 15, "unexpected token '*'"),
+    ('ideal f = x^2 + ^3\n', ParseError, 2, 17, "unexpected token '^'"),
+    ('ideal f = -> x\n', ParseError, 2, 11, "unexpected token '->'"),
+    ('module rank 1\nrelation x*e1 + (,)\n', ParseError, 3, 18, "unexpected token ','"),
+]
+
+
+@pytest.mark.parametrize("body, cls, line, column, message", ERROR_CORPUS)
+def test_error_corpus(body, cls, line, column, message):
+    text = body if body.startswith("ring") else "ring Q[x,y]\n" + body
+    with pytest.raises(ParseError) as ei:
+        parse_document(text)
+    assert type(ei.value) is cls
+    assert (ei.value.line, ei.value.column) == (line, column)
+    assert str(ei.value) == "line %d, col %d: %s" % (line, column, message)

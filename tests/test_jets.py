@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from jetforge.errors import BadLevels, MissingGrading, NotABaseElement
 from jetforge.checks import points_agree
+from jetforge.hsmodules import kaehler_presentation
 from jetforge.jets import (AlgebraMorphism, AlgebraPresentation,
                            bigrade_commute_check, bijet_presentation,
                            cotruncation_subset_check, grade_monomial,
@@ -212,6 +214,45 @@ def test_jet_presentation_free_and_level0():
     assert jp.relations == [] and len(jp.jet_vars) == 4
     jp0 = jet_presentation(cusp(), 0)
     assert [g.render() for g in jp0.relations] == ["-x_0^3 + y_0^2"]
+
+
+@pytest.fixture
+def components_log(monkeypatch):
+    """Each polynomial hs_components is called on, rendered, in call order."""
+    from jetforge import hsmodules, jets
+    log = []
+
+    def counted(f, n):
+        log.append(f.render(base_plain=True))
+        return hs_components(f, n)
+
+    monkeypatch.setattr(jets, "hs_components", counted)
+    monkeypatch.setattr(hsmodules, "hs_components", counted)
+    return log
+
+
+@pytest.mark.parametrize("command, computed", [
+    ("module", ["x", "y"]),  # the module entries; not the ideal relation
+    ("morphism", ["u^2", "u^3"]),  # the images; not the ideal relation
+    ("jet", ["-x^3 + y^2"]),
+])
+def test_jet_relations_are_computed_when_read(command, computed, components_log, capsys):
+    from jetforge.cli import main
+    golden = Path(__file__).parent / "golden" / "full.jf"
+    assert main([command, "--n", "3", str(golden)]) == 0
+    capsys.readouterr()
+    assert components_log == computed
+
+
+def test_jet_relations_are_computed_once(components_log):
+    A = AlgebraPresentation(["x", "y"], [P("y", 0) ** 2 - P("x", 0) ** 3, P("x", 0) * P("y", 0)])
+    jp = jet_presentation(A, 3)
+    assert components_log == []
+    first = jp.relations
+    assert len(first) == 8 and jp.relations is first
+    jp.to_json_dict()
+    kaehler_presentation(jp)
+    assert components_log == ["-x^3 + y^2", "x*y"]
 
 
 def test_structural_homogeneity_of_generators():
