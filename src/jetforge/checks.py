@@ -7,10 +7,11 @@ the configured seed and the suite name, and checks an exact polynomial
 identity (``ok``).  Suites that also evaluate both sides at random
 rational points with ``points_agree`` draw those points from ``orng`` and
 return the numeric verdict as ``ok_numeric``; the others return None.  The
-oracle runs on the one integer evaluation kernel that ``Poly.eval`` uses,
-compiles each distinct polynomial once per family, evaluates it once per
-point, and compares the two sides exactly, as integer ratios.  A symbolic
-and a numeric verdict that differ count as an oracle disagreement.
+oracle evaluates both sides at all its points in one call of the
+point-vectorized kernel ``poly._eval_points``, which ``Poly.eval`` also
+calls, and compares them exactly, as integer rows over one denominator per
+point.  A symbolic and a numeric verdict that differ count as an oracle
+disagreement.
 ``detail`` describes a failing instance, including a DSL serialization
 for replay, and is None when the check holds.
 
@@ -35,7 +36,7 @@ from .jets import (AlgebraMorphism, AlgebraPresentation, bigrade_commute_check,
                    cotruncation_subset_check, grade_monomial, hs_components,
                    induced_morphism)
 from .p1 import cocycle_check
-from .poly import JetVar, Monomial, Poly, _compile, _eval_ratio, _powers
+from .poly import JetVar, Monomial, Poly, _eval_points
 from .scalars import QQ
 
 ORACLE_POINTS = 20
@@ -199,42 +200,43 @@ def random_morphism(rng):
     return AlgebraMorphism(src, tgt, images)
 
 
+def _draw_point(rng, nslots):
+    return [(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(nslots)]
+
+
 def points_agree(rng, lhs, rhs):
     """Numeric verdict: the polynomial families lhs and rhs (sequences of
-    Polys over Q) agree termwise at ORACLE_POINTS random rational points
-    drawn from rng.
+    Polys over Q, of one length) agree termwise at ORACLE_POINTS random
+    rational points drawn from rng.
 
     Each coordinate is drawn as a numerator in -9..9 and a denominator in
-    1..5, variable by variable in sort order, and the variable's slot is
-    its place in that order.  Every distinct polynomial object is compiled
-    once per family (``_compile``); at each point the power lists are built
-    once for the whole family, every compiled polynomial is evaluated once
-    with the integer kernel of ``Poly.eval``, and each pair is compared
-    exactly by cross-multiplication."""
-    distinct = {}
+    1..5, point by point and variable by variable in sort order, and the
+    variable's slot is its place in that order.  One call of the kernel
+    ``_eval_points`` evaluates every distinct polynomial object at all the
+    points over one denominator per point, so each pair is compared as
+    integer rows.  On a disagreement rng is left as if the draws had
+    stopped after the first point where some pair differs."""
+    distinct = {}  # pair by pair, so the kernel drops a monomial after its last pair
     variables = set()
-    for p in chain(lhs, rhs):
+    for p in chain.from_iterable(zip(lhs, rhs, strict=True)):
         if p.field != QQ:
             raise FieldMismatch("the point oracle evaluates over Q, not %r" % (p.field,))
         if id(p) not in distinct:
             distinct[id(p)] = p.terms
-            variables.update(p.vars())
+            variables.update([v for m in p.terms for v, _ in m.exps])
     slots = {v: s for s, v in enumerate(sorted(variables, key=JetVar.sort_key))}
-    top = max((e for terms in distinct.values() for m in terms for _, e in m.exps), default=0)
-    compiled = {k: _compile(terms, slots) for k, terms in distinct.items()}
     pairs = [(id(a), id(b)) for a, b in zip(lhs, rhs)]
-    for _ in range(ORACLE_POINTS):
-        nums, dens = [], []
-        for _ in slots:
-            nums.append(_powers(rng.randint(-9, 9), top))
-            dens.append(_powers(rng.randint(1, 5), top))
-        values = {k: _eval_ratio(rows, nums, dens) for k, rows in compiled.items()}
-        for a, b in pairs:
-            na, da = values[a]
-            nb, db = values[b]
-            if na * db != nb * da:
-                return False
-    return True
+    start = rng.getstate()
+    points = [_draw_point(rng, len(slots)) for _ in range(ORACLE_POINTS)]
+    rows = dict(zip(distinct, _eval_points(list(distinct.values()), slots, points)[0]))
+    firsts = [next(k for k, (x, y) in enumerate(zip(rows[a], rows[b])) if x != y)
+              for a, b in pairs if rows[a] != rows[b]]
+    if not firsts:
+        return True
+    rng.setstate(start)
+    for _ in range(min(firsts) + 1):
+        _draw_point(rng, len(slots))
+    return False
 
 
 # ---------------------------------------------------------------------------

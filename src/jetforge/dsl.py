@@ -39,6 +39,7 @@ MAX_PAREN_DEPTH = 100
 MAX_EXPONENT = 1000
 # int() refuses longer digit strings (sys.get_int_max_str_digits()).
 MAX_LITERAL_DIGITS = 4300
+_TOO_LONG = "literal longer than %d digits" % MAX_LITERAL_DIGITS
 
 _TOKEN = re.compile(r"\s*(?:(?P<arrow>->)|(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
                     r"|(?P<op>[-+*/^(),])|(?P<bad>\S))")
@@ -157,15 +158,14 @@ class _ExprParser:
         """A field scalar, a JetVar or a parenthesized Poly."""
         tok = self.take()
         if tok[0] == "num":
-            too_long = "literal longer than %d digits" % MAX_LITERAL_DIGITS
-            num = _natural(tok, MAX_LITERAL_DIGITS, too_long)
+            num = _natural(tok, MAX_LITERAL_DIGITS, _TOO_LONG)
             if self.peek()[1] != "/":
                 return self.field.coerce(num)
             self.take()
             dtok = self.take()
             if dtok[0] != "num":
                 raise ParseError("denominator must be a natural number", dtok[2], dtok[3])
-            den = _natural(dtok, MAX_LITERAL_DIGITS, too_long)
+            den = _natural(dtok, MAX_LITERAL_DIGITS, _TOO_LONG)
             if not self.field(den):
                 raise ParseError("denominator %s is zero in %s" % (dtok[1], self.field.name),
                                  dtok[2], dtok[3])
@@ -219,6 +219,9 @@ def parse_document(text, default_field=None):
             if not m:
                 raise ParseError("malformed ring declaration", ln, 1)
             if m.group(1):
+                if len(m.group(1)) > MAX_LITERAL_DIGITS:
+                    raise ParseError("field name longer than %d characters" % MAX_LITERAL_DIGITS,
+                                     ln, at + m.start(1) + 1)
                 try:
                     field = field_by_name(m.group(1))
                 except ValueError as e:
@@ -228,7 +231,8 @@ def parse_document(text, default_field=None):
             m = _GRADE.fullmatch(rest)
             if not m:
                 raise ParseError("malformed grade declaration", ln, 1)
-            grading[m.group(1)] = int(m.group(2))
+            grading[m.group(1)] = _natural(("num", m.group(2), ln, at + m.start(2) + 1),
+                                           MAX_LITERAL_DIGITS, _TOO_LONG)
             grade_at[m.group(1)] = (ln, at + 1)
         elif head == "ideal":
             m = _IDEAL.match(rest)
@@ -240,8 +244,8 @@ def parse_document(text, default_field=None):
             m = _MODULE.fullmatch(rest)
             if not m:
                 raise ParseError("malformed module declaration", ln, 1)
-            module_rank = int(m.group(1))
             module_at = (ln, at + m.start(1) + 1)
+            module_rank = _natural(("num", m.group(1)) + module_at, MAX_LITERAL_DIGITS, _TOO_LONG)
         elif head == "relation":
             if module_rank is None:
                 raise ParseError("relation before module declaration", ln, 1)

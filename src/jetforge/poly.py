@@ -189,42 +189,59 @@ def binary_power(base, e, one):
     return out
 
 
-def _compile(terms, slots):
-    """The rows ``(num, den, ((slot, e), ...))`` of a term dict, one per
-    term: the coefficient's ``as_integer_ratio`` and the monomial with each
-    variable replaced by its slot, ``slots[v]``."""
-    return [c.as_integer_ratio() + (tuple([(slots[v], e) for v, e in m.exps]),)
-            for m, c in terms.items()]
+def _eval_points(term_dicts, slots, points):
+    """The values of a family of term dicts at a list of points, as integer
+    rows over one denominator per point: ``(rows, dens)``, where
+    ``rows[i][k] / dens[k]`` is term_dicts[i] at points[k], dens[k] > 0.
 
-
-def _powers(b, top):
-    """[1, b, b^2, ..., b^top]."""
-    out = [1]
+    A point gives slot ``slots[v]``, numbered from 0, of each variable v an
+    integer pair (num, den), den > 0; coefficients are read through
+    ``as_integer_ratio``.
+    dens[k] is S * L_k^K, where L_k is the lcm of point k's denominators, K
+    the family's largest degree and S the lcm of its coefficient
+    denominators.  A coefficient p/q then contributes the integer
+    p * (S // q), and a monomial of degree deg is L_k^(K - deg) times powers
+    of the integers num * (L_k // den); no division is left.  Each distinct
+    monomial is computed once, as a list over the points, and dropped after
+    its last use; every product and sum is one comprehension over all the
+    points."""
+    ells = [lcm(*[d for _, d in point]) for point in points]
+    powers = [[None, [point[s][0] * (ell // point[s][1]) for point, ell in zip(points, ells)]]
+              for s in range(len(slots))]  # powers[s][e]: slot s to the e, per point
+    index = {}  # monomial -> its place among the family's distinct monomials
+    tagged = [[(index.setdefault(m, len(index)), c) for m, c in terms.items()]
+              for terms in term_dicts]
+    uses = [0] * len(index)
+    for terms in tagged:
+        for i, _ in terms:
+            uses[i] += 1
+    degrees = [sum([e for _, e in m.exps]) for m in index]
+    top = max(degrees, default=0)
+    ell_powers = [[1] * len(points)]
     for _ in range(top):
-        out.append(out[-1] * b)
-    return out
-
-
-def _eval_ratio(rows, nums, dens):
-    """The value of compiled rows at a point as an integer pair (num, den),
-    den > 0, not reduced.
-
-    Slot s holds the value n/d, d > 0, as the power lists
-    ``nums[s] = [1, n, n^2, ...]`` and ``dens[s] = [1, d, d^2, ...]``
-    (``_powers``), long enough for every exponent the rows give s.  Each
-    row is its coefficient ratio times looked-up powers, all on integers,
-    and the rows are summed over their least common denominator; no rows
-    give (0, 1)."""
-    tnums = []
-    tdens = []
-    for num, den, factors in rows:
-        for s, e in factors:
-            num *= nums[s][e]
-            den *= dens[s][e]
-        tnums.append(num)
-        tdens.append(den)
-    common = lcm(*tdens)
-    return sum(n * (common // d) for n, d in zip(tnums, tdens)), common
+        ell_powers.append([a * b for a, b in zip(ell_powers[-1], ells)])
+    scale = lcm(*{c.as_integer_ratio()[1] for terms in term_dicts for c in terms.values()})
+    monomials = list(index)
+    values = [None] * len(index)  # a monomial's list over the points, until its last use
+    rows = []
+    for terms in tagged:
+        row = [0] * len(points)
+        for i, c in terms:
+            value = values[i]
+            if value is None:
+                value = ell_powers[top - degrees[i]]
+                for v, e in monomials[i].exps:
+                    column = powers[slots[v]]
+                    while len(column) <= e:
+                        column.append([a * b for a, b in zip(column[-1], column[1])])
+                    value = [a * b for a, b in zip(value, column[e])]
+            uses[i] -= 1
+            values[i] = value if uses[i] else None
+            p, q = c.as_integer_ratio()
+            c = p * (scale // q)
+            row = [r + c * x for r, x in zip(row, value)]
+        rows.append(row)
+    return rows, [scale * x for x in ell_powers[top]]
 
 
 _LAST = ((float("inf"),), 0)  # after every (variable key, -exponent) pair
@@ -380,25 +397,21 @@ class Poly:
 
         The variables get slots in the order the terms first use them, and
         their values are read through the ``as_integer_ratio`` view; the
-        first variable without a value raises ``UnboundVariable``.  The
-        terms are compiled once (``_compile``) and ``_eval_ratio`` does the
-        arithmetic on integers; one field scalar is made at the end."""
+        first variable without a value raises ``UnboundVariable``.  This is
+        a one-point call of the family kernel ``_eval_points``; one field
+        scalar is made at the end."""
         field = self.field
         slots = {}
-        values = []
-        top = 0
+        point = []
         for m in self.terms:
-            for v, e in m.exps:
-                if e > top:
-                    top = e
+            for v, _ in m.exps:
                 if v not in slots:
                     if v not in assignment:
                         raise UnboundVariable("no value for %s" % v)
-                    slots[v] = len(values)
-                    values.append(field.coerce(assignment[v]).as_integer_ratio())
-        nums = [_powers(n, top) for n, _ in values]
-        dens = [_powers(d, top) for _, d in values]
-        return field.from_ratio(*_eval_ratio(_compile(self.terms, slots), nums, dens))
+                    slots[v] = len(point)
+                    point.append(field.coerce(assignment[v]).as_integer_ratio())
+        ((num,),), (den,) = _eval_points([self.terms], slots, [point])
+        return field.from_ratio(num, den)
 
     def substitute(self, mapping):
         """Replace variables by polynomials; unmapped variables stay."""

@@ -92,6 +92,16 @@ def _rational(q):
     return q.numerator if q.denominator == 1 else q
 
 
+def _decimal(n):
+    """str(n) for an int of any length, converted 1000 digits at a time."""
+    chunks = []
+    rest = abs(n)
+    while rest >= 10 ** 1000:
+        rest, low = divmod(rest, 10 ** 1000)
+        chunks.append("%01000d" % low)
+    return "-" * (n < 0) + str(rest) + "".join(reversed(chunks))
+
+
 class Rationals:
     """The field Q; scalars are int when integral and Fraction otherwise."""
 
@@ -129,9 +139,14 @@ class Rationals:
         return _rational(Fraction(num, den))
 
     def render(self, c):
-        if c.denominator == 1:
-            return str(c.numerator)
-        return "%d/%d" % (c.numerator, c.denominator)
+        try:
+            if c.denominator == 1:
+                return str(c.numerator)
+            return "%d/%d" % (c.numerator, c.denominator)
+        except ValueError:  # longer than int's string limit (sys.get_int_max_str_digits())
+            if c.denominator == 1:
+                return _decimal(c.numerator)
+            return "%s/%s" % (_decimal(c.numerator), _decimal(c.denominator))
 
     def __eq__(self, other):
         return isinstance(other, Rationals)

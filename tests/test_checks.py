@@ -166,6 +166,16 @@ def test_points_agree_matches_fraction_reference(monkeypatch):
     assert later >= 4
 
 
+def test_points_agree_rejects_families_of_different_lengths():
+    x = Poly.var(JetVar("x", 0, 0))
+    rng = random.Random(0)
+    start = rng.getstate()
+    for lhs, rhs in (([x, x], [x]), ([x], [x, x + 1]), ([], [x])):
+        with pytest.raises(ValueError):
+            points_agree(rng, lhs, rhs)
+    assert rng.getstate() == start  # no point is drawn for a mismatched pair of families
+
+
 def test_points_agree_rejects_prime_fields():
     f7 = PrimeField(7)
     x7 = Poly.var(JetVar("x", 0, 0), f7)

@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,6 +111,28 @@ def test_check_command_small(capsys):
     assert "overall: PASS" in out
 
 
+@pytest.mark.parametrize("seed", [42, 7])
+def test_check_golden(seed, capsys, monkeypatch):
+    """The full check report, text and JSON, with the timings masked: pins
+    every suite's verdict and the oracle's agreement counts."""
+    reports = {}
+
+    def run_once(config):  # one run serves both formats
+        if config.seed not in reports:
+            reports[config.seed] = run_suite(config)
+        return reports[config.seed]
+
+    run_suite = cli.run_suite
+    monkeypatch.setattr(cli, "run_suite", run_once)
+    code, text, _ = run(capsys, "check", "--seed", str(seed))
+    code_json, js, _ = run(capsys, "check", "--seed", str(seed), "--format", "json")
+    assert code == code_json == 0
+    assert re.sub(r"\d+\.\d\ds\)$", "X.XXs)", text, flags=re.M) == (
+        GOLDEN / ("check_seed%d.txt" % seed)).read_text()
+    assert re.sub(r'"seconds": [0-9.e-]+', '"seconds": null', js) == (
+        GOLDEN / ("check_seed%d.json" % seed)).read_text()
+
+
 def test_check_unknown_suite(capsys):
     code, _, err = run(capsys, "check", "--suite", "nosuch", "--trials", "1")
     assert code == 2
@@ -188,6 +212,14 @@ def test_out_of_range_level_is_usage_error(argv, flag, capsys):
                  "line 2, col 11: literal longer than 4300 digits", id="coefficient-5000-digits"),
     pytest.param("ring Q[x]\nideal f = x + 1/%s\n" % ("9" * 5000),
                  "line 2, col 17: literal longer than 4300 digits", id="denominator-5000-digits"),
+    # so are the numbers of the grade and module declarations, and a field
+    # name too long for int() is located at the name
+    pytest.param("ring Q[x]\ngrade x = %s\n" % ("9" * 5000),
+                 "line 2, col 11: literal longer than 4300 digits", id="grade-5000-digits"),
+    pytest.param("ring Q[x]\nmodule rank %s\n" % ("9" * 5000),
+                 "line 2, col 13: literal longer than 4300 digits", id="module-rank-5000-digits"),
+    pytest.param("ring F%s[x]\nideal f = x\n" % ("9" * 5001),
+                 "line 1, col 6: field name longer than 4300 characters", id="field-5001-digits"),
 ])
 def test_dsl_errors_are_located(text, located, tmp_path, capsys):
     doc = tmp_path / "bad.jf"
@@ -205,6 +237,25 @@ def test_dsl_errors_are_located(text, located, tmp_path, capsys):
 def test_missing_declaration_is_error(argv, missing, capsys):
     code, out, err = run(capsys, *argv, str(GOLDEN / "cusp.jf"))
     assert (code, out, err) == (2, "", "error: document declares no %s\n" % missing)
+
+
+def test_coefficient_longer_than_int_string_limit_prints(tmp_path, capsys):
+    """99999^1000 has 5000 digits, more than int() converts to a string by
+    default; the coefficient is printed in full."""
+    doc = tmp_path / "big.jf"
+    doc.write_text("ring Q[x]\nideal f = 99999^1000*x\n")
+    code, out, err = run(capsys, "jet", "--n", "0", str(doc))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        coefficient = str(99999 ** 1000)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert len(coefficient) == 5000
+    assert (code, err) == (0, "")
+    assert out == "level 0\nvars x_0\nrelation f.0 = %s*x_0\n" % coefficient
 
 
 def test_paren_depth_100_parses(tmp_path, capsys):

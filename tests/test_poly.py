@@ -7,7 +7,7 @@ import pytest
 
 from jetforge.errors import DivisionByZero, FieldMismatch, UnboundVariable
 from jetforge.jets import hs_components
-from jetforge.poly import JetVar, Monomial, Poly
+from jetforge.poly import UNIT, JetVar, Monomial, Poly, _eval_points
 from jetforge.scalars import QQ, Fp, PrimeField, is_prime
 from oracles import naive_eval
 
@@ -193,6 +193,68 @@ def test_eval_matches_naive_oracle():
                     pt = _random_point(rng, p.vars()[:-1], field)
                     with pytest.raises(UnboundVariable):
                         p.eval(pt)
+
+
+def _kernel_family(rng, variables, coefficient):
+    """Term dicts over variables: random ones, a zero and a constant, and
+    one monomial shared by several of them."""
+    shared = Monomial({v: 2 for v in variables[:2]})
+    family = [{}, {UNIT: coefficient()}]
+    for _ in range(rng.randint(1, 6)):
+        terms = {Monomial({v: rng.randint(0, 3) for v in variables}): coefficient()
+                 for _ in range(rng.randint(0, 5))}
+        if rng.random() < 0.5:
+            terms[shared] = coefficient()
+        family.append(terms)
+    rng.shuffle(family)
+    return family
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7), PrimeField(2147483647)],
+                         ids=lambda f: f.name)
+def test_eval_points_matches_reference(field):
+    """``_eval_points`` and ``Poly.eval`` against Fraction arithmetic over Q
+    and against residues mod p over F_p, family by family."""
+    rng = random.Random(20261018)
+    for _ in range(40):
+        variables = [JetVar(x, i, rng.randint(0, 2)) for i, x in enumerate("xyz")]
+        variables = variables[:rng.randint(0, 3)]  # sometimes no variables at all
+        if field is QQ:
+            def coefficient():
+                return QQ(Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 12)))
+
+            def coordinate():
+                return rng.randint(-9, 9), rng.randint(1, 8)
+        else:
+            def coefficient():
+                return field(rng.randrange(1, field.p) if field.p > 2 else 1)
+
+            def coordinate():
+                return rng.randrange(field.p), 1
+        family = _kernel_family(rng, variables, coefficient)
+        slots = {v: s for s, v in enumerate(variables)}
+        points = [[coordinate() for _ in variables] for _ in range(rng.randint(1, 20))]
+        rows, dens = _eval_points(family, slots, points)
+        assert len(rows) == len(family) and len(dens) == len(points)
+        assert all(d > 0 for d in dens)
+        for terms, row in zip(family, rows):
+            for point, value, den in zip(points, row, dens):
+                p = Poly(field, terms)
+                want = naive_eval(p, {v: Fraction(*point[s]) for v, s in slots.items()})
+                got = p.eval({v: field.from_ratio(*point[s]) for v, s in slots.items()})
+                if field is QQ:
+                    assert Fraction(value, den) == want == got
+                else:
+                    assert want.denominator == 1 and den % field.p
+                    assert field.from_ratio(value, den) == field(want.numerator) == got
+
+
+def test_eval_names_the_first_unbound_variable():
+    f = P(Y) ** 3 + P(X) * P(Y)
+    with pytest.raises(UnboundVariable, match="^no value for x_0$"):
+        f.eval({Y: 1})
+    with pytest.raises(UnboundVariable, match="^no value for y_0$"):
+        f.eval({X: 1})
 
 
 def test_is_prime_matches_sieve_and_trial_division():
