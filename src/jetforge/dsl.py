@@ -10,8 +10,12 @@ Example document::
     relation x*e1 + y*e2
     morphism [u] : x -> u^2, y -> u^3
 
-Only base variables appear in input; jet orders exist only in output.
-A parsed document round-trips through the canonical printer.
+Every line, declarations included, is read from one token stream, so
+tokens may be separated by any whitespace and every error names its line
+and column.  The ring, module and morphism are declared at most once, and
+so are the grade of a variable and the name of an ideal.  Only base
+variables appear in input; jet orders exist only in output.  A parsed
+document round-trips through the canonical printer.
 """
 
 import re
@@ -41,28 +45,22 @@ MAX_EXPONENT = 1000
 MAX_LITERAL_DIGITS = 4300
 _TOO_LONG = "literal longer than %d digits" % MAX_LITERAL_DIGITS
 
-_TOKEN = re.compile(r"\s*(?:(?P<arrow>->)|(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
-                    r"|(?P<op>[-+*/^(),])|(?P<bad>\S))")
-_NAME_LIST = re.compile(r"[^,]+")
-_RING = re.compile(r"(?:([A-Za-z][A-Za-z0-9]*)\s*)?\[\s*([A-Za-z0-9_,\s]*)\]")
-_GRADE = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*=\s*(\d+)")
-_IDEAL = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*=\s*")
-_MODULE = re.compile(r"rank\s+(\d+)")
-_MORPHISM = re.compile(r"\[\s*([A-Za-z0-9_,\s]*)\]\s*:\s*(.*)")
-_IMAGE = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*)\s*->\s*")
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
+                    r"|(?P<op>->|[-+*/^(),\[\]:=])|(?P<bad>\S))")
+_KINDS = {"name": "a name", "num": "a natural number"}
 
 
-def _tokenize(text, line_no, col_offset):
+def _tokenize(text, line_no):
     """Tokens (kind, text, line, column) and an "end" token just past them."""
     tokens = []
     end = 0
     for m in _TOKEN.finditer(text):
         kind, end = m.lastgroup, m.end()
-        col = col_offset + m.start(kind) + 1
+        col = m.start(kind) + 1
         if kind == "bad":
             raise ParseError("unexpected character %r" % m.group(kind), line_no, col)
         tokens.append((kind, m.group(kind), line_no, col))
-    tokens.append(("end", "", line_no, col_offset + end + 1))
+    tokens.append(("end", "", line_no, end + 1))
     return tokens
 
 
@@ -74,17 +72,19 @@ def _natural(tok, most_digits, message):
     return int(digits)
 
 
-class _ExprParser:
-    """Recursive-descent parser for polynomial expressions.  A term is one
-    field scalar times one {JetVar: exponent} map; only parenthesized
-    factors become Polys.  An expression adds its terms into one dict."""
+class _Parser:
+    """A cursor over the tokens of one line.  Declarations are read with
+    expect, skip, names and finish; expressions by recursive descent, where
+    a term is one field scalar times one {JetVar: exponent} map and only
+    parenthesized factors become Polys.  An expression adds its terms into
+    one dict and stops at the first token that cannot continue it."""
 
-    def __init__(self, tokens, variables, field):
+    def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0  # parentheses open at the current position
-        self.variables = variables  # name -> JetVar
-        self.field = field
+        self.variables = None  # name -> JetVar, bound by poly()
+        self.field = None
 
     def peek(self):
         return self.tokens[self.pos]
@@ -96,12 +96,47 @@ class _ExprParser:
         self.pos += 1
         return tok
 
-    def parse(self):
-        p = self.expr()
+    def expect(self, want):
+        """Take the next token if its kind ("name", "num") or, for any other
+        want, its text is want; otherwise raise at that token."""
+        tok = self.tokens[self.pos]
+        if tok[0 if want in _KINDS else 1] != want:
+            raise ParseError("expected %s" % _KINDS.get(want, repr(want)), tok[2], tok[3])
+        self.pos += 1
+        return tok
+
+    def skip(self, text):
+        """Take the next token if its text is text; say whether it was."""
+        if self.tokens[self.pos][1] != text:
+            return False
+        self.pos += 1
+        return True
+
+    def names(self, kind):
+        """A bracketed list of distinct names, possibly empty."""
+        self.expect("[")
+        names = []
+        while not self.skip("]"):
+            if names:
+                self.expect(",")
+            tok = self.expect("name")
+            if tok[1] in names:
+                raise ParseError("duplicate %s %r" % (kind, tok[1]), tok[2], tok[3])
+            names.append(tok[1])
+        return names
+
+    def finish(self):
+        """The end token; anything before it is trailing input."""
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError("trailing input %r" % tok[1], tok[2], tok[3])
-        return p
+        return tok
+
+    def poly(self, variables, field):
+        """The expression at the cursor, over variables (name -> JetVar)."""
+        self.variables = variables
+        self.field = field
+        return self.expr()
 
     def expr(self):
         terms = {}
@@ -127,9 +162,7 @@ class _ExprParser:
             else:
                 c = c * (a if e == 1 else a**e)
             tok = self.peek()
-            if tok[1] == "*":
-                self.take()
-            elif tok[0] not in ("num", "name") and tok[1] != "(":
+            if not self.skip("*") and tok[0] not in ("num", "name") and tok[1] != "(":
                 break
         m = Monomial(exps)
         items = ((m, c),) if group is None else (group * _poly(self.field, {m: c})).terms.items()
@@ -142,9 +175,8 @@ class _ExprParser:
                 terms.pop(key, None)
 
     def exponent(self):
-        if self.peek()[1] != "^":
+        if not self.skip("^"):
             return 1
-        self.take()
         etok = self.take()
         if etok[0] != "num":
             raise ParseError("exponent must be a natural number", etok[2], etok[3])
@@ -159,9 +191,8 @@ class _ExprParser:
         tok = self.take()
         if tok[0] == "num":
             num = _natural(tok, MAX_LITERAL_DIGITS, _TOO_LONG)
-            if self.peek()[1] != "/":
+            if not self.skip("/"):
                 return self.field.coerce(num)
-            self.take()
             dtok = self.take()
             if dtok[0] != "num":
                 raise ParseError("denominator must be a natural number", dtok[2], dtok[3])
@@ -189,169 +220,134 @@ class _ExprParser:
         raise ParseError("unexpected token %r" % tok[1], tok[2], tok[3])
 
 
-def _parse_poly(text, variables, field, line_no, col_offset):
-    """Parse an expression that starts at column col_offset + 1 of its line."""
-    return _ExprParser(_tokenize(text, line_no, col_offset), variables, field).parse()
-
-
 def parse_document(text, default_field=None):
-    """Parse a DSL document into presentations; diagnostics carry line/col."""
+    """Parse a DSL document into presentations; diagnostics carry line/col.
+
+    The first pass reads the syntax of every declaration; expressions are
+    parsed in a second pass, once the ring, and so the field and the
+    variables, is known."""
     field = default_field or QQ
-    ring_names = None
-    grading = {}
-    grade_at = {}  # name -> (line, column) of its last grade declaration
-    ideals = []
-    ideal_names = []
-    module_rank = None
-    module_rows_src = []
-    morphism_src = None
+    once = {}  # "ring", "module", "morphism" -> what its one line declares
+    grades = {}  # name -> (degree, name token)
+    ideals = {}  # name -> parser at its expression
+    relations = []  # parsers at module relation expressions
 
     lines = text.splitlines()
     for ln, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        p = _Parser(_tokenize(raw.split("#", 1)[0], ln))
+        if p.peek()[0] == "end":
             continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        at = raw.index(rest, raw.index(head) + len(head))  # 0-based column of rest
-        if head == "ring":
-            m = _RING.fullmatch(rest)
-            if not m:
-                raise ParseError("malformed ring declaration", ln, 1)
-            if m.group(1):
-                if len(m.group(1)) > MAX_LITERAL_DIGITS:
+        head = p.take()
+        kw = head[1]
+        if kw in once:
+            raise ParseError("duplicate %s declaration" % kw, head[2], head[3])
+        if kw == "ring":
+            if p.peek()[0] == "name":
+                tok = p.take()
+                if len(tok[1]) > MAX_LITERAL_DIGITS:
                     raise ParseError("field name longer than %d characters" % MAX_LITERAL_DIGITS,
-                                     ln, at + m.start(1) + 1)
+                                     tok[2], tok[3])
                 try:
-                    field = field_by_name(m.group(1))
+                    field = field_by_name(tok[1])
                 except ValueError as e:
-                    raise ParseError(str(e), ln, 1)
-            ring_names = _name_list(m.group(2), "ring variable", ln, at + m.start(2))
-        elif head == "grade":
-            m = _GRADE.fullmatch(rest)
-            if not m:
-                raise ParseError("malformed grade declaration", ln, 1)
-            grading[m.group(1)] = _natural(("num", m.group(2), ln, at + m.start(2) + 1),
-                                           MAX_LITERAL_DIGITS, _TOO_LONG)
-            grade_at[m.group(1)] = (ln, at + 1)
-        elif head == "ideal":
-            m = _IDEAL.match(rest)
-            if not m:
-                raise ParseError("malformed ideal declaration", ln, 1)
-            ideal_names.append(m.group(1))
-            ideals.append((ln, at + m.end(), rest[m.end():]))
-        elif head == "module":
-            m = _MODULE.fullmatch(rest)
-            if not m:
-                raise ParseError("malformed module declaration", ln, 1)
-            module_at = (ln, at + m.start(1) + 1)
-            module_rank = _natural(("num", m.group(1)) + module_at, MAX_LITERAL_DIGITS, _TOO_LONG)
-        elif head == "relation":
-            if module_rank is None:
-                raise ParseError("relation before module declaration", ln, 1)
-            module_rows_src.append((ln, at, rest))
-        elif head == "morphism":
-            m = _MORPHISM.fullmatch(rest)
-            if not m:
-                raise ParseError("malformed morphism declaration", ln, 1)
-            morphism_src = (ln, _name_list(m.group(1), "target variable", ln, at + m.start(1)),
-                            at + m.start(2), m.group(2))
+                    raise ParseError(str(e), tok[2], tok[3])
+            once[kw] = p.names("ring variable")
+        elif kw == "grade":
+            tok = p.expect("name")
+            if tok[1] in grades:
+                raise ParseError("duplicate grade for %r" % tok[1], tok[2], tok[3])
+            p.expect("=")
+            grades[tok[1]] = (_natural(p.expect("num"), MAX_LITERAL_DIGITS, _TOO_LONG), tok)
+        elif kw == "ideal":
+            tok = p.expect("name")
+            if tok[1] in ideals:
+                raise ParseError("duplicate ideal name %r" % tok[1], tok[2], tok[3])
+            p.expect("=")
+            ideals[tok[1]] = p
+            continue
+        elif kw == "module":
+            p.expect("rank")
+            tok = p.expect("num")
+            once[kw] = (_natural(tok, MAX_LITERAL_DIGITS, _TOO_LONG), tok)
+        elif kw == "relation":
+            if "module" not in once:
+                raise ParseError("relation before module declaration", head[2], head[3])
+            relations.append(p)
+            continue
+        elif kw == "morphism":
+            names = p.names("target variable")
+            p.expect(":")
+            once[kw] = (names, p)
+            continue
         else:
-            raise ParseError("unknown declaration %r" % head, ln, 1)
+            raise ParseError("unknown declaration %r" % kw, head[2], head[3])
+        p.finish()
 
-    if ring_names is None:
+    if "ring" not in once:
         raise ParseError("missing ring declaration", len(lines) or 1, 1)
-    for x in grading:
+    ring_names = once["ring"]
+    for x, (_, tok) in grades.items():
         if x not in ring_names:
-            raise ParseError("grade for undeclared variable %r" % x, *grade_at[x])
+            raise ParseError("grade for undeclared variable %r" % x, tok[2], tok[3])
 
     base = {x: JetVar(x, i, 0) for i, x in enumerate(ring_names)}
-    relations = []
-    full_grading = ({x: grading.get(x, 0) for x in ring_names} if grading else None)
-    for ln, at, src in ideals:
-        p = _parse_poly(src, base, field, ln, at)
-        if full_grading is not None and not p.is_zero():
-            degs = {m.weighted_degree(lambda v: full_grading[v.name]) for m in p.terms}
-            if len(degs) != 1:
-                raise InhomogeneousRelation(
-                    "line %d: relation is not homogeneous for the declared grading" % ln)
-        relations.append(p)
-    algebra = AlgebraPresentation(list(ring_names), relations, full_grading, field)
+    grading = {x: grades[x][0] if x in grades else 0 for x in ring_names} if grades else None
+    # built without relations: each ideal is checked once, here, where its column is known
+    algebra = AlgebraPresentation(ring_names, [], grading, field)
+    for p in ideals.values():
+        at = p.peek()
+        f = p.poly(base, field)
+        p.finish()
+        if grading is not None and not f.is_zero() and algebra.homogeneous_degree(f) is None:
+            raise InhomogeneousRelation(
+                "relation is not homogeneous for the declared grading", at[2], at[3])
+        algebra.relations.append(f)
 
     module = None
-    if module_rank is not None:
-        symbols = module_symbols(len(ring_names), module_rank, 0)
+    if "module" in once:
+        rank, tok = once["module"]
+        symbols = module_symbols(len(ring_names), rank, 0)
         for e in symbols:
             if e.name in base:
-                raise ParseError("module symbol %r is also a ring variable" % e.name, *module_at)
+                raise ParseError("module symbol %r is also a ring variable" % e.name,
+                                 tok[2], tok[3])
         scope = dict(base)
         scope.update((e.name, e) for e in symbols)
         rows = []
-        for ln, at, src in module_rows_src:
-            row = linear_form(_parse_poly(src, scope, field, ln, at), symbols)
+        for p in relations:
+            at = p.peek()
+            row = linear_form(p.poly(scope, field), symbols)
+            p.finish()
             if row is None:
-                raise ParseError("module relation must be linear in e1..e%d"
-                                 % module_rank, ln, at + 1)
+                raise ParseError("module relation must be linear in e1..e%d" % rank,
+                                 at[2], at[3])
             rows.append(row)
-        module = ModulePresentation(algebra, module_rank, rows)
+        module = ModulePresentation(algebra, rank, rows)
 
     morphism = None
-    if morphism_src is not None:
-        ln, tgt_names, at, body = morphism_src
-        tgt = AlgebraPresentation(tgt_names, [], None, field)
+    if "morphism" in once:
+        tgt_names, p = once["morphism"]
         tvars = {x: JetVar(x, i, 0) for i, x in enumerate(tgt_names)}
         images = {}
-        for piece in _split_commas_toplevel(body):
-            m = _IMAGE.match(piece)
-            piece_at, at = at, at + len(piece) + 1  # pieces are separated by one comma
-            if not m:
-                raise ParseError("malformed morphism image", ln, 1)
-            name = m.group(1)
-            if name not in base:
-                raise UndeclaredVariable("undeclared variable %r" % name, ln, 1)
-            if base[name] in images:
-                raise ParseError("duplicate image for %r" % name, ln, piece_at + m.start(1) + 1)
-            images[base[name]] = _parse_poly(piece[m.end():], tvars, field, ln,
-                                             piece_at + m.end())
+        more = p.peek()[0] != "end"  # a ring without variables has no images
+        while more:
+            tok = p.expect("name")
+            v = base.get(tok[1])
+            if v is None:
+                raise UndeclaredVariable("undeclared variable %r" % tok[1], tok[2], tok[3])
+            if v in images:
+                raise ParseError("duplicate image for %r" % tok[1], tok[2], tok[3])
+            p.expect("->")
+            images[v] = p.poly(tvars, field)
+            more = p.skip(",")
+        end = p.finish()
         for v in base.values():
             if v not in images:
-                raise ParseError("morphism misses image for %r" % v.name, ln, 1)
+                raise ParseError("morphism misses image for %r" % v.name, end[2], end[3])
+        tgt = AlgebraPresentation(tgt_names, [], None, field)
         morphism = AlgebraMorphism(algebra, tgt, images)
 
-    return InputDocument(field, algebra, ideal_names, module, morphism)
-
-
-def _name_list(text, kind, line_no, col_offset):
-    """The names of a ring or morphism target list at column col_offset + 1."""
-    names = []
-    for piece in _NAME_LIST.finditer(text):
-        x = piece.group().strip()
-        if x in names:
-            lead = len(piece.group()) - len(piece.group().lstrip())
-            raise ParseError("duplicate %s %r" % (kind, x), line_no,
-                             col_offset + piece.start() + lead + 1)
-        if x:
-            names.append(x)
-    return names
-
-
-def _split_commas_toplevel(text):
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return parts
+    return InputDocument(field, algebra, list(ideals), module, morphism)
 
 
 def print_document(algebra, ideal_names=None, module=None, morphism=None):
@@ -370,7 +366,8 @@ def print_document(algebra, ideal_names=None, module=None, morphism=None):
         for row in module.relation_matrix:
             terms = ["(%s)*%s" % (p.render(base_plain=True), e.name)
                      for p, e in zip(row, symbols) if not p.is_zero()]
-            lines.append("relation %s" % (" + ".join(terms) if terms else "0*e1"))
+            # a module of rank 0 has no e1 to write its zero rows with
+            lines.append("relation %s" % (" + ".join(terms) or ("0*e1" if module.rank else "0")))
     if morphism is not None:
         images = ", ".join(
             "%s -> %s" % (v.name, morphism.images[v].render(base_plain=True))

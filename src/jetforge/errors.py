@@ -56,5 +56,6 @@ class UndeclaredVariable(ParseError):
     """DSL expression references a variable not declared in the ring."""
 
 
-class InhomogeneousRelation(JetforgeError):
-    """A relation is not homogeneous for the declared grading."""
+class InhomogeneousRelation(ParseError):
+    """A relation is not homogeneous for the declared grading; located when
+    it comes from DSL input."""

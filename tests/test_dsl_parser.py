@@ -4,14 +4,15 @@ A seeded generator writes random expression text and, side by side, builds
 the Poly that text denotes with the public Poly arithmetic; each parse must
 equal its reference.  The error corpus pins the message, line and column of
 malformed inputs, one or more for every place the tokenizer and the
-expression parser raise."""
+expression parser raise; the declaration corpus does the same for every
+place parse_document and the declaration reader raise."""
 
 import random
 
 import pytest
 
-from jetforge.dsl import parse_document
-from jetforge.errors import ParseError, UndeclaredVariable
+from jetforge.dsl import document_text, parse_document
+from jetforge.errors import InhomogeneousRelation, ParseError, UndeclaredVariable
 from jetforge.poly import JetVar, Poly
 from jetforge.scalars import QQ, PrimeField
 
@@ -158,3 +159,106 @@ def test_error_corpus(body, cls, line, column, message):
     assert type(ei.value) is cls
     assert (ei.value.line, ei.value.column) == (line, column)
     assert str(ei.value) == "line %d, col %d: %s" % (line, column, message)
+
+
+# Whole documents.  Each raise site of parse_document and each token the
+# declaration reader expects has a case.  The first 24 inputs were accepted,
+# silently changed, or reported at column 1 or at no column before every
+# line was read from one token stream.
+DECLARATION_CORPUS = [
+    # a declaration may appear only once
+    ('ring Q[x]\nring Q[y]\n', ParseError, 2, 1, 'duplicate ring declaration'),
+    ('ring Q[x]\nmodule rank 1\nrelation x*e1\nmodule rank 2\n', ParseError, 4, 1,
+     'duplicate module declaration'),
+    ('ring Q[x,y]\nmorphism [u] : x -> u, y -> u\nmorphism [v] : x -> v^2, y -> v\n',
+     ParseError, 3, 1, 'duplicate morphism declaration'),
+    ('ring Q[x]\ngrade x = 1\ngrade x = 2\n', ParseError, 3, 7, "duplicate grade for 'x'"),
+    ('ring Q[x]\nideal f = x\nideal f = x^2\n', ParseError, 3, 7, "duplicate ideal name 'f'"),
+    # names follow the grammar
+    ('ring Q[x y,z]\n', ParseError, 1, 10, "expected ','"),
+    ('ring Q[x_1,y]\n', ParseError, 1, 9, "unexpected character '_'"),
+    ('ring Q[1x,z]\n', ParseError, 1, 8, 'expected a name'),
+    ('ring Q[x,]\n', ParseError, 1, 10, 'expected a name'),
+    ('ring Q[x]\nmorphism [u] : x -> u,\n', ParseError, 2, 23, 'expected a name'),
+    # located at column 1 before
+    ('ring Q(x)\n', ParseError, 1, 7, "expected '['"),
+    ('ring R[x]\n', ParseError, 1, 6, "unknown field name: 'R'"),
+    ('ring F4[x]\n', ParseError, 1, 6, 'modulus is not prime: 4'),
+    ('ring Q[x]\ngrade x 1\n', ParseError, 2, 9, "expected '='"),
+    ('ring Q[x]\nideal f x\n', ParseError, 2, 9, "expected '='"),
+    ('ring Q[x]\nmodule 2\n', ParseError, 2, 8, "expected 'rank'"),
+    ('ring Q[x]\n  relation x*e1\n', ParseError, 2, 3, 'relation before module declaration'),
+    ('ring Q[x]\nmorphism [u] x -> u\n', ParseError, 2, 14, "expected ':'"),
+    ('ring Q[x]\n  foo bar\n', ParseError, 2, 3, "unknown declaration 'foo'"),
+    ('ring Q[x]\nmorphism [u] : x u\n', ParseError, 2, 18, "expected '->'"),
+    ('ring Q[x]\nmorphism [u] : y -> u\n', UndeclaredVariable, 2, 16,
+     "undeclared variable 'y'"),
+    ('ring Q[x,y]\nmorphism [u] : x -> u\n', ParseError, 2, 22, "morphism misses image for 'y'"),
+    ('ring Q[x,y]\nmorphism [u] :\n', ParseError, 2, 15, "morphism misses image for 'x'"),
+    ('ring Q[x]\ngrade x = 1\nideal f =   x^2 + x\n', InhomogeneousRelation, 3, 13,
+     'relation is not homogeneous for the declared grading'),
+    # the other raise sites of parse_document
+    ('ring F%s[x]\n' % ("9" * 4301), ParseError, 1, 6, 'field name longer than 4300 characters'),
+    ('ring Q[x]\ngrade x = %s\n' % ("9" * 4301), ParseError, 2, 11,
+     'literal longer than 4300 digits'),
+    ('ring Q[x]\nmodule rank %s\n' % ("9" * 4301), ParseError, 2, 13,
+     'literal longer than 4300 digits'),
+    ('ring Q[x]\n+x\n', ParseError, 2, 1, "unknown declaration '+'"),
+    ('ring Q[x]\nringQ[x]\n', ParseError, 2, 1, "unknown declaration 'ringQ'"),
+    ('', ParseError, 1, 1, 'missing ring declaration'),
+    ('ideal f = x\n\n', ParseError, 2, 1, 'missing ring declaration'),
+    ('ring Q[x]\ngrade y = 1\n', ParseError, 2, 7, "grade for undeclared variable 'y'"),
+    ('ring Q[e1]\nmodule rank 1\n', ParseError, 2, 13, "module symbol 'e1' is also a ring variable"),
+    ('ring Q[x]\nmodule rank 1\nrelation  e1^2\n', ParseError, 3, 11,
+     'module relation must be linear in e1..e1'),
+    ('ring Q[x]\nmorphism [u] : x -> u, x -> u^2\n', ParseError, 2, 24, "duplicate image for 'x'"),
+    # the other tokens the declaration reader expects
+    ('ring\n', ParseError, 1, 5, "expected '['"),
+    ('ring Q[x]\nmorphism u : x -> u\n', ParseError, 2, 10, "expected '['"),
+    ('ring Q[x\n', ParseError, 1, 9, "expected ','"),
+    ('ring Q[x]\ngrade = 1\n', ParseError, 2, 7, 'expected a name'),
+    ('ring Q[x]\nideal = x\n', ParseError, 2, 7, 'expected a name'),
+    ('ring Q[x]\nmorphism [u] : -> u\n', ParseError, 2, 16, 'expected a name'),
+    ('ring Q[x]\ngrade x = -1\n', ParseError, 2, 11, 'expected a natural number'),
+    ('ring Q[x]\nmodule rank x\n', ParseError, 2, 13, 'expected a natural number'),
+    ('ring Q[x,x]\n', ParseError, 1, 10, "duplicate ring variable 'x'"),
+    ('ring Q[x]\nmorphism [u,u] : x -> u\n', ParseError, 2, 13, "duplicate target variable 'u'"),
+    ('ring Q[x] y\n', ParseError, 1, 11, "trailing input 'y'"),
+    ('ring Q[x]\ngrade x = 1 2\n', ParseError, 2, 13, "trailing input '2'"),
+    ('ring Q[x]\nmodule rank 1 2\n', ParseError, 2, 15, "trailing input '2'"),
+    ('ring Q[x]\nideal f = x = 1\n', ParseError, 2, 13, "trailing input '='"),
+]
+
+
+@pytest.mark.parametrize("text, cls, line, column, message", DECLARATION_CORPUS,
+                         ids=lambda v: v[:40] if isinstance(v, str) else None)
+def test_declaration_corpus(text, cls, line, column, message):
+    with pytest.raises(ParseError) as ei:
+        parse_document(text)
+    assert type(ei.value) is cls
+    assert (ei.value.line, ei.value.column) == (line, column)
+    assert str(ei.value) == "line %d, col %d: %s" % (line, column, message)
+
+
+@pytest.mark.parametrize("text, printed", [
+    # tokens may be separated by any whitespace, or by none
+    ("ring\tQ[x]\nideal f=x\n", "ring Q[x]\nideal f = x\n"),
+    ("ring F7 [ x , y ]\n grade x=1\n", "ring F7[x,y]\ngrade x = 1\ngrade y = 0\n"),
+    ("ring Q[x]\nmodule\trank 1\nrelation x*e1\n",
+     "ring Q[x]\nmodule rank 1\nrelation (x)*e1\n"),
+    # the ring may come last; expressions are read once it is known
+    ("morphism [u] : x -> u^2\nideal f = x # c\nring Q[x]\n",
+     "ring Q[x]\nideal f = x\nmorphism [u] : x -> u^2\n"),
+    # an image ends at a top-level comma, not at one inside parentheses
+    ("ring Q[x,y]\nmorphism [u,v] : y -> (u + v)*(u - v), x -> u\n",
+     "ring Q[x,y]\nmorphism [u,v] : x -> u, y -> u^2 - v^2\n"),
+    # a ring without variables has a morphism without images
+    ("ring Q[]\nmorphism [u] :\n", "ring Q[]\nmorphism [u] : \n"),
+    # zero rows print as 0*e1, or as 0 where there is no e1
+    ("ring Q[x]\nmodule rank 1\nrelation x*e1 - e1*x\n",
+     "ring Q[x]\nmodule rank 1\nrelation 0*e1\n"),
+    ("ring Q[x]\nmodule rank 0\nrelation 0\n", "ring Q[x]\nmodule rank 0\nrelation 0\n"),
+])
+def test_declarations_parse(text, printed):
+    assert document_text(parse_document(text)) == printed
+    assert document_text(parse_document(printed)) == printed
