@@ -41,6 +41,8 @@ class InputDocument:
 MAX_PAREN_DEPTH = 100
 # Jet components of x^e take e! and enumerate splits of e; no input needs more.
 MAX_EXPONENT = 1000
+# The symbols e1..eN are interned jet variables, kept for the whole process.
+MAX_RANK = 1000
 # int() refuses longer digit strings (sys.get_int_max_str_digits()).
 MAX_LITERAL_DIGITS = 4300
 _TOO_LONG = "literal longer than %d digits" % MAX_LITERAL_DIGITS
@@ -268,7 +270,10 @@ def parse_document(text, default_field=None):
         elif kw == "module":
             p.expect("rank")
             tok = p.expect("num")
-            once[kw] = (_natural(tok, MAX_LITERAL_DIGITS, _TOO_LONG), tok)
+            rank = _natural(tok, MAX_LITERAL_DIGITS, _TOO_LONG)
+            if rank > MAX_RANK:
+                raise ParseError("module rank larger than %d" % MAX_RANK, tok[2], tok[3])
+            once[kw] = (rank, tok)
         elif kw == "relation":
             if "module" not in once:
                 raise ParseError("relation before module declaration", head[2], head[3])

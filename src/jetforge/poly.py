@@ -2,7 +2,11 @@
 
 The variable universe is ``JetVar``: a base name with a stable index plus
 one jet order (univariate jet rings) or two (bivariate ones).  A base-ring
-variable x is the order-0 jet variable x_0.  Polynomials are immutable
+variable x is the order-0 jet variable x_0.  Jet variables are interned,
+one object per variable in a table that never shrinks, so comparing and
+hashing them is identity's; hashes are address-based, so a set of
+variables is sorted by ``JetVar.sort_key`` before it is iterated, and no
+output depends on hash order.  Polynomials are immutable
 dictionaries mapping monomials to nonzero exact field scalars; the zero
 polynomial is the empty map.
 
@@ -13,37 +17,47 @@ descending; variables render as "x_1" for jet order 1 and "x_1_2" in
 bivariate rings; coefficients render as "p/q" with q omitted when 1.
 """
 
-from dataclasses import dataclass
 from math import lcm
 
 from .errors import FieldMismatch, NonUnitLeadingCoefficient, UnboundVariable
 from .scalars import QQ
 
+_JETVARS = {}  # (name, index, order1, order2) -> the one JetVar with that spec
 
-@dataclass(frozen=True)
+
+def _immutable(self, *_):
+    raise AttributeError("%s is immutable" % type(self).__name__)
+
+
 class JetVar:
-    """A jet variable; the hash and the sort key are computed once.
+    """A jet variable, interned: the constructor returns the one object per
+    (name, index, order1, order2), so equality and hashing are identity's.
+    The table keeps one small object per distinct variable ever built and
+    never shrinks.  Orders are non-negative, so the sort key (index, order1,
+    order2 or -1, name) determines the variable."""
 
-    Orders are non-negative, so the sort key determines the variable."""
+    __slots__ = ("name", "index", "order1", "order2", "_key")
 
-    name: str
-    index: int
-    order1: int = 0
-    order2: int | None = None
+    def __new__(cls, name, index, order1=0, order2=None):
+        spec = (name, index, order1, order2)
+        try:
+            return _JETVARS[spec]
+        except KeyError:
+            v = object.__new__(cls)
+        key = (index, order1, -1 if order2 is None else order2, name)
+        for attr, value in zip(cls.__slots__, spec + (key,)):
+            object.__setattr__(v, attr, value)
+        if order1 < 0 or order2 is not None and order2 < 0:
+            raise ValueError("negative jet order in %s" % v)
+        return _JETVARS.setdefault(spec, v)
 
-    def __post_init__(self):
-        if self.order1 < 0 or self.order2 is not None and self.order2 < 0:
-            raise ValueError("negative jet order in %s" % self)
-        key = (self.index, self.order1, -1 if self.order2 is None else self.order2, self.name)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self):
-        return self._hash
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self):
-        # rebuild through __init__: a cached str hash is only valid in one process
         return JetVar, (self.name, self.index, self.order1, self.order2)
+
+    def __repr__(self):
+        return "JetVar(name=%r, index=%r, order1=%r, order2=%r)" % self.__reduce__()[1]
 
     def sort_key(self):
         return self._key
@@ -57,10 +71,6 @@ class JetVar:
 
     def __str__(self):
         return self.render()
-
-
-def _pair_key(ve):
-    return ve[0]._key
 
 
 def _monomial(exps):
@@ -80,17 +90,17 @@ class Monomial:
     __slots__ = ("exps", "_hash")
 
     def __init__(self, exps=()):
-        items = tuple(sorted(
-            ((v, e) for v, e in (exps.items() if isinstance(exps, dict) else exps) if e),
-            key=_pair_key))
-        for _, e in items:
-            if e < 0:
-                raise ValueError("negative exponent in monomial")
+        if not isinstance(exps, dict):  # pairs; a repeated variable adds its exponents
+            pairs, exps = exps, {}
+            for v, e in pairs:
+                exps[v] = exps.get(v, 0) + e
+        items = tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda ve: ve[0]._key))
+        if any(e < 0 for _, e in items):
+            raise ValueError("negative exponent in monomial")
         object.__setattr__(self, "exps", items)
         object.__setattr__(self, "_hash", hash(items))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def is_unit(self):
         return not self.exps
@@ -100,7 +110,7 @@ class Monomial:
 
     def exponent(self, v):
         for w, e in self.exps:
-            if w == v:
+            if w is v:
                 return e
         return 0
 
@@ -117,12 +127,11 @@ class Monomial:
         while i < na and j < nb:
             va, ea = a[i]
             vb, eb = b[j]
-            ka, kb = va._key, vb._key
-            if ka == kb:
+            if va is vb:
                 out.append((va, ea + eb))
                 i += 1
                 j += 1
-            elif ka < kb:
+            elif va._key < vb._key:
                 out.append(a[i])
                 i += 1
             else:
@@ -134,7 +143,7 @@ class Monomial:
         """Exact division by v^k, k >= 1; None if v^k does not divide."""
         exps = self.exps
         for i, (w, e) in enumerate(exps):
-            if w == v:
+            if w is v:
                 if e < k:
                     return None
                 lower = ((w, e - k),) if e > k else ()
@@ -273,8 +282,7 @@ class Poly:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "terms", tdict)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     # -- constructors -------------------------------------------------
 
@@ -303,10 +311,7 @@ class Poly:
         return self.terms.get(UNIT, self.field.zero)
 
     def vars(self):
-        seen = set()
-        for m in self.terms:
-            seen.update(m.vars())
-        return sorted(seen, key=JetVar.sort_key)
+        return sorted({v for m in self.terms for v, _ in m.exps}, key=JetVar.sort_key)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -430,7 +435,7 @@ class Poly:
         """Apply a variable-to-variable renaming."""
         d = {}
         for m, c in self.terms.items():
-            nm = Monomial({varmap.get(v, v): e for v, e in m.exps})
+            nm = Monomial([(varmap.get(v, v), e) for v, e in m.exps])
             d[nm] = d.get(nm, self.field.zero) + c
         return Poly(self.field, d)
 

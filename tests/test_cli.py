@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -308,3 +310,23 @@ def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
         assert (ei.value.code, out.out, out.err) == _fresh_output(argv, capsys)
     assert _fresh_output(["jet"], capsys)[2] == first_usage
     assert built == [1]
+
+
+def test_output_does_not_depend_on_hashes():
+    """Jet variables hash by address and strings by PYTHONHASHSEED: two
+    processes with different hash seeds print the same bytes."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    commands = [["check", "--suite", "leibniz,jacobian_identity", "--trials", "3", "--seed", "7",
+                 "--format", "json"],
+                ["jet2", "--n", "1", "--m", "1", str(GOLDEN / "full.jf")]]
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs = [subprocess.run([sys.executable, "-m", "jetforge.cli", *argv], env=env,
+                               capture_output=True, text=True, check=True).stdout
+                for argv in commands]
+        runs[0] = re.sub(r'"seconds": [0-9.e-]+', '"seconds": null', runs[0])
+        outputs.append(runs)
+    assert json.loads(outputs[0][0])["passed"] and outputs[0][1].startswith("levels 1 1\n")
+    assert outputs[0] == outputs[1]

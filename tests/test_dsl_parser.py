@@ -203,6 +203,7 @@ DECLARATION_CORPUS = [
      'literal longer than 4300 digits'),
     ('ring Q[x]\nmodule rank %s\n' % ("9" * 4301), ParseError, 2, 13,
      'literal longer than 4300 digits'),
+    ('ring Q[x]\nmodule rank 1001\n', ParseError, 2, 13, 'module rank larger than 1000'),
     ('ring Q[x]\n+x\n', ParseError, 2, 1, "unknown declaration '+'"),
     ('ring Q[x]\nringQ[x]\n', ParseError, 2, 1, "unknown declaration 'ringQ'"),
     ('', ParseError, 1, 1, 'missing ring declaration'),

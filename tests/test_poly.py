@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 from fractions import Fraction
@@ -138,6 +139,65 @@ def test_jet_variables_hash_once_and_round_trip():
     assert m.divide_by_var(Y) is None
     with pytest.raises(ValueError):
         JetVar("x", 0, -1)
+
+
+def test_jet_variables_are_interned():
+    v = JetVar("x", 2, 1, 3)
+    assert JetVar("x", 2, 1, 3) is v
+    assert JetVar(name="x", index=2, order1=1, order2=3) is v
+    assert JetVar("x", 2, order2=3, order1=1) is v
+    assert JetVar("y", 0) is JetVar("y", 0, 0) is JetVar("y", 0, 0, None)
+    for w in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v),
+              pickle.loads(pickle.dumps(Monomial({v: 2}))).exps[0][0]):
+        assert w is v
+    specs = [("x", 2, 1, 3), ("y", 2, 1, 3), ("x", 1, 1, 3), ("x", 2, 0, 3), ("x", 2, 1, 0),
+             ("x", 2, 1, None)]
+    assert len({id(JetVar(*spec)) for spec in specs}) == len(specs)
+
+
+def test_jet_variable_sort_key_order():
+    # index first, then order1, then order2 with a missing order2 first, then the name
+    ordered = [JetVar("z", 0, 0), JetVar("a", 0, 1), JetVar("b", 0, 1), JetVar("a", 0, 2, None),
+               JetVar("a", 0, 2, 0), JetVar("a", 0, 2, 5), JetVar("a", 1, 0)]
+    assert [v.sort_key() for v in ordered] == [
+        (0, 0, -1, "z"), (0, 1, -1, "a"), (0, 1, -1, "b"), (0, 2, -1, "a"), (0, 2, 0, "a"),
+        (0, 2, 5, "a"), (1, 0, -1, "a")]
+    for seed in range(5):
+        shuffled = list(ordered)
+        random.Random(seed).shuffle(shuffled)
+        assert sorted(shuffled, key=JetVar.sort_key) == ordered
+        assert sorted(set(shuffled), key=JetVar.sort_key) == ordered
+
+
+def test_jet_variables_are_immutable():
+    v = JetVar("x", 0, 1)
+    for attr in ("name", "index", "order1", "order2", "_key", "other"):
+        with pytest.raises(AttributeError):
+            setattr(v, attr, 0)
+        with pytest.raises(AttributeError):
+            delattr(v, attr)
+    assert (v.name, v.index, v.order1, v.order2) == ("x", 0, 1, None)
+    assert JetVar("x", 0, 1) is v and v.render() == "x_1"
+
+
+def test_monomial_adds_repeated_variables():
+    assert Monomial([(X, 1), (X, 2)]) == Monomial({X: 3})
+    assert Monomial([(X, 1), (X, 2)]).render() == "x_0^3"
+    assert hash(Monomial([(X, 1), (Y, 1), (X, 2)])) == hash(Monomial({X: 3, Y: 1}))
+    assert Monomial([(X, 2), (Y, 1), (X, -2)]) == Monomial({Y: 1})
+    assert Monomial([(X, 0), (X, 0)]).is_unit()
+    with pytest.raises(ValueError):
+        Monomial([(X, 1), (X, -2)])
+    with pytest.raises(ValueError):
+        Monomial({X: -1})
+
+
+def test_rename_merging_variables_adds_exponents():
+    z = JetVar("z", 2, 0)
+    assert (P(X) * P(Y)).rename({X: z, Y: z}) == P(z) ** 2
+    assert (P(X) * P(Y)).rename({X: z, Y: z}).render() == "z_0^2"
+    assert (P(X) ** 2 * P(Y) - 3 * P(Y) ** 3).rename({X: Y}) == -2 * P(Y) ** 3
+    assert (P(X) - P(Y)).rename({X: Y}).is_zero()
 
 
 def test_eval_over_prime_fields():
