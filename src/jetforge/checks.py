@@ -11,7 +11,10 @@ oracle evaluates both sides at all its points in one call of the
 point-vectorized kernel ``poly._eval_points``, which ``Poly.eval`` also
 calls, and compares them exactly, as integer rows over one denominator per
 point.  A symbolic and a numeric verdict that differ count as an oracle
-disagreement.
+disagreement.  Every draw goes through ``_randint`` and ``_choice``, which
+run the ``rng.getrandbits`` rejection loop of CPython 3.10-3.13's
+``Random.randint`` and ``choice``: the same values from the same stream,
+without ``randrange``'s argument checks.
 ``detail`` describes a failing instance, including a DSL serialization
 for replay, and is None when the check holds.
 
@@ -126,16 +129,30 @@ _VAR_NAMES = ("x", "y", "z")
 _TARGET_NAMES = ("u", "v", "w")
 
 
+def _randint(rng, lo, hi):
+    """rng.randint(lo, hi), drawn by the rejection loop of CPython 3.10-3.13."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
+def _choice(rng, seq):
+    return seq[_randint(rng, 0, len(seq) - 1)]
+
+
 def random_poly(rng, names, max_terms=5):
     gens = [JetVar(x, i, 0) for i, x in enumerate(names)]
     terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        deg = rng.randint(0, MAX_DEGREE)
+    for _ in range(_randint(rng, 0, max_terms)):
+        deg = _randint(rng, 0, MAX_DEGREE)
         mono = {}
         for _ in range(deg):
-            v = rng.choice(gens)
+            v = _choice(rng, gens)
             mono[v] = mono.get(v, 0) + 1
-        c = rng.randint(COEFF_LO, COEFF_HI)
+        c = _randint(rng, COEFF_LO, COEFF_HI)
         if c == 0:
             continue
         key = Monomial(mono)
@@ -147,19 +164,19 @@ def random_homogeneous_poly(rng, names, degrees, target, max_terms=4):
     """Nonzero-by-construction homogeneous polynomial of weighted degree target."""
     gens = [(JetVar(x, i, 0), degrees[x]) for i, x in enumerate(names)]
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(_randint(rng, 1, max_terms)):
         mono = {}
         remaining = target
         guard = 0
         while remaining > 0 and guard < 50:
             guard += 1
-            v, d = rng.choice(gens)
+            v, d = _choice(rng, gens)
             if d <= remaining:
                 mono[v] = mono.get(v, 0) + 1
                 remaining -= d
         if remaining:
             continue
-        c = rng.randint(COEFF_LO, COEFF_HI) or 1
+        c = _randint(rng, COEFF_LO, COEFF_HI) or 1
         key = Monomial(mono)
         terms[key] = terms.get(key, 0) + c
     if not any(terms.values()):
@@ -170,14 +187,14 @@ def random_homogeneous_poly(rng, names, degrees, target, max_terms=4):
 
 
 def random_algebra(rng, graded=False, max_relations=MAX_RELATIONS):
-    nvars = rng.randint(1, MAX_VARS)
+    nvars = _randint(rng, 1, MAX_VARS)
     names = list(_VAR_NAMES[:nvars])
-    nrel = rng.randint(0, max_relations)
+    nrel = _randint(rng, 0, max_relations)
     if graded:
         degrees = {x: 1 for x in names}
         for x in names[1:]:
-            degrees[x] = rng.randint(1, 2)
-        rels = [random_homogeneous_poly(rng, names, degrees, rng.randint(1, MAX_DEGREE))
+            degrees[x] = _randint(rng, 1, 2)
+        rels = [random_homogeneous_poly(rng, names, degrees, _randint(rng, 1, MAX_DEGREE))
                 for _ in range(nrel)]
         return AlgebraPresentation(names, rels, degrees, QQ)
     rels = [random_poly(rng, names) for _ in range(nrel)]
@@ -186,22 +203,22 @@ def random_algebra(rng, graded=False, max_relations=MAX_RELATIONS):
 
 def random_module(rng, over=None):
     A = over or random_algebra(rng, max_relations=1)
-    rank = rng.randint(0, 2)
-    nrel = rng.randint(0, MAX_RELATIONS) if rank else 0
+    rank = _randint(rng, 0, 2)
+    nrel = _randint(rng, 0, MAX_RELATIONS) if rank else 0
     rows = [[random_poly(rng, A.vars, max_terms=3) for _ in range(rank)]
             for _ in range(nrel)]
     return ModulePresentation(A, rank, rows)
 
 
 def random_morphism(rng):
-    src = AlgebraPresentation(list(_VAR_NAMES[:rng.randint(1, 2)]), [], None, QQ)
-    tgt = AlgebraPresentation(list(_TARGET_NAMES[:rng.randint(1, 2)]), [], None, QQ)
+    src = AlgebraPresentation(list(_VAR_NAMES[:_randint(rng, 1, 2)]), [], None, QQ)
+    tgt = AlgebraPresentation(list(_TARGET_NAMES[:_randint(rng, 1, 2)]), [], None, QQ)
     images = {v: random_poly(rng, tgt.vars, max_terms=3) for v in src.base_vars()}
     return AlgebraMorphism(src, tgt, images)
 
 
 def _draw_point(rng, nslots):
-    return [(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(nslots)]
+    return [(_randint(rng, -9, 9), _randint(rng, 1, 5)) for _ in range(nslots)]
 
 
 def points_agree(rng, lhs, rhs):
@@ -223,7 +240,7 @@ def points_agree(rng, lhs, rhs):
             raise FieldMismatch("the point oracle evaluates over Q, not %r" % (p.field,))
         if id(p) not in distinct:
             distinct[id(p)] = p.terms
-            variables.update([v for m in p.terms for v, _ in m.exps])
+            variables.update([v for m in p.terms for v, _ in m])
     slots = {v: s for s, v in enumerate(sorted(variables, key=JetVar.sort_key))}
     pairs = [(id(a), id(b)) for a, b in zip(lhs, rhs)]
     start = rng.getstate()
@@ -244,11 +261,11 @@ def points_agree(rng, lhs, rhs):
 
 
 def _suite_leibniz(rng, orng):
-    nvars = rng.randint(1, MAX_VARS)
+    nvars = _randint(rng, 1, MAX_VARS)
     names = list(_VAR_NAMES[:nvars])
     f = random_poly(rng, names)
     g = random_poly(rng, names)
-    n = rng.randint(0, MAX_LEVEL)
+    n = _randint(rng, 0, MAX_LEVEL)
     cf, cg, cfg = hs_components(f, n), hs_components(g, n), hs_components(f * g, n)
     conv = [sum((cf[k] * cg[i - k] for k in range(i + 1)), Poly.zero(QQ))
             for i in range(n + 1)]
@@ -260,8 +277,8 @@ def _suite_leibniz(rng, orng):
 
 
 def _suite_structural(rng, orng):
-    f = random_poly(rng, _VAR_NAMES[:rng.randint(1, MAX_VARS)])
-    n = rng.randint(0, MAX_LEVEL)
+    f = random_poly(rng, _VAR_NAMES[:_randint(rng, 1, MAX_VARS)])
+    n = _randint(rng, 0, MAX_LEVEL)
     for i, g in enumerate(hs_components(f, n)):
         for m in g.terms:
             if grade_monomial(m, "structural") != i:
@@ -273,7 +290,7 @@ def _suite_structural(rng, orng):
 
 def _suite_induced(rng, orng):
     A = random_algebra(rng, graded=True)
-    n = rng.randint(0, MAX_LEVEL)
+    n = _randint(rng, 0, MAX_LEVEL)
     for f in A.relations:
         d = A.homogeneous_degree(f)
         for i, g in enumerate(hs_components(f, n)):
@@ -285,10 +302,10 @@ def _suite_induced(rng, orng):
 
 
 def _suite_jacobian(rng, orng):
-    nvars = rng.randint(1, MAX_VARS)
+    nvars = _randint(rng, 1, MAX_VARS)
     names = list(_VAR_NAMES[:nvars])
     f = random_poly(rng, names)
-    n = rng.randint(0, MAX_LEVEL)
+    n = _randint(rng, 0, MAX_LEVEL)
     comps = hs_components(f, n)
     gens = [JetVar(x, l, 0) for l, x in enumerate(names)]
     lhs, rhs = [], []
@@ -307,8 +324,8 @@ def _suite_jacobian(rng, orng):
 
 def _suite_bigrade(rng, orng):
     A = random_algebra(rng)
-    n = rng.randint(0, MAX_BILEVEL)
-    m = rng.randint(0, MAX_BILEVEL)
+    n = _randint(rng, 0, MAX_BILEVEL)
+    m = _randint(rng, 0, MAX_BILEVEL)
     ok, report = bigrade_commute_check(A, n, m)
     return ok, None, None if ok else {"n": n, "m": m, "report": report,
                                       "input": print_document(A)}
@@ -316,8 +333,8 @@ def _suite_bigrade(rng, orng):
 
 def _suite_cotruncation(rng, orng):
     A = random_algebra(rng)
-    n = rng.randint(0, MAX_LEVEL - 1)
-    m = rng.randint(n + 1, MAX_LEVEL)
+    n = _randint(rng, 0, MAX_LEVEL - 1)
+    m = _randint(rng, n + 1, MAX_LEVEL)
     ok, witness = cotruncation_subset_check(A, n, m)
     return ok, None, None if ok else {"n": n, "m": m, "witness": witness,
                                       "input": print_document(A)}
@@ -326,7 +343,7 @@ def _suite_cotruncation(rng, orng):
 def _suite_functoriality(rng, orng):
     phi = random_morphism(rng)
     g = random_poly(rng, phi.source.vars)
-    n = rng.randint(0, 2)
+    n = _randint(rng, 0, 2)
     fn = induced_morphism(phi, n)
     lhs = [fn.apply(c) for c in hs_components(g, n)]
     rhs = hs_components(phi.apply(g), n)
@@ -336,11 +353,11 @@ def _suite_functoriality(rng, orng):
 
 
 def _suite_twisted(rng, orng):
-    nvars = rng.randint(1, MAX_VARS)
+    nvars = _randint(rng, 1, MAX_VARS)
     names = list(_VAR_NAMES[:nvars])
     p = random_poly(rng, names, max_terms=3)
     q = random_poly(rng, names, max_terms=3)
-    n = rng.randint(0, MAX_LEVEL)
+    n = _randint(rng, 0, MAX_LEVEL)
     tp, tq = twisted_action_matrix(p, n), twisted_action_matrix(q, n)
     add_ok = twisted_action_matrix(p + q, n).entries == [
         [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(tp.entries, tq.entries)]
@@ -355,7 +372,7 @@ def _suite_twisted(rng, orng):
 
 def _suite_sym(rng, orng):
     M = random_module(rng)
-    n = rng.randint(0, 3)
+    n = _randint(rng, 0, 3)
     ok, report = sym_theorem_check(M, n)
     return ok, None, None if ok else {"n": n, "report": report,
                                       "input": print_document(M.over, module=M)}
@@ -363,7 +380,7 @@ def _suite_sym(rng, orng):
 
 def _suite_cotangent(rng, orng):
     A = random_algebra(rng)
-    n = rng.randint(0, 3)
+    n = _randint(rng, 0, 3)
     ok, report = cotangent_theorem_check(A, n)
     return ok, None, None if ok else {"n": n, "report": report, "input": print_document(A)}
 
@@ -371,21 +388,21 @@ def _suite_cotangent(rng, orng):
 def _suite_base_change(rng, orng):
     phi = random_morphism(rng)
     M = random_module(rng, over=phi.source)
-    n = rng.randint(0, 2)
+    n = _randint(rng, 0, 2)
     ok = base_change_check(phi, M, n)
     return ok, None, None if ok else {"n": n, "input": print_document(
         phi.source, module=M, morphism=phi)}
 
 
 def _suite_zigzag(rng, orng):
-    n = rng.randint(0, 6)
+    n = _randint(rng, 0, 6)
     ok = free_dual_zigzag_check(n)
     return ok, None, None if ok else {"n": n}
 
 
 def _suite_p1(rng, orng):
-    d = rng.randint(-2, 2)
-    n = rng.randint(0, 3)
+    d = _randint(rng, -2, 2)
+    n = _randint(rng, 0, 3)
     ok = cocycle_check(d, n)
     return ok, None, None if ok else {"d": d, "n": n}
 

@@ -15,6 +15,7 @@ is relation k at order i and basis vector c is e_l at order j, with
 (k, i) = divmod(r, n+1) and (l, j) = divmod(c, n+1).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .jets import AlgebraPresentation, JetPresentation, hs_components, jet_presentation
@@ -29,16 +30,16 @@ class TwistedMatrix:
     entries: list  # rows of Poly
 
     def matmul(self, other):
+        """The matrix product; a product with a zero entry is skipped."""
         n = self.level
-        zero = self.entries[0][0] * 0
+        zero = _poly(self.entries[0][0].field, {})
+        columns = list(zip(*other.entries))
         rows = []
-        for j in range(n + 1):
+        for left in self.entries:
             row = []
-            for i in range(n + 1):
-                acc = zero
-                for k in range(n + 1):
-                    acc = acc + self.entries[j][k] * other.entries[k][i]
-                row.append(acc)
+            for column in columns:
+                products = [a * b for a, b in zip(left, column) if a.terms and b.terms]
+                row.append(sum(products[1:], products[0]) if products else zero)
             rows.append(row)
         return TwistedMatrix(n, rows)
 
@@ -146,7 +147,7 @@ def linear_form(p, symbols):
     position = {v: k for k, v in enumerate(symbols)}
     coeffs = [{} for _ in symbols]
     for m, c in p.terms.items():
-        hits = [(v, e) for v, e in m.exps if v in position]
+        hits = [(v, e) for v, e in m if v in position]
         if len(hits) != 1 or hits[0][1] != 1:
             return None
         v = hits[0][0]
@@ -192,10 +193,11 @@ def sym_theorem_check(M, n):
                            "reason": "not homogeneous", "relation": g.render()}
         (deg0 if d == 0 else deg1).append(g)
 
-    want0 = sorted(g.render() for g in hsm.over.relations if not g.is_zero())
-    got0 = sorted(g.render() for g in deg0)
-    if want0 != got0:
-        return False, {"ok": False, "stage": "degree0", "want": want0, "got": got0}
+    want0 = Counter(g for g in hsm.over.relations if not g.is_zero())
+    if want0 != Counter(deg0):
+        return False, {"ok": False, "stage": "degree0",
+                       "want": sorted(g.render() for g in want0.elements()),
+                       "got": sorted(g.render() for g in deg0)}
 
     # each degree-1 relation is a linear form in the e_l^(j), basis vector (l, j) of hsm
     symbols = module_symbols(len(M.over.vars), M.rank, n)
@@ -205,17 +207,15 @@ def sym_theorem_check(M, n):
         if row is None:
             return False, {"ok": False, "stage": "degree1",
                            "reason": "not linear in module symbols", "relation": g.render()}
-        rows_got.append(tuple(p.render() for p in row))
+        rows_got.append(tuple(row))
     # zero rows generate nothing; drop them on both sides
-    zero_row = ("0",) * hsm.rank
-    rows_want = [tuple(p.render() for p in row) for row in hsm.relation_matrix]
-    rows_want = [r for r in rows_want if r != zero_row]
-    rows_got = [r for r in rows_got if r != zero_row]
-    ok = sorted(rows_got) == sorted(rows_want)
+    rows_want = [tuple(row) for row in hsm.relation_matrix if any(p.terms for p in row)]
+    rows_got = [row for row in rows_got if any(p.terms for p in row)]
+    ok = Counter(rows_got) == Counter(rows_want)
     report = {"ok": ok, "degree1_rows": len(rows_got)}
     if not ok:
-        report["want"] = sorted(rows_want)
-        report["got"] = sorted(rows_got)
+        for key, rows in (("want", rows_want), ("got", rows_got)):
+            report[key] = sorted(tuple(p.render() for p in row) for row in rows)
     return ok, report
 
 

@@ -19,13 +19,16 @@ the ways to split d among its variables, of c times products of these
 monomials and integer multinomials, truncated to the grade box.  A jet
 monomial determines the source term and the split, so every output term
 is written once, with coefficient c * multinomial; over F_p the terms
-whose multinomial vanishes mod p drop out.
+whose multinomial vanishes mod p drop out.  The families are disjoint, so
+each output monomial is one concatenation of the variables' pair tuples,
+sorted only when the families interleave.
 
 Two gradings live on a jet presentation: the structural one
 (deg x^(i) = i) and, when the source algebra is graded, the induced one
 (deg x^(i) = deg x).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -33,7 +36,7 @@ from math import factorial
 
 from .errors import (BadLevels, InhomogeneousRelation, JetforgeError, MissingGrading,
                      NotABaseElement)
-from .poly import UNIT, JetVar, Poly, _monomial, _poly
+from .poly import JetVar, Poly, _monomial, _poly
 from .scalars import QQ
 
 
@@ -63,26 +66,26 @@ def _expansion(e, bounds):
     """Multinomial expansion of (sum_g x^(g) t^g)^e, truncated to the box.
 
     A tuple of (grade, entries) for the grades that occur, grades given by
-    their position in the box; each entry is (parts, k): the multiset
-    {g: a_g} of size e with grade sum ``grade`` as (g, a_g) pairs in box
-    order, and its multinomial k = e! / prod a_g!."""
+    their position in the box; each entry is a multiset {g: a_g} of size e
+    with grade sum ``grade`` in column form (grades, exponents, k): the
+    positions g in box order, their a_g, and the multinomial
+    k = e! / prod a_g!."""
     box, _ = _grades(bounds)
     found = {}
 
-    def split(start, left, total, parts, k):
+    def split(start, left, total, grades, exponents, k):
         if not left:
-            found.setdefault(total, []).append((tuple(parts), k))
+            found.setdefault(total, []).append((grades, exponents, k))
             return
         for idx in range(start, len(box)):
             for a in range(1, left + 1):
                 t = tuple(s + a * x for s, x in zip(total, box[idx]))
                 if any(s > b for s, b in zip(t, bounds)):
                     break
-                parts.append((idx, a))
-                split(idx + 1, left - a, t, parts, k // factorial(a))
-                parts.pop()
+                split(idx + 1, left - a, t, grades + (idx,), exponents + (a,),
+                      k // factorial(a))
 
-    split(0, e, box[0], [], factorial(e))
+    split(0, e, box[0], (), (), factorial(e))
     return tuple((pos, tuple(found[g])) for pos, g in enumerate(box) if g in found)
 
 
@@ -93,19 +96,28 @@ def _substitute(f, families, bounds):
     ``families[v][k]`` is the variable of the k-th grade of the box in
     lexicographic order; each family must be sorted like its grades, and
     distinct variables of f must have disjoint families.  Returns one Poly
-    per grade, in box order."""
+    per grade, in box order.
+
+    A row of v^e's table is a column-form ``_expansion`` entry read through
+    v's family as (variable, exponent) pairs.  Partial products concatenate
+    such rows, and each output term becomes one monomial.  The families'
+    block order, computed once per call, says whether a concatenation must
+    be sorted: it must when families interleave, as for ``jet_again`` into
+    order1 or for two variables that share an index."""
     box, sums = _grades(bounds)
+    order = [w for v in sorted(families, key=JetVar.sort_key) for w in families[v]]
+    interleaved = order != sorted(order, key=JetVar.sort_key)
     out = [{} for _ in box]
     tables = {}
     for mono, c in f.terms.items():
-        acc = [(0, [(UNIT, 1)])]
-        for v, e in mono.exps:
+        acc = [(0, [((), 1)])]
+        for v, e in mono:
             table = tables.get((v, e))
             if table is None:
-                fam = families[v]
+                row_of = families[v].__getitem__
                 table = tables[(v, e)] = [
-                    (g, [(_monomial(tuple((fam[h], a) for h, a in parts)), k)
-                         for parts, k in entries])
+                    (g, [(tuple(zip(map(row_of, grades), exponents)), k)
+                         for grades, exponents, k in entries])
                     for g, entries in _expansion(e, bounds)]
             nxt = {}
             for g1, left in acc:
@@ -116,16 +128,16 @@ def _substitute(f, families, bounds):
                         continue
                     terms = nxt.setdefault(g, [])
                     for m1, k1 in left:
-                        mul = m1.mul
-                        for m2, k2 in right:
-                            terms.append((mul(m2), k1 * k2))
+                        terms.extend([(m1 + m2, k1 * k2) for m2, k2 in right])
             acc = nxt.items()
         for g, terms in acc:
             dest = out[g]
             for m, k in terms:
                 coeff = c if k == 1 else c * k
                 if coeff:
-                    dest[m] = coeff
+                    if interleaved:
+                        m = sorted(m, key=lambda ve: ve[0].sort_key())
+                    dest[_monomial(m)] = coeff
     return [_poly(f.field, d) for d in out]
 
 
@@ -333,14 +345,11 @@ def induced_morphism(phi, n):
 # functor commutation
 
 
-def _canonical_set(polys):
-    return sorted(p.render() for p in polys if not p.is_zero())
-
-
 def bigrade_commute_check(A, n, m):
     """Three-way generator-set comparison: jets-of-jets both ways (with the
     index-permutation renaming folded into variable construction) against
-    the direct bivariate jet relations."""
+    the direct bivariate jet relations.  The nonzero generators are compared
+    as multisets of polynomials, and rendered only for a failure report."""
     side_a = []  # level m first, then level n outside
     side_b = []  # level n first, then level m outside
     side_c = []
@@ -351,13 +360,15 @@ def bigrade_commute_check(A, n, m):
             side_b.extend(jet_again(g, m, outer_to="order2"))
         for row in hs_components_2d(f, n, m):
             side_c.extend(row)
-    sa, sb, sc = (_canonical_set(s) for s in (side_a, side_b, side_c))
-    ok = sa == sb == sc
+    sides = [Counter(p for p in side if p.terms) for side in (side_a, side_b, side_c)]
+    ok = sides[0] == sides[1] == sides[2]
     report = {
         "ok": ok,
         "n": n,
         "m": m,
-        "count": len(sc),
-        "sets": {"n_after_m": sa, "m_after_n": sb, "bivariate": sc} if not ok else None,
+        "count": sides[2].total(),
+        "sets": None if ok else {
+            name: sorted(p.render() for p in side.elements())
+            for name, side in zip(("n_after_m", "m_after_n", "bivariate"), sides)},
     }
     return ok, report

@@ -36,6 +36,7 @@ def power_jets(k, chart, n, field=QQ):
     shifted up by one; numerators carry u^pad so that u's exponent stays
     non-negative, and LocalPoly cancels the padding."""
     t = [chart_var(chart, i) for i in range(n + 1)]
+    shifted = t[1:].__getitem__  # grade h of the table is t^(h+1)
     pad = max(0, n - k)
     coeffs = [{} for _ in range(n + 1)]
     b = 1  # binom(k, m)
@@ -45,10 +46,10 @@ def power_jets(k, chart, n, field=QQ):
         head = ((t[0], k - m + pad),) if k - m + pad else ()
         for g, entries in _expansion(m, (n - m,)):
             dest = coeffs[g + m]
-            for parts, mult in entries:
+            for grades, exponents, mult in entries:
                 c = field(b * mult)
                 if c:
-                    dest[_monomial(head + tuple((t[h + 1], a) for h, a in parts))] = c
+                    dest[_monomial(head + tuple(zip(map(shifted, grades), exponents)))] = c
         b = b * (k - m) // (m + 1)
     return TruncSeries(n, [LocalPoly(_poly(field, c), t[0], pad) for c in coeffs])
 

@@ -6,9 +6,10 @@ variable x is the order-0 jet variable x_0.  Jet variables are interned,
 one object per variable in a table that never shrinks, so comparing and
 hashing them is identity's; hashes are address-based, so a set of
 variables is sorted by ``JetVar.sort_key`` before it is iterated, and no
-output depends on hash order.  Polynomials are immutable
-dictionaries mapping monomials to nonzero exact field scalars; the zero
-polynomial is the empty map.
+output depends on hash order.  A monomial is a tuple of (variable,
+exponent) pairs and equals the plain tuple of its pairs.  Polynomials are
+immutable dictionaries mapping monomials to nonzero exact field scalars;
+the zero polynomial is the empty map.
 
 Canonical textual form (the bit-exact contract for golden tests and JSON
 output): variables sort by (base index, order1, order2, name), with a
@@ -17,6 +18,7 @@ descending; variables render as "x_1" for jet order 1 and "x_1_2" in
 bivariate rings; coefficients render as "p/q" with q omitted when 1.
 """
 
+from functools import partial
 from math import lcm
 
 from .errors import FieldMismatch, NonUnitLeadingCoefficient, UnboundVariable
@@ -73,107 +75,103 @@ class JetVar:
         return self.render()
 
 
-def _monomial(exps):
-    """Monomial from (var, exponent) pairs already sorted, merged and positive."""
-    m = object.__new__(Monomial)
-    object.__setattr__(m, "exps", exps)
-    object.__setattr__(m, "_hash", hash(exps))
-    return m
-
-
-class Monomial:
+class Monomial(tuple):
     """Finite map JetVar -> positive exponent; the empty map is the unit.
 
-    ``exps`` holds the (var, exponent) pairs sorted by the variables' sort
-    keys; the hash is computed once."""
+    A monomial is the tuple of its (var, exponent) pairs sorted by the
+    variables' sort keys, and it equals, and hashes like, the plain tuple of
+    those pairs, so dict lookups on polynomials hash and compare in C.
+    ``len`` is its number of variables and ``UNIT`` is falsy: test it with
+    ``is_unit()``.  Never format a monomial with ``%``, which would read the
+    tuple as arguments; use ``render``."""
 
-    __slots__ = ("exps", "_hash")
+    __slots__ = ()
 
-    def __init__(self, exps=()):
+    def __new__(cls, exps=()):
         if not isinstance(exps, dict):  # pairs; a repeated variable adds its exponents
             pairs, exps = exps, {}
             for v, e in pairs:
                 exps[v] = exps.get(v, 0) + e
-        items = tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda ve: ve[0]._key))
+        items = sorted(((v, e) for v, e in exps.items() if e), key=lambda ve: ve[0]._key)
         if any(e < 0 for _, e in items):
             raise ValueError("negative exponent in monomial")
-        object.__setattr__(self, "exps", items)
-        object.__setattr__(self, "_hash", hash(items))
+        return tuple.__new__(cls, items)
 
     __setattr__ = __delattr__ = _immutable
 
+    @property
+    def exps(self):
+        """The (var, exponent) pairs: the monomial itself."""
+        return self
+
     def is_unit(self):
-        return not self.exps
+        return not self
 
     def vars(self):
-        return [v for v, _ in self.exps]
+        return [v for v, _ in self]
 
     def exponent(self, v):
-        for w, e in self.exps:
+        for w, e in self:
             if w is v:
                 return e
         return 0
 
     def mul(self, other):
-        """Product: a merge of the two sorted exponent tuples."""
-        a, b = self.exps, other.exps
-        if not b:
+        """Product: a merge of the two sorted pair tuples."""
+        if not other:
             return self
-        if not a:
+        if not self:
             return other
         out = []
         i = j = 0
-        na, nb = len(a), len(b)
+        na, nb = len(self), len(other)
         while i < na and j < nb:
-            va, ea = a[i]
-            vb, eb = b[j]
+            va, ea = self[i]
+            vb, eb = other[j]
             if va is vb:
                 out.append((va, ea + eb))
                 i += 1
                 j += 1
             elif va._key < vb._key:
-                out.append(a[i])
+                out.append(self[i])
                 i += 1
             else:
-                out.append(b[j])
+                out.append(other[j])
                 j += 1
-        return _monomial(tuple(out) + a[i:] + b[j:])
+        return _monomial(tuple(out) + self[i:] + other[j:])
 
     def divide_by_var(self, v, k=1):
         """Exact division by v^k, k >= 1; None if v^k does not divide."""
-        exps = self.exps
-        for i, (w, e) in enumerate(exps):
+        for i, (w, e) in enumerate(self):
             if w is v:
                 if e < k:
                     return None
                 lower = ((w, e - k),) if e > k else ()
-                return _monomial(exps[:i] + lower + exps[i + 1:])
+                return _monomial(self[:i] + lower + self[i + 1:])
         return None
 
     def weighted_degree(self, weight):
         """Sum of exponent * weight(var) over the monomial."""
-        return sum(e * weight(v) for v, e in self.exps)
+        return sum(e * weight(v) for v, e in self)
 
     def render(self, base_plain=False):
-        if not self.exps:
+        if not self:
             return "1"
         parts = []
-        for v, e in self.exps:
+        for v, e in self:
             s = v.render(base_plain)
             parts.append(s if e == 1 else "%s^%d" % (s, e))
         return "*".join(parts)
 
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and other.exps == self.exps
-
-    def __hash__(self):
-        return self._hash
-
     def __reduce__(self):
-        return _monomial, (self.exps,)
+        return Monomial, (tuple(self),)
 
     def __repr__(self):
         return "Monomial(%s)" % self.render()
+
+
+# Monomial from (var, exponent) pairs already sorted, merged and positive.
+_monomial = partial(tuple.__new__, Monomial)
 
 
 UNIT = Monomial()
@@ -224,7 +222,7 @@ def _eval_points(term_dicts, slots, points):
     for terms in tagged:
         for i, _ in terms:
             uses[i] += 1
-    degrees = [sum([e for _, e in m.exps]) for m in index]
+    degrees = [sum([e for _, e in m]) for m in index]
     top = max(degrees, default=0)
     ell_powers = [[1] * len(points)]
     for _ in range(top):
@@ -239,7 +237,7 @@ def _eval_points(term_dicts, slots, points):
             value = values[i]
             if value is None:
                 value = ell_powers[top - degrees[i]]
-                for v, e in monomials[i].exps:
+                for v, e in monomials[i]:
                     column = powers[slots[v]]
                     while len(column) <= e:
                         column.append([a * b for a, b in zip(column[-1], column[1])])
@@ -257,7 +255,7 @@ _LAST = ((float("inf"),), 0)  # after every (variable key, -exponent) pair
 
 
 def _render_key(term):
-    return tuple([(v._key, -e) for v, e in term[0].exps] + [_LAST])
+    return tuple([(v._key, -e) for v, e in term[0]] + [_LAST])
 
 
 def _poly(field, terms):
@@ -311,7 +309,7 @@ class Poly:
         return self.terms.get(UNIT, self.field.zero)
 
     def vars(self):
-        return sorted({v for m in self.terms for v, _ in m.exps}, key=JetVar.sort_key)
+        return sorted({v for m in self.terms for v, _ in m}, key=JetVar.sort_key)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -409,7 +407,7 @@ class Poly:
         slots = {}
         point = []
         for m in self.terms:
-            for v, _ in m.exps:
+            for v, _ in m:
                 if v not in slots:
                     if v not in assignment:
                         raise UnboundVariable("no value for %s" % v)
@@ -419,23 +417,33 @@ class Poly:
         return field.from_ratio(num, den)
 
     def substitute(self, mapping):
-        """Replace variables by polynomials; unmapped variables stay."""
-        out = Poly.zero(self.field)
+        """Replace variables by polynomials; unmapped variables stay.  Each
+        power of an image is computed once, and the terms are summed into one
+        dict, in the order and with the cancellations of ``__add__``."""
+        field = self.field
+        powers = {}
+        d = {}
         for m, c in self.terms.items():
-            term = Poly.constant(c, self.field)
-            for v, e in m.exps:
-                repl = mapping.get(v)
-                if repl is None:
-                    repl = Poly.var(v, self.field)
-                term = term * repl**e
-            out = out + term
-        return out
+            term = _poly(field, {UNIT: c})
+            for v, e in m:
+                power = powers.get((v, e))
+                if power is None:
+                    power = powers[(v, e)] = mapping.get(v, Poly.var(v, field)) ** e
+                term = term * power
+            for m2, c2 in term.terms.items():
+                s = d.get(m2)
+                s = c2 if s is None else s + c2
+                if s:
+                    d[m2] = s
+                else:
+                    del d[m2]
+        return _poly(field, d)
 
     def rename(self, varmap):
         """Apply a variable-to-variable renaming."""
         d = {}
         for m, c in self.terms.items():
-            nm = Monomial([(varmap.get(v, v), e) for v, e in m.exps])
+            nm = Monomial([(varmap.get(v, v), e) for v, e in m])
             d[nm] = d.get(nm, self.field.zero) + c
         return Poly(self.field, d)
 

@@ -1,9 +1,12 @@
+import json
 import random
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
-from jetforge import checks
+from jetforge import checks, jets
 from jetforge.checks import (MAX_VARS, ORACLE_POINTS, SUITE_NAMES, CheckConfig,
                              points_agree, random_algebra, random_module, random_poly,
                              run_suite)
@@ -183,3 +186,77 @@ def test_points_agree_rejects_prime_fields():
         points_agree(random.Random(0), [x7 + 1], [1 + x7])
     with pytest.raises(FieldMismatch):
         points_agree(random.Random(0), [Poly.var(JetVar("x", 0, 0))], [Poly.zero(f7)])
+
+
+# Two engine mutants, each a wrapper around jets._substitute, and the check
+# reports they produce; tests/golden/check_mutants.json holds those reports
+# as the code before the tuple monomials produced them, so the failing
+# suites' instance streams and failure reports (DSL documents and rendered
+# polynomials) stay pinned.
+MUTANT_GOLDEN = Path(__file__).parent / "golden" / "check_mutants.json"
+
+
+def _top_grade_zero(substitute):
+    def mutant(f, families, bounds):
+        return substitute(f, families, bounds)[:-1] + [Poly.zero(f.field)]
+    return mutant
+
+
+def _grade_times_two_to_the_grade(substitute):
+    def mutant(f, families, bounds):
+        box = product(*(range(b + 1) for b in bounds))
+        return [p * 2 ** sum(g) for p, g in zip(substitute(f, families, bounds), box)]
+    return mutant
+
+
+MUTANTS = {"top_grade_zero": _top_grade_zero,
+           "grade_times_two_to_the_grade": _grade_times_two_to_the_grade}
+
+
+def mutant_reports(seeds=(7, 42), trials=6):
+    """{mutant: {seed: run_suite JSON with seconds masked}} under each mutant."""
+    out = {}
+    for name, make in MUTANTS.items():
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(jets, "_substitute", make(jets._substitute))
+            out[name] = {}
+            for seed in seeds:
+                report = run_suite(CheckConfig(seed=seed, trials=trials)).to_json_dict()
+                for suite in report["suites"].values():
+                    suite["seconds"] = None
+                out[name][str(seed)] = report
+    return json.loads(json.dumps(out))
+
+
+def test_mutant_failure_reports_match_golden():
+    reports = mutant_reports()
+    assert reports == json.loads(MUTANT_GOLDEN.read_text())
+    failing = {s for by_seed in reports.values() for r in by_seed.values()
+               for s, res in r["suites"].items() if not res["passed"]}
+    assert failing == {"leibniz", "jacobian_identity", "bigrade_commute", "cotruncation",
+                       "functoriality", "twisted_ring_hom", "sym_theorem",
+                       "cotangent_theorem", "base_change"}
+
+
+def test_draw_helpers_follow_the_randint_stream():
+    """_randint, _choice and _draw_point return what random.Random returns
+    on a twin generator and leave it in the same state."""
+    ranges = [(0, 5), (0, 3), (0, 4), (1, 5), (1, 4), (1, MAX_VARS), (1, 2), (0, 2), (0, 6),
+              (-2, 2), (-9, 9), (checks.COEFF_LO, checks.COEFF_HI),
+              (0, checks.MAX_LEVEL - 1), (0, checks.MAX_LEVEL), (0, checks.MAX_BILEVEL),
+              (1, checks.MAX_DEGREE), (0, checks.MAX_DEGREE)]
+    ranges += [(n + 1, checks.MAX_LEVEL) for n in range(checks.MAX_LEVEL)]  # width 1 at n = 3
+    for seed in range(200):
+        ours, twin = random.Random(seed), random.Random(seed)
+        for lo, hi in ranges:
+            for _ in range(3):
+                assert checks._randint(ours, lo, hi) == twin.randint(lo, hi)
+                assert ours.getstate() == twin.getstate()
+        for seq in ("a", "ab", "abc", [(1, 2)], ((1, 1), (2, 2)), ("x", "y", "z")):
+            for _ in range(3):
+                assert checks._choice(ours, seq) == twin.choice(seq)
+                assert ours.getstate() == twin.getstate()
+        for k in range(16):
+            assert checks._draw_point(ours, k) == [
+                (twin.randint(-9, 9), twin.randint(1, 5)) for _ in range(k)]
+            assert ours.getstate() == twin.getstate()

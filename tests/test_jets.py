@@ -365,3 +365,28 @@ def test_bijet_presentation_counts():
     bp = bijet_presentation(cusp(), 1, 2)
     assert len(bp.relations) == 2 * 3 * 1
     assert len(bp.jet_vars) == 2 * 2 * 3
+
+
+def test_engine_sorts_families_that_share_an_index():
+    """x and u both have index 0, so their jet families interleave in
+    variable order and the engine must sort each concatenated monomial."""
+    x, u = JetVar("x", 0, 0), JetVar("u", 0, 0)
+    px, pu = Poly.var(x), Poly.var(u)
+    f = 3 * px ** 2 * pu - pu ** 3 * px + 2 * px * pu + Fraction(1, 2) * pu ** 2
+    for n in range(4):
+        got, want = hs_components(f, n), naive_hs_components(f, n)
+        assert got == want
+        assert [p.render() for p in got] == [p.render() for p in want]
+        for p in got:
+            for m in p.terms:
+                keys = [v.sort_key() for v, _ in m]
+                assert keys == sorted(keys)
+    for n, m in ((1, 1), (2, 1), (0, 2)):
+        fams = {v: {(i, j): JetVar(v.name, v.index, i, j)
+                    for i in range(n + 1) for j in range(m + 1)} for v in (x, u)}
+        comps = naive_components(f, fams, (SIGMA, TAU))
+        want = [_read(comps, [(i, j) for j in range(m + 1)], QQ) for i in range(n + 1)]
+        got = hs_components_2d(f, n, m)
+        assert got == want
+        assert [[p.render() for p in row] for row in got] == [
+            [p.render() for p in row] for row in want]

@@ -338,3 +338,59 @@ def test_is_prime_matches_sieve_and_trial_division():
         PrimeField(2147483645)
     with pytest.raises(ValueError, match="out of range"):
         PrimeField(2 ** 31)
+
+
+def test_monomial_is_the_tuple_of_its_pairs():
+    m = Monomial({Y: 1, X: 2})
+    pairs = ((X, 2), (Y, 1))
+    assert isinstance(m, tuple) and m == pairs and pairs == m
+    assert hash(m) == hash(pairs) and {pairs: 1}[m] == 1
+    assert m.exps == pairs and m.exps is m
+    assert len(m) == 2 and len(UNIT) == 0
+    assert UNIT.is_unit() and not UNIT and UNIT == () and not m.is_unit()
+    for w in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+        assert type(w) is Monomial and w == m and hash(w) == hash(m)
+        assert w[0][0] is X and w.render() == "x_0^2*y_0"
+    assert repr(m) == "Monomial(x_0^2*y_0)" and repr(UNIT) == "Monomial(1)"
+    assert m.mul(UNIT) is m and UNIT.mul(m) is m
+    assert type(m.mul(Monomial({Y: 1}))) is Monomial and type(m.divide_by_var(X)) is Monomial
+    with pytest.raises(AttributeError, match="^Monomial is immutable$"):
+        m.exps = ()
+    with pytest.raises(AttributeError, match="^Monomial is immutable$"):
+        del m.other
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=lambda f: f.name)
+def test_substitute_matches_term_by_term_formula(field):
+    """Poly.substitute against the formula it replaced: a running sum that
+    adds each term, with every power recomputed per term."""
+    def term_by_term(f, mapping):
+        out = Poly.zero(f.field)
+        for m, c in f.terms.items():
+            term = Poly.constant(c, f.field)
+            for v, e in m.exps:
+                repl = mapping.get(v)
+                if repl is None:
+                    repl = Poly.var(v, f.field)
+                term = term * repl ** e
+            out = out + term
+        return out
+
+    rng = random.Random(20261019)
+    u, w, z = JetVar("u", 0, 0), JetVar("w", 1, 0), JetVar("z", 2, 0)
+
+    def poly(variables, terms):
+        return Poly(field, {Monomial({v: rng.randint(0, 3) for v in variables}):
+                            rng.randint(-4, 4) for _ in range(rng.randint(0, terms))})
+
+    for _ in range(40):
+        f = poly((X, Y, z), 6)
+        mapping = {v: poly((u, w, X), 3) for v in rng.sample((X, Y), rng.randint(0, 2))}
+        got = f.substitute(mapping)
+        want = term_by_term(f, mapping)
+        assert got == want and got.render() == want.render()
+        assert list(got.terms) == list(want.terms)
+    cancelling = P(X) ** 2 - P(Y) ** 2
+    assert cancelling.substitute({Y: P(X)}).is_zero()
+    with pytest.raises(FieldMismatch):
+        (P(X) * P(Y)).substitute({X: Poly.var(u, PrimeField(5))})
