@@ -12,10 +12,12 @@ Example document::
 
 Every line, declarations included, is read from one token stream, so
 tokens may be separated by any whitespace and every error names its line
-and column.  The ring, module and morphism are declared at most once, and
-so are the grade of a variable and the name of an ideal.  Only base
-variables appear in input; jet orders exist only in output.  A parsed
-document round-trips through the canonical printer.
+and column; digits are ASCII, and any other character outside the grammar
+is an unexpected character.  A term's factors are read in one loop into
+one scalar and one monomial.  The ring, module and morphism are declared
+at most once, and so are the grade of a variable and the name of an
+ideal.  Only base variables appear in input; jet orders exist only in
+output.  A parsed document round-trips through the canonical printer.
 """
 
 import re
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from .errors import InhomogeneousRelation, ParseError, UndeclaredVariable
 from .jets import AlgebraMorphism, AlgebraPresentation
 from .hsmodules import ModulePresentation, linear_form, module_symbols
-from .poly import JetVar, Monomial, Poly, _poly
+from .poly import JetVar, _monomial, _poly
 from .scalars import QQ, field_by_name
 
 
@@ -46,23 +48,22 @@ MAX_RANK = 1000
 # int() refuses longer digit strings (sys.get_int_max_str_digits()).
 MAX_LITERAL_DIGITS = 4300
 _TOO_LONG = "literal longer than %d digits" % MAX_LITERAL_DIGITS
+_TOO_HIGH = "exponent larger than %d" % MAX_EXPONENT
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
-                    r"|(?P<op>->|[-+*/^(),\[\]:=])|(?P<bad>\S))")
+# Whitespace matches no group, so finditer steps over it.  Digits are ASCII.
+_TOKEN = re.compile(r"(?P<num>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
+                    r"|(?P<op>->|[-+*/^(),\[\]:=])|(?P<bad>\S)")
 _KINDS = {"name": "a name", "num": "a natural number"}
 
 
 def _tokenize(text, line_no):
     """Tokens (kind, text, line, column) and an "end" token just past them."""
-    tokens = []
-    end = 0
-    for m in _TOKEN.finditer(text):
-        kind, end = m.lastgroup, m.end()
-        col = m.start(kind) + 1
+    tokens = [(m.lastgroup, m.group(), line_no, m.start() + 1) for m in _TOKEN.finditer(text)]
+    for kind, tok, _, col in tokens:
         if kind == "bad":
-            raise ParseError("unexpected character %r" % m.group(kind), line_no, col)
-        tokens.append((kind, m.group(kind), line_no, col))
-    tokens.append(("end", "", line_no, end + 1))
+            raise ParseError("unexpected character %r" % tok, line_no, col)
+    end = tokens[-1][3] + len(tokens[-1][1]) if tokens else 1
+    tokens.append(("end", "", line_no, end))
     return tokens
 
 
@@ -150,24 +151,81 @@ class _Parser:
             sign = self.take()[1]
 
     def term(self, terms, sign):
-        """Parse one term and add sign times it into terms."""
-        c = self.field(sign)
+        """Parse one term and add sign times it into terms.  A factor is a
+        literal, a variable or a parenthesized expression, and an optional
+        exponent."""
+        tokens, field, variables = self.tokens, self.field, self.variables
+        pos = self.pos
+        c = field(sign)
         exps = {}
         group = None  # the product of the parenthesized factors
         while True:
-            a = self.atom()
-            e = self.exponent()
-            if isinstance(a, JetVar):
-                exps[a] = exps.get(a, 0) + e
-            elif isinstance(a, Poly):
-                group = a**e if group is None else group * a**e
+            tok = tokens[pos]
+            pos += 1
+            kind = tok[0]
+            if kind == "name":
+                a = variables.get(tok[1])
+                if a is None:
+                    raise UndeclaredVariable("undeclared variable %r" % tok[1], tok[2], tok[3])
+            elif kind == "num":
+                a = (int(tok[1]) if len(tok[1]) <= MAX_LITERAL_DIGITS
+                     else _natural(tok, MAX_LITERAL_DIGITS, _TOO_LONG))
+                if tokens[pos][1] != "/":
+                    a = field.coerce(a)
+                else:
+                    dtok = tokens[pos + 1]
+                    if dtok[0] != "num":
+                        raise ParseError("unexpected end of expression" if dtok[0] == "end" else
+                                         "denominator must be a natural number", dtok[2], dtok[3])
+                    pos += 2
+                    den = _natural(dtok, MAX_LITERAL_DIGITS, _TOO_LONG)
+                    if not field(den):
+                        raise ParseError("denominator %s is zero in %s" % (dtok[1], field.name),
+                                         dtok[2], dtok[3])
+                    a = field.from_ratio(a, den)
+            elif tok[1] == "(":
+                if self.depth == MAX_PAREN_DEPTH:
+                    raise ParseError("parentheses nested deeper than %d" % MAX_PAREN_DEPTH,
+                                     tok[2], tok[3])
+                self.depth += 1
+                self.pos = pos
+                a = self.expr()
+                close = self.take()
+                if close[1] != ")":
+                    raise ParseError("expected ')'", close[2], close[3])
+                self.depth -= 1
+                pos = self.pos
+            elif kind == "end":
+                raise ParseError("unexpected end of expression", tok[2], tok[3])
             else:
+                raise ParseError("unexpected token %r" % tok[1], tok[2], tok[3])
+            e = 1
+            if tokens[pos][1] == "^":
+                etok = tokens[pos + 1]
+                if etok[0] != "num":
+                    raise ParseError("unexpected end of expression" if etok[0] == "end" else
+                                     "exponent must be a natural number", etok[2], etok[3])
+                pos += 2
+                e = _natural(etok, len(str(MAX_EXPONENT)), _TOO_HIGH)
+                if e > MAX_EXPONENT:
+                    raise ParseError(_TOO_HIGH, etok[2], etok[3])
+            if kind == "name":
+                exps[a] = exps.get(a, 0) + e
+            elif kind == "num":
                 c = c * (a if e == 1 else a**e)
-            tok = self.peek()
-            if not self.skip("*") and tok[0] not in ("num", "name") and tok[1] != "(":
+            else:
+                group = a**e if group is None else group * a**e
+            tok = tokens[pos]
+            if tok[1] == "*":
+                pos += 1
+            elif tok[0] not in ("num", "name") and tok[1] != "(":
                 break
-        m = Monomial(exps)
-        items = ((m, c),) if group is None else (group * _poly(self.field, {m: c})).terms.items()
+        self.pos = pos
+        pairs = [ve for ve in exps.items() if ve[1]]
+        if len(pairs) > 1:
+            pairs.sort(key=lambda ve: ve[0]._key)
+        m = _monomial(pairs)
+        items = ((m, c),) if group is None else (group * _poly(field, {m: c})).terms.items()
         for key, t in items:
             s = terms.get(key)
             s = t if s is None else s + t
@@ -175,51 +233,6 @@ class _Parser:
                 terms[key] = s
             else:
                 terms.pop(key, None)
-
-    def exponent(self):
-        if not self.skip("^"):
-            return 1
-        etok = self.take()
-        if etok[0] != "num":
-            raise ParseError("exponent must be a natural number", etok[2], etok[3])
-        message = "exponent larger than %d" % MAX_EXPONENT
-        e = _natural(etok, len(str(MAX_EXPONENT)), message)
-        if e > MAX_EXPONENT:
-            raise ParseError(message, etok[2], etok[3])
-        return e
-
-    def atom(self):
-        """A field scalar, a JetVar or a parenthesized Poly."""
-        tok = self.take()
-        if tok[0] == "num":
-            num = _natural(tok, MAX_LITERAL_DIGITS, _TOO_LONG)
-            if not self.skip("/"):
-                return self.field.coerce(num)
-            dtok = self.take()
-            if dtok[0] != "num":
-                raise ParseError("denominator must be a natural number", dtok[2], dtok[3])
-            den = _natural(dtok, MAX_LITERAL_DIGITS, _TOO_LONG)
-            if not self.field(den):
-                raise ParseError("denominator %s is zero in %s" % (dtok[1], self.field.name),
-                                 dtok[2], dtok[3])
-            return self.field.from_ratio(num, den)
-        if tok[0] == "name":
-            v = self.variables.get(tok[1])
-            if v is None:
-                raise UndeclaredVariable("undeclared variable %r" % tok[1], tok[2], tok[3])
-            return v
-        if tok[1] == "(":
-            if self.depth == MAX_PAREN_DEPTH:
-                raise ParseError("parentheses nested deeper than %d" % MAX_PAREN_DEPTH,
-                                 tok[2], tok[3])
-            self.depth += 1
-            p = self.expr()
-            close = self.take()
-            if close[1] != ")":
-                raise ParseError("expected ')'", close[2], close[3])
-            self.depth -= 1
-            return p
-        raise ParseError("unexpected token %r" % tok[1], tok[2], tok[3])
 
 
 def parse_document(text, default_field=None):

@@ -6,10 +6,13 @@ variable x is the order-0 jet variable x_0.  Jet variables are interned,
 one object per variable in a table that never shrinks, so comparing and
 hashing them is identity's; hashes are address-based, so a set of
 variables is sorted by ``JetVar.sort_key`` before it is iterated, and no
-output depends on hash order.  A monomial is a tuple of (variable,
-exponent) pairs and equals the plain tuple of its pairs.  Polynomials are
-immutable dictionaries mapping monomials to nonzero exact field scalars;
-the zero polynomial is the empty map.
+output depends on hash order.  A variable's rendered text, with and
+without ``base_plain``, is fixed when it is interned, so rendering joins
+stored strings.  A monomial is a tuple of (variable, exponent) pairs and
+equals the plain tuple of its pairs.  Polynomials are immutable
+dictionaries mapping monomials to nonzero exact field scalars; the zero
+polynomial is the empty map, and a sum or product with a zero operand
+does no arithmetic.
 
 Canonical textual form (the bit-exact contract for golden tests and JSON
 output): variables sort by (base index, order1, order2, name), with a
@@ -38,7 +41,7 @@ class JetVar:
     never shrinks.  Orders are non-negative, so the sort key (index, order1,
     order2 or -1, name) determines the variable."""
 
-    __slots__ = ("name", "index", "order1", "order2", "_key")
+    __slots__ = ("name", "index", "order1", "order2", "_key", "_text", "_plain")
 
     def __new__(cls, name, index, order1=0, order2=None):
         spec = (name, index, order1, order2)
@@ -47,7 +50,12 @@ class JetVar:
         except KeyError:
             v = object.__new__(cls)
         key = (index, order1, -1 if order2 is None else order2, name)
-        for attr, value in zip(cls.__slots__, spec + (key,)):
+        if order2 is None:
+            text = "%s_%d" % (name, order1)
+            plain = text if order1 else name
+        else:
+            text = plain = "%s_%d_%d" % (name, order1, order2)
+        for attr, value in zip(cls.__slots__, spec + (key, text, plain)):
             object.__setattr__(v, attr, value)
         if order1 < 0 or order2 is not None and order2 < 0:
             raise ValueError("negative jet order in %s" % v)
@@ -65,14 +73,11 @@ class JetVar:
         return self._key
 
     def render(self, base_plain=False):
-        if self.order2 is not None:
-            return "%s_%d_%d" % (self.name, self.order1, self.order2)
-        if base_plain and self.order1 == 0:
-            return self.name
-        return "%s_%d" % (self.name, self.order1)
+        """"x_1", "x_1_2" in bivariate rings, and "x" for x_0 when base_plain."""
+        return self._plain if base_plain else self._text
 
     def __str__(self):
-        return self.render()
+        return self._text
 
 
 class Monomial(tuple):
@@ -157,11 +162,9 @@ class Monomial(tuple):
     def render(self, base_plain=False):
         if not self:
             return "1"
-        parts = []
-        for v, e in self:
-            s = v.render(base_plain)
-            parts.append(s if e == 1 else "%s^%d" % (s, e))
-        return "*".join(parts)
+        if base_plain:
+            return "*".join([v._plain if e == 1 else "%s^%d" % (v._plain, e) for v, e in self])
+        return "*".join([v._text if e == 1 else "%s^%d" % (v._text, e) for v, e in self])
 
     def __reduce__(self):
         return Monomial, (tuple(self),)
@@ -323,6 +326,10 @@ class Poly:
         if isinstance(other, int):
             other = Poly.constant(other, self.field)
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         d = dict(self.terms)
         for m, c in other.terms.items():
             s = d.get(m)
@@ -354,6 +361,8 @@ class Poly:
             s = self.field.coerce(other)
             return _poly(self.field, {m: c * s for m, c in self.terms.items()} if s else {})
         self._check(other)
+        if not self.terms or not other.terms:
+            return _poly(self.field, {})
         d = {}
         other_terms = other.terms.items()
         for m1, c1 in self.terms.items():
@@ -430,6 +439,8 @@ class Poly:
                 if power is None:
                     power = powers[(v, e)] = mapping.get(v, Poly.var(v, field)) ** e
                 term = term * power
+                if not term.terms:
+                    break  # a zero factor: the term is zero, whatever follows
             for m2, c2 in term.terms.items():
                 s = d.get(m2)
                 s = c2 if s is None else s + c2
@@ -471,23 +482,27 @@ class Poly:
         return sorted(self.terms.items(), key=_render_key)
 
     def render(self, base_plain=False):
-        if not self.terms:
+        """Terms in canonical order, each a sign and "c*m", "m" or "c"; the
+        first term's sign is "-" or nothing."""
+        terms = self.terms
+        if not terms:
             return "0"
+        coefficient = self.field.render
         parts = []
-        for i, (m, c) in enumerate(self.sorted_terms()):
-            cs = self.field.render(c)
-            neg = cs.startswith("-")
-            mag = cs[1:] if neg else cs
-            if m.is_unit():
-                body = mag
-            elif mag == "1":
-                body = m.render(base_plain)
+        for m, c in self.sorted_terms() if len(terms) > 1 else terms.items():
+            cs = coefficient(c)
+            if cs[0] == "-":
+                parts.append(" - ")
+                cs = cs[1:]
             else:
-                body = "%s*%s" % (mag, m.render(base_plain))
-            if i == 0:
-                parts.append("-" + body if neg else body)
+                parts.append(" + ")
+            if not m:
+                parts.append(cs)
+            elif cs == "1":
+                parts.append(m.render(base_plain))
             else:
-                parts.append((" - " if neg else " + ") + body)
+                parts.append(cs + "*" + m.render(base_plain))
+        parts[0] = "-" if parts[0] == " - " else ""
         return "".join(parts)
 
     def __str__(self):

@@ -9,12 +9,18 @@ Poly's arithmetic.  The naive evaluator multiplies Fractions term by
 term; it shares no code with the integer kernel of Poly.eval.  The
 reference point oracle makes the same draws as
 jetforge.checks.points_agree, builds Fraction points and compares the two
-sides pair by pair with Poly.eval.
+sides pair by pair with Poly.eval.  The text references are the renderer
+and tokenizer jetforge had before variables kept their rendered text and
+the tokenizer became one comprehension: each formats every variable and
+coefficient afresh, and the tokenizer reads each token's column from its
+group after a leading-whitespace prefix.
 """
 
+import re
 from fractions import Fraction
 
 from jetforge.checks import ORACLE_POINTS
+from jetforge.errors import ParseError
 from jetforge.poly import JetVar, Monomial, Poly
 from jetforge.scalars import Fp
 
@@ -78,3 +84,61 @@ def naive_points_agree(rng, lhs, rhs):
             if a.eval(pt) != b.eval(pt):
                 return False
     return True
+
+
+def reference_var_render(v, base_plain=False):
+    if v.order2 is not None:
+        return "%s_%d_%d" % (v.name, v.order1, v.order2)
+    if base_plain and v.order1 == 0:
+        return v.name
+    return "%s_%d" % (v.name, v.order1)
+
+
+def reference_monomial_render(m, base_plain=False):
+    if not m:
+        return "1"
+    parts = []
+    for v, e in m:
+        s = reference_var_render(v, base_plain)
+        parts.append(s if e == 1 else "%s^%d" % (s, e))
+    return "*".join(parts)
+
+
+def reference_poly_render(f, base_plain=False):
+    if not f.terms:
+        return "0"
+    parts = []
+    for i, (m, c) in enumerate(f.sorted_terms()):
+        cs = f.field.render(c)
+        neg = cs.startswith("-")
+        mag = cs[1:] if neg else cs
+        if m.is_unit():
+            body = mag
+        elif mag == "1":
+            body = reference_monomial_render(m, base_plain)
+        else:
+            body = "%s*%s" % (mag, reference_monomial_render(m, base_plain))
+        if i == 0:
+            parts.append("-" + body if neg else body)
+        else:
+            parts.append((" - " if neg else " + ") + body)
+    return "".join(parts)
+
+
+# The tokenizer's pattern with ASCII digits, which the tokenizer adopted at
+# the same time; the references agree on every input, Unicode digits too.
+_REFERENCE_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
+                              r"|(?P<op>->|[-+*/^(),\[\]:=])|(?P<bad>\S))")
+
+
+def reference_tokenize(text, line_no):
+    tokens = []
+    end = 0
+    for m in _REFERENCE_TOKEN.finditer(text):
+        kind, end = m.lastgroup, m.end()
+        col = m.start(kind) + 1
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % m.group(kind), line_no, col)
+        tokens.append((kind, m.group(kind), line_no, col))
+    tokens.append(("end", "", line_no, end + 1))
+    return tokens

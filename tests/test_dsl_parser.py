@@ -148,6 +148,10 @@ ERROR_CORPUS = [
     ('ideal f = x^2 + ^3\n', ParseError, 2, 17, "unexpected token '^'"),
     ('ideal f = -> x\n', ParseError, 2, 11, "unexpected token '->'"),
     ('module rank 1\nrelation x*e1 + (,)\n', ParseError, 3, 18, "unexpected token ','"),
+    # digits are ASCII; these read as x^3 and 3*x before
+    ('ideal f = x^\u0663\n', ParseError, 2, 13, "unexpected character '\u0663'"),
+    ('ideal f = x\u0663\n', ParseError, 2, 12, "unexpected character '\u0663'"),
+    ('ideal f = \uff12/3 y\n', ParseError, 2, 11, "unexpected character '\uff12'"),
 ]
 
 
@@ -228,6 +232,10 @@ DECLARATION_CORPUS = [
     ('ring Q[x]\ngrade x = 1 2\n', ParseError, 2, 13, "trailing input '2'"),
     ('ring Q[x]\nmodule rank 1 2\n', ParseError, 2, 15, "trailing input '2'"),
     ('ring Q[x]\nideal f = x = 1\n', ParseError, 2, 13, "trailing input '='"),
+    # digits are ASCII; the grade and rank read as 3 and 2 before
+    ('ring Q[x]\ngrade x = \u0663\n', ParseError, 2, 11, "unexpected character '\u0663'"),
+    ('ring Q[x]\nmodule rank \uff12\n', ParseError, 2, 13, "unexpected character '\uff12'"),
+    ('ring F\u0667[x]\n', ParseError, 1, 7, "unexpected character '\u0667'"),
 ]
 
 

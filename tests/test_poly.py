@@ -394,3 +394,43 @@ def test_substitute_matches_term_by_term_formula(field):
     assert cancelling.substitute({Y: P(X)}).is_zero()
     with pytest.raises(FieldMismatch):
         (P(X) * P(Y)).substitute({X: Poly.var(u, PrimeField(5))})
+
+
+def test_zero_operands_return_without_arithmetic(monkeypatch):
+    p = 3 * P(X) * P(Y) - P(Y) ** 2
+    zero = Poly.zero()
+    assert p + zero is p and zero + p is p
+    assert p - zero == p and (zero - p) == -p
+
+    def no_products(*_):
+        raise AssertionError("a product with a zero operand multiplied monomials")
+
+    monkeypatch.setattr(Monomial, "mul", no_products)
+    assert (p * zero).is_zero() and (zero * p).is_zero() and (zero * zero).is_zero()
+    f5 = PrimeField(5)
+    for a, b in ((Poly.zero(f5), p), (p, Poly.zero(f5)), (zero, Poly.var(X, f5))):
+        with pytest.raises(FieldMismatch):
+            a + b
+        with pytest.raises(FieldMismatch):
+            a * b
+
+
+def test_substitute_stops_a_term_at_a_zero_image(monkeypatch):
+    z = JetVar("z", 2, 0)
+    f = P(X) * P(Y) ** 2 * P(z) ** 3 + P(Y) - 2 * P(z)
+    products = []
+    multiply = Poly.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    got = f.substitute({X: Poly.zero(), z: P(Y) + 1})
+    monkeypatch.undo()
+    assert got == P(Y) - 2 * P(Y) - 2
+    # x*y^2*z^3 stops after its first factor; y and z make one product each
+    assert len([a for a, b in products if b.is_zero()]) == 1
+    assert not any(a.is_zero() for a, _ in products)
+    with pytest.raises(FieldMismatch):
+        f.substitute({X: Poly.zero(PrimeField(5))})
