@@ -308,13 +308,16 @@ def _suite_jacobian(rng, orng):
     n = _randint(rng, 0, MAX_LEVEL)
     comps = hs_components(f, n)
     gens = [JetVar(x, l, 0) for l, x in enumerate(names)]
+    # jacobian[i][l * (n + 1) + j] is d(d_i f)/d x_l^(j)
+    jacobian = [g.gradient([JetVar(v.name, v.index, j) for v in gens for j in range(n + 1)])
+                for g in comps]
     lhs, rhs = [], []
-    for l, v in enumerate(gens):
+    for l, df in enumerate(f.gradient(gens)):
         # d(d_i f)/d x^(j) is entry (j, i) of the twisted matrix of df/dx
-        twisted = upper_triangle(hs_components(f.partial(v), n), Poly.zero(QQ))
+        twisted = upper_triangle(hs_components(df, n), Poly.zero(QQ))
         for i in range(n + 1):
             for j in range(n + 1):
-                lhs.append(comps[i].partial(JetVar(v.name, v.index, j)))
+                lhs.append(jacobian[i][l * (n + 1) + j])
                 rhs.append(twisted[j][i])
     ok_sym = lhs == rhs
     ok_num = points_agree(orng, lhs, rhs)

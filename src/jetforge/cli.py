@@ -1,6 +1,7 @@
 """Command-line interface: batch computations over DSL input documents.
 
-Exit codes: 0 success, 1 check-suite failure, 2 usage or parse error.
+Exit codes: 0 success, 1 check-suite failure, 2 usage or parse error, 141
+when the reader closes standard output early (as ``| head`` does).
 The JETFORGE_FIELD environment variable sets the default coefficient
 field for documents whose ring declaration omits one.
 """
@@ -18,6 +19,9 @@ from .hsmodules import (hs_module_presentation, kaehler_presentation,
 from .jets import bijet_presentation, induced_morphism, jet_presentation
 from .p1 import _cocycle_holds, _matrix_from_series, global_sections, transition_series
 from .scalars import field_by_name
+
+
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell gives a writer the pipe killed
 
 
 def _int_at_least(low):
@@ -263,7 +267,14 @@ def main(argv=None):
     # looked up per call, so the kept parser holds no reference to a command
     command = globals()["cmd_" + args.command]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()  # a closed pipe then shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # nothing more can be written; send what is still buffered, and the
+        # interpreter's final flush, to /dev/null instead of a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 2

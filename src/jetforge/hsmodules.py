@@ -106,7 +106,7 @@ def kaehler_presentation(P):
     """Module of differentials of P: basis d(generator), in the order of
     P.jet_vars or P.base_vars(); relations the Jacobian rows."""
     gens = P.jet_vars if isinstance(P, JetPresentation) else P.base_vars()
-    rows = [[f.partial(v) for v in gens] for f in P.relations]
+    rows = [f.gradient(gens) for f in P.relations]
     return ModulePresentation(P, len(gens), rows)
 
 

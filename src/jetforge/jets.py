@@ -44,10 +44,19 @@ from .scalars import QQ
 # jet components
 
 
-def _require_base(f):
-    for v in f.vars():
+def _base_vars(f):
+    """The variables of f, sorted; each must be a base variable."""
+    vs = f.vars()
+    for v in vs:
         if v.order1 != 0 or v.order2 is not None:
             raise NotABaseElement("polynomial contains jet variable %s" % v)
+    return vs
+
+
+@lru_cache(maxsize=None)
+def _family(v, n):
+    """The jets v^(0) .. v^(n) of a base variable, in variable order."""
+    return tuple(JetVar(v.name, v.index, i) for i in range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -89,36 +98,55 @@ def _expansion(e, bounds):
     return tuple((pos, tuple(found[g])) for pos, g in enumerate(box) if g in found)
 
 
+@lru_cache(maxsize=None)
+def _rows(family, e, bounds):
+    """The table of v^e for a variable with jet family ``family``: each
+    ``_expansion`` entry read through the family as a tuple of (variable,
+    exponent) pairs, with its multinomial, grouped by grade position.  Kept
+    for the life of the process, like ``_expansion``; it holds no field
+    scalar, so every field shares it."""
+    return tuple((g, tuple([(tuple(zip(map(family.__getitem__, grades), exponents)), k)
+                            for grades, exponents, k in entries]))
+                 for g, entries in _expansion(e, bounds))
+
+
+_UNIT_TABLE = ((0, (((), 1),)),)  # the empty product: the unit monomial, in grade 0
+
+
+def _pair_key(pair):
+    return pair[0]._key
+
+
 def _substitute(f, families, bounds):
     """Grade components of f after substituting each variable v by
     sum_g families[v][g] t^g, truncated to the grade box ``bounds``.
 
-    ``families[v][k]`` is the variable of the k-th grade of the box in
-    lexicographic order; each family must be sorted like its grades, and
-    distinct variables of f must have disjoint families.  Returns one Poly
-    per grade, in box order.
+    ``families[v]`` is a tuple whose k-th variable has the k-th grade of the
+    box in lexicographic order; each family must be in increasing variable
+    order, and distinct variables of f must have disjoint families.  Returns
+    one Poly per grade, in box order.
 
-    A row of v^e's table is a column-form ``_expansion`` entry read through
-    v's family as (variable, exponent) pairs.  Partial products concatenate
-    such rows, and each output term becomes one monomial.  The families'
-    block order, computed once per call, says whether a concatenation must
-    be sorted: it must when families interleave, as for ``jet_again`` into
-    order1 or for two variables that share an index."""
+    The rows of v^e's table, built once per (family, e, box) by ``_rows``,
+    are pair tuples of v's family.  Partial products concatenate such rows,
+    and each output term becomes one monomial.  A concatenation must be
+    sorted only when the families interleave, as for ``jet_again`` into
+    order1 or for two variables that share an index: when, taken in the
+    order of their variables, some family does not end before the next one
+    starts."""
     box, sums = _grades(bounds)
-    order = [w for v in sorted(families, key=JetVar.sort_key) for w in families[v]]
-    interleaved = order != sorted(order, key=JetVar.sort_key)
+    ordered = [families[v] for v in sorted(families, key=JetVar.sort_key)]
+    interleaved = any(a[-1]._key > b[0]._key for a, b in zip(ordered, ordered[1:]))
     out = [{} for _ in box]
     tables = {}
     for mono, c in f.terms.items():
-        acc = [(0, [((), 1)])]
+        acc = _UNIT_TABLE
         for v, e in mono:
             table = tables.get((v, e))
             if table is None:
-                row_of = families[v].__getitem__
-                table = tables[(v, e)] = [
-                    (g, [(tuple(zip(map(row_of, grades), exponents)), k)
-                         for grades, exponents, k in entries])
-                    for g, entries in _expansion(e, bounds)]
+                table = tables[(v, e)] = _rows(families[v], e, bounds)
+            if acc is _UNIT_TABLE:
+                acc = table
+                continue
             nxt = {}
             for g1, left in acc:
                 row = sums[g1]
@@ -136,16 +164,14 @@ def _substitute(f, families, bounds):
                 coeff = c if k == 1 else c * k
                 if coeff:
                     if interleaved:
-                        m = sorted(m, key=lambda ve: ve[0].sort_key())
+                        m = sorted(m, key=_pair_key)
                     dest[_monomial(m)] = coeff
     return [_poly(f.field, d) for d in out]
 
 
 def hs_components(f, n):
     """Jet components d_0(f) .. d_n(f) of a base-ring polynomial."""
-    _require_base(f)
-    families = {v: [JetVar(v.name, v.index, i) for i in range(n + 1)] for v in f.vars()}
-    return _substitute(f, families, (n,))
+    return _substitute(f, {v: _family(v, n) for v in _base_vars(f)}, (n,))
 
 
 def jet_again(f, n, outer_to):
@@ -158,18 +184,17 @@ def jet_again(f, n, outer_to):
         if v.order2 is not None:
             raise NotABaseElement("cannot jet a bivariate variable %s" % v)
         if outer_to == "order1":
-            families[v] = [JetVar(v.name, v.index, a, v.order1) for a in range(n + 1)]
+            families[v] = tuple(JetVar(v.name, v.index, a, v.order1) for a in range(n + 1))
         else:
-            families[v] = [JetVar(v.name, v.index, v.order1, a) for a in range(n + 1)]
+            families[v] = tuple(JetVar(v.name, v.index, v.order1, a) for a in range(n + 1))
     return _substitute(f, families, (n,))
 
 
 def hs_components_2d(f, n, m):
     """Bivariate jet components: (n+1) x (m+1) matrix of coefficients of
     s^i t^j after substituting x by sum x^(i,j) s^i t^j."""
-    _require_base(f)
-    families = {v: [JetVar(v.name, v.index, i, j) for i in range(n + 1) for j in range(m + 1)]
-                for v in f.vars()}
+    families = {v: tuple(JetVar(v.name, v.index, i, j) for i in range(n + 1) for j in range(m + 1))
+                for v in _base_vars(f)}
     comps = _substitute(f, families, (n, m))
     return [comps[i * (m + 1):(i + 1) * (m + 1)] for i in range(n + 1)]
 
@@ -193,8 +218,7 @@ class AlgebraPresentation:
                 raise JetforgeError("duplicate variable %r" % x)
         declared = set(self.base_vars())
         for f in self.relations:
-            _require_base(f)
-            for v in f.vars():
+            for v in _base_vars(f):
                 if v not in declared:
                     raise ValueError("relation mentions undeclared variable %s" % v)
         if self.grading is not None:

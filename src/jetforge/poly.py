@@ -285,6 +285,9 @@ class Poly:
 
     __setattr__ = __delattr__ = _immutable
 
+    def __reduce__(self):
+        return Poly, (self.field, self.terms)
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -389,20 +392,33 @@ class Poly:
 
     # -- calculus & substitution --------------------------------------
 
+    def gradient(self, gens):
+        """The partial derivatives by each of the distinct variables gens,
+        in one pass over the terms: a term c * m gives c * e * m / v to the
+        derivative by each v^e in m.  Dividing by v is injective on the
+        monomials that contain v, so no two terms of one derivative merge;
+        a term drops out only where c * e is 0 in the field, as x^p does
+        over F_p."""
+        field = self.field
+        coerce = field.coerce
+        position = {v: k for k, v in enumerate(gens)}
+        out = [{} for _ in gens]
+        for m, c in self.terms.items():
+            for i, (v, e) in enumerate(m):
+                k = position.get(v)
+                if k is None:
+                    continue
+                if e == 1:
+                    out[k][_monomial(m[:i] + m[i + 1:])] = c
+                else:
+                    coeff = coerce(c * e)
+                    if coeff:
+                        out[k][_monomial(m[:i] + ((v, e - 1),) + m[i + 1:])] = coeff
+        return [_poly(field, d) for d in out]
+
     def partial(self, v):
         """Formal partial derivative with respect to v."""
-        d = {}
-        for m, c in self.terms.items():
-            e = m.exponent(v)
-            if not e:
-                continue
-            lower = m.divide_by_var(v)
-            coeff = c * e
-            if lower in d:
-                d[lower] = d[lower] + coeff
-            else:
-                d[lower] = coeff
-        return Poly(self.field, d)
+        return self.gradient((v,))[0]
 
     def eval(self, assignment):
         """Exact evaluation at a point; assignment maps JetVar to scalar.

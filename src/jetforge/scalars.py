@@ -59,6 +59,9 @@ class Fp:
     def as_integer_ratio(self):
         return self.value, 1
 
+    def __reduce__(self):
+        return Fp, (self.value, self.p)
+
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power in F_%d" % self.p)
@@ -157,6 +160,9 @@ class Rationals:
     def __repr__(self):
         return "QQ"
 
+    def __reduce__(self):
+        return "QQ"  # pickled by name, so it loads, copies and deep-copies as the one QQ
+
 
 def is_prime(n):
     """Deterministic Miller-Rabin with bases 2, 3, 5 and 7, exact for
@@ -240,9 +246,9 @@ QQ = Rationals()
 
 
 def field_by_name(name):
-    """Parse "Q" or "F<p>" into a field object."""
+    """Parse "Q" or "F<p>", p in ASCII digits, into a field object."""
     if name == "Q":
         return QQ
-    if name.startswith("F") and name[1:].isdigit():
+    if name.startswith("F") and name[1:].isascii() and name[1:].isdigit():
         return PrimeField(int(name[1:]))
     raise ValueError("unknown field name: %r" % name)

@@ -5,9 +5,11 @@ sum_g w_g tau^g, with explicit tau variables (one per grade coordinate),
 expands the result as a single untruncated polynomial with Poly's public
 ring arithmetic and collects by tau exponents.  It shares no code with the
 multinomial substitution engine in jetforge.jets, which uses none of
-Poly's arithmetic.  The naive evaluator multiplies Fractions term by
-term; it shares no code with the integer kernel of Poly.eval.  The
-reference point oracle makes the same draws as
+Poly's arithmetic.  The naive derivative differentiates by one variable
+at a time, term by term, summing one-term polynomials with Poly addition;
+it shares no code with Poly.gradient.  The naive evaluator multiplies
+Fractions term by term; it shares no code with the integer kernel of
+Poly.eval.  The reference point oracle makes the same draws as
 jetforge.checks.points_agree, builds Fraction points and compares the two
 sides pair by pair with Poly.eval.  The text references are the renderer
 and tokenizer jetforge had before variables kept their rendered text and
@@ -54,6 +56,19 @@ def naive_hs_components(f, n):
     families = {v: {(i,): JetVar(v.name, v.index, i) for i in range(n + 1)} for v in f.vars()}
     comps = naive_components(f, families, (TAU,))
     return [comps.get((i,), Poly.zero(f.field)) for i in range(n + 1)]
+
+
+def naive_partial(f, v):
+    """df/dv: each term c * v^e * rest gives the one-term polynomial
+    (c * e) * v^(e - 1) * rest, built from an exponent dict and coerced."""
+    out = Poly.zero(f.field)
+    for m, c in f.terms.items():
+        exps = dict(m.exps)
+        e = exps.get(v, 0)
+        if e:
+            exps[v] = e - 1
+            out = out + Poly(f.field, {Monomial(exps): c * e})
+    return out
 
 
 def naive_eval(f, point):

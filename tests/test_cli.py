@@ -25,6 +25,15 @@ def test_jet_golden(capsys):
     assert out == (GOLDEN / "cusp_jet2.txt").read_text()
 
 
+def test_omega_golden(capsys):
+    """Level-12 differentials of a cubic surface: the Jacobian of 26
+    relations in 39 jet variables, as printed before Jacobian rows were
+    built in one pass."""
+    code, out, _ = run(capsys, "omega", "--n", "12", str(GOLDEN / "surface.jf"))
+    assert code == 0
+    assert out == (GOLDEN / "surface_omega12.txt").read_text()
+
+
 def test_jet_json_byte_stable(capsys):
     code, out1, _ = run(capsys, "jet", "--n", "1", "--format", "json", str(GOLDEN / "cusp.jf"))
     code2, out2, _ = run(capsys, "jet", "--n", "1", "--format", "json", str(GOLDEN / "cusp.jf"))
@@ -161,6 +170,16 @@ def test_bad_field_env_is_error(capsys, monkeypatch):
     code, out, err = run(capsys, "jet", "--n", "1", str(GOLDEN / "cusp.jf"))
     assert code == 2 and out == ""
     assert err == "error: JETFORGE_FIELD: modulus is not prime: 4\n"
+
+
+@pytest.mark.parametrize("name", ["F\u0667", "F\uff17", "F7\u0663", "F\u00b2", "F", "F-7"])
+def test_field_env_takes_ascii_digits_only(name, capsys, monkeypatch):
+    """F followed by an Arabic-Indic or a fullwidth seven, or by a
+    superscript two, names no field."""
+    monkeypatch.setenv("JETFORGE_FIELD", name)
+    code, out, err = run(capsys, "jet", "--n", "1", str(GOLDEN / "cusp.jf"))
+    assert code == 2 and out == ""
+    assert err == "error: JETFORGE_FIELD: unknown field name: %r\n" % name
 
 
 def test_duplicate_ring_variable_exit_code(tmp_path, capsys):
@@ -310,6 +329,26 @@ def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
         assert (ei.value.code, out.out, out.err) == _fresh_output(argv, capsys)
     assert _fresh_output(["jet"], capsys)[2] == first_usage
     assert built == [1]
+
+
+def test_closed_output_pipe_exits_quietly(tmp_path):
+    """A reader that stops early, as ``| head -c 50`` does, ends the command
+    with status 141 and nothing on stderr; 1 stays reserved for check
+    failures."""
+    doc = tmp_path / "long.jf"
+    doc.write_text("ring Q[x,y]\nideal f = x*y\n")  # jet --n 400 prints about 1 MB
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "jetforge.cli", "jet", "--n", "400", str(doc)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(50)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
+    assert head == b"level 400\nvars x_0 x_1 x_2 x_3 x_4 x_5 x_6 x_7 x_8"
 
 
 def test_output_does_not_depend_on_hashes():

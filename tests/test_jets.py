@@ -390,3 +390,23 @@ def test_engine_sorts_families_that_share_an_index():
         assert got == want
         assert [[p.render() for p in row] for row in got] == [
             [p.render() for p in row] for row in want]
+
+
+def test_engine_sorts_jets_of_jets_into_order1():
+    """jet_again into order1 lifts x_0 and x_1 to the families x_a_0 and
+    x_a_1, which interleave from level 1 on (x_0_0 < x_0_1 < x_1_0 <
+    x_1_1 ...) and not at level 0; y's family starts after both end."""
+    x0, x1, y1 = JetVar("x", 0, 0), JetVar("x", 0, 1), JetVar("y", 1, 1)
+    px0, px1, py1 = Poly.var(x0), Poly.var(x1), Poly.var(y1)
+    g = 2 * px0 ** 2 * px1 - px1 ** 3 * py1 + Fraction(3, 2) * px0 * px1 * py1 ** 2 + px0
+    for a in range(4):
+        fams = {v: {(k,): JetVar(v.name, v.index, k, v.order1) for k in range(a + 1)}
+                for v in (x0, x1, y1)}
+        want = _read(naive_components(g, fams, (TAU,)), [(k,) for k in range(a + 1)], QQ)
+        got = jet_again(g, a, "order1")
+        assert got == want
+        assert [p.render() for p in got] == [p.render() for p in want]
+        for p in got:
+            for m in p.terms:
+                keys = [v.sort_key() for v, _ in m]
+                assert keys == sorted(keys)

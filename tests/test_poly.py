@@ -10,7 +10,7 @@ from jetforge.errors import DivisionByZero, FieldMismatch, UnboundVariable
 from jetforge.jets import hs_components
 from jetforge.poly import UNIT, JetVar, Monomial, Poly, _eval_points
 from jetforge.scalars import QQ, Fp, PrimeField, is_prime
-from oracles import naive_eval
+from oracles import naive_eval, naive_partial
 
 X = JetVar("x", 0, 0)
 Y = JetVar("y", 1, 0)
@@ -45,6 +45,66 @@ def test_partial_derivative_examples():
     assert (P(X) ** 2 * P(Y)).partial(X) == 2 * P(X) * P(Y)
     assert (P(Y) ** 3).partial(X).is_zero()
     assert (P(Y) ** 2 - P(X) ** 3).partial(Y) == 2 * P(Y)
+
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(2147483647)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_gradient_matches_per_variable_reference(field):
+    """Poly.gradient and Poly.partial against the term-by-term derivative,
+    over Q and F_p, with exponents past p so that c * e vanishes mod p."""
+    rng = random.Random(20261020)
+    variables = [X, Y, JetVar("x", 0, 1), JetVar("z", 2, 0), JetVar("y", 1, 1, 2)]
+    top = 5 if field is QQ or field.p > 7 else 2 * field.p + 1
+    if field is QQ:
+        def coefficient():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    else:
+        def coefficient():
+            return rng.randrange(field.p)
+    for _ in range(60):
+        f = Poly(field, {Monomial({v: rng.randint(0, top) for v in rng.sample(variables, 3)}):
+                         coefficient() for _ in range(rng.randint(0, 6))})
+        gens = rng.sample(variables, rng.randint(0, len(variables)))
+        got = f.gradient(gens)
+        want = [naive_partial(f, v) for v in gens]
+        assert got == want and [f.partial(v) for v in gens] == want
+        assert [p.render() for p in got] == [p.render() for p in want]
+        assert all(p.field is field for p in got)
+    if field is not QQ:
+        xp = Poly.var(X, field) ** field.p
+        assert xp.gradient([X]) == [Poly.zero(field)]
+        dx, dy = (xp * Poly.var(Y, field)).gradient([X, Y])
+        assert dx.is_zero() and dy == xp
+        assert (xp * Poly.var(X, field)).partial(X) == xp
+
+
+def test_gradient_keeps_integral_rationals_as_ints():
+    half = Fraction(1, 2) * P(X) ** 2 * P(Y) + Fraction(1, 3) * P(Y) ** 3
+    dx, dy = half.gradient([X, Y])
+    assert dx == P(X) * P(Y) and dy == Fraction(1, 2) * P(X) ** 2 + P(Y) ** 2
+    assert [type(c) for c in dx.terms.values()] == [int]
+    assert set(map(type, dy.terms.values())) == {int, Fraction}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=lambda f: f.name)
+def test_poly_copies_and_pickles(field):
+    """copy, deepcopy and every pickle protocol give an equal Poly with the
+    same terms in the same order; Q comes back as the one QQ."""
+    lead = Fraction(-5, 3) if field is QQ else 4
+    p = Poly(field, {Monomial({X: 2, Y: 1}): lead, Monomial({JetVar("y", 1, 2): 1}): 3, UNIT: 1})
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    for q in (p, Poly.zero(field)):
+        copies = [copy.copy(q), copy.deepcopy(q)] + [pickle.loads(pickle.dumps(q, k))
+                                                     for k in protocols]
+        for c in copies:
+            assert type(c) is Poly and c == q and c.render() == q.render()
+            assert list(c.terms.items()) == list(q.terms.items())
+            assert (c.field is QQ) if field is QQ else (c.field == field)
+            with pytest.raises(AttributeError, match="^Poly is immutable$"):
+                c.terms = {}
+    assert copy.deepcopy(QQ) is QQ and pickle.loads(pickle.dumps(QQ)) is QQ
 
 
 def test_eval_examples():
