@@ -35,5 +35,5 @@ for i in range(3):
 
 # structural grading: deg x_i = i makes every f_i homogeneous of degree i
 for i, rel in enumerate(jp.relations):
-    degs = {jp.structural_degree(m) for m in rel.terms}
+    degs = {m.weighted_degree(lambda v: v.order1) for m in rel.terms}
     print("f_%d is structurally homogeneous of degree %s" % (i, degs))

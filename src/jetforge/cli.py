@@ -15,9 +15,9 @@ from .checks import SUITE_NAMES, CheckConfig, run_suite
 from .dsl import parse_document, print_document
 from .errors import JetforgeError, ParseError
 from .hsmodules import (hs_module_presentation, kaehler_presentation,
-                        sym_presentation)
+                        sym_presentation, upper_triangle)
 from .jets import bijet_presentation, induced_morphism, jet_presentation
-from .p1 import _cocycle_holds, _matrix_from_series, global_sections, transition_series
+from .p1 import _cocycle_holds, global_sections, transition_series
 from .scalars import field_by_name
 
 
@@ -60,10 +60,6 @@ def _load_document(args):
     return parse_document(text, default_field=default_field)
 
 
-def _rel_name(doc, k):
-    return doc.ideal_names[k] if k < len(doc.ideal_names) else "f%d" % k
-
-
 def cmd_jet(args):
     doc = _load_document(args)
     jp = jet_presentation(doc.algebra, args.n)
@@ -74,7 +70,7 @@ def cmd_jet(args):
     print("vars %s" % " ".join(v.render() for v in jp.jet_vars))
     for r, g in enumerate(jp.relations):
         k, i = divmod(r, args.n + 1)
-        print("relation %s.%d = %s" % (_rel_name(doc, k), i, g.render()))
+        print("relation %s.%d = %s" % (doc.ideal_names[k], i, g.render()))
     return 0
 
 
@@ -89,7 +85,7 @@ def cmd_jet2(args):
     for r, g in enumerate(bp.relations):
         k, ij = divmod(r, (args.n + 1) * (args.m + 1))
         i, j = divmod(ij, args.m + 1)
-        print("relation %s.%d.%d = %s" % (_rel_name(doc, k), i, j, g.render()))
+        print("relation %s.%d.%d = %s" % (doc.ideal_names[k], i, j, g.render()))
     return 0
 
 
@@ -178,17 +174,18 @@ def cmd_check(args):
 
 def cmd_p1(args):
     series = transition_series(args.d, args.n, "overlap")
+    rows = upper_triangle(series.coeffs, series.coeffs[0] * 0)
     out = {
         "d": args.d,
         "n": args.n,
-        "transition": _matrix_from_series(series, args.d, args.n).to_rows(),
+        "transition": [[p.render() for p in row] for row in rows],
         "cocycle_ok": _cocycle_holds(series, args.d, args.n) if args.cocycle else None,
         "global_sections": None,
     }
     if args.sections:
         secs = global_sections(args.d, args.n)
-        out["global_sections"] = [s.label for s in secs]
-        all_global = all(s.is_global for s in secs)
+        out["global_sections"] = [label for label, _ in secs]
+        all_global = all(regular for _, regular in secs)
     if args.format == "json":
         _emit_json(out)
         return 0

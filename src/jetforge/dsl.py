@@ -259,9 +259,6 @@ def parse_document(text, default_field=None):
         if kw == "ring":
             if p.peek()[0] == "name":
                 tok = p.take()
-                if len(tok[1]) > MAX_LITERAL_DIGITS:
-                    raise ParseError("field name longer than %d characters" % MAX_LITERAL_DIGITS,
-                                     tok[2], tok[3])
                 try:
                     field = field_by_name(tok[1])
                 except ValueError as e:
@@ -370,8 +367,7 @@ def parse_document(text, default_field=None):
 
 def print_document(algebra, ideal_names=None, module=None, morphism=None):
     """Canonical printer; parse(print(doc)) yields an identical document."""
-    field_name = getattr(algebra.field, "name", "Q")
-    lines = ["ring %s[%s]" % (field_name, ",".join(algebra.vars))]
+    lines = ["ring %s[%s]" % (algebra.field.name, ",".join(algebra.vars))]
     if algebra.grading is not None:
         for x in algebra.vars:
             lines.append("grade %s = %d" % (x, algebra.grading[x]))

@@ -12,14 +12,18 @@ identity  d(d_i f)/d x^(j) = d_{i-j}(df/dx)).
 Base, Kaehler and Hasse-Schmidt modules are all one ModulePresentation.
 Indices follow from position: in a level-n Hasse-Schmidt module, row r
 is relation k at order i and basis vector c is e_l at order j, with
-(k, i) = divmod(r, n+1) and (l, j) = divmod(c, n+1).
+(k, i) = divmod(r, n+1) and (l, j) = divmod(c, n+1).  ``upper_triangle``
+is the one layout of a twisted matrix; ``p1`` lays out the transition
+matrices of the jet bundles on P^1 with it too.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 
-from .jets import AlgebraPresentation, JetPresentation, hs_components, jet_presentation
+from .jets import (AlgebraPresentation, JetPresentation, hs_components, induced_morphism,
+                   jet_presentation)
 from .poly import JetVar, Poly, _poly
+from .scalars import QQ
 
 
 @dataclass
@@ -226,8 +230,6 @@ def sym_theorem_check(M, n):
 def base_change_check(phi, M, n):
     """f_n applied entrywise to the Hasse-Schmidt presentation of M equals the
     Hasse-Schmidt presentation of the pushed-forward module."""
-    from .jets import induced_morphism
-
     fn = induced_morphism(phi, n)
     left = hs_module_presentation(M, n)
     pushed = ModulePresentation(phi.target, M.rank,
@@ -240,31 +242,20 @@ def base_change_check(phi, M, n):
     return True
 
 
-def free_dual_zigzag_check(n, field=None):
+def free_dual_zigzag_check(n):
     """Coevaluation 1 -> sum t^[i] (x) t^i against the Kronecker evaluation
     t^i (x) t^[j] -> delta_ij: both triangle composites must be the identity
-    on the free rank-(n+1) pair."""
-    from .scalars import QQ
-
-    fld = field or QQ
-    one, zero = fld.one, fld.zero
-    # eta as a matrix: component (a, b) of the tensor sum_i delta_ia delta_ib
-    eta = [[one if a == b else zero for b in range(n + 1)] for a in range(n + 1)]
-    theta = [[one if a == b else zero for b in range(n + 1)] for a in range(n + 1)]
+    on the free rank-(n+1) pair, over Q."""
+    ident = [[QQ.one if a == b else QQ.zero for b in range(n + 1)] for a in range(n + 1)]
+    # eta as a matrix: component (a, b) of the tensor sum_i delta_ia delta_ib;
+    # theta(t^a, t^[b]) = delta_ab
+    eta = theta = ident
     # composite on the dual side: e^[j] -> sum_i t^[i] (x) t^i (x) e^[j]
     #                                   -> sum_i t^[i] theta(t^i, e^[j])
-    comp1 = [[sum_scalar(fld, (eta[i][a] * theta[a][j] for a in range(n + 1)))
+    comp1 = [[sum(eta[i][a] * theta[a][j] for a in range(n + 1))
               for j in range(n + 1)] for i in range(n + 1)]
     # composite on the module side: t^a -> t^a (x) sum_i t^[i] (x) t^i
     #                                   -> sum_i theta(t^a, t^[i]) t^i
-    comp2 = [[sum_scalar(fld, (theta[a][i] * eta[i][b] for i in range(n + 1)))
+    comp2 = [[sum(theta[a][i] * eta[i][b] for i in range(n + 1))
               for b in range(n + 1)] for a in range(n + 1)]
-    ident = [[one if a == b else zero for b in range(n + 1)] for a in range(n + 1)]
     return comp1 == ident and comp2 == ident
-
-
-def sum_scalar(fld, items):
-    acc = fld.zero
-    for x in items:
-        acc = acc + x
-    return acc

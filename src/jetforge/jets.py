@@ -23,9 +23,9 @@ whose multinomial vanishes mod p drop out.  The families are disjoint, so
 each output monomial is one concatenation of the variables' pair tuples,
 sorted only when the families interleave.
 
-Two gradings live on a jet presentation: the structural one
-(deg x^(i) = i) and, when the source algebra is graded, the induced one
-(deg x^(i) = deg x).
+Two gradings live on a jet presentation, both read by
+``Monomial.weighted_degree``: the structural one (deg x^(i) = i) and,
+when the source algebra is graded, the induced one (deg x^(i) = deg x).
 """
 
 from collections import Counter
@@ -240,18 +240,6 @@ class AlgebraPresentation:
         return None
 
 
-def grade_monomial(m, mode, grading=None):
-    """Structural weight (sum exp * jet order) or induced weight
-    (sum exp * source degree of the base name)."""
-    if mode == "structural":
-        return m.weighted_degree(lambda v: v.order1)
-    if mode == "induced":
-        if grading is None:
-            raise MissingGrading("induced grading requested without a source grading")
-        return m.weighted_degree(lambda v: grading[v.name])
-    raise ValueError("unknown grading mode: %r" % mode)
-
-
 @dataclass
 class JetPresentation:
     level: int
@@ -267,11 +255,8 @@ class JetPresentation:
         """Relation r is d_i(f_k), (k, i) = divmod(r, level+1); built when read."""
         return [g for f in self.source.relations for g in hs_components(f, self.level)]
 
-    def structural_degree(self, m):
-        return grade_monomial(m, "structural")
-
     def to_json_dict(self):
-        out = {
+        return {
             "level": self.level,
             "vars": [v.render() for v in self.jet_vars],
             "relations": [f.render() for f in self.relations],
@@ -280,7 +265,6 @@ class JetPresentation:
                 {v.render(): self.source.grading[v.name] for v in self.jet_vars}
                 if self.source.grading is not None else {}),
         }
-        return out
 
 
 def jet_presentation(A, n):

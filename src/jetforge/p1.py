@@ -13,9 +13,11 @@ coordinate.  With u = t^(0), the generalized binomial theorem gives
 over the multisets {a_h}, h >= 1, of size m = sum a_h and grade
 g = sum h * a_h; binom(k, m) = k(k-1)...(k-m+1)/m! is an integer for
 negative k too, so no series is inverted.
-"""
 
-from dataclasses import dataclass
+``p1_transition`` returns the twisted-action matrix as the rows of
+``hsmodules.upper_triangle``, and ``global_sections`` returns (label,
+regular) pairs.
+"""
 
 from .errors import UnsupportedTwist
 from .hsmodules import upper_triangle
@@ -64,24 +66,12 @@ def transition_series(d, n, express_in="chart1", field=QQ):
     raise ValueError("express_in must be chart1 or overlap")
 
 
-@dataclass
-class TransitionMatrix:
-    """Column j expands e_0^(j) as sum_i d_{j-i}(t1^d) e_1^(i)."""
-
-    d: int
-    level: int
-    entries: list  # (n+1) x (n+1) LocalPoly, row i, column j
-
-    def to_rows(self):
-        return [[p.render() for p in row] for row in self.entries]
-
-
-def _matrix_from_series(s, d, n):
-    return TransitionMatrix(d, n, upper_triangle(s.coeffs, s.coeffs[0] * 0))
-
-
 def p1_transition(d, n, express_in="chart1", field=QQ):
-    return _matrix_from_series(transition_series(d, n, express_in, field), d, n)
+    """The twisted-action matrix of t1^d as rows of LocalPoly, laid out by
+    hsmodules.upper_triangle: column j expands e_0^(j) as
+    sum_i d_{j-i}(t1^d) e_1^(i)."""
+    s = transition_series(d, n, express_in, field)
+    return upper_triangle(s.coeffs, s.coeffs[0] * 0)
 
 
 def cocycle_check(d, n, field=QQ):
@@ -96,28 +86,18 @@ def _cocycle_holds(s01, d, n):
     return s01 * power_jets(d, 0, n, field) == power_jets(0, 0, n, field)
 
 
-@dataclass
-class SectionDescriptor:
-    label: str
-    chart: int
-    other_chart_expression: list  # coefficients over the other chart's basis
-    is_global: bool
-
-
 def global_sections(d, n, field=QQ):
-    """Generators of the global sections of O(1)_n: e_i^(j) for both charts,
-    each verified regular by expressing it in the other chart and checking
-    denominator-freeness."""
+    """The generators e_i^(j) of the global sections of O(1)_n, both charts,
+    as (label, regular) pairs: e_i^(j) is regular when it extends across
+    the other chart with denominator-free coefficients."""
     if d != 1:
         raise UnsupportedTwist("global sections implemented for d = 1 only")
     sections = []
-    # e_i^(j) lives on chart i; column j of the jets of t_(1-i)^1 expresses
-    # it on the other chart (for i = 0 that is the chart1 transition of O(1))
+    # e_i^(j) lives on chart i; in the other chart it is column j of the
+    # twisted matrix of t_(1-i), whose entries are the jets d_0 .. d_j of
+    # t_(1-i) and zeros (for i = 0 that is the chart1 transition of O(1))
     for i in (0, 1):
-        m = _matrix_from_series(power_jets(1, 1 - i, n, field), 1, n)
+        jets = power_jets(1, 1 - i, n, field).coeffs
         for j in range(n + 1):
-            col = [m.entries[r][j] for r in range(n + 1)]
-            sections.append(SectionDescriptor(
-                "e%d_%d" % (i, j), i, [p.render() for p in col],
-                all(p.denom_exp == 0 for p in col)))
+            sections.append(("e%d_%d" % (i, j), all(p.denom_exp == 0 for p in jets[:j + 1])))
     return sections

@@ -104,11 +104,6 @@ class Monomial(tuple):
 
     __setattr__ = __delattr__ = _immutable
 
-    @property
-    def exps(self):
-        """The (var, exponent) pairs: the monomial itself."""
-        return self
-
     def is_unit(self):
         return not self
 
@@ -308,12 +303,6 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return all(m.is_unit() for m in self.terms)
-
-    def constant_value(self):
-        return self.terms.get(UNIT, self.field.zero)
-
     def vars(self):
         return sorted({v for m in self.terms for v, _ in m}, key=JetVar.sort_key)
 
@@ -481,8 +470,8 @@ class Poly:
 
     def unit_inverse(self):
         """Inverse of an invertible constant; the series-inversion hook."""
-        c = self.constant_value()
-        if not self.is_constant() or not c:
+        c = self.terms.get(UNIT)
+        if not c or len(self.terms) > 1:
             raise NonUnitLeadingCoefficient("leading coefficient is not a unit: %s" % self)
         return Poly.constant(self.field.inv(c), self.field)
 

@@ -6,9 +6,10 @@ compare and hash equal on equal values, so a term may hold either, and
 products of integral coefficients, such as the integer multinomials of jet
 components, stay off ``Fraction``.  Prime-field scalars are ``Fp``
 instances carrying their modulus.  A field object (``QQ`` or ``PrimeField(p)``) converts
-integers, provides constants and inversion, renders coefficients in the
-canonical "p/q" form, and builds a scalar from an integer ratio
-(``from_ratio``).  Scalars give their integer view through
+integers and its own scalars (``field(c)`` is ``field.coerce(c)``, which raises
+``FieldMismatch`` on anything else), provides constants and inversion,
+renders coefficients in the canonical "p/q" form, and builds a scalar from
+an integer ratio (``from_ratio``).  Scalars give their integer view through
 ``as_integer_ratio()``, which over F_p is the residue over 1; integer
 kernels such as ``Poly.eval`` work on that view.
 """
@@ -110,9 +111,6 @@ class Rationals:
 
     name = "Q"
 
-    def __call__(self, n):
-        return n if type(n) is int else _rational(Fraction(n))
-
     @property
     def zero(self):
         return 0
@@ -137,6 +135,8 @@ class Rationals:
         if isinstance(c, int):
             return int(c)
         raise FieldMismatch("not a rational scalar: %r" % (c,))
+
+    __call__ = coerce
 
     def from_ratio(self, num, den):
         return _rational(Fraction(num, den))
@@ -200,9 +200,6 @@ class PrimeField:
         self.p = p
         self.name = "F%d" % p
 
-    def __call__(self, n):
-        return Fp(n, self.p)
-
     @property
     def zero(self):
         return Fp(0, self.p)
@@ -226,6 +223,8 @@ class PrimeField:
             return Fp(c, self.p)
         raise FieldMismatch("not an F_%d scalar: %r" % (self.p, c))
 
+    __call__ = coerce
+
     def from_ratio(self, num, den):
         return Fp(num * pow(den, -1, self.p), self.p)
 
@@ -245,8 +244,14 @@ class PrimeField:
 QQ = Rationals()
 
 
+# int() refuses longer digit strings (sys.get_int_max_str_digits()).
+MAX_FIELD_NAME = 4300
+
+
 def field_by_name(name):
     """Parse "Q" or "F<p>", p in ASCII digits, into a field object."""
+    if len(name) > MAX_FIELD_NAME:
+        raise ValueError("field name longer than %d characters" % MAX_FIELD_NAME)
     if name == "Q":
         return QQ
     if name.startswith("F") and name[1:].isascii() and name[1:].isdigit():

@@ -47,7 +47,7 @@ def naive_components(f, families, taus):
     out = {}
     for m, c in f.substitute(mapping).terms.items():
         g = tuple(m.exponent(tau) for tau in taus)
-        stripped = Poly(fld, {Monomial({v: k for v, k in m.exps if v not in taus}): c})
+        stripped = Poly(fld, {Monomial({v: k for v, k in m if v not in taus}): c})
         out[g] = out.get(g, Poly.zero(fld)) + stripped
     return out
 
@@ -63,7 +63,7 @@ def naive_partial(f, v):
     (c * e) * v^(e - 1) * rest, built from an exponent dict and coerced."""
     out = Poly.zero(f.field)
     for m, c in f.terms.items():
-        exps = dict(m.exps)
+        exps = dict(m)
         e = exps.get(v, 0)
         if e:
             exps[v] = e - 1
@@ -82,7 +82,7 @@ def naive_eval(f, point):
     total = Fraction(0)
     for m, c in f.terms.items():
         term = rational(c)
-        for v, e in m.exps:
+        for v, e in m:
             term *= rational(point[v]) ** e
         total += term
     return total

@@ -94,7 +94,7 @@ def test_criterion_6_p1(verdict):
     ok = all(cocycle_check(d, n) for d in range(-2, 3) for n in range(4))
     for n in range(4):
         secs = global_sections(1, n)
-        ok = ok and len(secs) == 2 * (n + 1) and all(s.is_global for s in secs)
+        ok = ok and len(secs) == 2 * (n + 1) and all(regular for _, regular in secs)
     verdict("p1-bundles", ok)
 
 

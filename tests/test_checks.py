@@ -8,8 +8,8 @@ import pytest
 
 from jetforge import checks, jets
 from jetforge.checks import (MAX_VARS, ORACLE_POINTS, SUITE_NAMES, CheckConfig,
-                             points_agree, random_algebra, random_module, random_poly,
-                             run_suite)
+                             points_agree, random_algebra, random_module, random_morphism,
+                             random_poly, run_suite)
 from jetforge.cli import main
 from jetforge.dsl import parse_document, print_document
 from jetforge.errors import FieldMismatch, UnknownSuite
@@ -66,15 +66,30 @@ def test_degenerate_instances_occur():
 
 
 def test_counterexamples_replay_through_dsl():
-    # instance serializations parse back through the DSL
+    """Instance serializations parse back through the DSL to equal
+    variables, relations, grading, module rows and morphism images."""
     rng = random.Random(4)
     for _ in range(20):
         A = random_algebra(rng)
-        M = random_module(rng, over=A)
-        doc = parse_document(print_document(A, module=M))
-        assert doc.algebra.vars == A.vars
-        assert doc.algebra.relations == A.relations
-        assert doc.module.rank == M.rank
+        phi = random_morphism(rng)
+        instances = [(A, random_module(rng, over=A), None),
+                     (random_algebra(rng, graded=True), None, None),
+                     (phi.source, random_module(rng, over=phi.source), phi)]
+        for algebra, module, morphism in instances:
+            doc = parse_document(print_document(algebra, module=module, morphism=morphism))
+            assert doc.algebra.vars == algebra.vars
+            assert doc.algebra.relations == algebra.relations
+            assert doc.algebra.grading == algebra.grading
+            if module is None:
+                assert doc.module is None
+            else:
+                assert doc.module.rank == module.rank
+                assert doc.module.relation_matrix == module.relation_matrix
+            if morphism:
+                assert doc.morphism.target.vars == morphism.target.vars
+                assert doc.morphism.images == morphism.images
+            else:
+                assert doc.morphism is None
 
 
 def test_report_json_shape():
@@ -236,6 +251,28 @@ def test_mutant_failure_reports_match_golden():
     assert failing == {"leibniz", "jacobian_identity", "bigrade_commute", "cotruncation",
                        "functoriality", "twisted_ring_hom", "sym_theorem",
                        "cotangent_theorem", "base_change"}
+
+
+def test_structural_failure_declares_only_the_drawn_variables(monkeypatch):
+    """Under a mutant engine that reverses the jet orders, structural_grading
+    fails, and each failure document declares the variables its instance
+    was drawn over: the first k of x, y, z, k the suite's first draw."""
+    substitute = jets._substitute
+    monkeypatch.setattr(jets, "_substitute",
+                        lambda f, families, bounds: substitute(f, families, bounds)[::-1])
+    rng = random.Random(5)
+    drawn = set()
+    for _ in range(40):
+        probe = random.Random()
+        probe.setstate(rng.getstate())
+        k = checks._randint(probe, 1, MAX_VARS)
+        ok, _, detail = checks._suite_structural(rng, None)
+        if not ok:
+            doc = parse_document(detail["input"])
+            assert doc.algebra.vars == ["x", "y", "z"][:k]
+            assert len(doc.algebra.relations) == 1
+            drawn.add(k)
+    assert drawn == {1, 2, 3}
 
 
 def test_draw_helpers_follow_the_randint_stream():

@@ -172,6 +172,20 @@ def test_bad_field_env_is_error(capsys, monkeypatch):
     assert err == "error: JETFORGE_FIELD: modulus is not prime: 4\n"
 
 
+def test_field_env_longer_than_int_conversion_is_error(capsys, monkeypatch):
+    """The DSL's bound on a field name holds for the environment variable
+    too: a name longer than 4300 characters is refused before int() sees
+    its digits, and one of 4300 characters still reaches the modulus check."""
+    monkeypatch.setenv("JETFORGE_FIELD", "F" + "7" * 5000)
+    code, out, err = run(capsys, "jet", "--n", "0", str(GOLDEN / "cusp.jf"))
+    assert (code, out) == (2, "")
+    assert err == "error: JETFORGE_FIELD: field name longer than 4300 characters\n"
+    monkeypatch.setenv("JETFORGE_FIELD", "F" + "7" * 4299)
+    code, out, err = run(capsys, "jet", "--n", "0", str(GOLDEN / "cusp.jf"))
+    assert (code, out) == (2, "")
+    assert err == "error: JETFORGE_FIELD: modulus out of range: %s\n" % ("7" * 4299)
+
+
 @pytest.mark.parametrize("name", ["F\u0667", "F\uff17", "F7\u0663", "F\u00b2", "F", "F-7"])
 def test_field_env_takes_ascii_digits_only(name, capsys, monkeypatch):
     """F followed by an Arabic-Indic or a fullwidth seven, or by a

@@ -10,9 +10,9 @@ from jetforge.checks import points_agree
 from jetforge.hsmodules import kaehler_presentation
 from jetforge.jets import (AlgebraMorphism, AlgebraPresentation,
                            bigrade_commute_check, bijet_presentation,
-                           cotruncation_subset_check, grade_monomial,
-                           hs_components, hs_components_2d, induced_morphism,
-                           jet_again, jet_presentation)
+                           cotruncation_subset_check, hs_components,
+                           hs_components_2d, induced_morphism, jet_again,
+                           jet_presentation)
 from jetforge.poly import JetVar, Monomial, Poly
 from jetforge.scalars import QQ, PrimeField
 
@@ -20,6 +20,11 @@ from oracles import SIGMA, TAU, naive_components, naive_hs_components
 
 X = JetVar("x", 0, 0)
 Y = JetVar("y", 1, 0)
+
+
+def structural(v):
+    """The structural weight of a jet variable: its jet order."""
+    return v.order1
 
 
 def jv(name, i, j=None):
@@ -117,7 +122,7 @@ def test_engine_matches_naive_oracle():
             f = _random_poly(rng, field, base, 6)
             assert hs_components(f, n) == naive_hs_components(f, n)
             seen.update(("e>n" if e > n else "e<n" if e < n else "e=n")
-                        for m in f.terms for _, e in m.exps)
+                        for m in f.terms for _, e in m)
 
             jets = [JetVar(v.name, v.index, i) for v in base for i in range(2)]
             g = _random_poly(rng, field, rng.sample(jets, rng.randint(1, min(3, len(jets)))), 4)
@@ -260,17 +265,19 @@ def test_structural_homogeneity_of_generators():
     for r, g in enumerate(jp.relations):
         for m in g.terms:
             # relation r is d_i(f_k) with (k, i) = divmod(r, n+1)
-            assert grade_monomial(m, "structural") == r % 4
+            assert m.weighted_degree(structural) == r % 4
 
 
-def test_grade_monomial():
+def test_weighted_degree_gives_both_gradings():
     m = Monomial({jv("x", 1): 1, jv("y", 2): 1})
-    assert grade_monomial(m, "structural") == 3
-    assert grade_monomial(Monomial({jv("x", 1): 1}), "induced", {"x": 2}) == 2
-    assert grade_monomial(Monomial(), "structural") == 0
-    assert grade_monomial(Monomial(), "induced", {"x": 1}) == 0
-    with pytest.raises(MissingGrading):
-        grade_monomial(m, "induced")
+    assert m.weighted_degree(structural) == 3
+    assert Monomial({jv("x", 1): 1}).weighted_degree(lambda v: {"x": 2}[v.name]) == 2
+    assert Monomial({jv("x", 1): 3}).weighted_degree(structural) == 3
+    assert Monomial().weighted_degree(structural) == 0
+    assert Monomial().weighted_degree(lambda v: {"x": 1}[v.name]) == 0
+    # an induced grading needs a source degree for every variable
+    with pytest.raises(MissingGrading, match="^no degree for y$"):
+        AlgebraPresentation(["x", "y"], [], {"x": 1})
 
 
 def test_induced_homogeneity():
@@ -278,7 +285,7 @@ def test_induced_homogeneity():
                             {"x": 2, "y": 3})
     jp = jet_presentation(A, 2)
     for g in jp.relations:
-        degs = {grade_monomial(m, "induced", A.grading) for m in g.terms}
+        degs = {m.weighted_degree(lambda v: A.grading[v.name]) for m in g.terms}
         assert degs == {6}
 
 

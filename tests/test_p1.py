@@ -18,38 +18,45 @@ from jetforge.series import TruncSeries, series_invert
 GOLDEN = Path(__file__).parent / "golden"
 
 
+# the p1_transition and global_sections tests run over each of these fields
+FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(7))
+
+
 def test_transition_d1_n1_chart1():
-    m = p1_transition(1, 1, "chart1")
-    t1 = [Poly.var(chart_var(1, i)) for i in range(2)]
-    # e_0^(0) -> t1^(0) e_1^(0);  e_0^(1) -> t1^(1) e_1^(0) + t1^(0) e_1^(1)
-    assert m.entries[0][0] == LocalPoly(t1[0], chart_var(1, 0))
-    assert m.entries[0][1] == LocalPoly(t1[1], chart_var(1, 0))
-    assert m.entries[1][0].is_zero()
-    assert m.entries[1][1] == LocalPoly(t1[0], chart_var(1, 0))
+    for field in FIELDS:
+        m = p1_transition(1, 1, "chart1", field)
+        t1 = [Poly.var(chart_var(1, i), field) for i in range(2)]
+        # e_0^(0) -> t1^(0) e_1^(0);  e_0^(1) -> t1^(1) e_1^(0) + t1^(0) e_1^(1)
+        assert m[0][0] == LocalPoly(t1[0], chart_var(1, 0))
+        assert m[0][1] == LocalPoly(t1[1], chart_var(1, 0))
+        assert m[1][0].is_zero() and m[1][0].field == field
+        assert m[1][1] == LocalPoly(t1[0], chart_var(1, 0))
 
 
 def test_transition_d0_identity():
-    m = p1_transition(0, 2, "overlap")
-    for i in range(3):
-        for j in range(3):
-            want = "1" if i == j else "0"
-            assert m.entries[i][j].render() == want
+    for field in FIELDS:
+        m = p1_transition(0, 2, "overlap", field)
+        assert [[p.render() for p in row] for row in m] == [
+            ["1" if i == j else "0" for j in range(3)] for i in range(3)]
 
 
 def test_transition_d1_n1_overlap():
-    m = p1_transition(1, 1, "overlap")
-    assert m.to_rows() == [["(1)/t0_0", "(-t0_1)/t0_0^2"], ["0", "(1)/t0_0"]]
+    # the jets of t0^(-1): d_1 = -t0_1 / t0_0^2, with -1 read in the field
+    minus_t0_1 = {"Q": "-t0_1", "F2": "t0_1", "F3": "2*t0_1", "F7": "6*t0_1"}
+    for field in FIELDS:
+        m = p1_transition(1, 1, "overlap", field)
+        assert [[p.render() for p in row] for row in m] == [
+            ["(1)/t0_0", "(%s)/t0_0^2" % minus_t0_1[field.name]], ["0", "(1)/t0_0"]]
 
 
 def test_transition_is_twisted_matrix_of_t1_power():
     # chart1-mode entries coincide with the twisted-action matrix of t1^d
-    for d, n in [(1, 2), (2, 1), (3, 2)]:
-        m = p1_transition(d, n, "chart1")
-        t1 = Poly.var(chart_var(1, 0))
-        tw = twisted_action_matrix(t1 ** d, n)
-        for i in range(n + 1):
-            for j in range(n + 1):
-                assert m.entries[i][j] == LocalPoly(tw.entries[i][j], chart_var(1, 0))
+    for field in FIELDS:
+        for d, n in [(1, 2), (2, 1), (3, 2)]:
+            m = p1_transition(d, n, "chart1", field)
+            t1 = Poly.var(chart_var(1, 0), field)
+            tw = twisted_action_matrix(t1 ** d, n)
+            assert m == [[LocalPoly(p, chart_var(1, 0)) for p in row] for row in tw.entries]
 
 
 def test_cocycle_exact():
@@ -75,11 +82,12 @@ def test_cocycle_2_2_random_point_oracle():
 
 
 def test_global_sections_counts():
-    for n in range(4):
-        secs = global_sections(1, n)
-        assert len(secs) == 2 * (n + 1)
-        assert all(s.is_global for s in secs)
-    assert [s.label for s in global_sections(1, 0)] == ["e0_0", "e1_0"]
+    for field in FIELDS:
+        for n in range(4):
+            secs = global_sections(1, n, field)
+            assert [label for label, _ in secs] == [
+                "e%d_%d" % (i, j) for i in (0, 1) for j in range(n + 1)]
+            assert all(regular for _, regular in secs)
 
 
 def test_global_sections_rejects_other_twists():

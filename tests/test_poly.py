@@ -169,7 +169,7 @@ def test_canonical_rendering():
 
 def test_monomial_invariants():
     m = Monomial({X: 2, Y: 0})
-    assert m.exps == ((X, 2),)
+    assert m == ((X, 2),)
     assert Monomial().is_unit()
     assert m.mul(Monomial({X: 1})).exponent(X) == 3
 
@@ -181,7 +181,7 @@ def test_monomial_order_breaks_ties_on_name():
     assert xu == ux
     assert (xu - ux).is_zero()
     assert xu.render() == "u_0*x_0"
-    assert Monomial({x: 1, u: 2}).exps == ((u, 2), (x, 1))
+    assert Monomial({x: 1, u: 2}) == ((u, 2), (x, 1))
     assert Monomial({x: 1}).mul(Monomial({u: 2})) == Monomial({u: 2, x: 1})
     assert hash(Monomial({x: 1}).mul(Monomial({u: 2}))) == hash(Monomial({u: 2, x: 1}))
     assert (P(x) + P(u)).vars() == [u, x]
@@ -208,7 +208,7 @@ def test_jet_variables_are_interned():
     assert JetVar("x", 2, order2=3, order1=1) is v
     assert JetVar("y", 0) is JetVar("y", 0, 0) is JetVar("y", 0, 0, None)
     for w in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v),
-              pickle.loads(pickle.dumps(Monomial({v: 2}))).exps[0][0]):
+              pickle.loads(pickle.dumps(Monomial({v: 2})))[0][0]):
         assert w is v
     specs = [("x", 2, 1, 3), ("y", 2, 1, 3), ("x", 1, 1, 3), ("x", 2, 0, 3), ("x", 2, 1, 0),
              ("x", 2, 1, None)]
@@ -405,7 +405,6 @@ def test_monomial_is_the_tuple_of_its_pairs():
     pairs = ((X, 2), (Y, 1))
     assert isinstance(m, tuple) and m == pairs and pairs == m
     assert hash(m) == hash(pairs) and {pairs: 1}[m] == 1
-    assert m.exps == pairs and m.exps is m
     assert len(m) == 2 and len(UNIT) == 0
     assert UNIT.is_unit() and not UNIT and UNIT == () and not m.is_unit()
     for w in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
@@ -415,7 +414,7 @@ def test_monomial_is_the_tuple_of_its_pairs():
     assert m.mul(UNIT) is m and UNIT.mul(m) is m
     assert type(m.mul(Monomial({Y: 1}))) is Monomial and type(m.divide_by_var(X)) is Monomial
     with pytest.raises(AttributeError, match="^Monomial is immutable$"):
-        m.exps = ()
+        m.other = ()
     with pytest.raises(AttributeError, match="^Monomial is immutable$"):
         del m.other
 
@@ -428,7 +427,7 @@ def test_substitute_matches_term_by_term_formula(field):
         out = Poly.zero(f.field)
         for m, c in f.terms.items():
             term = Poly.constant(c, f.field)
-            for v, e in m.exps:
+            for v, e in m:
                 repl = mapping.get(v)
                 if repl is None:
                     repl = Poly.var(v, f.field)

@@ -41,6 +41,23 @@ def test_rational_render_and_contains_are_unchanged():
         QQ.coerce(0.5)
 
 
+def test_calling_a_field_converts_as_coerce_does():
+    """field(c) is field.coerce(c): ints and the field's own scalars
+    convert, and anything else, a float or a scalar of another field,
+    raises FieldMismatch either way."""
+    f7, f5 = PrimeField(7), PrimeField(5)
+    for field, good, bad in ((QQ, [3, True, Fraction(4, 2), Fraction(1, 3)],
+                              [0.5, 2.0, "1/2", f7(3)]),
+                             (f7, [3, -1, True, f7(10)], [0.5, Fraction(1, 2), f5(3), "3"])):
+        for c in good:
+            assert field(c) == field.coerce(c)
+            assert type(field(c)) is type(field.coerce(c))
+        for c in bad:
+            for convert in (field, field.coerce):
+                with pytest.raises(FieldMismatch):
+                    convert(c)
+
+
 def _random_poly(rng, terms):
     out = {}
     for _ in range(terms):
