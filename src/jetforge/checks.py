@@ -27,7 +27,6 @@ coefficients in ``COEFF_LO..COEFF_HI``.
 
 import random
 import time
-from dataclasses import dataclass, field as dc_field
 from itertools import chain
 
 from .dsl import print_document
@@ -35,7 +34,7 @@ from .errors import FieldMismatch, UnknownSuite
 from .hsmodules import (ModulePresentation, TwistedMatrix, base_change_check,
                         cotangent_theorem_check, free_dual_zigzag_check,
                         sym_theorem_check, twisted_action_matrix, upper_triangle)
-from .jets import (AlgebraMorphism, AlgebraPresentation, bigrade_commute_check,
+from .jets import (AlgebraMorphism, AlgebraPresentation, _Record, bigrade_commute_check,
                    cotruncation_subset_check, hs_components, induced_morphism)
 from .p1 import cocycle_check
 from .poly import JetVar, Monomial, Poly, _eval_points
@@ -51,39 +50,47 @@ MAX_BILEVEL = 2
 COEFF_LO, COEFF_HI = -9, 9
 
 
-@dataclass
-class CheckConfig:
-    seed: int = 42
-    trials: int = 100
-    suites: tuple = dc_field(default_factory=lambda: tuple(SUITES))
+class CheckConfig(_Record):
+    """Seed, trial count and suite names; the suites default to every one
+    in ``SUITES`` when the config is made."""
 
-    def __post_init__(self):
+    _fields = ("seed", "trials", "suites")
+
+    def __init__(self, seed=42, trials=100, suites=None):
+        self.seed = seed
+        self.trials = trials
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        self.suites = tuple(self.suites)
+        self.suites = tuple(SUITES if suites is None else suites)
         for s in self.suites:
             if s not in SUITES:
                 raise UnknownSuite("unknown suite: %r" % s)
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    trials: int = 0
-    failures: list = dc_field(default_factory=list)
-    seconds: float = 0.0
-    oracle_trials: int = 0
-    oracle_disagreements: int = 0
+class SuiteResult(_Record):
+    _fields = ("name", "trials", "failures", "seconds", "oracle_trials",
+               "oracle_disagreements")
+
+    def __init__(self, name, trials=0, failures=None, seconds=0.0, oracle_trials=0,
+                 oracle_disagreements=0):
+        self.name = name
+        self.trials = trials
+        self.failures = [] if failures is None else failures
+        self.seconds = seconds
+        self.oracle_trials = oracle_trials
+        self.oracle_disagreements = oracle_disagreements
 
     @property
     def passed(self):
         return not self.failures and not self.oracle_disagreements
 
 
-@dataclass
-class CheckReport:
-    config: CheckConfig
-    suites: dict = dc_field(default_factory=dict)
+class CheckReport(_Record):
+    _fields = ("config", "suites")
+
+    def __init__(self, config, suites=None):
+        self.config = config
+        self.suites = {} if suites is None else suites
 
     @property
     def passed(self):

@@ -3,21 +3,24 @@
 Exit codes: 0 success, 1 check-suite failure, 2 usage or parse error, 141
 when the reader closes standard output early (as ``| head`` does).
 The JETFORGE_FIELD environment variable sets the default coefficient
-field for documents whose ring declaration omits one.
+field for documents whose ring declaration omits one.  Input documents
+are UTF-8; an undecodable byte is an error located by line and column.
+
+Only what the document subcommands run is imported here.  ``check``
+imports ``checks`` and ``p1`` imports ``p1`` when they run, and ``json``
+is imported for the first ``--format json`` output, so start-up does not
+pay for modules a subcommand does not use.
 """
 
 import argparse
-import json
 import os
 import sys
 
-from .checks import SUITE_NAMES, CheckConfig, run_suite
 from .dsl import parse_document, print_document
 from .errors import JetforgeError, ParseError
 from .hsmodules import (hs_module_presentation, kaehler_presentation,
                         sym_presentation, upper_triangle)
 from .jets import bijet_presentation, induced_morphism, jet_presentation
-from .p1 import _cocycle_holds, global_sections, transition_series
 from .scalars import field_by_name
 
 
@@ -38,18 +41,35 @@ def _int_at_least(low):
 
 
 def _emit_json(obj):
+    import json
+
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
+def _not_utf8(name, e):
+    """The error for input `name` that `e` found not to be UTF-8, located at
+    its first bad byte with lines counted as the parser counts them."""
+    lines = (e.object[:e.start].decode("utf-8") + "?").splitlines()
+    return JetforgeError("cannot decode %s: line %d, col %d: byte 0x%02x is not UTF-8"
+                         % (name, len(lines), len(lines[-1]), e.object[e.start]))
+
+
 def _load_document(args):
+    # read() decodes the whole input in one call, so the error's offsets
+    # count from its first byte
     if args.input and args.input != "-":
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as e:
             raise JetforgeError("cannot read %s: %s" % (args.input, e.strerror))
+        except UnicodeDecodeError as e:
+            raise _not_utf8(args.input, e)
     else:
-        text = sys.stdin.read()
+        try:
+            text = sys.stdin.read()
+        except UnicodeDecodeError as e:
+            raise _not_utf8("standard input", e)
     default_field = None
     env = os.environ.get("JETFORGE_FIELD")
     if env:
@@ -162,6 +182,8 @@ def cmd_morphism(args):
 
 
 def cmd_check(args):
+    from .checks import SUITE_NAMES, CheckConfig, run_suite
+
     suites = SUITE_NAMES if args.suite == "all" else tuple(args.suite.split(","))
     config = CheckConfig(seed=args.seed, trials=args.trials, suites=suites)
     report = run_suite(config)
@@ -173,6 +195,8 @@ def cmd_check(args):
 
 
 def cmd_p1(args):
+    from .p1 import _cocycle_holds, global_sections, transition_series
+
     series = transition_series(args.d, args.n, "overlap")
     rows = upper_triangle(series.coeffs, series.coeffs[0] * 0)
     out = {

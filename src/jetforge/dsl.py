@@ -21,22 +21,23 @@ output.  A parsed document round-trips through the canonical printer.
 """
 
 import re
-from dataclasses import dataclass
 
 from .errors import InhomogeneousRelation, ParseError, UndeclaredVariable
-from .jets import AlgebraMorphism, AlgebraPresentation
+from .jets import AlgebraMorphism, AlgebraPresentation, _Record
 from .hsmodules import ModulePresentation, linear_form, module_symbols
 from .poly import JetVar, _monomial, _poly
 from .scalars import QQ, field_by_name
 
 
-@dataclass
-class InputDocument:
-    field: object
-    algebra: AlgebraPresentation
-    ideal_names: list
-    module: ModulePresentation | None = None
-    morphism: AlgebraMorphism | None = None
+class InputDocument(_Record):
+    _fields = ("field", "algebra", "ideal_names", "module", "morphism")
+
+    def __init__(self, field, algebra, ideal_names, module=None, morphism=None):
+        self.field = field
+        self.algebra = algebra
+        self.ideal_names = ideal_names
+        self.module = module
+        self.morphism = morphism
 
 
 # Each nesting level costs the recursive-descent parser four stack frames.

@@ -18,20 +18,21 @@ matrices of the jet bundles on P^1 with it too.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .jets import (AlgebraPresentation, JetPresentation, hs_components, induced_morphism,
-                   jet_presentation)
+from .jets import (AlgebraPresentation, JetPresentation, _Record, hs_components,
+                   induced_morphism, jet_presentation)
 from .poly import JetVar, Poly, _poly
 from .scalars import QQ
 
 
-@dataclass
-class TwistedMatrix:
+class TwistedMatrix(_Record):
     """(n+1) x (n+1) upper-triangular matrix, entry (row j, col i) = d_{i-j}(p)."""
 
-    level: int
-    entries: list  # rows of Poly
+    _fields = ("level", "entries")
+
+    def __init__(self, level, entries):
+        self.level = level
+        self.entries = entries  # rows of Poly
 
     def matmul(self, other):
         """The matrix product; a product with a zero entry is skipped."""
@@ -59,16 +60,16 @@ def twisted_action_matrix(p, n):
     return TwistedMatrix(n, upper_triangle(hs_components(p, n), Poly.zero(p.field)))
 
 
-@dataclass
-class ModulePresentation:
+class ModulePresentation(_Record):
     """Cokernel of a relation matrix over an algebra or a jet presentation:
     row k is the relation sum_c p_kc e_c."""
 
-    over: object  # AlgebraPresentation or JetPresentation
-    rank: int
-    relation_matrix: list  # s rows, each of length rank
+    _fields = ("over", "rank", "relation_matrix")
 
-    def __post_init__(self):
+    def __init__(self, over, rank, relation_matrix):
+        self.over = over  # AlgebraPresentation or JetPresentation
+        self.rank = rank
+        self.relation_matrix = relation_matrix  # s rows, each of length rank
         for row in self.relation_matrix:
             if len(row) != self.rank:
                 raise ValueError("relation row length != rank")

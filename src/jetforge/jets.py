@@ -29,7 +29,6 @@ when the source algebra is graded, the induced one (deg x^(i) = deg x).
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import factorial
@@ -203,16 +202,35 @@ def hs_components_2d(f, n, m):
 # presentations
 
 
-@dataclass
-class AlgebraPresentation:
+class _Record:
+    """Base of the record classes: field-wise ``==`` over ``_fields`` (so
+    instances are unhashable) and a repr listing them, as a dataclass has."""
+
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % pair for pair in zip(self._fields, self._values())))
+
+
+class AlgebraPresentation(_Record):
     """A k-algebra by generators and relations; optionally graded."""
 
-    vars: list
-    relations: list
-    grading: dict | None = None
-    field: object = QQ
+    _fields = ("vars", "relations", "grading", "field")
 
-    def __post_init__(self):
+    def __init__(self, vars, relations, grading=None, field=QQ):
+        self.vars = vars
+        self.relations = relations
+        self.grading = grading
+        self.field = field
         for k, x in enumerate(self.vars):
             if x in self.vars[:k]:
                 raise JetforgeError("duplicate variable %r" % x)
@@ -240,11 +258,13 @@ class AlgebraPresentation:
         return None
 
 
-@dataclass
-class JetPresentation:
-    level: int
-    source: AlgebraPresentation
-    jet_vars: list
+class JetPresentation(_Record):
+    _fields = ("level", "source", "jet_vars")
+
+    def __init__(self, level, source, jet_vars):
+        self.level = level
+        self.source = source
+        self.jet_vars = jet_vars
 
     @property
     def field(self):
@@ -273,12 +293,14 @@ def jet_presentation(A, n):
                                   for i in range(n + 1)])
 
 
-@dataclass
-class BiJetPresentation:
-    levels: tuple
-    source: AlgebraPresentation
-    jet_vars: list
-    relations: list
+class BiJetPresentation(_Record):
+    _fields = ("levels", "source", "jet_vars", "relations")
+
+    def __init__(self, levels, source, jet_vars, relations):
+        self.levels = levels
+        self.source = source
+        self.jet_vars = jet_vars
+        self.relations = relations
 
     def to_json_dict(self):
         return {
@@ -317,8 +339,7 @@ def cotruncation_subset_check(A, n, m):
 # morphisms
 
 
-@dataclass
-class AlgebraMorphism:
+class AlgebraMorphism(_Record):
     """Map of presented algebras, given on generators.
 
     Validity (images of relations lying in the target ideal) is the
@@ -326,9 +347,12 @@ class AlgebraMorphism:
     polynomial identity.
     """
 
-    source: object
-    target: object
-    images: dict  # JetVar (source generator) -> Poly over target generators
+    _fields = ("source", "target", "images")
+
+    def __init__(self, source, target, images):
+        self.source = source
+        self.target = target
+        self.images = images  # JetVar (source generator) -> Poly over target generators
 
     def apply(self, f):
         return f.substitute(self.images)

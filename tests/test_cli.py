@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from jetforge import cli
+from jetforge import checks, cli
 from jetforge.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -133,8 +133,8 @@ def test_check_golden(seed, capsys, monkeypatch):
             reports[config.seed] = run_suite(config)
         return reports[config.seed]
 
-    run_suite = cli.run_suite
-    monkeypatch.setattr(cli, "run_suite", run_once)
+    run_suite = checks.run_suite
+    monkeypatch.setattr(checks, "run_suite", run_once)  # cmd_check reads it per call
     code, text, _ = run(capsys, "check", "--seed", str(seed))
     code_json, js, _ = run(capsys, "check", "--seed", str(seed), "--format", "json")
     assert code == code_json == 0
@@ -163,6 +163,29 @@ def test_missing_input_file_is_located_error(tmp_path, capsys):
     code, out, err = run(capsys, "jet", "--n", "1", str(missing))
     assert code == 2 and out == ""
     assert err == "error: cannot read %s: No such file or directory\n" % missing
+
+
+@pytest.mark.parametrize("via", ["file", "stdin"])
+def test_document_not_utf8_is_located_error(via, tmp_path):
+    """A byte that is not UTF-8 exits 2 with the input, line and column
+    named (columns count characters), not with a traceback and exit 1;
+    standard input is decoded strictly, as under a C locale it may not be."""
+    doc = tmp_path / "bad.jf"
+    doc.write_bytes("ring Q[x]\nideal f = x\u00e9".encode() + b"\xff\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "jetforge.cli", "jet", "--n", "1"]
+    if via == "file":
+        proc = subprocess.run(argv + [str(doc)], capture_output=True, env=env, timeout=60)
+        name = str(doc)
+    else:
+        proc = subprocess.run(argv, input=doc.read_bytes(), capture_output=True, env=env,
+                              timeout=60)
+        name = "standard input"
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == (
+        "error: cannot decode %s: line 2, col 13: byte 0xff is not UTF-8\n" % name)
 
 
 def test_bad_field_env_is_error(capsys, monkeypatch):
