@@ -198,11 +198,10 @@ def cmd_p1(args):
     from .p1 import _cocycle_holds, global_sections, transition_series
 
     series = transition_series(args.d, args.n, "overlap")
-    rows = upper_triangle(series.coeffs, series.coeffs[0] * 0)
     out = {
         "d": args.d,
         "n": args.n,
-        "transition": [[p.render() for p in row] for row in rows],
+        "transition": upper_triangle([p.render() for p in series.coeffs], "0"),
         "cocycle_ok": _cocycle_holds(series, args.d, args.n) if args.cocycle else None,
         "global_sections": None,
     }

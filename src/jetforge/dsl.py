@@ -10,14 +10,16 @@ Example document::
     relation x*e1 + y*e2
     morphism [u] : x -> u^2, y -> u^3
 
-Every line, declarations included, is read from one token stream, so
-tokens may be separated by any whitespace and every error names its line
-and column; digits are ASCII, and any other character outside the grammar
-is an unexpected character.  A term's factors are read in one loop into
-one scalar and one monomial.  The ring, module and morphism are declared
-at most once, and so are the grade of a variable and the name of an
-ideal.  Only base variables appear in input; jet orders exist only in
-output.  A parsed document round-trips through the canonical printer.
+Every line, declarations included, is read by one findall of one token
+pattern into plain strings, a token's kind given by its first character.
+Tokens may be separated by any whitespace; digits are ASCII, and any other
+character outside the grammar is an unexpected character.  An error names
+its line and column, found only then by tokenizing the line again.  A
+term's literals multiply into one integer ratio, then one field scalar, and
+its variables into one monomial.  The ring, module and morphism are
+declared at most once, and so are a variable's grade and an ideal's name.
+Only base variables appear in input; jet orders exist only in output.  A
+parsed document round-trips through the canonical printer.
 """
 
 import re
@@ -50,68 +52,73 @@ MAX_RANK = 1000
 MAX_LITERAL_DIGITS = 4300
 _TOO_LONG = "literal longer than %d digits" % MAX_LITERAL_DIGITS
 _TOO_HIGH = "exponent larger than %d" % MAX_EXPONENT
+_END = "unexpected end of expression"
 
-# Whitespace matches no group, so finditer steps over it.  Digits are ASCII.
-_TOKEN = re.compile(r"(?P<num>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
-                    r"|(?P<op>->|[-+*/^(),\[\]:=])|(?P<bad>\S)")
+# Whitespace matches nothing, so findall steps over it; digits are ASCII.  A character
+# that starts no token starts a match to the end of the line, so a line holds one just
+# when the first character of its last token is not a key of _KIND_OF.
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9]*|->|[-+*/^(),\[\]:=]|\S.*")
+_KIND_OF = (dict.fromkeys("0123456789", "num") | dict.fromkeys("-+*/^(),[]:=", "op")
+            | dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz", "name"))
 _KINDS = {"name": "a name", "num": "a natural number"}
+# the tokens after a factor that end its term: every operator but "*" and "(", and the end
+_ENDS_TERM = frozenset(("", "->") + tuple("-+/^),[]:="))
 
 
 def _tokenize(text, line_no):
-    """Tokens (kind, text, line, column) and an "end" token just past them."""
-    tokens = [(m.lastgroup, m.group(), line_no, m.start() + 1) for m in _TOKEN.finditer(text)]
-    for kind, tok, _, col in tokens:
-        if kind == "bad":
-            raise ParseError("unexpected character %r" % tok, line_no, col)
-    end = tokens[-1][3] + len(tokens[-1][1]) if tokens else 1
-    tokens.append(("end", "", line_no, end))
+    """Tokens (kind, text, line, column) and an "end" token just past them.
+    The parser reads only the token texts, from findall of the same pattern,
+    and tokenizes a line again here only to locate an error on it."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = _KIND_OF.get(m.group()[0])
+        if kind is None:
+            raise ParseError("unexpected character %r" % m.group()[0], line_no, m.start() + 1)
+        tokens.append((kind, m.group(), line_no, m.start() + 1))
+    tokens.append(("end", "", line_no, len(text.rstrip()) + 1))  # just past the last token
     return tokens
 
 
-def _natural(tok, most_digits, message):
-    """The value of a numeric token; its length is compared before int()."""
-    digits = tok[1].lstrip("0") or "0"
-    if len(digits) > most_digits:
-        raise ParseError(message, tok[2], tok[3])
-    return int(digits)
-
-
 class _Parser:
-    """A cursor over the tokens of one line.  Declarations are read with
-    expect, skip, names and finish; expressions by recursive descent, where
-    a term is one field scalar times one {JetVar: exponent} map and only
-    parenthesized factors become Polys.  An expression adds its terms into
-    one dict and stops at the first token that cannot continue it."""
+    """A cursor over one line's token texts, then "" for its end.  Declarations
+    are read with expect, skip, names and finish; expressions by recursive
+    descent, where a term is one field scalar times one {JetVar: exponent}
+    map and only parenthesized factors become Polys.  An expression adds its
+    terms into one dict and stops at the first token that cannot continue it."""
 
-    def __init__(self, tokens):
+    def __init__(self, tokens, text, line_no):
         self.tokens = tokens
-        self.pos = 0
+        self.text = text  # the line without its comment, to locate errors in
+        self.line_no = line_no
+        self.pos = 1  # after the keyword, which parse_document reads
         self.depth = 0  # parentheses open at the current position
-        self.variables = None  # name -> JetVar, bound by poly()
-        self.field = None
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def fail(self, message, i, error=ParseError):
+        """Raise error(message) located at token i."""
+        raise error(message, self.line_no, _tokenize(self.text, self.line_no)[i][3])
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        if tok[0] == "end":
-            raise ParseError("unexpected end of expression", tok[2], tok[3])
-        self.pos += 1
-        return tok
+    def natural(self, i, most_digits, message, what="literal"):
+        """Token i as a natural number (a what); its length is checked before int()."""
+        tok = self.tokens[i]
+        if not tok.isdigit():
+            self.fail("%s must be a natural number" % what if tok else _END, i)
+        if len(tok) > most_digits:  # int() counts leading zeros against its limit
+            tok = tok.lstrip("0") or "0"
+            if len(tok) > most_digits:
+                self.fail(message, i)
+        return int(tok)
 
     def expect(self, want):
-        """Take the next token if its kind ("name", "num") or, for any other
-        want, its text is want; otherwise raise at that token."""
+        """Take the next token if its kind ("name", "num") or else its text is want."""
         tok = self.tokens[self.pos]
-        if tok[0 if want in _KINDS else 1] != want:
-            raise ParseError("expected %s" % _KINDS.get(want, repr(want)), tok[2], tok[3])
+        if (_KIND_OF.get(tok[:1]) if want in _KINDS else tok) != want:
+            self.fail("expected %s" % _KINDS.get(want, repr(want)), self.pos)
         self.pos += 1
         return tok
 
     def skip(self, text):
         """Take the next token if its text is text; say whether it was."""
-        if self.tokens[self.pos][1] != text:
+        if self.tokens[self.pos] != text:
             return False
         self.pos += 1
         return True
@@ -124,104 +131,94 @@ class _Parser:
             if names:
                 self.expect(",")
             tok = self.expect("name")
-            if tok[1] in names:
-                raise ParseError("duplicate %s %r" % (kind, tok[1]), tok[2], tok[3])
-            names.append(tok[1])
+            if tok in names:
+                self.fail("duplicate %s %r" % (kind, tok), self.pos - 1)
+            names.append(tok)
         return names
 
     def finish(self):
-        """The end token; anything before it is trailing input."""
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError("trailing input %r" % tok[1], tok[2], tok[3])
-        return tok
+        """Raise unless the cursor is at the end; anything there is trailing input."""
+        tok = self.tokens[self.pos]
+        if tok:
+            self.fail("trailing input %r" % tok, self.pos)
 
-    def poly(self, variables, field):
+    def expr(self, variables, field):
         """The expression at the cursor, over variables (name -> JetVar)."""
-        self.variables = variables
-        self.field = field
-        return self.expr()
-
-    def expr(self):
         terms = {}
-        sign = self.take()[1] if self.peek()[1] in ("+", "-") else "+"
+        tokens = self.tokens
+        modulus = getattr(field, "p", 0)  # 0 over Q
+        sign = tokens[self.pos]
+        if sign in ("+", "-"):
+            self.pos += 1
         while True:
-            self.term(terms, -1 if sign == "-" else 1)
-            if self.peek()[1] not in ("+", "-"):
-                return _poly(self.field, terms)
-            sign = self.take()[1]
+            self.term(terms, -1 if sign == "-" else 1, variables, field, modulus)
+            sign = tokens[self.pos]
+            if sign not in ("+", "-"):
+                return _poly(field, terms)
+            self.pos += 1
 
-    def term(self, terms, sign):
+    def term(self, terms, sign, variables, field, p):
         """Parse one term and add sign times it into terms.  A factor is a
         literal, a variable or a parenthesized expression, and an optional
-        exponent."""
-        tokens, field, variables = self.tokens, self.field, self.variables
+        exponent.  The literals multiply into one integer ratio num/den,
+        reduced mod p over F_p, which becomes one field scalar at the end."""
+        tokens = self.tokens
         pos = self.pos
-        c = field(sign)
-        exps = {}
-        group = None  # the product of the parenthesized factors
+        num, den = sign, 1
+        exps, group = {}, None  # group: the product of the parenthesized factors
         while True:
             tok = tokens[pos]
             pos += 1
-            kind = tok[0]
+            kind = _KIND_OF.get(tok[:1])
             if kind == "name":
-                a = variables.get(tok[1])
+                a = variables.get(tok)
                 if a is None:
-                    raise UndeclaredVariable("undeclared variable %r" % tok[1], tok[2], tok[3])
+                    self.fail("undeclared variable %r" % tok, pos - 1, UndeclaredVariable)
             elif kind == "num":
-                a = (int(tok[1]) if len(tok[1]) <= MAX_LITERAL_DIGITS
-                     else _natural(tok, MAX_LITERAL_DIGITS, _TOO_LONG))
-                if tokens[pos][1] != "/":
-                    a = field.coerce(a)
-                else:
-                    dtok = tokens[pos + 1]
-                    if dtok[0] != "num":
-                        raise ParseError("unexpected end of expression" if dtok[0] == "end" else
-                                         "denominator must be a natural number", dtok[2], dtok[3])
+                a = self.natural(pos - 1, MAX_LITERAL_DIGITS, _TOO_LONG)
+                d = 1
+                if tokens[pos] == "/":
                     pos += 2
-                    den = _natural(dtok, MAX_LITERAL_DIGITS, _TOO_LONG)
-                    if not field(den):
-                        raise ParseError("denominator %s is zero in %s" % (dtok[1], field.name),
-                                         dtok[2], dtok[3])
-                    a = field.from_ratio(a, den)
-            elif tok[1] == "(":
+                    d = self.natural(pos - 1, MAX_LITERAL_DIGITS, _TOO_LONG, "denominator")
+                    if not (d % p if p else d):
+                        self.fail("denominator %s is zero in %s" % (tokens[pos - 1], field.name),
+                                  pos - 1)
+            elif tok == "(":
                 if self.depth == MAX_PAREN_DEPTH:
-                    raise ParseError("parentheses nested deeper than %d" % MAX_PAREN_DEPTH,
-                                     tok[2], tok[3])
+                    self.fail("parentheses nested deeper than %d" % MAX_PAREN_DEPTH, pos - 1)
                 self.depth += 1
                 self.pos = pos
-                a = self.expr()
-                close = self.take()
-                if close[1] != ")":
-                    raise ParseError("expected ')'", close[2], close[3])
-                self.depth -= 1
+                a = self.expr(variables, field)
                 pos = self.pos
-            elif kind == "end":
-                raise ParseError("unexpected end of expression", tok[2], tok[3])
+                if tokens[pos] != ")":
+                    self.fail("expected ')'" if tokens[pos] else _END, pos)
+                pos += 1
+                self.depth -= 1
             else:
-                raise ParseError("unexpected token %r" % tok[1], tok[2], tok[3])
+                self.fail("unexpected token %r" % tok if tok else _END, pos - 1)
             e = 1
-            if tokens[pos][1] == "^":
-                etok = tokens[pos + 1]
-                if etok[0] != "num":
-                    raise ParseError("unexpected end of expression" if etok[0] == "end" else
-                                     "exponent must be a natural number", etok[2], etok[3])
+            if tokens[pos] == "^":
                 pos += 2
-                e = _natural(etok, len(str(MAX_EXPONENT)), _TOO_HIGH)
+                e = self.natural(pos - 1, len(str(MAX_EXPONENT)), _TOO_HIGH, "exponent")
                 if e > MAX_EXPONENT:
-                    raise ParseError(_TOO_HIGH, etok[2], etok[3])
+                    self.fail(_TOO_HIGH, pos - 1)
             if kind == "name":
                 exps[a] = exps.get(a, 0) + e
-            elif kind == "num":
-                c = c * (a if e == 1 else a**e)
-            else:
+            elif kind == "op":
                 group = a**e if group is None else group * a**e
+            elif p:  # a literal is reduced into F_p before it is powered
+                num = num * pow(a, e, p) % p
+                den = den * pow(d, e, p) % p
+            else:  # a rational literal is one atom: 3/2^2 is (3/2)^2
+                num *= a**e
+                den *= d**e
             tok = tokens[pos]
-            if tok[1] == "*":
+            if tok == "*":
                 pos += 1
-            elif tok[0] not in ("num", "name") and tok[1] != "(":
+            elif tok in _ENDS_TERM:
                 break
         self.pos = pos
+        c = field.coerce(num) if den == 1 else field.from_ratio(num, den)
         pairs = [ve for ve in exps.items() if ve[1]]
         if len(pairs) > 1:
             pairs.sort(key=lambda ve: ve[0]._key)
@@ -243,51 +240,56 @@ def parse_document(text, default_field=None):
     parsed in a second pass, once the ring, and so the field and the
     variables, is known."""
     field = default_field or QQ
-    once = {}  # "ring", "module", "morphism" -> what its one line declares
-    grades = {}  # name -> (degree, name token)
+    once = {}  # "ring" -> its variables; "module", "morphism" -> (value, parser)
+    grades = {}  # name -> (degree, parser at its grade line)
     ideals = {}  # name -> parser at its expression
     relations = []  # parsers at module relation expressions
 
     lines = text.splitlines()
     for ln, raw in enumerate(lines, start=1):
-        p = _Parser(_tokenize(raw.split("#", 1)[0], ln))
-        if p.peek()[0] == "end":
+        line = raw.split("#", 1)[0]
+        tokens = _TOKEN.findall(line)
+        if not tokens:
             continue
-        head = p.take()
-        kw = head[1]
+        if tokens[-1][0] not in _KIND_OF:
+            _tokenize(line, ln)  # raises at the line's first unexpected character
+        tokens.append("")
+        p = _Parser(tokens, line, ln)
+        kw = tokens[0]
         if kw in once:
-            raise ParseError("duplicate %s declaration" % kw, head[2], head[3])
+            p.fail("duplicate %s declaration" % kw, 0)
         if kw == "ring":
-            if p.peek()[0] == "name":
-                tok = p.take()
+            if tokens[1][:1].isalpha():
+                p.pos = 2
                 try:
-                    field = field_by_name(tok[1])
+                    field = field_by_name(tokens[1])
                 except ValueError as e:
-                    raise ParseError(str(e), tok[2], tok[3])
+                    p.fail(str(e), 1)
             once[kw] = p.names("ring variable")
         elif kw == "grade":
-            tok = p.expect("name")
-            if tok[1] in grades:
-                raise ParseError("duplicate grade for %r" % tok[1], tok[2], tok[3])
+            name = p.expect("name")
+            if name in grades:
+                p.fail("duplicate grade for %r" % name, 1)
             p.expect("=")
-            grades[tok[1]] = (_natural(p.expect("num"), MAX_LITERAL_DIGITS, _TOO_LONG), tok)
+            p.expect("num")
+            grades[name] = (p.natural(3, MAX_LITERAL_DIGITS, _TOO_LONG), p)
         elif kw == "ideal":
-            tok = p.expect("name")
-            if tok[1] in ideals:
-                raise ParseError("duplicate ideal name %r" % tok[1], tok[2], tok[3])
+            name = p.expect("name")
+            if name in ideals:
+                p.fail("duplicate ideal name %r" % name, 1)
             p.expect("=")
-            ideals[tok[1]] = p
+            ideals[name] = p
             continue
         elif kw == "module":
             p.expect("rank")
-            tok = p.expect("num")
-            rank = _natural(tok, MAX_LITERAL_DIGITS, _TOO_LONG)
+            p.expect("num")
+            rank = p.natural(2, MAX_LITERAL_DIGITS, _TOO_LONG)
             if rank > MAX_RANK:
-                raise ParseError("module rank larger than %d" % MAX_RANK, tok[2], tok[3])
-            once[kw] = (rank, tok)
+                p.fail("module rank larger than %d" % MAX_RANK, 2)
+            once[kw] = (rank, p)
         elif kw == "relation":
             if "module" not in once:
-                raise ParseError("relation before module declaration", head[2], head[3])
+                p.fail("relation before module declaration", 0)
             relations.append(p)
             continue
         elif kw == "morphism":
@@ -296,47 +298,45 @@ def parse_document(text, default_field=None):
             once[kw] = (names, p)
             continue
         else:
-            raise ParseError("unknown declaration %r" % kw, head[2], head[3])
+            p.fail("unknown declaration %r" % kw, 0)
         p.finish()
 
     if "ring" not in once:
         raise ParseError("missing ring declaration", len(lines) or 1, 1)
     ring_names = once["ring"]
-    for x, (_, tok) in grades.items():
+    for x, (_, p) in grades.items():
         if x not in ring_names:
-            raise ParseError("grade for undeclared variable %r" % x, tok[2], tok[3])
+            p.fail("grade for undeclared variable %r" % x, 1)
 
     base = {x: JetVar(x, i, 0) for i, x in enumerate(ring_names)}
     grading = {x: grades[x][0] if x in grades else 0 for x in ring_names} if grades else None
     # built without relations: each ideal is checked once, here, where its column is known
     algebra = AlgebraPresentation(ring_names, [], grading, field)
     for p in ideals.values():
-        at = p.peek()
-        f = p.poly(base, field)
+        at = p.pos
+        f = p.expr(base, field)
         p.finish()
         if grading is not None and not f.is_zero() and algebra.homogeneous_degree(f) is None:
-            raise InhomogeneousRelation(
-                "relation is not homogeneous for the declared grading", at[2], at[3])
+            p.fail("relation is not homogeneous for the declared grading", at,
+                   InhomogeneousRelation)
         algebra.relations.append(f)
 
     module = None
     if "module" in once:
-        rank, tok = once["module"]
+        rank, mp = once["module"]
         symbols = module_symbols(len(ring_names), rank, 0)
         for e in symbols:
             if e.name in base:
-                raise ParseError("module symbol %r is also a ring variable" % e.name,
-                                 tok[2], tok[3])
+                mp.fail("module symbol %r is also a ring variable" % e.name, 2)
         scope = dict(base)
         scope.update((e.name, e) for e in symbols)
         rows = []
         for p in relations:
-            at = p.peek()
-            row = linear_form(p.poly(scope, field), symbols)
+            at = p.pos
+            row = linear_form(p.expr(scope, field), symbols)
             p.finish()
             if row is None:
-                raise ParseError("module relation must be linear in e1..e%d" % rank,
-                                 at[2], at[3])
+                p.fail("module relation must be linear in e1..e%d" % rank, at)
             rows.append(row)
         module = ModulePresentation(algebra, rank, rows)
 
@@ -345,21 +345,21 @@ def parse_document(text, default_field=None):
         tgt_names, p = once["morphism"]
         tvars = {x: JetVar(x, i, 0) for i, x in enumerate(tgt_names)}
         images = {}
-        more = p.peek()[0] != "end"  # a ring without variables has no images
+        more = p.tokens[p.pos] != ""  # a ring without variables has no images
         while more:
-            tok = p.expect("name")
-            v = base.get(tok[1])
+            name = p.expect("name")
+            v = base.get(name)
             if v is None:
-                raise UndeclaredVariable("undeclared variable %r" % tok[1], tok[2], tok[3])
+                p.fail("undeclared variable %r" % name, p.pos - 1, UndeclaredVariable)
             if v in images:
-                raise ParseError("duplicate image for %r" % tok[1], tok[2], tok[3])
+                p.fail("duplicate image for %r" % name, p.pos - 1)
             p.expect("->")
-            images[v] = p.poly(tvars, field)
+            images[v] = p.expr(tvars, field)
             more = p.skip(",")
-        end = p.finish()
+        p.finish()
         for v in base.values():
             if v not in images:
-                raise ParseError("morphism misses image for %r" % v.name, end[2], end[3])
+                p.fail("morphism misses image for %r" % v.name, p.pos)
         tgt = AlgebraPresentation(tgt_names, [], None, field)
         morphism = AlgebraMorphism(algebra, tgt, images)
 

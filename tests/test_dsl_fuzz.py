@@ -20,7 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
 from jetforge.cli import main  # noqa: E402
-from jetforge.dsl import document_text, parse_document  # noqa: E402
+from jetforge.dsl import _KIND_OF, _TOKEN, _tokenize, document_text, parse_document  # noqa: E402
 from jetforge.errors import ParseError  # noqa: E402
 
 DOCUMENTS = [p.read_text() for p in sorted((Path(__file__).parent / "golden").glob("*.jf"))]
@@ -86,3 +86,31 @@ def test_mutated_documents_exit_0_or_2(text):
         assert "Traceback" not in err
         if printed is None:
             assert err.startswith("parse error: line "), (argv, err)
+
+
+def _assert_token_texts_agree(text):
+    """parse_document reads each line as the texts findall gives, and looks
+    for an unexpected character only at the first character of the last
+    one; _tokenize, which locates errors, must find the same tokens."""
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0]
+        texts = _TOKEN.findall(line)
+        try:
+            located = _tokenize(line, 1)
+        except ParseError:
+            assert texts[-1][0] not in _KIND_OF, line
+        else:
+            assert texts == [tok[1] for tok in located[:-1]], line
+            assert not texts or texts[-1][0] in _KIND_OF, line
+
+
+def test_golden_token_texts_match_tokenize():
+    for text in DOCUMENTS:
+        _assert_token_texts_agree(text)
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None, database=None)
+@given(mutated_documents())
+def test_mutated_token_texts_match_tokenize(text):
+    _assert_token_texts_agree(text)

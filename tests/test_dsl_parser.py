@@ -8,6 +8,8 @@ expression parser raise; the declaration corpus does the same for every
 place parse_document and the declaration reader raise."""
 
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -95,6 +97,67 @@ def test_parse_matches_reference_poly(field):
         got = doc.algebra.relations[0]
         assert got == ref, text
         assert got.render() == ref.render(), text
+
+
+# Literal arithmetic, each value worked out by hand: "p/q" is one atom, so
+# an exponent after it powers the whole ratio (3/2^2 is 9/4, not 3/4), and a
+# term's literals multiply.  The third entry lists the denominators written
+# in the term; one that is zero in the field is an error located at it.
+LITERAL_CASES = [
+    ("3/2^2*x", {"x": Fraction(9, 4)}, [2]),
+    ("2^3*x", {"x": 8}, []),
+    ("2/4*x", {"x": Fraction(1, 2)}, [4]),
+    ("2*3/5*x*7/11", {"x": Fraction(42, 55)}, [5, 11]),
+    ("0*x + y", {"y": 1}, []),
+    ("x - x", {}, []),
+]
+
+
+def _in_field(q, field):
+    """The rational q as an element of field, worked out without the field's from_ratio."""
+    q = Fraction(q)
+    if field is QQ:
+        return q
+    return q.numerator * pow(q.denominator, -1, field.p) % field.p
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("expr, coefficients, denominators", LITERAL_CASES)
+def test_literal_arithmetic(field, expr, coefficients, denominators):
+    line = "ideal f = %s" % expr
+    text = "ring %s[%s]\n%s\n" % (field.name, ",".join(NAMES), line)
+    zero = [d for d in denominators if field is not QQ and d % field.p == 0]
+    if zero:
+        with pytest.raises(ParseError) as ei:
+            parse_document(text)
+        column = line.index("/%d" % zero[0]) + 2
+        assert str(ei.value) == "line 2, col %d: denominator %d is zero in %s" % (
+            column, zero[0], field.name)
+        return
+    want = Poly.zero(field)
+    for x, q in coefficients.items():
+        want = want + Poly.var(JetVar(x, NAMES.index(x), 0), field) * _in_field(q, field)
+    assert parse_document(text).algebra.relations == [want]
+
+
+def test_literals_over_f7():
+    f7 = PrimeField(7)
+    x, y = (Poly.var(JetVar(v, i, 0), f7) for i, v in enumerate("xy"))
+    doc = parse_document("ring F7[x,y]\nideal f = 7*x\nideal g = -1/3*y\nideal h = 7*x + y\n")
+    assert doc.algebra.relations == [Poly.zero(f7), y * 2, y]
+    assert doc.algebra.relations[1].render() == "2*y_0"
+
+
+def test_long_literal_is_reduced_before_it_is_powered():
+    # (10^4300 - 1)^1000 has 4.3 million digits; read modulo 7 first, it
+    # parses in well under a millisecond
+    nines = "9" * 4300
+    start = time.perf_counter()
+    doc = parse_document("ring F7[x]\nideal f = %s^1000*x\n" % nines)
+    elapsed = time.perf_counter() - start
+    value = (pow(10, 4300, 7) - 1) ** 1000 % 7
+    assert doc.algebra.relations == [Poly.var(JetVar("x", 0, 0), PrimeField(7)) * value]
+    assert value and elapsed < 1.0
 
 
 # Recorded from the parser before it gathered terms as scalar times
@@ -236,6 +299,21 @@ DECLARATION_CORPUS = [
     ('ring Q[x]\ngrade x = \u0663\n', ParseError, 2, 11, "unexpected character '\u0663'"),
     ('ring Q[x]\nmodule rank \uff12\n', ParseError, 2, 13, "unexpected character '\uff12'"),
     ('ring F\u0667[x]\n', ParseError, 1, 7, "unexpected character '\u0667'"),
+    # an unexpected character is found when its line is read, before any
+    # expression is parsed, and is located at its first occurrence
+    ('ring Q[x,y]\nideal f = x +\nideal g = y $\n', ParseError, 3, 13,
+     "unexpected character '$'"),
+    ('ring Q[x,y]\nideal f = x - - y\nideal g = \u0663\n', ParseError, 3, 11,
+     "unexpected character '\u0663'"),
+    ('ring Q[x,y]\nideal f = x\nring Q[y] $\n', ParseError, 3, 11, "unexpected character '$'"),
+    ('ring Q[x,y]\nideal f = x $ y \u00e9\n', ParseError, 2, 13, "unexpected character '$'"),
+    ('ring Q[x,y]\nideal f = (x + y\t\t)  $$\n', ParseError, 2, 22, "unexpected character '$'"),
+    ('ring Q[x,y]\n$ideal f = x\n', ParseError, 2, 1, "unexpected character '$'"),
+    ('ring Q[x,y]\nideal f = x > y\n', ParseError, 2, 13, "unexpected character '>'"),
+    ('ring Q[x,y]\nmorphism [u] : x ->> u, y -> u\n', ParseError, 2, 20,
+     "unexpected character '>'"),
+    ('ring Q[x,y]\nideal f = 1/2\x00\n', ParseError, 2, 14, "unexpected character '\\x00'"),
+    ('ring Q[x,y]\nideal f = x ; # $\n', ParseError, 2, 13, "unexpected character ';'"),
 ]
 
 
@@ -252,6 +330,7 @@ def test_declaration_corpus(text, cls, line, column, message):
 @pytest.mark.parametrize("text, printed", [
     # tokens may be separated by any whitespace, or by none
     ("ring\tQ[x]\nideal f=x\n", "ring Q[x]\nideal f = x\n"),
+    ("ring Q[x,y]\nideal f = x\u00a0+\u2003y\n", "ring Q[x,y]\nideal f = x + y\n"),
     ("ring F7 [ x , y ]\n grade x=1\n", "ring F7[x,y]\ngrade x = 1\ngrade y = 0\n"),
     ("ring Q[x]\nmodule\trank 1\nrelation x*e1\n",
      "ring Q[x]\nmodule rank 1\nrelation (x)*e1\n"),

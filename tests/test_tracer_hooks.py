@@ -23,10 +23,12 @@ def _load_tracer():
 
 
 def _namespaces(layers):
-    """Every module namespace and class namespace the tracer may patch."""
+    """Every module namespace and class namespace the tracer may patch.  The
+    layers are imported before the package namespace is copied: importing a
+    submodule binds it there, so a first import must not read as a change."""
+    mods = [importlib.import_module("jetforge." + layer) for layer in layers]
     out = {"jetforge": dict(vars(jetforge))}
-    for layer in layers:
-        mod = importlib.import_module("jetforge." + layer)
+    for layer, mod in zip(layers, mods):
         out[layer] = dict(vars(mod))
         for attr, value in vars(mod).items():
             if isinstance(value, type) and value.__module__ == mod.__name__:
