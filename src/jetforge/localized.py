@@ -1,9 +1,18 @@
 """Polynomials localized at one distinguished unit variable.
 
-A LocalPoly is numerator / unit_var^denom_exp, normalized so the unit
-variable does not divide the numerator while denom_exp > 0.  This is the
-coordinate ring of the chart overlap on the jet spaces of P^1, localized
-at t^(0).
+A LocalPoly is numerator / unit_var^denom_exp in lowest terms: while
+denom_exp > 0 some term of the numerator is free of the unit variable, and
+zero has denom_exp 0.  This is the coordinate ring of the chart overlap on
+the jet spaces of P^1, localized at t^(0).
+
+``LocalPoly(...)`` scans its numerator to cancel the unit variable; the
+arithmetic keeps lowest terms without a second scan of its result.  A
+product cancels u from a factor with no denominator first, and u is prime,
+so the product of two reduced factors is reduced.  A sum over two different
+denominators keeps the u-free term of the operand with the larger one.
+Only a sum over equal positive denominators can gain a common factor u, and
+only it is scanned.  Negation and scaling by an integer keep the terms'
+exponents, and ``_local`` builds a LocalPoly known to be reduced.
 """
 
 from .errors import DivisionByZero, FieldMismatch, NonUnitLeadingCoefficient
@@ -19,21 +28,36 @@ def _shift(p, v, k):
     return _poly(p.field, {m.mul(vk): c for m, c in p.terms.items()})
 
 
+def _lowest(numerator, u, e):
+    """numerator / u^e in lowest terms, as (numerator, exponent): cancel the
+    common power of u, at most e of it."""
+    if not numerator.terms:
+        return numerator, 0
+    if e:
+        k = min(e, min(m.exponent(u) for m in numerator.terms))
+        if k:
+            numerator = _poly(numerator.field, {m.divide_by_var(u, k): c
+                                                for m, c in numerator.terms.items()})
+            e -= k
+    return numerator, e
+
+
+def _local(numerator, unit_var, denom_exp):
+    """LocalPoly from a numerator and exponent already in lowest terms (no scan)."""
+    lp = object.__new__(LocalPoly)
+    object.__setattr__(lp, "numerator", numerator)
+    object.__setattr__(lp, "unit_var", unit_var)
+    object.__setattr__(lp, "denom_exp", denom_exp)
+    return lp
+
+
 class LocalPoly:
     __slots__ = ("numerator", "unit_var", "denom_exp")
 
     def __init__(self, numerator, unit_var, denom_exp=0):
         if denom_exp < 0:
             raise ValueError("negative denominator exponent")
-        # cancel the common power of unit_var, at most denom_exp of it
-        if denom_exp and numerator.terms:
-            k = min(denom_exp, min(m.exponent(unit_var) for m in numerator.terms))
-            if k:
-                numerator = _poly(numerator.field, {m.divide_by_var(unit_var, k): c
-                                                    for m, c in numerator.terms.items()})
-                denom_exp -= k
-        if numerator.is_zero():
-            denom_exp = 0
+        numerator, denom_exp = _lowest(numerator, unit_var, denom_exp)
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "unit_var", unit_var)
         object.__setattr__(self, "denom_exp", denom_exp)
@@ -61,15 +85,22 @@ class LocalPoly:
         if isinstance(other, int):
             other = LocalPoly(Poly.constant(other, self.field), self.unit_var)
         other = self._check(other)
-        e = max(self.denom_exp, other.denom_exp)
-        a = _shift(self.numerator, self.unit_var, e - self.denom_exp)
-        b = _shift(other.numerator, self.unit_var, e - other.denom_exp)
-        return LocalPoly(a + b, self.unit_var, e)
+        a, b = self.numerator, other.numerator
+        if not (a.terms and b.terms):
+            a._check(b)  # mixed fields raise, as in a sum
+            return self if a.terms else other
+        u, ea, eb = self.unit_var, self.denom_exp, other.denom_exp
+        if ea == eb:  # only here can the sum gain a common factor u
+            num, e = _lowest(a + b, u, ea)
+            return _local(num, u, e)
+        # the operand over the larger denominator keeps its u-free term
+        e = max(ea, eb)
+        return _local(_shift(a, u, e - ea) + _shift(b, u, e - eb), u, e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LocalPoly(-self.numerator, self.unit_var, self.denom_exp)
+        return _local(-self.numerator, self.unit_var, self.denom_exp)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -78,10 +109,19 @@ class LocalPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LocalPoly(self.numerator * other, self.unit_var, self.denom_exp)
+            num = self.numerator * other
+            return _local(num, self.unit_var, self.denom_exp if num.terms else 0)
         other = self._check(other)
-        return LocalPoly(self.numerator * other.numerator, self.unit_var,
-                         self.denom_exp + other.denom_exp)
+        u = self.unit_var
+        a, ea = self.numerator, self.denom_exp
+        b, eb = other.numerator, other.denom_exp
+        # cancel u from a factor with no denominator; u is prime, so the
+        # product of two factors in lowest terms is in lowest terms
+        if not ea:
+            a, eb = _lowest(a, u, eb)
+        elif not eb:
+            b, ea = _lowest(b, u, ea)
+        return _local(a * b, u, ea + eb)
 
     __rmul__ = __mul__
 

@@ -14,6 +14,11 @@ over the multisets {a_h}, h >= 1, of size m = sum a_h and grade
 g = sum h * a_h; binom(k, m) = k(k-1)...(k-m+1)/m! is an integer for
 negative k too, so no series is inverted.
 
+``power_jets`` writes each coefficient in lowest terms (``localized``'s
+invariant) and builds it without a scan; the cocycle's series product
+keeps lowest terms through ``LocalPoly`` arithmetic, so its comparison is
+one of reduced forms and nothing is normalized twice.
+
 ``p1_transition`` returns the twisted-action matrix as the rows of
 ``hsmodules.upper_triangle``, and ``global_sections`` returns (label,
 regular) pairs.
@@ -22,7 +27,7 @@ regular) pairs.
 from .errors import UnsupportedTwist
 from .hsmodules import upper_triangle
 from .jets import _expansion
-from .localized import LocalPoly
+from .localized import _local
 from .poly import JetVar, _monomial, _poly
 from .scalars import QQ
 from .series import TruncSeries
@@ -33,27 +38,39 @@ def chart_var(chart, order):
 
 
 def power_jets(k, chart, n, field=QQ):
-    """Jets of t_chart^k to level n, localized at u = t_chart^(0).  The
-    multisets of size m are the jets._expansion table of grades 0..n-m
-    shifted up by one; numerators carry u^pad so that u's exponent stays
-    non-negative, and LocalPoly cancels the padding."""
+    """Jets of t_chart^k to level n, localized at u = t_chart^(0), each
+    coefficient in lowest terms as it is written.  The multisets of size m
+    are the jets._expansion table of grades 0..n-m shifted up by one, and
+    a term of size m carries u^(k-m); a coefficient's denominator is
+    u^max(0, top-k), top its largest m with a term nonzero in the field (a
+    multinomial can vanish over F_p).  So m runs downwards, and the first
+    term written to a coefficient fixes its denominator."""
     t = [chart_var(chart, i) for i in range(n + 1)]
+    u = t[0]
     shifted = t[1:].__getitem__  # grade h of the table is t^(h+1)
-    pad = max(0, n - k)
-    coeffs = [{} for _ in range(n + 1)]
-    b = 1  # binom(k, m)
-    for m in range(n + 1):
+    binoms = [1]  # binom(k, m) for m = 0..n, up to its first 0
+    for m in range(n):
+        b = binoms[-1] * (k - m) // (m + 1)
         if not b:
             break
-        head = ((t[0], k - m + pad),) if k - m + pad else ()
+        binoms.append(b)
+    coeffs = [{} for _ in range(n + 1)]
+    denoms = [0] * (n + 1)
+    for m in reversed(range(len(binoms))):
+        b = binoms[m]
         for g, entries in _expansion(m, (n - m,)):
-            dest = coeffs[g + m]
+            j = g + m
+            dest = coeffs[j]
+            if not dest:  # kept once a term of this size is written
+                denoms[j] = max(0, m - k)
+            e = k - m + denoms[j]
+            head = ((u, e),) if e else ()
             for grades, exponents, mult in entries:
-                c = field(b * mult)
+                c = field.coerce(b * mult)
                 if c:
                     dest[_monomial(head + tuple(zip(map(shifted, grades), exponents)))] = c
-        b = b * (k - m) // (m + 1)
-    return TruncSeries(n, [LocalPoly(_poly(field, c), t[0], pad) for c in coeffs])
+    return TruncSeries(n, [_local(_poly(field, c), u, e if c else 0)
+                           for c, e in zip(coeffs, denoms)])
 
 
 def transition_series(d, n, express_in="chart1", field=QQ):

@@ -3,6 +3,11 @@
 Coefficients may be any exact ring elements supporting +, -, * and a
 ``unit_inverse`` hook on the leading coefficient (Poly and LocalPoly
 both qualify).  A level-0 series is a plain ring element.
+
+Every coefficient is built with the coefficient ring's own +, - and *, so
+a LocalPoly coefficient is in lowest terms whenever its operands are (see
+``localized``).  A product starts each coefficient from its first term
+product, not from a zero coefficient.
 """
 
 from .errors import NonUnitLeadingCoefficient
@@ -43,11 +48,10 @@ class TruncSeries:
     def __mul__(self, other):
         self._check(other)
         n = self.level
-        out = [self._zero_coeff() for _ in range(n + 1)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                if i + j > n:
-                    break
+        a0 = self.coeffs[0]
+        out = [a0 * b for b in other.coeffs]  # each coefficient starts from its first product
+        for i, a in enumerate(self.coeffs[1:], 1):
+            for j, b in enumerate(other.coeffs[:n + 1 - i]):
                 out[i + j] = out[i + j] + a * b
         return TruncSeries(n, out)
 

@@ -11,7 +11,7 @@ from jetforge.checks import (MAX_VARS, ORACLE_POINTS, SUITE_NAMES, CheckConfig,
                              points_agree, random_algebra, random_module, random_morphism,
                              random_poly, run_suite)
 from jetforge.cli import main
-from jetforge.dsl import parse_document, print_document
+from jetforge.dsl import document_text, parse_document, print_document
 from jetforge.errors import FieldMismatch, UnknownSuite
 from jetforge.poly import JetVar, Poly
 from jetforge.scalars import QQ, PrimeField
@@ -67,7 +67,8 @@ def test_degenerate_instances_occur():
 
 def test_counterexamples_replay_through_dsl():
     """Instance serializations parse back through the DSL to equal
-    variables, relations, grading, module rows and morphism images."""
+    variables, relations, grading, module rows and morphism images, and
+    print back to the same text (the DSL fuzzer's round trip)."""
     rng = random.Random(4)
     for _ in range(20):
         A = random_algebra(rng)
@@ -76,7 +77,9 @@ def test_counterexamples_replay_through_dsl():
                      (random_algebra(rng, graded=True), None, None),
                      (phi.source, random_module(rng, over=phi.source), phi)]
         for algebra, module, morphism in instances:
-            doc = parse_document(print_document(algebra, module=module, morphism=morphism))
+            text = print_document(algebra, module=module, morphism=morphism)
+            doc = parse_document(text)
+            assert document_text(doc) == text
             assert doc.algebra.vars == algebra.vars
             assert doc.algebra.relations == algebra.relations
             assert doc.algebra.grading == algebra.grading

@@ -126,6 +126,15 @@ def test_power_jets_match_series_route(field):
             assert power_jets(d, 0, n, field) == chart0[d], (d, n)
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_power_jets_written_in_lowest_terms(field):
+    # the normalizing constructor leaves every coefficient as it is
+    for n in range(10):
+        for k in range(-6, 7):
+            for c in power_jets(k, 0, n, field).coeffs:
+                assert LocalPoly(c.numerator, c.unit_var, c.denom_exp) == c, (k, n)
+
+
 def _p1_grid():
     for d in range(-3, 4):
         for n in (0, 3, 6):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetforge.errors import NonUnitLeadingCoefficient
+from jetforge.errors import FieldMismatch, NonUnitLeadingCoefficient
 from jetforge.localized import LocalPoly
 from jetforge.poly import JetVar, Monomial, Poly
 from jetforge.scalars import QQ, Fp, PrimeField
@@ -193,3 +193,56 @@ def test_localpoly_shift_matches_power_products():
             inv = unit.unit_inverse()
             assert (inv.numerator, inv.denom_exp) == want
             assert unit * inv == LocalPoly(Poly.constant(1, field), u)
+
+
+def _in_lowest_terms(lp):
+    """Zero has denominator 0, and a positive denominator leaves some
+    numerator term free of the unit variable."""
+    if lp.numerator.is_zero():
+        return lp.denom_exp == 0
+    return not lp.denom_exp or any(not m.exponent(lp.unit_var) for m in lp.numerator.terms)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(7)],
+                         ids=lambda f: f.name)
+def test_localpoly_arithmetic_keeps_lowest_terms(field):
+    # each result equals the normalizing constructor on its raw numerator
+    rng = random.Random(20)
+    u = T0[0]
+    gens = [Poly.var(v, field) for v in T0]
+    up = gens[0]
+
+    def operand():
+        p = Poly.zero(field)
+        for _ in range(rng.randint(0, 3)):  # zero numerators too
+            t = Poly.constant(rng.randint(-4, 4), field)
+            for _ in range(rng.randint(0, 3)):
+                t = t * rng.choice(gens)
+            p = p + t
+        # numerators divisible by u, over denominators 0..3
+        return LocalPoly(p * up ** rng.randint(0, 2), u, rng.randint(0, 3))
+
+    for _ in range(150):
+        x, y = operand(), operand()
+        assert _in_lowest_terms(x) and _in_lowest_terms(y)
+        for a, b in ((x, y), (y, x)):
+            e = max(a.denom_exp, b.denom_exp)
+            na, nb = a.numerator * up ** (e - a.denom_exp), b.numerator * up ** (e - b.denom_exp)
+            c = rng.randint(-2, 2)
+            cases = [(a + b, na + nb, e), (a - b, na - nb, e), (-a, -a.numerator, a.denom_exp),
+                     (a * b, a.numerator * b.numerator, a.denom_exp + b.denom_exp),
+                     (a * c, a.numerator * c, a.denom_exp)]
+            for got, raw, exp in cases:
+                want = LocalPoly(raw, u, exp)
+                assert (got.numerator, got.denom_exp) == (want.numerator, want.denom_exp)
+                assert _in_lowest_terms(got)
+
+
+def test_localpoly_zero_sum_checks_the_field():
+    u = T0[0]
+    seven = LocalPoly(Poly.var(T0[1], PrimeField(7)), u, 1)
+    for zero in (LocalPoly(Poly.zero(QQ), u), LocalPoly(Poly.zero(QQ), u, 2)):
+        with pytest.raises(FieldMismatch):
+            seven + zero
+        with pytest.raises(FieldMismatch):
+            zero + seven
