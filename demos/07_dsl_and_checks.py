@@ -13,7 +13,7 @@ The check harness replays every structural theorem on seeded random
 instances; two of the suites additionally compare the jet-component
 engine against numeric evaluation at random rational points.
 """
-from jetforge import CheckConfig, document_text, parse_document, run_suite
+from jetforge import document_text, parse_document, report_text, run_suite
 
 doc = parse_document("""
 ring Q[x,y]
@@ -25,5 +25,4 @@ morphism [u] : x -> u^2, y -> u^3
 print("canonical form round-trips:")
 print(document_text(doc))
 
-report = run_suite(CheckConfig(seed=42, trials=25))
-print(report.to_text())
+print(report_text(run_suite(seed=42, trials=25)))

@@ -30,7 +30,7 @@ _EXPORTS = {
                   "hs_module_presentation", "kaehler_presentation", "sym_presentation",
                   "sym_theorem_check", "twisted_action_matrix"),
     "p1": ("cocycle_check", "global_sections", "p1_transition", "transition_series"),
-    "checks": ("CheckConfig", "CheckReport", "run_suite"),
+    "checks": ("report_text", "run_suite"),
     "dsl": ("InputDocument", "document_text", "parse_document", "print_document"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -3,11 +3,11 @@
 ``SUITES`` maps each suite name to its function, in report order.  Every
 suite has the signature ``(rng, orng) -> (ok, ok_numeric, detail)``:
 it draws one instance from ``rng``, a deterministic stream derived from
-the configured seed and the suite name, and checks an exact polynomial
-identity (``ok``).  Suites that also evaluate both sides at random
-rational points with ``points_agree`` draw those points from ``orng`` and
-return the numeric verdict as ``ok_numeric``; the others return None.  The
-oracle evaluates both sides at all its points in one call of the
+the seed and the suite name, and checks an exact polynomial identity
+(``ok``).  Suites that also evaluate both sides at random rational points
+with ``points_agree`` draw those points from ``orng`` and return the
+numeric verdict as ``ok_numeric``; the others return None.  The oracle
+evaluates both sides at all its points in one call of the
 point-vectorized kernel ``poly._eval_points``, which ``Poly.eval`` also
 calls, and compares them exactly, as integer rows over one denominator per
 point.  A symbolic and a numeric verdict that differ count as an oracle
@@ -18,11 +18,12 @@ without ``randrange``'s argument checks.
 ``detail`` describes a failing instance, including a DSL serialization
 for replay, and is None when the check holds.
 
-``CheckConfig`` holds the seed, the trial count and the suites.  Instance
-sizes are module constants, not options: ``MAX_VARS`` variables,
-``MAX_RELATIONS`` relations, degree ``MAX_DEGREE``, jet level
-``MAX_LEVEL`` (``MAX_BILEVEL`` per bivariate level) and integer
-coefficients in ``COEFF_LO..COEFF_HI``.
+``run_suite`` takes the seed, the trial count and the suites, and returns
+its report as the plain dict that ``jetforge check --format json`` prints;
+``report_text`` gives its text form.  Instance sizes are module constants,
+not options: ``MAX_VARS`` variables, ``MAX_RELATIONS`` relations, degree
+``MAX_DEGREE``, jet level ``MAX_LEVEL`` (``MAX_BILEVEL`` per bivariate
+level) and integer coefficients in ``COEFF_LO..COEFF_HI``.
 """
 
 import random
@@ -34,7 +35,7 @@ from .errors import FieldMismatch, UnknownSuite
 from .hsmodules import (ModulePresentation, TwistedMatrix, base_change_check,
                         cotangent_theorem_check, free_dual_zigzag_check,
                         sym_theorem_check, twisted_action_matrix, upper_triangle)
-from .jets import (AlgebraMorphism, AlgebraPresentation, _Record, bigrade_commute_check,
+from .jets import (AlgebraMorphism, AlgebraPresentation, bigrade_commute_check,
                    cotruncation_subset_check, hs_components, induced_morphism)
 from .p1 import cocycle_check
 from .poly import JetVar, Monomial, Poly, _eval_points
@@ -48,84 +49,6 @@ MAX_DEGREE = 3
 MAX_LEVEL = 4
 MAX_BILEVEL = 2
 COEFF_LO, COEFF_HI = -9, 9
-
-
-class CheckConfig(_Record):
-    """Seed, trial count and suite names; the suites default to every one
-    in ``SUITES`` when the config is made."""
-
-    _fields = ("seed", "trials", "suites")
-
-    def __init__(self, seed=42, trials=100, suites=None):
-        self.seed = seed
-        self.trials = trials
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        self.suites = tuple(SUITES if suites is None else suites)
-        for s in self.suites:
-            if s not in SUITES:
-                raise UnknownSuite("unknown suite: %r" % s)
-
-
-class SuiteResult(_Record):
-    _fields = ("name", "trials", "failures", "seconds", "oracle_trials",
-               "oracle_disagreements")
-
-    def __init__(self, name, trials=0, failures=None, seconds=0.0, oracle_trials=0,
-                 oracle_disagreements=0):
-        self.name = name
-        self.trials = trials
-        self.failures = [] if failures is None else failures
-        self.seconds = seconds
-        self.oracle_trials = oracle_trials
-        self.oracle_disagreements = oracle_disagreements
-
-    @property
-    def passed(self):
-        return not self.failures and not self.oracle_disagreements
-
-
-class CheckReport(_Record):
-    _fields = ("config", "suites")
-
-    def __init__(self, config, suites=None):
-        self.config = config
-        self.suites = {} if suites is None else suites
-
-    @property
-    def passed(self):
-        return all(r.passed for r in self.suites.values())
-
-    def to_json_dict(self):
-        return {
-            "seed": self.config.seed,
-            "trials": self.config.trials,
-            "passed": self.passed,
-            "suites": {
-                name: {
-                    "trials": r.trials,
-                    "failures": r.failures,
-                    "oracle_trials": r.oracle_trials,
-                    "oracle_disagreements": r.oracle_disagreements,
-                    "seconds": round(r.seconds, 3),
-                    "passed": r.passed,
-                }
-                for name, r in self.suites.items()
-            },
-        }
-
-    def to_text(self):
-        lines = []
-        for name, r in self.suites.items():
-            status = "PASS" if r.passed else "FAIL"
-            extra = ""
-            if r.oracle_trials:
-                extra = ", oracle %d/%d agree" % (
-                    r.oracle_trials - r.oracle_disagreements, r.oracle_trials)
-            lines.append("%-18s %s  (%d trials, %d failures%s, %.2fs)"
-                         % (name, status, r.trials, len(r.failures), extra, r.seconds))
-        lines.append("overall: %s" % ("PASS" if self.passed else "FAIL"))
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -431,28 +354,51 @@ SUITES = {
     "zigzag": _suite_zigzag,
     "p1_cocycle": _suite_p1,
 }
-SUITE_NAMES = tuple(SUITES)
 
 
-def run_suite(config):
-    """Run every configured suite; deterministic for a given config."""
-    report = CheckReport(config)
+def run_suite(seed=42, trials=100, suites=None):
+    """Run the named suites (every one when None) in ``SUITES`` order and
+    return the report that ``jetforge check --format json`` prints;
+    deterministic for given arguments, but for the timings."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    names = SUITES if suites is None else tuple(suites)
+    for s in names:
+        if s not in SUITES:
+            raise UnknownSuite("unknown suite: %r" % s)
+    report = {"seed": seed, "trials": trials, "passed": True, "suites": {}}
     for name, suite in SUITES.items():
-        if name not in config.suites:
+        if name not in names:
             continue
-        result = SuiteResult(name)
-        rng = random.Random("%d:%s" % (config.seed, name))
-        orng = random.Random("%d:%s:oracle" % (config.seed, name))
+        rng = random.Random("%d:%s" % (seed, name))
+        orng = random.Random("%d:%s:oracle" % (seed, name))
+        r = report["suites"][name] = {"trials": trials, "failures": [], "oracle_trials": 0,
+                                      "oracle_disagreements": 0, "seconds": 0.0, "passed": True}
         start = time.perf_counter()
-        for trial in range(config.trials):
+        for trial in range(trials):
             ok, ok_num, detail = suite(rng, orng)
-            result.trials += 1
             if ok_num is not None:
-                result.oracle_trials += 1
-                if ok != ok_num:
-                    result.oracle_disagreements += 1
+                r["oracle_trials"] += 1
+                r["oracle_disagreements"] += ok != ok_num
             if not ok:
-                result.failures.append({"trial": trial, **(detail or {})})
-        result.seconds = time.perf_counter() - start
-        report.suites[name] = result
+                r["failures"].append({"trial": trial, **(detail or {})})
+        r["seconds"] = round(time.perf_counter() - start, 3)
+        r["passed"] = not r["failures"] and not r["oracle_disagreements"]
+        report["passed"] = report["passed"] and r["passed"]
     return report
+
+
+def report_text(report):
+    """The text form of a ``run_suite`` report: one line per suite, then
+    the overall verdict."""
+    lines = []
+    for name, r in report["suites"].items():
+        extra = ""
+        if r["oracle_trials"]:
+            extra = ", oracle %d/%d agree" % (
+                r["oracle_trials"] - r["oracle_disagreements"], r["oracle_trials"])
+        lines.append("%-18s %s  (%d trials, %d failures%s, %.2fs)"
+                     % (name, "PASS" if r["passed"] else "FAIL", r["trials"],
+                        len(r["failures"]), extra, r["seconds"]))
+    lines.append("overall: %s" % ("PASS" if report["passed"] else "FAIL"))
+    return "\n".join(lines)

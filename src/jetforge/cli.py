@@ -182,16 +182,15 @@ def cmd_morphism(args):
 
 
 def cmd_check(args):
-    from .checks import SUITE_NAMES, CheckConfig, run_suite
+    from .checks import report_text, run_suite
 
-    suites = SUITE_NAMES if args.suite == "all" else tuple(args.suite.split(","))
-    config = CheckConfig(seed=args.seed, trials=args.trials, suites=suites)
-    report = run_suite(config)
+    suites = None if args.suite == "all" else args.suite.split(",")
+    report = run_suite(args.seed, args.trials, suites)
     if args.format == "json":
-        _emit_json(report.to_json_dict())
+        _emit_json(report)
     else:
-        print(report.to_text())
-    return 0 if report.passed else 1
+        print(report_text(report))
+    return 0 if report["passed"] else 1
 
 
 def cmd_p1(args):

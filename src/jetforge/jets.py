@@ -31,7 +31,6 @@ when the source algebra is graded, the induced one (deg x^(i) = deg x).
 from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import product
-from math import factorial
 
 from .errors import (BadLevels, InhomogeneousRelation, JetforgeError, MissingGrading,
                      NotABaseElement)
@@ -77,7 +76,9 @@ def _expansion(e, bounds):
     their position in the box; each entry is a multiset {g: a_g} of size e
     with grade sum ``grade`` in column form (grades, exponents, k): the
     positions g in box order, their a_g, and the multinomial
-    k = e! / prod a_g!."""
+    k = e! / prod a_g!.  The split gives exponents to positions 1 and up;
+    each of its nodes is an entry whose remainder goes to position 0, the
+    zero grade, so no branch is dead."""
     box, _ = _grades(bounds)
     found = {}
 
@@ -85,15 +86,19 @@ def _expansion(e, bounds):
         if not left:
             found.setdefault(total, []).append((grades, exponents, k))
             return
+        found.setdefault(total, []).append(((0,) + grades, (left,) + exponents, k))
         for idx in range(start, len(box)):
+            if total[0] + box[idx][0] > bounds[0]:
+                break  # the box is in lexicographic order: no later grade fits
+            m = k
             for a in range(1, left + 1):
                 t = tuple(s + a * x for s, x in zip(total, box[idx]))
                 if any(s > b for s, b in zip(t, bounds)):
                     break
-                split(idx + 1, left - a, t, grades + (idx,), exponents + (a,),
-                      k // factorial(a))
+                m = m * (left - a + 1) // a  # k * binom(left, a)
+                split(idx + 1, left - a, t, grades + (idx,), exponents + (a,), m)
 
-    split(0, e, box[0], (), (), factorial(e))
+    split(1, e, box[0], (), (), 1)
     return tuple((pos, tuple(found[g])) for pos, g in enumerate(box) if g in found)
 
 

@@ -6,7 +6,7 @@ compare and hash equal on equal values, so a term may hold either, and
 products of integral coefficients, such as the integer multinomials of jet
 components, stay off ``Fraction``.  Prime-field scalars are ``Fp``
 instances carrying their modulus.  A field object (``QQ`` or ``PrimeField(p)``) converts
-integers and its own scalars (``field(c)`` is ``field.coerce(c)``, which raises
+integers and its own scalars (``field(c)`` calls ``field.coerce(c)``, which raises
 ``FieldMismatch`` on anything else), provides constants and inversion,
 renders coefficients in the canonical "p/q" form, and builds a scalar from
 an integer ratio (``from_ratio``).  Scalars give their integer view through
@@ -136,7 +136,8 @@ class Rationals:
             return int(c)
         raise FieldMismatch("not a rational scalar: %r" % (c,))
 
-    __call__ = coerce
+    def __call__(self, c):
+        return self.coerce(c)
 
     def from_ratio(self, num, den):
         return _rational(Fraction(num, den))
@@ -223,7 +224,8 @@ class PrimeField:
             return Fp(c, self.p)
         raise FieldMismatch("not an F_%d scalar: %r" % (self.p, c))
 
-    __call__ = coerce
+    def __call__(self, c):
+        return self.coerce(c)
 
     def from_ratio(self, num, den):
         return Fp(num * pow(den, -1, self.p), self.p)

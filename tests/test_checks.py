@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from jetforge import checks, jets
-from jetforge.checks import (MAX_VARS, ORACLE_POINTS, SUITE_NAMES, CheckConfig,
-                             points_agree, random_algebra, random_module, random_morphism,
-                             random_poly, run_suite)
+from jetforge.checks import (MAX_VARS, ORACLE_POINTS, SUITES, points_agree, random_algebra,
+                             random_module, random_morphism, random_poly, report_text,
+                             run_suite)
 from jetforge.cli import main
 from jetforge.dsl import document_text, parse_document, print_document
 from jetforge.errors import FieldMismatch, UnknownSuite
@@ -19,36 +19,42 @@ from oracles import naive_points_agree
 
 
 def test_all_suites_pass_smoke():
-    report = run_suite(CheckConfig(seed=7, trials=10))
-    assert report.passed
-    assert set(report.suites) == set(SUITE_NAMES)
+    report = run_suite(seed=7, trials=10)
+    assert report["passed"]
+    assert list(report["suites"]) == list(SUITES)
 
 
 def test_determinism():
-    cfg = CheckConfig(seed=123, trials=5)
-    r1 = run_suite(cfg).to_json_dict()
-    r2 = run_suite(CheckConfig(seed=123, trials=5)).to_json_dict()
-    for s in SUITE_NAMES:
+    r1 = run_suite(seed=123, trials=5)
+    r2 = run_suite(seed=123, trials=5)
+    for s in SUITES:
         r1["suites"][s].pop("seconds")
         r2["suites"][s].pop("seconds")
     assert r1 == r2
 
 
 def test_single_trial_reproducible():
-    cfg = CheckConfig(seed=99, trials=1, suites=("leibniz",))
-    r = run_suite(cfg)
-    assert r.suites["leibniz"].trials == 1
-    assert r.suites["leibniz"].oracle_trials == 1
+    r = run_suite(seed=99, trials=1, suites=("leibniz",))
+    assert r["suites"]["leibniz"]["trials"] == 1
+    assert r["suites"]["leibniz"]["oracle_trials"] == 1
 
 
 def test_unknown_suite_rejected():
     with pytest.raises(UnknownSuite):
-        CheckConfig(suites=("nosuch",))
+        run_suite(suites=("nosuch",))
 
 
 def test_config_bounds_enforced():
     with pytest.raises(ValueError):
-        CheckConfig(trials=0)
+        run_suite(trials=0)
+
+
+def test_suites_run_in_suites_order():
+    """Whatever order the suites are named in, they run and are reported in
+    ``SUITES`` order, and a suite named twice runs once."""
+    report = run_suite(seed=1, trials=1, suites=["p1_cocycle", "zigzag", "leibniz", "zigzag"])
+    assert list(report["suites"]) == ["leibniz", "zigzag", "p1_cocycle"]
+    assert report["seed"] == 1 and report["trials"] == 1
 
 
 def test_degenerate_instances_occur():
@@ -96,8 +102,10 @@ def test_counterexamples_replay_through_dsl():
 
 
 def test_report_json_shape():
-    report = run_suite(CheckConfig(seed=2, trials=2, suites=("zigzag", "p1_cocycle")))
-    d = report.to_json_dict()
+    d = run_suite(seed=2, trials=2, suites=("zigzag", "p1_cocycle"))
+    assert list(d) == ["seed", "trials", "passed", "suites"]
+    assert list(d["suites"]["zigzag"]) == ["trials", "failures", "oracle_trials",
+                                            "oracle_disagreements", "seconds", "passed"]
     assert d["passed"] is True
     assert d["suites"]["zigzag"]["trials"] == 2
     assert "leibniz" not in d["suites"]
@@ -108,13 +116,15 @@ def test_failing_suite_is_reported(monkeypatch, capsys):
         return False, True, {"input": "ring Q[x]\n"}
 
     monkeypatch.setitem(checks.SUITES, "broken", broken)
-    report = run_suite(CheckConfig(seed=3, trials=2, suites=("broken",)))
-    result = report.suites["broken"]
-    assert result.failures == [{"trial": 0, "input": "ring Q[x]\n"},
-                               {"trial": 1, "input": "ring Q[x]\n"}]
-    assert result.oracle_trials == 2
-    assert result.oracle_disagreements == 2
-    assert not report.passed
+    report = run_suite(seed=3, trials=2, suites=("broken",))
+    result = report["suites"]["broken"]
+    assert result["failures"] == [{"trial": 0, "input": "ring Q[x]\n"},
+                                  {"trial": 1, "input": "ring Q[x]\n"}]
+    assert result["oracle_trials"] == 2
+    assert result["oracle_disagreements"] == 2
+    assert not result["passed"] and not report["passed"]
+    assert report_text(report).startswith("broken             FAIL  (2 trials, 2 failures, "
+                                          "oracle 0/2 agree, ")
     assert main(["check", "--suite", "broken", "--trials", "1"]) == 1
     assert "broken             FAIL" in capsys.readouterr().out
 
@@ -239,7 +249,7 @@ def mutant_reports(seeds=(7, 42), trials=6):
             m.setattr(jets, "_substitute", make(jets._substitute))
             out[name] = {}
             for seed in seeds:
-                report = run_suite(CheckConfig(seed=seed, trials=trials)).to_json_dict()
+                report = run_suite(seed=seed, trials=trials)
                 for suite in report["suites"].values():
                     suite["seconds"] = None
                 out[name][str(seed)] = report

@@ -128,10 +128,10 @@ def test_check_golden(seed, capsys, monkeypatch):
     every suite's verdict and the oracle's agreement counts."""
     reports = {}
 
-    def run_once(config):  # one run serves both formats
-        if config.seed not in reports:
-            reports[config.seed] = run_suite(config)
-        return reports[config.seed]
+    def run_once(seed, trials, suites):  # one run serves both formats
+        if seed not in reports:
+            reports[seed] = run_suite(seed, trials, suites)
+        return reports[seed]
 
     run_suite = checks.run_suite
     monkeypatch.setattr(checks, "run_suite", run_once)  # cmd_check reads it per call

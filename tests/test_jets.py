@@ -1,11 +1,14 @@
 import random
+import time
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
 
 from jetforge.errors import BadLevels, MissingGrading, NotABaseElement
+from jetforge import jets
 from jetforge.checks import points_agree
 from jetforge.hsmodules import kaehler_presentation
 from jetforge.jets import (AlgebraMorphism, AlgebraPresentation,
@@ -150,6 +153,55 @@ def test_engine_matches_naive_oracle():
             assert hs_components_2d(c, 1, 2) == [[c, Poly.zero(field), Poly.zero(field)],
                                                  [Poly.zero(field)] * 3]
     assert seen == {"e>n", "e<n", "e=n"}
+
+
+def _compositions(e, parts):
+    """Every tuple of `parts` exponents >= 0 that sum to e."""
+    if parts == 1:
+        yield (e,)
+        return
+    for a in range(e + 1):
+        for rest in _compositions(e - a, parts - 1):
+            yield (a,) + rest
+
+
+def _naive_expansion(e, bounds):
+    """{grade position: set of entries} of (sum_g x^(g) t^g)^e, enumerated
+    over every exponent vector on the box; an entry lists its nonzero
+    positions, their exponents and e! / prod a_g!."""
+    box = list(product(*(range(b + 1) for b in bounds)))
+    out = {}
+    for exps in _compositions(e, len(box)):
+        total = tuple(sum(a * g[c] for a, g in zip(exps, box)) for c in range(len(bounds)))
+        if total in box:
+            k = factorial(e)
+            for a in exps:
+                k //= factorial(a)
+            entry = (tuple(i for i, a in enumerate(exps) if a), tuple(a for a in exps if a), k)
+            out.setdefault(box.index(total), set()).add(entry)
+    return out
+
+
+@pytest.mark.parametrize("bounds", [(0,), (1,), (4,), (0, 0), (0, 2), (1, 2), (2, 1), (2, 2)])
+def test_expansion_matches_naive_enumeration(bounds):
+    for e in range(7):
+        table = jets._expansion(e, bounds)
+        assert [g for g, _ in table] == sorted(g for g, _ in table)
+        assert {g: set(entries) for g, entries in table} == _naive_expansion(e, bounds)
+        for _, entries in table:
+            assert len(set(entries)) == len(entries)
+
+
+def test_expansion_from_cold_has_no_dead_branches():
+    """At level 0 the table of x^e is the one entry (x^(0))^e, so the
+    components of sum_{e <= 1000} x^e are quick to build from empty caches."""
+    f = Poly(QQ, {Monomial({X: e}): 1 for e in range(1001)})
+    jets._expansion.cache_clear()
+    jets._rows.cache_clear()
+    start = time.perf_counter()
+    comps = hs_components(f, 0)
+    assert time.perf_counter() - start < 0.5
+    assert comps == [f]
 
 
 def test_small_characteristic_components():

@@ -17,22 +17,23 @@ import jetforge
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# jetforge.__all__ as it was when every export was imported eagerly
-ALL = ['AlgebraMorphism', 'AlgebraPresentation', 'BadLevels', 'BiJetPresentation', 'BiSeries',
-       'CheckConfig', 'CheckReport', 'DivisionByZero', 'FieldMismatch',
-       'InhomogeneousRelation', 'InputDocument', 'JetPresentation', 'JetVar', 'JetforgeError',
-       'LocalPoly', 'MissingGrading', 'ModulePresentation', 'Monomial',
-       'NonUnitLeadingCoefficient', 'NotABaseElement', 'ParseError', 'Poly', 'PrimeField',
-       'QQ', 'TruncSeries', 'TwistedMatrix', 'UnboundVariable', 'UndeclaredVariable',
-       'UnknownSuite', 'UnsupportedTwist', 'base_change_check', 'bigrade_commute_check',
+# jetforge.__all__: the exports of the eager-import era, with the check report
+# records replaced by report_text
+ALL = ['AlgebraMorphism', 'AlgebraPresentation', 'BadLevels', 'BiJetPresentation',
+       'BiSeries', 'DivisionByZero', 'FieldMismatch', 'InhomogeneousRelation',
+       'InputDocument', 'JetPresentation', 'JetVar', 'JetforgeError', 'LocalPoly',
+       'MissingGrading', 'ModulePresentation', 'Monomial', 'NonUnitLeadingCoefficient',
+       'NotABaseElement', 'ParseError', 'Poly', 'PrimeField', 'QQ', 'TruncSeries',
+       'TwistedMatrix', 'UnboundVariable', 'UndeclaredVariable', 'UnknownSuite',
+       'UnsupportedTwist', 'base_change_check', 'bigrade_commute_check',
        'bijet_presentation', 'checks', 'cocycle_check', 'cotangent_theorem_check',
        'cotruncation_subset_check', 'delta_apply', 'document_text', 'dsl', 'errors',
        'field_by_name', 'free_dual_zigzag_check', 'global_sections', 'hs_components',
        'hs_components_2d', 'hs_module_presentation', 'hsmodules', 'induced_morphism',
-       'jet_presentation', 'jets', 'kaehler_presentation', 'localized', 'p1', 'p1_transition',
-       'parse_document', 'poly', 'print_document', 'run_suite', 'scalars', 'series',
-       'series_invert', 'sym_presentation', 'sym_theorem_check', 'transition_series',
-       'twisted_action_matrix']
+       'jet_presentation', 'jets', 'kaehler_presentation', 'localized', 'p1',
+       'p1_transition', 'parse_document', 'poly', 'print_document', 'report_text',
+       'run_suite', 'scalars', 'series', 'series_invert', 'sym_presentation',
+       'sym_theorem_check', 'transition_series', 'twisted_action_matrix']
 MODULES = ("checks", "dsl", "errors", "hsmodules", "jets", "localized", "p1", "poly",
            "scalars", "series")
 

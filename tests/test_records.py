@@ -1,12 +1,14 @@
-"""The ten record classes are plain classes on one small base: each keeps
+"""The seven record classes are plain classes on one small base: each keeps
 the signature, defaults, validation (same errors, same order), mutability,
-field-wise equality, unhashability and repr of the dataclass it replaced."""
+field-wise equality, unhashability and repr of the dataclass it replaced.
+The check report is a plain dict, and ``run_suite`` validates its seed,
+trials and suites as the record that held them did."""
 
 import inspect
 
 import pytest
 
-from jetforge.checks import SUITE_NAMES, CheckConfig, CheckReport, SuiteResult
+from jetforge.checks import run_suite
 from jetforge.dsl import InputDocument, parse_document
 from jetforge.errors import InhomogeneousRelation, JetforgeError, MissingGrading, UnknownSuite
 from jetforge.hsmodules import ModulePresentation, TwistedMatrix
@@ -45,12 +47,6 @@ def instances():
         InputDocument: (lambda: parse_document(doc),
                         lambda: InputDocument(QQ, cusp(), ["f"],
                                               ModulePresentation(A, 1, [[X]]), object())),
-        CheckConfig: (lambda: CheckConfig(7, 3, ["leibniz"]),
-                      lambda: CheckConfig(7, 3, ["zigzag"])),
-        SuiteResult: (lambda: SuiteResult("leibniz", 2, [{"trial": 0}], 0.5, 1, 0),
-                      lambda: SuiteResult("leibniz", 2, [{"trial": 0}], 0.5, 1, 1)),
-        CheckReport: (lambda: CheckReport(CheckConfig(), {"leibniz": SuiteResult("leibniz")}),
-                      lambda: CheckReport(CheckConfig(), {})),
     }
 
 
@@ -87,10 +83,6 @@ SIGNATURES = {
     TwistedMatrix: ["level", "entries"],
     ModulePresentation: ["over", "rank", "relation_matrix"],
     InputDocument: ["field", "algebra", "ideal_names", "module", "morphism"],
-    CheckConfig: ["seed", "trials", "suites"],
-    SuiteResult: ["name", "trials", "failures", "seconds", "oracle_trials",
-                  "oracle_disagreements"],
-    CheckReport: ["config", "suites"],
 }
 
 
@@ -105,9 +97,9 @@ def test_signature_and_repr_follow_the_fields(cls):
 
 
 def test_repr_reads_as_the_dataclass_repr():
-    assert repr(SuiteResult("leibniz")) == (
-        "SuiteResult(name='leibniz', trials=0, failures=[], seconds=0.0, oracle_trials=0, "
-        "oracle_disagreements=0)")
+    assert repr(ModulePresentation(AlgebraPresentation(["x"], []), 0, [])) == (
+        "ModulePresentation(over=AlgebraPresentation(vars=['x'], relations=[], grading=None, "
+        "field=QQ), rank=0, relation_matrix=[])")
     assert repr(TwistedMatrix(0, [])) == "TwistedMatrix(level=0, entries=[])"
 
 
@@ -116,15 +108,6 @@ def test_defaults():
     assert (A.grading, A.field) == (None, QQ)
     doc = InputDocument(QQ, A, [])
     assert (doc.module, doc.morphism) == (None, None)
-    config = CheckConfig()
-    assert (config.seed, config.trials, config.suites) == (42, 100, SUITE_NAMES)
-    assert CheckConfig(suites=["zigzag", "leibniz"]).suites == ("zigzag", "leibniz")
-    r1, r2 = SuiteResult("a"), SuiteResult("b")
-    assert (r1.trials, r1.failures, r1.seconds, r1.oracle_trials,
-            r1.oracle_disagreements) == (0, [], 0.0, 0, 0)
-    assert r1.failures is not r2.failures  # a fresh list each, as default_factory=list gave
-    rep1, rep2 = CheckReport(config), CheckReport(config)
-    assert rep1.suites == {} and rep1.suites is not rep2.suites
 
 
 def test_jet_presentation_equality_ignores_the_cached_relations():
@@ -156,9 +139,11 @@ def test_module_presentation_row_length():
 
 
 def test_check_config_errors_in_order():
+    """run_suite checks its arguments before it runs a trial: trials first,
+    then each suite name; suites must be iterable."""
     with pytest.raises(ValueError, match="trials must be positive"):
-        CheckConfig(trials=0, suites=("nosuch",))
+        run_suite(trials=0, suites=("nosuch",))
     with pytest.raises(UnknownSuite, match="unknown suite: 'nosuch'"):
-        CheckConfig(suites=("leibniz", "nosuch"))
+        run_suite(suites=("leibniz", "nosuch"))
     with pytest.raises(TypeError):
-        CheckConfig(suites=5)
+        run_suite(suites=5)
