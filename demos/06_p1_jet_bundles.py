@@ -26,7 +26,7 @@ for n in (1, 2):
         print("  [ " + " ; ".join(p.render() for p in row) + " ]")
 
 for d in range(-2, 3):
-    ok = all(cocycle_check(d, n) for n in range(4))
+    ok = all(cocycle_check(d, n)[0] for n in range(4))
     print("cocycle for O(%d), levels 0..3:" % d, "ok" if ok else "FAILED")
 
 for n in range(3):

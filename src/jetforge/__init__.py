@@ -22,15 +22,15 @@ _EXPORTS = {
     "series": ("BiSeries", "TruncSeries", "series_invert"),
     "localized": ("LocalPoly",),
     "jets": ("AlgebraMorphism", "AlgebraPresentation", "BiJetPresentation",
-             "JetPresentation", "bigrade_commute_check", "bijet_presentation",
-             "cotruncation_subset_check", "hs_components", "hs_components_2d",
+             "JetPresentation", "bijet_presentation", "hs_components", "hs_components_2d",
              "induced_morphism", "jet_presentation"),
-    "hsmodules": ("ModulePresentation", "TwistedMatrix", "base_change_check",
-                  "cotangent_theorem_check", "delta_apply", "free_dual_zigzag_check",
+    "hsmodules": ("ModulePresentation", "TwistedMatrix", "delta_apply",
                   "hs_module_presentation", "kaehler_presentation", "sym_presentation",
-                  "sym_theorem_check", "twisted_action_matrix"),
+                  "twisted_action_matrix"),
     "p1": ("cocycle_check", "global_sections", "p1_transition", "transition_series"),
-    "checks": ("report_text", "run_suite"),
+    "checks": ("base_change_check", "bigrade_commute_check", "cotangent_theorem_check",
+               "cotruncation_subset_check", "free_dual_zigzag_check", "report_text",
+               "run_suite", "sym_theorem_check"),
     "dsl": ("InputDocument", "document_text", "parse_document", "print_document"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

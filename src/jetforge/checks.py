@@ -1,4 +1,10 @@
-"""Seeded theorem checker: every in-scope identity on random instances.
+"""Theorem checks, and a seeded checker that runs them on random instances.
+
+Each theorem check returns ``(ok, detail)``: ``ok`` is a bool and ``detail``
+is None when the theorem holds; on a failure it is the JSON-able dict that
+the check report gives, with the instance as the replayable DSL document
+``input`` where it is one.  ``p1.cocycle_check`` keeps this contract in
+``p1``, so that ``jetforge p1 --cocycle`` does not load this module.
 
 ``SUITES`` maps each suite name to its function, in report order.  Every
 suite has the signature ``(rng, orng) -> (ok, ok_numeric, detail)``:
@@ -15,8 +21,7 @@ disagreement.  Every draw goes through ``_randint`` and ``_choice``, which
 run the ``rng.getrandbits`` rejection loop of CPython 3.10-3.13's
 ``Random.randint`` and ``choice``: the same values from the same stream,
 without ``randrange``'s argument checks.
-``detail`` describes a failing instance, including a DSL serialization
-for replay, and is None when the check holds.
+``detail`` is as for the theorem checks.
 
 ``run_suite`` takes the seed, the trial count and the suites, and returns
 its report as the plain dict that ``jetforge check --format json`` prints;
@@ -28,15 +33,16 @@ level) and integer coefficients in ``COEFF_LO..COEFF_HI``.
 
 import random
 import time
+from collections import Counter
 from itertools import chain
 
 from .dsl import print_document
-from .errors import FieldMismatch, UnknownSuite
-from .hsmodules import (ModulePresentation, TwistedMatrix, base_change_check,
-                        cotangent_theorem_check, free_dual_zigzag_check,
-                        sym_theorem_check, twisted_action_matrix, upper_triangle)
-from .jets import (AlgebraMorphism, AlgebraPresentation, bigrade_commute_check,
-                   cotruncation_subset_check, hs_components, induced_morphism)
+from .errors import BadLevels, FieldMismatch, UnknownSuite
+from .hsmodules import (ModulePresentation, TwistedMatrix, hs_module_presentation,
+                        kaehler_presentation, linear_form, module_symbols, sym_presentation,
+                        twisted_action_matrix, upper_triangle)
+from .jets import (AlgebraMorphism, AlgebraPresentation, hs_components, hs_components_2d,
+                   induced_morphism, jet_again, jet_presentation)
 from .p1 import cocycle_check
 from .poly import JetVar, Monomial, Poly, _eval_points
 from .scalars import QQ
@@ -186,6 +192,153 @@ def points_agree(rng, lhs, rhs):
 
 
 # ---------------------------------------------------------------------------
+# theorem checks
+
+
+def bigrade_commute_check(A, n, m):
+    """Three-way generator-set comparison: jets-of-jets both ways (with the
+    index-permutation renaming folded into variable construction) against
+    the direct bivariate jet relations.  The nonzero generators are compared
+    as multisets of polynomials, and rendered only for a failure report."""
+    side_a = []  # level m first, then level n outside
+    side_b = []  # level n first, then level m outside
+    side_c = []
+    for f in A.relations:
+        for g in hs_components(f, m):
+            side_a.extend(jet_again(g, n, outer_to="order1"))
+        for g in hs_components(f, n):
+            side_b.extend(jet_again(g, m, outer_to="order2"))
+        for row in hs_components_2d(f, n, m):
+            side_c.extend(row)
+    sides = [Counter(p for p in side if p.terms) for side in (side_a, side_b, side_c)]
+    if sides[0] == sides[1] == sides[2]:
+        return True, None
+    sets = {name: sorted(p.render() for p in side.elements())
+            for name, side in zip(("n_after_m", "m_after_n", "bivariate"), sides)}
+    return False, {"n": n, "m": m, "count": sides[2].total(), "sets": sets,
+                   "input": print_document(A)}
+
+
+def cotruncation_subset_check(A, n, m):
+    """Level-n jet relations must appear verbatim among the level-m ones
+    (same relation, same order): d_0..d_n of each relation are the first
+    n+1 of its level-m components; the co-truncation map is variable
+    inclusion."""
+    if m <= n:
+        raise BadLevels("need m > n, got n=%d m=%d" % (n, m))
+    for k, f in enumerate(A.relations):
+        high = hs_components(f, m)
+        for i, g in enumerate(hs_components(f, n)):
+            if high[i] != g:
+                return False, {"n": n, "m": m, "relation": k, "order": i,
+                               "level_n": g.render(), "level_m": high[i].render(),
+                               "input": print_document(A)}
+    return True, None
+
+
+def cotangent_theorem_check(A, n):
+    """Omega of the level-n jet algebra against the level-n Hasse-Schmidt
+    module of Omega_A, entrywise; a mismatch is labelled by its row (k, i)
+    and column (l, j)."""
+    jet_jac = kaehler_presentation(jet_presentation(A, n))
+    block = hs_module_presentation(kaehler_presentation(A), n)
+    if len(jet_jac.relation_matrix) != len(block.relation_matrix):
+        return False, {"n": n, "reason": "row count mismatch", "input": print_document(A)}
+    mismatches = []
+    for r, (row1, row2) in enumerate(zip(jet_jac.relation_matrix, block.relation_matrix)):
+        for c, (p1, p2) in enumerate(zip(row1, row2)):
+            if p1 != p2:
+                mismatches.append({"row": divmod(r, n + 1), "col": divmod(c, n + 1),
+                                   "jet_jacobian": p1.render(), "block": p2.render()})
+    if not mismatches:
+        return True, None
+    return False, {"n": n, "rows": len(block.relation_matrix), "cols": block.rank,
+                   "mismatches": mismatches, "input": print_document(A)}
+
+
+def sym_theorem_check(M, n):
+    """Jets of Sym(M) split by induced degree: degree-0 relations must be the
+    jet relations of the base algebra, degree-1 relations the rows of the
+    Hasse-Schmidt module presentation."""
+    sym = sym_presentation(M)
+    sp = jet_presentation(sym, n)
+    hsm = hs_module_presentation(M, n)
+
+    def failure(**found):
+        return False, {"n": n, **found, "input": print_document(M.over, module=M)}
+
+    deg0 = []
+    deg1 = []
+    for g in sp.relations:
+        if g.is_zero():
+            continue
+        d = sym.homogeneous_degree(g)
+        # jets of homogeneous relations stay homogeneous for the induced grading
+        if d is None:
+            return failure(stage="degree1", reason="not homogeneous", relation=g.render())
+        (deg0 if d == 0 else deg1).append(g)
+
+    want0 = Counter(g for g in hsm.over.relations if not g.is_zero())
+    if want0 != Counter(deg0):
+        return failure(stage="degree0", want=sorted(g.render() for g in want0.elements()),
+                       got=sorted(g.render() for g in deg0))
+
+    # each degree-1 relation is a linear form in the e_l^(j), basis vector (l, j) of hsm
+    symbols = module_symbols(len(M.over.vars), M.rank, n)
+    rows_got = []
+    for g in deg1:
+        row = linear_form(g, symbols)
+        if row is None:
+            return failure(stage="degree1", reason="not linear in module symbols",
+                           relation=g.render())
+        rows_got.append(tuple(row))
+    # zero rows generate nothing; drop them on both sides
+    rows_want = [tuple(row) for row in hsm.relation_matrix if any(p.terms for p in row)]
+    rows_got = [row for row in rows_got if any(p.terms for p in row)]
+    if Counter(rows_got) == Counter(rows_want):
+        return True, None
+    return failure(degree1_rows=len(rows_got),
+                   want=sorted(tuple(p.render() for p in row) for row in rows_want),
+                   got=sorted(tuple(p.render() for p in row) for row in rows_got))
+
+
+def base_change_check(phi, M, n):
+    """f_n applied entrywise to the Hasse-Schmidt presentation of M equals the
+    Hasse-Schmidt presentation of the pushed-forward module."""
+    fn = induced_morphism(phi, n)
+    left = hs_module_presentation(M, n)
+    pushed = ModulePresentation(phi.target, M.rank,
+                                [[phi.apply(p) for p in row] for row in M.relation_matrix])
+    right = hs_module_presentation(pushed, n)
+    for row1, row2 in zip(left.relation_matrix, right.relation_matrix):
+        for p1, p2 in zip(row1, row2):
+            if fn.apply(p1) != p2:
+                return False, {"n": n, "input": print_document(phi.source, module=M,
+                                                               morphism=phi)}
+    return True, None
+
+
+def free_dual_zigzag_check(n):
+    """Coevaluation 1 -> sum t^[i] (x) t^i against the Kronecker evaluation
+    t^i (x) t^[j] -> delta_ij: both triangle composites must be the identity
+    on the free rank-(n+1) pair, over Q."""
+    ident = [[QQ.one if a == b else QQ.zero for b in range(n + 1)] for a in range(n + 1)]
+    # eta as a matrix: component (a, b) of the tensor sum_i delta_ia delta_ib;
+    # theta(t^a, t^[b]) = delta_ab
+    eta = theta = ident
+    # composite on the dual side: e^[j] -> sum_i t^[i] (x) t^i (x) e^[j]
+    #                                   -> sum_i t^[i] theta(t^i, e^[j])
+    comp1 = [[sum(eta[i][a] * theta[a][j] for a in range(n + 1))
+              for j in range(n + 1)] for i in range(n + 1)]
+    # composite on the module side: t^a -> t^a (x) sum_i t^[i] (x) t^i
+    #                                   -> sum_i theta(t^a, t^[i]) t^i
+    comp2 = [[sum(theta[a][i] * eta[i][b] for i in range(n + 1))
+              for b in range(n + 1)] for a in range(n + 1)]
+    ok = comp1 == ident and comp2 == ident
+    return ok, None if ok else {"n": n}
+
+
+# ---------------------------------------------------------------------------
 # suites
 
 
@@ -257,19 +410,15 @@ def _suite_jacobian(rng, orng):
 def _suite_bigrade(rng, orng):
     A = random_algebra(rng)
     n = _randint(rng, 0, MAX_BILEVEL)
-    m = _randint(rng, 0, MAX_BILEVEL)
-    ok, report = bigrade_commute_check(A, n, m)
-    return ok, None, None if ok else {"n": n, "m": m, "report": report,
-                                      "input": print_document(A)}
+    ok, detail = bigrade_commute_check(A, n, _randint(rng, 0, MAX_BILEVEL))
+    return ok, None, detail
 
 
 def _suite_cotruncation(rng, orng):
     A = random_algebra(rng)
     n = _randint(rng, 0, MAX_LEVEL - 1)
-    m = _randint(rng, n + 1, MAX_LEVEL)
-    ok, witness = cotruncation_subset_check(A, n, m)
-    return ok, None, None if ok else {"n": n, "m": m, "witness": witness,
-                                      "input": print_document(A)}
+    ok, detail = cotruncation_subset_check(A, n, _randint(rng, n + 1, MAX_LEVEL))
+    return ok, None, detail
 
 
 def _suite_functoriality(rng, orng):
@@ -303,40 +452,30 @@ def _suite_twisted(rng, orng):
 
 
 def _suite_sym(rng, orng):
-    M = random_module(rng)
-    n = _randint(rng, 0, 3)
-    ok, report = sym_theorem_check(M, n)
-    return ok, None, None if ok else {"n": n, "report": report,
-                                      "input": print_document(M.over, module=M)}
+    ok, detail = sym_theorem_check(random_module(rng), _randint(rng, 0, 3))
+    return ok, None, detail
 
 
 def _suite_cotangent(rng, orng):
-    A = random_algebra(rng)
-    n = _randint(rng, 0, 3)
-    ok, report = cotangent_theorem_check(A, n)
-    return ok, None, None if ok else {"n": n, "report": report, "input": print_document(A)}
+    ok, detail = cotangent_theorem_check(random_algebra(rng), _randint(rng, 0, 3))
+    return ok, None, detail
 
 
 def _suite_base_change(rng, orng):
     phi = random_morphism(rng)
     M = random_module(rng, over=phi.source)
-    n = _randint(rng, 0, 2)
-    ok = base_change_check(phi, M, n)
-    return ok, None, None if ok else {"n": n, "input": print_document(
-        phi.source, module=M, morphism=phi)}
+    ok, detail = base_change_check(phi, M, _randint(rng, 0, 2))
+    return ok, None, detail
 
 
 def _suite_zigzag(rng, orng):
-    n = _randint(rng, 0, 6)
-    ok = free_dual_zigzag_check(n)
-    return ok, None, None if ok else {"n": n}
+    ok, detail = free_dual_zigzag_check(_randint(rng, 0, 6))
+    return ok, None, detail
 
 
 def _suite_p1(rng, orng):
-    d = _randint(rng, -2, 2)
-    n = _randint(rng, 0, 3)
-    ok = cocycle_check(d, n)
-    return ok, None, None if ok else {"d": d, "n": n}
+    ok, detail = cocycle_check(_randint(rng, -2, 2), _randint(rng, 0, 3))
+    return ok, None, detail
 
 
 SUITES = {
@@ -362,6 +501,8 @@ def run_suite(seed=42, trials=100, suites=None):
     deterministic for given arguments, but for the timings."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    if isinstance(suites, str):
+        raise TypeError("suites takes a collection of suite names, not a string: %r" % suites)
     names = SUITES if suites is None else tuple(suites)
     for s in names:
         if s not in SUITES:

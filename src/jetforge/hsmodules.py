@@ -6,8 +6,9 @@ sum_{j<=i} a^(i-j) e^(j); the matrix of that action is upper triangular
 with entries the jet components of a.  Hasse-Schmidt modules of a
 cokernel presentation are block matrices of those twisted actions, and
 the cotangent module of a jet algebra is exactly the Hasse-Schmidt
-module of the base cotangent module (checked entrywise through the
-identity  d(d_i f)/d x^(j) = d_{i-j}(df/dx)).
+module of the base cotangent module, through the identity
+d(d_i f)/d x^(j) = d_{i-j}(df/dx).  The theorem checks on these
+constructions are in ``checks``.
 
 Base, Kaehler and Hasse-Schmidt modules are all one ModulePresentation.
 Indices follow from position: in a level-n Hasse-Schmidt module, row r
@@ -17,12 +18,8 @@ is the one layout of a twisted matrix; ``p1`` lays out the transition
 matrices of the jet bundles on P^1 with it too.
 """
 
-from collections import Counter
-
-from .jets import (AlgebraPresentation, JetPresentation, _Record, hs_components,
-                   induced_morphism, jet_presentation)
+from .jets import AlgebraPresentation, JetPresentation, _Record, hs_components, jet_presentation
 from .poly import JetVar, Poly, _poly
-from .scalars import QQ
 
 
 class TwistedMatrix(_Record):
@@ -115,25 +112,6 @@ def kaehler_presentation(P):
     return ModulePresentation(P, len(gens), rows)
 
 
-def cotangent_theorem_check(A, n):
-    """Omega of the level-n jet algebra against the level-n Hasse-Schmidt
-    module of Omega_A, entrywise; a mismatch is labelled by its row (k, i)
-    and column (l, j)."""
-    jet_jac = kaehler_presentation(jet_presentation(A, n))
-    block = hs_module_presentation(kaehler_presentation(A), n)
-    if len(jet_jac.relation_matrix) != len(block.relation_matrix):
-        return False, {"ok": False, "reason": "row count mismatch"}
-    mismatches = []
-    for r, (row1, row2) in enumerate(zip(jet_jac.relation_matrix, block.relation_matrix)):
-        for c, (p1, p2) in enumerate(zip(row1, row2)):
-            if p1 != p2:
-                mismatches.append({"row": divmod(r, n + 1), "col": divmod(c, n + 1),
-                                   "jet_jacobian": p1.render(), "block": p2.render()})
-    ok = not mismatches
-    return ok, {"ok": ok, "rows": len(block.relation_matrix), "cols": block.rank,
-                "mismatches": mismatches}
-
-
 # ---------------------------------------------------------------------------
 # symmetric algebra bridge
 
@@ -176,87 +154,3 @@ def sym_presentation(M):
             rel = rel + p * Poly.var(e, A.field)
         relations.append(rel)
     return AlgebraPresentation(names, relations, grading, A.field)
-
-
-def sym_theorem_check(M, n):
-    """Jets of Sym(M) split by induced degree: degree-0 relations must be the
-    jet relations of the base algebra, degree-1 relations the rows of the
-    Hasse-Schmidt module presentation."""
-    sym = sym_presentation(M)
-    sp = jet_presentation(sym, n)
-    hsm = hs_module_presentation(M, n)
-
-    deg0 = []
-    deg1 = []
-    for g in sp.relations:
-        if g.is_zero():
-            continue
-        d = sym.homogeneous_degree(g)
-        # jets of homogeneous relations stay homogeneous for the induced grading
-        if d is None:
-            return False, {"ok": False, "stage": "degree1",
-                           "reason": "not homogeneous", "relation": g.render()}
-        (deg0 if d == 0 else deg1).append(g)
-
-    want0 = Counter(g for g in hsm.over.relations if not g.is_zero())
-    if want0 != Counter(deg0):
-        return False, {"ok": False, "stage": "degree0",
-                       "want": sorted(g.render() for g in want0.elements()),
-                       "got": sorted(g.render() for g in deg0)}
-
-    # each degree-1 relation is a linear form in the e_l^(j), basis vector (l, j) of hsm
-    symbols = module_symbols(len(M.over.vars), M.rank, n)
-    rows_got = []
-    for g in deg1:
-        row = linear_form(g, symbols)
-        if row is None:
-            return False, {"ok": False, "stage": "degree1",
-                           "reason": "not linear in module symbols", "relation": g.render()}
-        rows_got.append(tuple(row))
-    # zero rows generate nothing; drop them on both sides
-    rows_want = [tuple(row) for row in hsm.relation_matrix if any(p.terms for p in row)]
-    rows_got = [row for row in rows_got if any(p.terms for p in row)]
-    ok = Counter(rows_got) == Counter(rows_want)
-    report = {"ok": ok, "degree1_rows": len(rows_got)}
-    if not ok:
-        for key, rows in (("want", rows_want), ("got", rows_got)):
-            report[key] = sorted(tuple(p.render() for p in row) for row in rows)
-    return ok, report
-
-
-# ---------------------------------------------------------------------------
-# base change and duality
-
-
-def base_change_check(phi, M, n):
-    """f_n applied entrywise to the Hasse-Schmidt presentation of M equals the
-    Hasse-Schmidt presentation of the pushed-forward module."""
-    fn = induced_morphism(phi, n)
-    left = hs_module_presentation(M, n)
-    pushed = ModulePresentation(phi.target, M.rank,
-                                [[phi.apply(p) for p in row] for row in M.relation_matrix])
-    right = hs_module_presentation(pushed, n)
-    for row1, row2 in zip(left.relation_matrix, right.relation_matrix):
-        for p1, p2 in zip(row1, row2):
-            if fn.apply(p1) != p2:
-                return False
-    return True
-
-
-def free_dual_zigzag_check(n):
-    """Coevaluation 1 -> sum t^[i] (x) t^i against the Kronecker evaluation
-    t^i (x) t^[j] -> delta_ij: both triangle composites must be the identity
-    on the free rank-(n+1) pair, over Q."""
-    ident = [[QQ.one if a == b else QQ.zero for b in range(n + 1)] for a in range(n + 1)]
-    # eta as a matrix: component (a, b) of the tensor sum_i delta_ia delta_ib;
-    # theta(t^a, t^[b]) = delta_ab
-    eta = theta = ident
-    # composite on the dual side: e^[j] -> sum_i t^[i] (x) t^i (x) e^[j]
-    #                                   -> sum_i t^[i] theta(t^i, e^[j])
-    comp1 = [[sum(eta[i][a] * theta[a][j] for a in range(n + 1))
-              for j in range(n + 1)] for i in range(n + 1)]
-    # composite on the module side: t^a -> t^a (x) sum_i t^[i] (x) t^i
-    #                                   -> sum_i theta(t^a, t^[i]) t^i
-    comp2 = [[sum(theta[a][i] * eta[i][b] for i in range(n + 1))
-              for b in range(n + 1)] for a in range(n + 1)]
-    return comp1 == ident and comp2 == ident

@@ -28,12 +28,10 @@ Two gradings live on a jet presentation, both read by
 when the source algebra is graded, the induced one (deg x^(i) = deg x).
 """
 
-from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .errors import (BadLevels, InhomogeneousRelation, JetforgeError, MissingGrading,
-                     NotABaseElement)
+from .errors import InhomogeneousRelation, JetforgeError, MissingGrading, NotABaseElement
 from .poly import JetVar, Poly, _monomial, _poly
 from .scalars import QQ
 
@@ -324,22 +322,6 @@ def bijet_presentation(A, n, m):
     return BiJetPresentation((n, m), A, jet_vars, relations)
 
 
-def cotruncation_subset_check(A, n, m):
-    """Level-n jet relations must appear verbatim among the level-m ones
-    (same relation, same order): d_0..d_n of each relation are the first
-    n+1 of its level-m components; the co-truncation map is variable
-    inclusion."""
-    if m <= n:
-        raise BadLevels("need m > n, got n=%d m=%d" % (n, m))
-    for k, f in enumerate(A.relations):
-        high = hs_components(f, m)
-        for i, g in enumerate(hs_components(f, n)):
-            if high[i] != g:
-                return False, {"relation": k, "order": i,
-                               "level_n": g.render(), "level_m": high[i].render()}
-    return True, None
-
-
 # ---------------------------------------------------------------------------
 # morphisms
 
@@ -376,36 +358,3 @@ def induced_morphism(phi, n):
             images[JetVar(v.name, v.index, i)] = comps[i]
     return AlgebraMorphism(jet_presentation(phi.source, n),
                            jet_presentation(phi.target, n), images)
-
-
-# ---------------------------------------------------------------------------
-# functor commutation
-
-
-def bigrade_commute_check(A, n, m):
-    """Three-way generator-set comparison: jets-of-jets both ways (with the
-    index-permutation renaming folded into variable construction) against
-    the direct bivariate jet relations.  The nonzero generators are compared
-    as multisets of polynomials, and rendered only for a failure report."""
-    side_a = []  # level m first, then level n outside
-    side_b = []  # level n first, then level m outside
-    side_c = []
-    for f in A.relations:
-        for g in hs_components(f, m):
-            side_a.extend(jet_again(g, n, outer_to="order1"))
-        for g in hs_components(f, n):
-            side_b.extend(jet_again(g, m, outer_to="order2"))
-        for row in hs_components_2d(f, n, m):
-            side_c.extend(row)
-    sides = [Counter(p for p in side if p.terms) for side in (side_a, side_b, side_c)]
-    ok = sides[0] == sides[1] == sides[2]
-    report = {
-        "ok": ok,
-        "n": n,
-        "m": m,
-        "count": sides[2].total(),
-        "sets": None if ok else {
-            name: sorted(p.render() for p in side.elements())
-            for name, side in zip(("n_after_m", "m_after_n", "bivariate"), sides)},
-    }
-    return ok, report

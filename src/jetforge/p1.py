@@ -93,8 +93,9 @@ def p1_transition(d, n, express_in="chart1", field=QQ):
 
 def cocycle_check(d, n, field=QQ):
     """Transition composed with the reverse transition over the overlap must
-    be the identity of the localized jet ring."""
-    return _cocycle_holds(transition_series(d, n, "overlap", field), d, n)
+    be the identity of the localized jet ring: ``(ok, detail)``, as in ``checks``."""
+    ok = _cocycle_holds(transition_series(d, n, "overlap", field), d, n)
+    return ok, None if ok else {"d": d, "n": n}
 
 
 def _cocycle_holds(s01, d, n):

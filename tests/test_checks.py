@@ -1,5 +1,6 @@
 import json
 import random
+import runpy
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -7,12 +8,17 @@ from pathlib import Path
 import pytest
 
 from jetforge import checks, jets
-from jetforge.checks import (MAX_VARS, ORACLE_POINTS, SUITES, points_agree, random_algebra,
-                             random_module, random_morphism, random_poly, report_text,
-                             run_suite)
+from jetforge.checks import (MAX_VARS, ORACLE_POINTS, SUITES, base_change_check,
+                             bigrade_commute_check, cotangent_theorem_check,
+                             cotruncation_subset_check, free_dual_zigzag_check, points_agree,
+                             random_algebra, random_module, random_morphism, random_poly,
+                             report_text, run_suite, sym_theorem_check)
 from jetforge.cli import main
 from jetforge.dsl import document_text, parse_document, print_document
 from jetforge.errors import FieldMismatch, UnknownSuite
+from jetforge.hsmodules import ModulePresentation
+from jetforge.jets import AlgebraMorphism, AlgebraPresentation
+from jetforge.p1 import cocycle_check
 from jetforge.poly import JetVar, Poly
 from jetforge.scalars import QQ, PrimeField
 from oracles import naive_points_agree
@@ -47,6 +53,12 @@ def test_unknown_suite_rejected():
 def test_config_bounds_enforced():
     with pytest.raises(ValueError):
         run_suite(trials=0)
+
+
+def test_suites_as_one_string_is_a_type_error():
+    """A string is a collection of letters, not of suite names."""
+    with pytest.raises(TypeError, match="collection of suite names, not a string"):
+        run_suite(trials=1, suites="leibniz")
 
 
 def test_suites_run_in_suites_order():
@@ -217,10 +229,9 @@ def test_points_agree_rejects_prime_fields():
 
 
 # Two engine mutants, each a wrapper around jets._substitute, and the check
-# reports they produce; tests/golden/check_mutants.json holds those reports
-# as the code before the tuple monomials produced them, so the failing
-# suites' instance streams and failure reports (DSL documents and rendered
-# polynomials) stay pinned.
+# reports they produce; tests/golden/check_mutants.json holds those reports,
+# so the failing suites' instance streams and failure reports (DSL documents
+# and rendered polynomials) stay pinned.
 MUTANT_GOLDEN = Path(__file__).parent / "golden" / "check_mutants.json"
 
 
@@ -310,3 +321,52 @@ def test_draw_helpers_follow_the_randint_stream():
             assert checks._draw_point(ours, k) == [
                 (twin.randint(-9, 9), twin.randint(1, 5)) for _ in range(k)]
             assert ours.getstate() == twin.getstate()
+
+
+# The seven public theorem checks, each with arguments on which its theorem
+# holds; the instances are over the cusp.
+X, Y, U = (Poly.var(JetVar(name, i, 0)) for i, name in ((0, "x"), (1, "y"), (0, "u")))
+CUSP = AlgebraPresentation(["x", "y"], [Y ** 2 - X ** 3])
+CUSP_MODULE = ModulePresentation(CUSP, 2, [[X * Y, Y ** 2 - X]])
+NORMALIZATION = AlgebraMorphism(CUSP, AlgebraPresentation(["u"], []),
+                                {JetVar("x", 0, 0): U ** 2, JetVar("y", 1, 0): U ** 3})
+THEOREM_CHECKS = {
+    "bigrade_commute": (bigrade_commute_check, (CUSP, 1, 1)),
+    "cotruncation": (cotruncation_subset_check, (CUSP, 1, 2)),
+    "cotangent_theorem": (cotangent_theorem_check, (CUSP, 1)),
+    "sym_theorem": (sym_theorem_check, (CUSP_MODULE, 2)),
+    "base_change": (base_change_check, (NORMALIZATION, CUSP_MODULE, 2)),
+    "zigzag": (free_dual_zigzag_check, (3,)),
+    "p1_cocycle": (cocycle_check, (1, 2)),
+}
+FAIL_UNDER_TOP_GRADE_ZERO = ("bigrade_commute", "cotruncation", "cotangent_theorem",
+                             "sym_theorem")
+
+
+@pytest.mark.parametrize("name", THEOREM_CHECKS)
+def test_theorem_check_contract(name):
+    """Each check returns exactly (True, None) when its theorem holds; under
+    the top_grade_zero engine the jet checks return (False, detail), and
+    detail is a JSON document whose input replays the cusp."""
+    check, args = THEOREM_CHECKS[name]
+    result = check(*args)
+    assert type(result) is tuple and result[0] is True and result == (True, None)
+    if name not in FAIL_UNDER_TOP_GRADE_ZERO:
+        return
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(jets, "_substitute", _top_grade_zero(jets._substitute))
+        ok, detail = check(*args)
+    assert ok is False and type(detail) is dict
+    json.dumps(detail)
+    assert "ok" not in detail and "report" not in detail and "trial" not in detail
+    doc = parse_document(detail["input"])
+    assert doc.algebra.vars == CUSP.vars
+    assert doc.algebra.relations == CUSP.relations
+
+
+def test_demo_02_reports_a_failing_cotruncation(monkeypatch, capsys):
+    """Under the top_grade_zero engine, demo 02 prints FAILED for the
+    co-truncation it checks, not ok."""
+    monkeypatch.setattr(jets, "_substitute", _top_grade_zero(jets._substitute))
+    runpy.run_path(str(Path(__file__).resolve().parents[1] / "demos" / "02_iterated_jets.py"))
+    assert "jets at level 1 embed in level 3: FAILED\n" in capsys.readouterr().out

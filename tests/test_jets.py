@@ -9,12 +9,10 @@ import pytest
 
 from jetforge.errors import BadLevels, MissingGrading, NotABaseElement
 from jetforge import jets
-from jetforge.checks import points_agree
+from jetforge.checks import bigrade_commute_check, cotruncation_subset_check, points_agree
 from jetforge.hsmodules import kaehler_presentation
-from jetforge.jets import (AlgebraMorphism, AlgebraPresentation,
-                           bigrade_commute_check, bijet_presentation,
-                           cotruncation_subset_check, hs_components,
-                           hs_components_2d, induced_morphism, jet_again,
+from jetforge.jets import (AlgebraMorphism, AlgebraPresentation, bijet_presentation,
+                           hs_components, hs_components_2d, induced_morphism, jet_again,
                            jet_presentation)
 from jetforge.poly import JetVar, Monomial, Poly
 from jetforge.scalars import QQ, PrimeField
@@ -404,15 +402,19 @@ def test_functoriality_random():
 # -- functor commutation ----------------------------------------------
 
 
+def _nonzero_bivariate_relations(A, n, m):
+    return sum(1 for rel in bijet_presentation(A, n, m).relations if rel.terms)
+
+
 def test_bigrade_free_ring():
     free = AlgebraPresentation(["x"], [])
-    ok, rep = bigrade_commute_check(free, 2, 2)
-    assert ok and rep["count"] == 0
+    assert bigrade_commute_check(free, 2, 2) == (True, None)
+    assert _nonzero_bivariate_relations(free, 2, 2) == 0
 
 
 def test_bigrade_cusp_11():
-    ok, rep = bigrade_commute_check(cusp(), 1, 1)
-    assert ok and rep["count"] == 4
+    assert bigrade_commute_check(cusp(), 1, 1) == (True, None)
+    assert _nonzero_bivariate_relations(cusp(), 1, 1) == 4
 
 
 def test_bigrade_degenerate_level0():

@@ -62,7 +62,7 @@ def test_transition_is_twisted_matrix_of_t1_power():
 def test_cocycle_exact():
     for d in range(-2, 3):
         for n in range(4):
-            assert cocycle_check(d, n)
+            assert cocycle_check(d, n)[0]
 
 
 def test_cocycle_2_2_random_point_oracle():
