@@ -22,7 +22,7 @@ from jetforge import cocycle_check, global_sections, p1_transition
 
 for n in (1, 2):
     print("transition of O(1)_%d over the overlap:" % n)
-    for row in p1_transition(1, n, "overlap"):
+    for row in p1_transition(1, n):
         print("  [ " + " ; ".join(p.render() for p in row) + " ]")
 
 for d in range(-2, 3):

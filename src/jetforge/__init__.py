@@ -21,12 +21,11 @@ _EXPORTS = {
     "poly": ("JetVar", "Monomial", "Poly"),
     "series": ("BiSeries", "TruncSeries", "series_invert"),
     "localized": ("LocalPoly",),
-    "jets": ("AlgebraMorphism", "AlgebraPresentation", "BiJetPresentation",
-             "JetPresentation", "bijet_presentation", "hs_components", "hs_components_2d",
-             "induced_morphism", "jet_presentation"),
-    "hsmodules": ("ModulePresentation", "TwistedMatrix", "delta_apply",
-                  "hs_module_presentation", "kaehler_presentation", "sym_presentation",
-                  "twisted_action_matrix"),
+    "jets": ("AlgebraMorphism", "AlgebraPresentation", "JetPresentation",
+             "bijet_presentation", "hs_components", "hs_components_2d", "induced_morphism",
+             "jet_presentation"),
+    "hsmodules": ("ModulePresentation", "TwistedMatrix", "hs_module_presentation",
+                  "kaehler_presentation", "sym_presentation", "twisted_action_matrix"),
     "p1": ("cocycle_check", "global_sections", "p1_transition", "transition_series"),
     "checks": ("base_change_check", "bigrade_commute_check", "cotangent_theorem_check",
                "cotruncation_subset_check", "free_dual_zigzag_check", "report_text",

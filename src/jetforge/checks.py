@@ -41,8 +41,8 @@ from .errors import BadLevels, FieldMismatch, UnknownSuite
 from .hsmodules import (ModulePresentation, TwistedMatrix, hs_module_presentation,
                         kaehler_presentation, linear_form, module_symbols, sym_presentation,
                         twisted_action_matrix, upper_triangle)
-from .jets import (AlgebraMorphism, AlgebraPresentation, hs_components, hs_components_2d,
-                   induced_morphism, jet_again, jet_presentation)
+from .jets import (AlgebraMorphism, AlgebraPresentation, _family, hs_components,
+                   hs_components_2d, induced_morphism, jet_again, jet_presentation)
 from .p1 import cocycle_check
 from .poly import JetVar, Monomial, Poly, _eval_points
 from .scalars import QQ
@@ -208,8 +208,7 @@ def bigrade_commute_check(A, n, m):
             side_a.extend(jet_again(g, n, outer_to="order1"))
         for g in hs_components(f, n):
             side_b.extend(jet_again(g, m, outer_to="order2"))
-        for row in hs_components_2d(f, n, m):
-            side_c.extend(row)
+        side_c.extend(hs_components_2d(f, n, m))
     sides = [Counter(p for p in side if p.terms) for side in (side_a, side_b, side_c)]
     if sides[0] == sides[1] == sides[2]:
         return True, None
@@ -391,8 +390,7 @@ def _suite_jacobian(rng, orng):
     comps = hs_components(f, n)
     gens = [JetVar(x, l, 0) for l, x in enumerate(names)]
     # jacobian[i][l * (n + 1) + j] is d(d_i f)/d x_l^(j)
-    jacobian = [g.gradient([JetVar(v.name, v.index, j) for v in gens for j in range(n + 1)])
-                for g in comps]
+    jacobian = [g.gradient([w for v in gens for w in _family(v, (n,))]) for g in comps]
     lhs, rhs = [], []
     for l, df in enumerate(f.gradient(gens)):
         # d(d_i f)/d x^(j) is entry (j, i) of the twisted matrix of df/dx

@@ -20,21 +20,26 @@ from .dsl import parse_document, print_document
 from .errors import JetforgeError, ParseError
 from .hsmodules import (hs_module_presentation, kaehler_presentation,
                         sym_presentation, upper_triangle)
-from .jets import bijet_presentation, induced_morphism, jet_presentation
+from .jets import JetPresentation, _grades, induced_morphism, jet_presentation
 from .scalars import field_by_name
 
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell gives a writer the pipe killed
 
 
-def _int_at_least(low):
-    """argparse type: an int >= low; anything else is a usage error (exit 2)."""
+def _int_arg(low=None):
+    """argparse type: an optionally signed run of ASCII digits, at least low
+    when low is given; anything else is a usage error (exit 2).  int() alone
+    would also take other scripts' digits, underscores and spaces."""
     def parse(text):
+        digits = text[1:] if text[:1] in ("+", "-") else text
         try:
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(text)
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError("invalid int value: %r" % text)
-        if value < low:
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
         return value
     return parse
@@ -81,32 +86,31 @@ def _load_document(args):
 
 
 def cmd_jet(args):
+    """jet and jet2: the jet presentation over the grade box (n,) or (n, m);
+    relation r is component box[i] of ideal k, (k, i) = divmod(r, len(box))."""
     doc = _load_document(args)
-    jp = jet_presentation(doc.algebra, args.n)
+    levels = (args.n, args.m) if args.command == "jet2" else (args.n,)
+    jp = JetPresentation(levels, doc.algebra)
+    names = [v.render() for v in jp.jet_vars]
     if args.format == "json":
-        _emit_json(jp.to_json_dict())
+        out = {"levels": list(levels)} if len(levels) > 1 else {"level": args.n}
+        out.update(vars=names, relations=[g.render() for g in jp.relations])
+        if len(levels) == 1:
+            grading, pairs = doc.algebra.grading, list(zip(names, jp.jet_vars))
+            out["structural_degrees"] = {s: v.order1 for s, v in pairs}
+            out["induced_degrees"] = {s: grading[v.name] for s, v in pairs} if grading else {}
+        _emit_json(out)
         return 0
-    print("level %d" % jp.level)
-    print("vars %s" % " ".join(v.render() for v in jp.jet_vars))
+    print("level%s %s" % ("s" if len(levels) > 1 else "", " ".join(map(str, levels))))
+    print("vars %s" % " ".join(names))
+    labels = [".".join(map(str, g)) for g in _grades(levels)[0]]
     for r, g in enumerate(jp.relations):
-        k, i = divmod(r, args.n + 1)
-        print("relation %s.%d = %s" % (doc.ideal_names[k], i, g.render()))
+        k, i = divmod(r, len(labels))
+        print("relation %s.%s = %s" % (doc.ideal_names[k], labels[i], g.render()))
     return 0
 
 
-def cmd_jet2(args):
-    doc = _load_document(args)
-    bp = bijet_presentation(doc.algebra, args.n, args.m)
-    if args.format == "json":
-        _emit_json(bp.to_json_dict())
-        return 0
-    print("levels %d %d" % bp.levels)
-    print("vars %s" % " ".join(v.render() for v in bp.jet_vars))
-    for r, g in enumerate(bp.relations):
-        k, ij = divmod(r, (args.n + 1) * (args.m + 1))
-        i, j = divmod(ij, args.m + 1)
-        print("relation %s.%d.%d = %s" % (doc.ideal_names[k], i, j, g.render()))
-    return 0
+cmd_jet2 = cmd_jet
 
 
 def cmd_module(args):
@@ -196,7 +200,7 @@ def cmd_check(args):
 def cmd_p1(args):
     from .p1 import _cocycle_holds, global_sections, transition_series
 
-    series = transition_series(args.d, args.n, "overlap")
+    series = transition_series(args.d, args.n)
     out = {
         "d": args.d,
         "n": args.n,
@@ -236,38 +240,38 @@ def build_parser():
                            help="DSL input file ('-' or omitted for stdin)")
 
     p = sub.add_parser("jet", help="level-n jet presentation")
-    p.add_argument("--n", type=_int_at_least(0), required=True)
+    p.add_argument("--n", type=_int_arg(0), required=True)
     common(p)
 
     p = sub.add_parser("jet2", help="bivariate jet presentation")
-    p.add_argument("--n", type=_int_at_least(0), required=True)
-    p.add_argument("--m", type=_int_at_least(0), required=True)
+    p.add_argument("--n", type=_int_arg(0), required=True)
+    p.add_argument("--m", type=_int_arg(0), required=True)
     common(p)
 
     p = sub.add_parser("module", help="Hasse-Schmidt module presentation")
-    p.add_argument("--n", type=_int_at_least(0), required=True)
+    p.add_argument("--n", type=_int_arg(0), required=True)
     common(p)
 
     p = sub.add_parser("omega", help="Kaehler differentials (base or jet level)")
-    p.add_argument("--n", type=_int_at_least(0), default=None)
+    p.add_argument("--n", type=_int_arg(0), default=None)
     common(p)
 
     p = sub.add_parser("sym", help="symmetric algebra of the declared module")
     common(p)
 
     p = sub.add_parser("morphism", help="induced morphism on jet presentations")
-    p.add_argument("--n", type=_int_at_least(0), required=True)
+    p.add_argument("--n", type=_int_arg(0), required=True)
     common(p)
 
     p = sub.add_parser("check", help="run the randomized theorem suites")
     p.add_argument("--suite", default="all")
-    p.add_argument("--trials", type=_int_at_least(1), default=100)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--trials", type=_int_arg(1), default=100)
+    p.add_argument("--seed", type=_int_arg(), default=42)
     common(p, with_input=False)
 
     p = sub.add_parser("p1", help="jet line bundles on the projective line")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=_int_at_least(0), required=True)
+    p.add_argument("--d", type=_int_arg(), required=True)
+    p.add_argument("--n", type=_int_arg(0), required=True)
     p.add_argument("--cocycle", action="store_true")
     p.add_argument("--sections", action="store_true")
     common(p, with_input=False)

@@ -18,7 +18,9 @@ class UnboundVariable(JetforgeError):
 
 
 class DivisionByZero(JetforgeError):
-    """Zero assigned to the distinguished unit variable of a localized ring."""
+    """Division by zero: the inverse of 0 in a field (``Rationals.inv``,
+    ``Fp.inverse``), or zero assigned to the distinguished unit variable of
+    a localized ring (``LocalPoly.eval``)."""
 
 
 class NotABaseElement(JetforgeError):

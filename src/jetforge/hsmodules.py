@@ -90,16 +90,6 @@ def hs_module_presentation(M, n):
     return ModulePresentation(jet_presentation(M.over, n), M.rank * (n + 1), rows)
 
 
-def delta_apply(a, l, i, M, n):
-    """Expand a . (e_l (x) t^[i]) over the basis (l, j), j <= i: column i of
-    the twisted matrix of a, in block l."""
-    if not (0 <= l < M.rank and 0 <= i <= n):
-        raise IndexError("basis index out of range: (%d, %d)" % (l, i))
-    column = [row[i] for row in twisted_action_matrix(a, n).entries]
-    zero = Poly.zero(M.field)
-    return [zero] * (l * (n + 1)) + column + [zero] * ((M.rank - 1 - l) * (n + 1))
-
-
 # ---------------------------------------------------------------------------
 # Kaehler differentials
 

@@ -50,12 +50,6 @@ def _base_vars(f):
 
 
 @lru_cache(maxsize=None)
-def _family(v, n):
-    """The jets v^(0) .. v^(n) of a base variable, in variable order."""
-    return tuple(JetVar(v.name, v.index, i) for i in range(n + 1))
-
-
-@lru_cache(maxsize=None)
 def _grades(bounds):
     """The grade box 0 <= g <= bounds in lexicographic order, and its
     addition table: sums[a][b] is the position of box[a] + box[b] in the
@@ -64,6 +58,14 @@ def _grades(bounds):
     position = {g: k for k, g in enumerate(box)}
     sums = [[position.get(tuple(x + y for x, y in zip(g, h))) for h in box] for g in box]
     return box, sums
+
+
+@lru_cache(maxsize=None)
+def _family(v, levels):
+    """The jets of the base variable named by v over the grade box
+    ``levels``, (n,) or (n, m): x^(g) for each grade g in box order, which
+    is variable order."""
+    return tuple(JetVar(v.name, v.index, *g) for g in _grades(levels)[0])
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +175,7 @@ def _substitute(f, families, bounds):
 
 def hs_components(f, n):
     """Jet components d_0(f) .. d_n(f) of a base-ring polynomial."""
-    return _substitute(f, {v: _family(v, n) for v in _base_vars(f)}, (n,))
+    return _substitute(f, {v: _family(v, (n,)) for v in _base_vars(f)}, (n,))
 
 
 def jet_again(f, n, outer_to):
@@ -185,20 +187,18 @@ def jet_again(f, n, outer_to):
     for v in f.vars():
         if v.order2 is not None:
             raise NotABaseElement("cannot jet a bivariate variable %s" % v)
-        if outer_to == "order1":
-            families[v] = tuple(JetVar(v.name, v.index, a, v.order1) for a in range(n + 1))
-        else:
-            families[v] = tuple(JetVar(v.name, v.index, v.order1, a) for a in range(n + 1))
+        # the jets x^(o, a) of v = x^(o) are row o of x's (o, n) family, and
+        # the jets x^(a, o) are its (n, o) family's column o
+        o = v.order1
+        families[v] = (_family(v, (n, o))[o::o + 1] if outer_to == "order1"
+                       else _family(v, (o, n))[o * (n + 1):])
     return _substitute(f, families, (n,))
 
 
 def hs_components_2d(f, n, m):
-    """Bivariate jet components: (n+1) x (m+1) matrix of coefficients of
-    s^i t^j after substituting x by sum x^(i,j) s^i t^j."""
-    families = {v: tuple(JetVar(v.name, v.index, i, j) for i in range(n + 1) for j in range(m + 1))
-                for v in _base_vars(f)}
-    comps = _substitute(f, families, (n, m))
-    return [comps[i * (m + 1):(i + 1) * (m + 1)] for i in range(n + 1)]
+    """Bivariate jet components: the coefficients of s^i t^j after
+    substituting x by sum x^(i,j) s^i t^j, in (i, j) box order."""
+    return _substitute(f, {v: _family(v, (n, m)) for v in _base_vars(f)}, (n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -262,64 +262,40 @@ class AlgebraPresentation(_Record):
 
 
 class JetPresentation(_Record):
-    _fields = ("level", "source", "jet_vars")
+    """The jet presentation of ``source`` over the grade box ``levels``:
+    (n,) for the level-n jets, (n, m) for the bivariate jets.  The jet
+    variables are each generator's family in box order; relation r is
+    component g of f_k, (k, g) = divmod(r, box size).  Both are built when
+    first read."""
 
-    def __init__(self, level, source, jet_vars):
-        self.level = level
+    _fields = ("levels", "source")
+
+    def __init__(self, levels, source):
+        self.levels = levels
         self.source = source
-        self.jet_vars = jet_vars
 
     @property
     def field(self):
         return self.source.field
 
     @cached_property
-    def relations(self):
-        """Relation r is d_i(f_k), (k, i) = divmod(r, level+1); built when read."""
-        return [g for f in self.source.relations for g in hs_components(f, self.level)]
+    def jet_vars(self):
+        return [w for v in self.source.base_vars() for w in _family(v, self.levels)]
 
-    def to_json_dict(self):
-        return {
-            "level": self.level,
-            "vars": [v.render() for v in self.jet_vars],
-            "relations": [f.render() for f in self.relations],
-            "structural_degrees": {v.render(): v.order1 for v in self.jet_vars},
-            "induced_degrees": (
-                {v.render(): self.source.grading[v.name] for v in self.jet_vars}
-                if self.source.grading is not None else {}),
-        }
+    @cached_property
+    def relations(self):
+        components = hs_components if len(self.levels) == 1 else hs_components_2d
+        return [g for f in self.source.relations for g in components(f, *self.levels)]
 
 
 def jet_presentation(A, n):
-    """Level-n jet presentation of A; the relations are built when first read."""
-    return JetPresentation(n, A, [JetVar(x, l, i) for l, x in enumerate(A.vars)
-                                  for i in range(n + 1)])
-
-
-class BiJetPresentation(_Record):
-    _fields = ("levels", "source", "jet_vars", "relations")
-
-    def __init__(self, levels, source, jet_vars, relations):
-        self.levels = levels
-        self.source = source
-        self.jet_vars = jet_vars
-        self.relations = relations
-
-    def to_json_dict(self):
-        return {
-            "levels": list(self.levels),
-            "vars": [v.render() for v in self.jet_vars],
-            "relations": [f.render() for f in self.relations],
-        }
+    """Level-n jet presentation of A: relation r is d_i(f_k), (k, i) = divmod(r, n+1)."""
+    return JetPresentation((n,), A)
 
 
 def bijet_presentation(A, n, m):
-    """Levels (n, m) jet presentation of A; relations in (k, i, j) order,
-    relation k's (n+1)(m+1) components row by row."""
-    jet_vars = [JetVar(x, l, i, j)
-                for l, x in enumerate(A.vars) for i in range(n + 1) for j in range(m + 1)]
-    relations = [g for f in A.relations for row in hs_components_2d(f, n, m) for g in row]
-    return BiJetPresentation((n, m), A, jet_vars, relations)
+    """Levels (n, m) jet presentation of A; relations in (k, i, j) order."""
+    return JetPresentation((n, m), A)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +329,6 @@ def induced_morphism(phi, n):
     """Jet-level morphism: x^(i) maps to d_i(phi(x))."""
     images = {}
     for v, img in phi.images.items():
-        comps = hs_components(img, n)
-        for i in range(n + 1):
-            images[JetVar(v.name, v.index, i)] = comps[i]
+        images.update(zip(_family(v, (n,)), hs_components(img, n)))
     return AlgebraMorphism(jet_presentation(phi.source, n),
                            jet_presentation(phi.target, n), images)

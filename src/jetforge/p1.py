@@ -73,28 +73,24 @@ def power_jets(k, chart, n, field=QQ):
                            for c, e in zip(coeffs, denoms)])
 
 
-def transition_series(d, n, express_in="chart1", field=QQ):
-    """Jets of t1^d as a truncated series: in the t1 jets ("chart1"), or
-    as the jets of t0^(-d) ("overlap")."""
-    if express_in == "chart1":
-        return power_jets(d, 1, n, field)
-    if express_in == "overlap":
-        return power_jets(-d, 0, n, field)
-    raise ValueError("express_in must be chart1 or overlap")
+def transition_series(d, n, field=QQ):
+    """Jets of t1^d over the overlap, as a truncated series: the jets of
+    t0^(-d).  In the t1 jets they are ``power_jets(d, 1, n, field)``."""
+    return power_jets(-d, 0, n, field)
 
 
-def p1_transition(d, n, express_in="chart1", field=QQ):
-    """The twisted-action matrix of t1^d as rows of LocalPoly, laid out by
-    hsmodules.upper_triangle: column j expands e_0^(j) as
-    sum_i d_{j-i}(t1^d) e_1^(i)."""
-    s = transition_series(d, n, express_in, field)
+def p1_transition(d, n, field=QQ):
+    """The twisted-action matrix of t1^d over the overlap as rows of
+    LocalPoly, laid out by hsmodules.upper_triangle: column j expands
+    e_0^(j) as sum_i d_{j-i}(t1^d) e_1^(i)."""
+    s = transition_series(d, n, field)
     return upper_triangle(s.coeffs, s.coeffs[0] * 0)
 
 
 def cocycle_check(d, n, field=QQ):
     """Transition composed with the reverse transition over the overlap must
     be the identity of the localized jet ring: ``(ok, detail)``, as in ``checks``."""
-    ok = _cocycle_holds(transition_series(d, n, "overlap", field), d, n)
+    ok = _cocycle_holds(transition_series(d, n, field), d, n)
     return ok, None if ok else {"d": d, "n": n}
 
 

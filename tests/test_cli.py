@@ -43,6 +43,23 @@ def test_jet_json_byte_stable(capsys):
     assert data["relations"] == ["-x_0^3 + y_0^2", "-3*x_0^2*x_1 + 2*y_0*y_1"]
 
 
+@pytest.mark.parametrize("golden, argv", [
+    ("jet_hs_f7_n2", ["jet", "--n", "2", "hs_f7.jf"]),  # graded: induced degrees
+    ("jet_cusp_n2", ["jet", "--n", "2", "cusp.jf"]),  # ungraded: no induced degrees
+    ("jet2_full_n1_m2", ["jet2", "--n", "1", "--m", "2", "full.jf"]),
+    ("module_full_n1", ["module", "--n", "1", "full.jf"]),
+    ("omega_full", ["omega", "full.jf"]),
+    ("omega_full_n1", ["omega", "--n", "1", "full.jf"]),
+    ("sym_full", ["sym", "full.jf"]),
+    ("morphism_full_n1", ["morphism", "--n", "1", "full.jf"]),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_json_golden(golden, argv, capsys):
+    """The --format json output of every document subcommand, byte for byte."""
+    code, out, _ = run(capsys, *argv[:-1], "--format", "json", str(GOLDEN / argv[-1]))
+    assert code == 0
+    assert out == (GOLDEN / "json" / (golden + ".json")).read_text()
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.jf"
     bad.write_text("ring Q[x]\nideal f = x + z\n")
@@ -242,6 +259,35 @@ def test_out_of_range_level_is_usage_error(argv, flag, capsys):
         main(argv)
     assert ei.value.code == 2
     assert "argument %s: must be at least" % flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["jet", "--n", "\u0662"], "--n"),  # an Arabic-Indic two
+    (["jet", "--n", "1_0"], "--n"),
+    (["jet", "--n", " 2"], "--n"),
+    (["jet", "--n", "+"], "--n"),
+    (["jet2", "--n", "1", "--m", "\uff12"], "--m"),  # a fullwidth two
+    (["module", "--n", "\u00b2"], "--n"),  # a superscript two
+    (["check", "--trials", "1_0"], "--trials"),
+    (["check", "--seed", "\u0667"], "--seed"),
+    (["check", "--seed", "4_2"], "--seed"),
+    (["p1", "--d", "-\u0661", "--n", "1"], "--d"),
+    (["p1", "--d", "1", "--n", "1.0"], "--n"),
+])
+def test_int_flag_takes_ascii_digits_only(argv, flag, capsys):
+    """Integer flags take an optional sign and ASCII digits, as the DSL and
+    JETFORGE_FIELD do; int() alone would read these as numbers."""
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    value = argv[argv.index(flag) + 1]
+    assert "argument %s: invalid int value: %r" % (flag, value) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["p1", "--d", "-2", "--n", "+1"],
+                                  ["check", "--suite", "zigzag", "--trials", "+1", "--seed", "-3"]])
+def test_int_flag_takes_a_sign(argv, capsys):
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("text, located", [

@@ -142,14 +142,13 @@ def test_engine_matches_naive_oracle():
             fams = {v: {(i, j): JetVar(v.name, v.index, i, j)
                         for i in range(n + 1) for j in range(m + 1)} for v in base}
             comps = naive_components(f, fams, (SIGMA, TAU))
-            want = [_read(comps, [(i, j) for j in range(m + 1)], field) for i in range(n + 1)]
+            want = _read(comps, [(i, j) for i in range(n + 1) for j in range(m + 1)], field)
             assert hs_components_2d(f, n, m) == want
         for c in (Poly.zero(field), Poly.constant(field(5) if field is not QQ
                                                   else Fraction(-7, 3), field)):
             assert hs_components(c, 3) == [c] + [Poly.zero(field)] * 3
             assert jet_again(c, 2, "order2") == [c] + [Poly.zero(field)] * 2
-            assert hs_components_2d(c, 1, 2) == [[c, Poly.zero(field), Poly.zero(field)],
-                                                 [Poly.zero(field)] * 3]
+            assert hs_components_2d(c, 1, 2) == [c] + [Poly.zero(field)] * 5
     assert seen == {"e>n", "e<n", "e=n"}
 
 
@@ -214,11 +213,11 @@ def test_small_characteristic_components():
     assert hs_components(Poly.var(x, f2) ** 2, 3) == [xs(f2, 0) ** 2, zero2, xs(f2, 1) ** 2, zero2]
     zero3 = Poly.zero(f3)
     assert hs_components(Poly.var(x, f3) ** 3, 3) == [xs(f3, 0) ** 3, zero3, zero3, xs(f3, 1) ** 3]
-    grid = hs_components_2d(Poly.var(x, f2) ** 2, 2, 2)
-    nonzero = {(i, j) for i in range(3) for j in range(3) if not grid[i][j].is_zero()}
+    flat = hs_components_2d(Poly.var(x, f2) ** 2, 2, 2)  # (i, j) at 3 * i + j
+    nonzero = {divmod(k, 3) for k, g in enumerate(flat) if not g.is_zero()}
     assert nonzero == {(0, 0), (2, 0), (0, 2), (2, 2)}
     for i, j in nonzero:
-        assert grid[i][j] == xs(f2, i // 2, j // 2) ** 2
+        assert flat[3 * i + j] == xs(f2, i // 2, j // 2) ** 2
 
 
 def test_jet_again_rejects_bad_input():
@@ -232,10 +231,9 @@ def test_jet_again_rejects_bad_input():
 
 
 def test_2d_linear_substitution():
-    grid = hs_components_2d(P("x", 0), 2, 1)
-    for i in range(3):
-        for j in range(2):
-            assert grid[i][j] == Poly.var(jv("x", i, j))
+    """Components come flat in (i, j) box order: (i, j) at 2 * i + j."""
+    assert hs_components_2d(P("x", 0), 2, 1) == [Poly.var(jv("x", i, j))
+                                                 for i in range(3) for j in range(2)]
 
 
 def test_2d_product_entry():
@@ -244,13 +242,13 @@ def test_2d_product_entry():
             + Poly.var(jv("x", 1, 0)) * Poly.var(jv("y", 0, 1))
             + Poly.var(jv("x", 0, 1)) * Poly.var(jv("y", 1, 0))
             + Poly.var(jv("x", 1, 1)) * Poly.var(jv("y", 0, 0)))
-    assert grid[1][1] == want
+    assert grid[3] == want  # (1, 1)
 
 
 def test_2d_constant():
     grid = hs_components_2d(Poly.constant(3), 1, 2)
-    assert grid[0][0] == Poly.constant(3)
-    assert all(grid[i][j].is_zero() for i in range(2) for j in range(3) if (i, j) != (0, 0))
+    assert grid[0] == Poly.constant(3)
+    assert len(grid) == 6 and all(g.is_zero() for g in grid[1:])
 
 
 # -- presentations ----------------------------------------------------
@@ -305,7 +303,6 @@ def test_jet_relations_are_computed_once(components_log):
     assert components_log == []
     first = jp.relations
     assert len(first) == 8 and jp.relations is first
-    jp.to_json_dict()
     kaehler_presentation(jp)
     assert components_log == ["-x^3 + y^2", "x*y"]
 
@@ -446,11 +443,10 @@ def test_engine_sorts_families_that_share_an_index():
         fams = {v: {(i, j): JetVar(v.name, v.index, i, j)
                     for i in range(n + 1) for j in range(m + 1)} for v in (x, u)}
         comps = naive_components(f, fams, (SIGMA, TAU))
-        want = [_read(comps, [(i, j) for j in range(m + 1)], QQ) for i in range(n + 1)]
+        want = _read(comps, [(i, j) for i in range(n + 1) for j in range(m + 1)], QQ)
         got = hs_components_2d(f, n, m)
         assert got == want
-        assert [[p.render() for p in row] for row in got] == [
-            [p.render() for p in row] for row in want]
+        assert [p.render() for p in got] == [p.render() for p in want]
 
 
 def test_engine_sorts_jets_of_jets_into_order1():

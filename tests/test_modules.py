@@ -8,10 +8,9 @@ from jetforge.cli import main
 from jetforge.errors import JetforgeError
 from jetforge.checks import (base_change_check, cotangent_theorem_check,
                              free_dual_zigzag_check, sym_theorem_check)
-from jetforge.hsmodules import (ModulePresentation, TwistedMatrix, delta_apply,
-                                hs_module_presentation, kaehler_presentation, linear_form,
-                                module_symbols, sym_presentation, twisted_action_matrix,
-                                upper_triangle)
+from jetforge.hsmodules import (ModulePresentation, TwistedMatrix, hs_module_presentation,
+                                kaehler_presentation, linear_form, module_symbols,
+                                sym_presentation, twisted_action_matrix, upper_triangle)
 from jetforge.jets import (AlgebraMorphism, AlgebraPresentation, hs_components,
                            jet_presentation)
 from jetforge.poly import JetVar, Poly
@@ -97,7 +96,7 @@ def test_rank2_single_relation():
     assert [p.render() for p in hm.relation_matrix[0]] == ["x_0", "0", "y_0", "0"]
     assert [p.render() for p in hm.relation_matrix[1]] == ["x_1", "x_0", "y_1", "y_0"]
     # column c is (l, j) = divmod(c, n+1); the module lives over the level-n jets
-    assert hm.rank == 4 and hm.over.level == 1 and hm.over.source is M.over
+    assert hm.rank == 4 and hm.over.levels == (1,) and hm.over.source is M.over
 
 
 def test_level0_is_module_itself():
@@ -107,15 +106,14 @@ def test_level0_is_module_itself():
 
 
 def test_delta_apply():
-    M = ModulePresentation(free_xy(), 1, [])
-    vec = delta_apply(Poly.constant(1), 0, 1, M, 1)
-    assert [p.render() for p in vec] == ["0", "1"]
-    vec = delta_apply(X0, 0, 1, M, 1)
-    assert [p.render() for p in vec] == ["x_1", "x_0"]
-    vec = delta_apply(Poly.constant(5), 0, 0, M, 1)
-    assert [p.render() for p in vec] == ["5", "0"]
-    with pytest.raises(IndexError):
-        delta_apply(X0, 1, 0, M, 1)
+    """a . (e (x) t^[i]) expands over e (x) t^[j], j <= i, as column i of the
+    twisted matrix of a."""
+    def column(a, i, n):
+        return [row[i].render() for row in twisted_action_matrix(a, n).entries]
+
+    assert column(Poly.constant(1), 1, 1) == ["0", "1"]
+    assert column(X0, 1, 1) == ["x_1", "x_0"]
+    assert column(Poly.constant(5), 0, 1) == ["5", "0"]
 
 
 def _hs_grid():

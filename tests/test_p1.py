@@ -10,7 +10,7 @@ from jetforge.errors import UnsupportedTwist
 from jetforge.localized import LocalPoly
 from jetforge.p1 import (chart_var, cocycle_check, global_sections, p1_transition,
                          power_jets, transition_series)
-from jetforge.hsmodules import twisted_action_matrix
+from jetforge.hsmodules import twisted_action_matrix, upper_triangle
 from jetforge.poly import JetVar, Poly
 from jetforge.scalars import QQ, PrimeField
 from jetforge.series import TruncSeries, series_invert
@@ -24,7 +24,8 @@ FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(7))
 
 def test_transition_d1_n1_chart1():
     for field in FIELDS:
-        m = p1_transition(1, 1, "chart1", field)
+        jets = power_jets(1, 1, 1, field).coeffs  # the jets of t1, in chart 1
+        m = upper_triangle(jets, jets[0] * 0)
         t1 = [Poly.var(chart_var(1, i), field) for i in range(2)]
         # e_0^(0) -> t1^(0) e_1^(0);  e_0^(1) -> t1^(1) e_1^(0) + t1^(0) e_1^(1)
         assert m[0][0] == LocalPoly(t1[0], chart_var(1, 0))
@@ -35,7 +36,7 @@ def test_transition_d1_n1_chart1():
 
 def test_transition_d0_identity():
     for field in FIELDS:
-        m = p1_transition(0, 2, "overlap", field)
+        m = p1_transition(0, 2, field)
         assert [[p.render() for p in row] for row in m] == [
             ["1" if i == j else "0" for j in range(3)] for i in range(3)]
 
@@ -44,16 +45,17 @@ def test_transition_d1_n1_overlap():
     # the jets of t0^(-1): d_1 = -t0_1 / t0_0^2, with -1 read in the field
     minus_t0_1 = {"Q": "-t0_1", "F2": "t0_1", "F3": "2*t0_1", "F7": "6*t0_1"}
     for field in FIELDS:
-        m = p1_transition(1, 1, "overlap", field)
+        m = p1_transition(1, 1, field)
         assert [[p.render() for p in row] for row in m] == [
             ["(1)/t0_0", "(%s)/t0_0^2" % minus_t0_1[field.name]], ["0", "(1)/t0_0"]]
 
 
 def test_transition_is_twisted_matrix_of_t1_power():
-    # chart1-mode entries coincide with the twisted-action matrix of t1^d
+    # written in the t1 jets, the transition is the twisted-action matrix of t1^d
     for field in FIELDS:
         for d, n in [(1, 2), (2, 1), (3, 2)]:
-            m = p1_transition(d, n, "chart1", field)
+            jets = power_jets(d, 1, n, field).coeffs
+            m = upper_triangle(jets, jets[0] * 0)
             t1 = Poly.var(chart_var(1, 0), field)
             tw = twisted_action_matrix(t1 ** d, n)
             assert m == [[LocalPoly(p, chart_var(1, 0)) for p in row] for row in tw.entries]
@@ -67,8 +69,8 @@ def test_cocycle_exact():
 
 def test_cocycle_2_2_random_point_oracle():
     # evaluate the matrix product at random points with t0_0 != 0
-    s01 = transition_series(2, 2, "overlap")
-    s10 = transition_series(-2, 2, "overlap")  # jets of t1^-2 = t0^2
+    s01 = transition_series(2, 2)
+    s10 = transition_series(-2, 2)  # jets of t1^-2 = t0^2
     rng = random.Random(23)
     t0 = [chart_var(0, i) for i in range(3)]
     for _ in range(20):
@@ -121,8 +123,8 @@ def test_power_jets_match_series_route(field):
         chart0 = _series_route(0, n, field)
         chart1 = _series_route(1, n, field)
         for d in range(-6, 7):
-            assert transition_series(d, n, "chart1", field) == chart1[d], (d, n)
-            assert transition_series(d, n, "overlap", field) == chart0[-d], (d, n)
+            assert power_jets(d, 1, n, field) == chart1[d], (d, n)
+            assert transition_series(d, n, field) == chart0[-d], (d, n)
             assert power_jets(d, 0, n, field) == chart0[d], (d, n)
 
 

@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # jetforge.__all__: the exports of the eager-import era, with the check report
 # records replaced by report_text
-ALL = ['AlgebraMorphism', 'AlgebraPresentation', 'BadLevels', 'BiJetPresentation',
+ALL = ['AlgebraMorphism', 'AlgebraPresentation', 'BadLevels',
        'BiSeries', 'DivisionByZero', 'FieldMismatch', 'InhomogeneousRelation',
        'InputDocument', 'JetPresentation', 'JetVar', 'JetforgeError', 'LocalPoly',
        'MissingGrading', 'ModulePresentation', 'Monomial', 'NonUnitLeadingCoefficient',
@@ -27,7 +27,7 @@ ALL = ['AlgebraMorphism', 'AlgebraPresentation', 'BadLevels', 'BiJetPresentation
        'TwistedMatrix', 'UnboundVariable', 'UndeclaredVariable', 'UnknownSuite',
        'UnsupportedTwist', 'base_change_check', 'bigrade_commute_check',
        'bijet_presentation', 'checks', 'cocycle_check', 'cotangent_theorem_check',
-       'cotruncation_subset_check', 'delta_apply', 'document_text', 'dsl', 'errors',
+       'cotruncation_subset_check', 'document_text', 'dsl', 'errors',
        'field_by_name', 'free_dual_zigzag_check', 'global_sections', 'hs_components',
        'hs_components_2d', 'hs_module_presentation', 'hsmodules', 'induced_morphism',
        'jet_presentation', 'jets', 'kaehler_presentation', 'localized', 'p1',

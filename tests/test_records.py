@@ -1,4 +1,4 @@
-"""The seven record classes are plain classes on one small base: each keeps
+"""The six record classes are plain classes on one small base: each keeps
 the signature, defaults, validation (same errors, same order), mutability,
 field-wise equality, unhashability and repr of the dataclass it replaced.
 The check report is a plain dict, and ``run_suite`` validates its seed,
@@ -12,8 +12,8 @@ from jetforge.checks import run_suite
 from jetforge.dsl import InputDocument, parse_document
 from jetforge.errors import InhomogeneousRelation, JetforgeError, MissingGrading, UnknownSuite
 from jetforge.hsmodules import ModulePresentation, TwistedMatrix
-from jetforge.jets import (AlgebraMorphism, AlgebraPresentation, BiJetPresentation,
-                           JetPresentation, bijet_presentation, jet_presentation)
+from jetforge.jets import (AlgebraMorphism, AlgebraPresentation, JetPresentation,
+                           bijet_presentation, jet_presentation)
 from jetforge.poly import JetVar, Poly
 from jetforge.scalars import QQ, PrimeField
 
@@ -33,11 +33,8 @@ def instances():
     return {
         AlgebraPresentation: (cusp, lambda: AlgebraPresentation(["x", "y"], [Y ** 2 - X ** 3],
                                                                 None, PrimeField(7))),
-        JetPresentation: (lambda: jet_presentation(A, 1),
-                          lambda: JetPresentation(1, A, jet_presentation(A, 2).jet_vars)),
-        BiJetPresentation: (lambda: bijet_presentation(A, 1, 1),
-                            lambda: BiJetPresentation((1, 1), A,
-                                                      bijet_presentation(A, 1, 1).jet_vars, [])),
+        JetPresentation: (lambda: bijet_presentation(A, 1, 1),
+                          lambda: JetPresentation((1, 1), AlgebraPresentation(["x", "y"], []))),
         AlgebraMorphism: (lambda: AlgebraMorphism.identity(A),
                           lambda: AlgebraMorphism(A, A, {})),
         TwistedMatrix: (lambda: TwistedMatrix(1, [[X, Y], [Poly.zero(), X]]),
@@ -77,8 +74,7 @@ def test_fields_are_mutable(cls):
 
 SIGNATURES = {
     AlgebraPresentation: ["vars", "relations", "grading", "field"],
-    JetPresentation: ["level", "source", "jet_vars"],
-    BiJetPresentation: ["levels", "source", "jet_vars", "relations"],
+    JetPresentation: ["levels", "source"],
     AlgebraMorphism: ["source", "target", "images"],
     TwistedMatrix: ["level", "entries"],
     ModulePresentation: ["over", "rank", "relation_matrix"],
@@ -118,6 +114,7 @@ def test_jet_presentation_equality_ignores_the_cached_relations():
     assert "relations" not in vars(fresh)
     assert read == fresh
     assert read.field is A.field
+    assert read == JetPresentation((2,), A) != bijet_presentation(A, 2, 0)
 
 
 def test_algebra_presentation_errors_in_order():
