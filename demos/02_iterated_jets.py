@@ -13,8 +13,7 @@ same presentation:
 
 The equality is checked as an identity of canonical generator sets.
 """
-from jetforge import (AlgebraPresentation, JetVar, Poly,
-                      bigrade_commute_check, bijet_presentation,
+from jetforge import (AlgebraPresentation, JetVar, Poly, bigrade_commute_check,
                       cotruncation_subset_check, jet_presentation)
 
 x = Poly.var(JetVar("x", 0, 0))
@@ -22,12 +21,12 @@ y = Poly.var(JetVar("y", 1, 0))
 cusp = AlgebraPresentation(["x", "y"], [y ** 2 - x ** 3])
 
 # the components f_{i,j} of the one relation come row by row
-bp = bijet_presentation(cusp, 1, 1)
+bp = jet_presentation(cusp, 1, 1)
 for (i, j), rel in zip([(0, 0), (0, 1), (1, 0), (1, 1)], bp.relations):
     print("f_%d_%d =" % (i, j), rel.render())
 
 ok, detail = bigrade_commute_check(cusp, 2, 2)
-count = sum(1 for rel in bijet_presentation(cusp, 2, 2).relations if rel.terms)
+count = sum(1 for rel in jet_presentation(cusp, 2, 2).relations if rel.terms)
 print("three-way commutation at levels (2,2):", "ok" if ok else "FAILED",
       "(%d relations)" % count)
 

@@ -21,9 +21,8 @@ _EXPORTS = {
     "poly": ("JetVar", "Monomial", "Poly"),
     "series": ("BiSeries", "TruncSeries", "series_invert"),
     "localized": ("LocalPoly",),
-    "jets": ("AlgebraMorphism", "AlgebraPresentation", "JetPresentation",
-             "bijet_presentation", "hs_components", "hs_components_2d", "induced_morphism",
-             "jet_presentation"),
+    "jets": ("AlgebraMorphism", "AlgebraPresentation", "JetPresentation", "hs_components",
+             "induced_morphism", "jet_presentation"),
     "hsmodules": ("ModulePresentation", "TwistedMatrix", "hs_module_presentation",
                   "kaehler_presentation", "sym_presentation", "twisted_action_matrix"),
     "p1": ("cocycle_check", "global_sections", "p1_transition", "transition_series"),

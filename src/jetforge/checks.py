@@ -42,7 +42,7 @@ from .hsmodules import (ModulePresentation, TwistedMatrix, hs_module_presentatio
                         kaehler_presentation, linear_form, module_symbols, sym_presentation,
                         twisted_action_matrix, upper_triangle)
 from .jets import (AlgebraMorphism, AlgebraPresentation, _family, hs_components,
-                   hs_components_2d, induced_morphism, jet_again, jet_presentation)
+                   induced_morphism, jet_again, jet_presentation)
 from .p1 import cocycle_check
 from .poly import JetVar, Monomial, Poly, _eval_points
 from .scalars import QQ
@@ -159,15 +159,14 @@ def _draw_point(rng, nslots):
 def points_agree(rng, lhs, rhs):
     """Numeric verdict: the polynomial families lhs and rhs (sequences of
     Polys over Q, of one length) agree termwise at ORACLE_POINTS random
-    rational points drawn from rng.
+    rational points drawn from rng, all of them whatever the verdict.
 
     Each coordinate is drawn as a numerator in -9..9 and a denominator in
     1..5, point by point and variable by variable in sort order, and the
     variable's slot is its place in that order.  One call of the kernel
     ``_eval_points`` evaluates every distinct polynomial object at all the
     points over one denominator per point, so each pair is compared as
-    integer rows.  On a disagreement rng is left as if the draws had
-    stopped after the first point where some pair differs."""
+    integer rows; with no variables, a point is empty and draws nothing."""
     distinct = {}  # pair by pair, so the kernel drops a monomial after its last pair
     variables = set()
     for p in chain.from_iterable(zip(lhs, rhs, strict=True)):
@@ -177,18 +176,9 @@ def points_agree(rng, lhs, rhs):
             distinct[id(p)] = p.terms
             variables.update([v for m in p.terms for v, _ in m])
     slots = {v: s for s, v in enumerate(sorted(variables, key=JetVar.sort_key))}
-    pairs = [(id(a), id(b)) for a, b in zip(lhs, rhs)]
-    start = rng.getstate()
     points = [_draw_point(rng, len(slots)) for _ in range(ORACLE_POINTS)]
     rows = dict(zip(distinct, _eval_points(list(distinct.values()), slots, points)[0]))
-    firsts = [next(k for k, (x, y) in enumerate(zip(rows[a], rows[b])) if x != y)
-              for a, b in pairs if rows[a] != rows[b]]
-    if not firsts:
-        return True
-    rng.setstate(start)
-    for _ in range(min(firsts) + 1):
-        _draw_point(rng, len(slots))
-    return False
+    return all(rows[id(a)] == rows[id(b)] for a, b in zip(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +198,7 @@ def bigrade_commute_check(A, n, m):
             side_a.extend(jet_again(g, n, outer_to="order1"))
         for g in hs_components(f, n):
             side_b.extend(jet_again(g, m, outer_to="order2"))
-        side_c.extend(hs_components_2d(f, n, m))
+        side_c.extend(hs_components(f, n, m))
     sides = [Counter(p for p in side if p.terms) for side in (side_a, side_b, side_c)]
     if sides[0] == sides[1] == sides[2]:
         return True, None
@@ -428,7 +418,7 @@ def _suite_functoriality(rng, orng):
     rhs = hs_components(phi.apply(g), n)
     ok = lhs == rhs
     return ok, None, None if ok else {"n": n, "input": print_document(
-        phi.source, morphism=phi) + "ideal g = %s\n" % g.render(base_plain=True)}
+        AlgebraPresentation(phi.source.vars, [g]), ["g"], morphism=phi)}
 
 
 def _suite_twisted(rng, orng):
@@ -442,8 +432,8 @@ def _suite_twisted(rng, orng):
         [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(tp.entries, tq.entries)]
     mul_ok = twisted_action_matrix(p * q, n) == tp.matmul(tq)
     one_ok = twisted_action_matrix(Poly.constant(1, QQ), n) == TwistedMatrix(
-        n, [[Poly.constant(1, QQ) if i == j else Poly.zero(QQ)
-             for i in range(n + 1)] for j in range(n + 1)])
+        [[Poly.constant(1, QQ) if i == j else Poly.zero(QQ)
+          for i in range(n + 1)] for j in range(n + 1)])
     ok = add_ok and mul_ok and one_ok
     return ok, None, None if ok else {"n": n, "input": print_document(
         AlgebraPresentation(names, [p, q]))}

@@ -20,7 +20,7 @@ from .dsl import parse_document, print_document
 from .errors import JetforgeError, ParseError
 from .hsmodules import (hs_module_presentation, kaehler_presentation,
                         sym_presentation, upper_triangle)
-from .jets import JetPresentation, _grades, induced_morphism, jet_presentation
+from .jets import _grades, induced_morphism, jet_presentation
 from .scalars import field_by_name
 
 
@@ -90,7 +90,7 @@ def cmd_jet(args):
     relation r is component box[i] of ideal k, (k, i) = divmod(r, len(box))."""
     doc = _load_document(args)
     levels = (args.n, args.m) if args.command == "jet2" else (args.n,)
-    jp = JetPresentation(levels, doc.algebra)
+    jp = jet_presentation(doc.algebra, *levels)
     names = [v.render() for v in jp.jet_vars]
     if args.format == "json":
         out = {"levels": list(levels)} if len(levels) > 1 else {"level": args.n}
@@ -108,9 +108,6 @@ def cmd_jet(args):
         k, i = divmod(r, len(labels))
         print("relation %s.%s = %s" % (doc.ideal_names[k], labels[i], g.render()))
     return 0
-
-
-cmd_jet2 = cmd_jet
 
 
 def cmd_module(args):
@@ -287,8 +284,8 @@ def main(argv=None):
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    # looked up per call, so the kept parser holds no reference to a command
-    command = globals()["cmd_" + args.command]
+    # looked up by name per call (jet2 runs cmd_jet): the kept parser holds no command
+    command = globals()["cmd_" + ("jet" if args.command == "jet2" else args.command)]
     try:
         code = command(args)
         sys.stdout.flush()  # a closed pipe then shows up here, not at exit

@@ -32,14 +32,17 @@ from .scalars import QQ, field_by_name
 
 
 class InputDocument(_Record):
-    _fields = ("field", "algebra", "ideal_names", "module", "morphism")
+    _fields = ("algebra", "ideal_names", "module", "morphism")
 
-    def __init__(self, field, algebra, ideal_names, module=None, morphism=None):
-        self.field = field
+    def __init__(self, algebra, ideal_names, module=None, morphism=None):
         self.algebra = algebra
         self.ideal_names = ideal_names
         self.module = module
         self.morphism = morphism
+
+    @property
+    def field(self):
+        return self.algebra.field
 
 
 # Each nesting level costs the recursive-descent parser four stack frames.
@@ -363,7 +366,7 @@ def parse_document(text, default_field=None):
         tgt = AlgebraPresentation(tgt_names, [], None, field)
         morphism = AlgebraMorphism(algebra, tgt, images)
 
-    return InputDocument(field, algebra, list(ideals), module, morphism)
+    return InputDocument(algebra, list(ideals), module, morphism)
 
 
 def print_document(algebra, ideal_names=None, module=None, morphism=None):

@@ -23,17 +23,19 @@ from .poly import JetVar, Poly, _poly
 
 
 class TwistedMatrix(_Record):
-    """(n+1) x (n+1) upper-triangular matrix, entry (row j, col i) = d_{i-j}(p)."""
+    """Upper-triangular matrix of size level + 1, entry (row j, col i) = d_{i-j}(p)."""
 
-    _fields = ("level", "entries")
+    _fields = ("entries",)
 
-    def __init__(self, level, entries):
-        self.level = level
+    def __init__(self, entries):
         self.entries = entries  # rows of Poly
+
+    @property
+    def level(self):
+        return len(self.entries) - 1
 
     def matmul(self, other):
         """The matrix product; a product with a zero entry is skipped."""
-        n = self.level
         zero = _poly(self.entries[0][0].field, {})
         columns = list(zip(*other.entries))
         rows = []
@@ -43,7 +45,7 @@ class TwistedMatrix(_Record):
                 products = [a * b for a, b in zip(left, column) if a.terms and b.terms]
                 row.append(sum(products[1:], products[0]) if products else zero)
             rows.append(row)
-        return TwistedMatrix(n, rows)
+        return TwistedMatrix(rows)
 
 
 def upper_triangle(comps, zero):
@@ -54,7 +56,7 @@ def upper_triangle(comps, zero):
 
 
 def twisted_action_matrix(p, n):
-    return TwistedMatrix(n, upper_triangle(hs_components(p, n), Poly.zero(p.field)))
+    return TwistedMatrix(upper_triangle(hs_components(p, n), Poly.zero(p.field)))
 
 
 class ModulePresentation(_Record):

@@ -6,10 +6,10 @@ d_i(f_k): substitute every base variable x by sum_i x^(i) t^i and read
 off the t^i coefficients.  The i-th component then satisfies the higher
 Leibniz rule by construction.
 
-The components are computed by one engine for univariate jets, jets of
-jets and bivariate jets.  Each variable maps to a family of variables
-indexed by grade g (an integer, or a pair (i, j)), and by the
-multinomial theorem
+One engine computes the components over a grade box (n,) or (n, m), for
+``hs_components`` (univariate and bivariate jets) and ``jet_again`` (jets
+of jets).  Each variable maps to a family of variables indexed by grade g
+(an integer, or a pair (i, j)), and by the multinomial theorem
 
     (sum_g x^(g) t^g)^e = sum over {a_g} with sum a_g = e of
                           e! / prod a_g! * prod (x^(g))^(a_g) * t^(sum a_g g),
@@ -173,9 +173,10 @@ def _substitute(f, families, bounds):
     return [_poly(f.field, d) for d in out]
 
 
-def hs_components(f, n):
-    """Jet components d_0(f) .. d_n(f) of a base-ring polynomial."""
-    return _substitute(f, {v: _family(v, (n,)) for v in _base_vars(f)}, (n,))
+def hs_components(f, *levels):
+    """Jet components of a base-ring polynomial over the grade box (n,) or
+    (n, m), in box order: d_0(f) .. d_n(f), or the coefficients of s^i t^j."""
+    return _substitute(f, {v: _family(v, levels) for v in _base_vars(f)}, levels)
 
 
 def jet_again(f, n, outer_to):
@@ -193,12 +194,6 @@ def jet_again(f, n, outer_to):
         families[v] = (_family(v, (n, o))[o::o + 1] if outer_to == "order1"
                        else _family(v, (o, n))[o * (n + 1):])
     return _substitute(f, families, (n,))
-
-
-def hs_components_2d(f, n, m):
-    """Bivariate jet components: the coefficients of s^i t^j after
-    substituting x by sum x^(i,j) s^i t^j, in (i, j) box order."""
-    return _substitute(f, {v: _family(v, (n, m)) for v in _base_vars(f)}, (n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +279,12 @@ class JetPresentation(_Record):
 
     @cached_property
     def relations(self):
-        components = hs_components if len(self.levels) == 1 else hs_components_2d
-        return [g for f in self.source.relations for g in components(f, *self.levels)]
+        return [g for f in self.source.relations for g in hs_components(f, *self.levels)]
 
 
-def jet_presentation(A, n):
-    """Level-n jet presentation of A: relation r is d_i(f_k), (k, i) = divmod(r, n+1)."""
-    return JetPresentation((n,), A)
-
-
-def bijet_presentation(A, n, m):
-    """Levels (n, m) jet presentation of A; relations in (k, i, j) order."""
-    return JetPresentation((n, m), A)
+def jet_presentation(A, *levels):
+    """The jet presentation of A over the grade box ``levels``, (n,) or (n, m)."""
+    return JetPresentation(levels, A)
 
 
 # ---------------------------------------------------------------------------

@@ -89,16 +89,13 @@ def naive_eval(f, point):
 
 
 def naive_points_agree(rng, lhs, rhs):
-    """Reference for checks.points_agree: Fraction points, one Poly.eval per
-    polynomial, pair and point."""
+    """Reference for checks.points_agree: all ORACLE_POINTS Fraction points
+    drawn first, then one Poly.eval per polynomial, pair and point."""
     variables = sorted({v for p in list(lhs) + list(rhs) for v in p.vars()},
                        key=JetVar.sort_key)
-    for _ in range(ORACLE_POINTS):
-        pt = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for v in variables}
-        for a, b in zip(lhs, rhs):
-            if a.eval(pt) != b.eval(pt):
-                return False
-    return True
+    points = [{v: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for v in variables}
+              for _ in range(ORACLE_POINTS)]
+    return all(a.eval(pt) == b.eval(pt) for pt in points for a, b in zip(lhs, rhs))
 
 
 def reference_var_render(v, base_plain=False):

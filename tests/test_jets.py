@@ -11,9 +11,8 @@ from jetforge.errors import BadLevels, MissingGrading, NotABaseElement
 from jetforge import jets
 from jetforge.checks import bigrade_commute_check, cotruncation_subset_check, points_agree
 from jetforge.hsmodules import kaehler_presentation
-from jetforge.jets import (AlgebraMorphism, AlgebraPresentation, bijet_presentation,
-                           hs_components, hs_components_2d, induced_morphism, jet_again,
-                           jet_presentation)
+from jetforge.jets import (AlgebraMorphism, AlgebraPresentation, hs_components,
+                           induced_morphism, jet_again, jet_presentation)
 from jetforge.poly import JetVar, Monomial, Poly
 from jetforge.scalars import QQ, PrimeField
 
@@ -110,7 +109,7 @@ def _read(comps, grades, field):
 
 
 def test_engine_matches_naive_oracle():
-    """hs_components, jet_again (both outer indices) and hs_components_2d
+    """hs_components over (n,) and (n, m) boxes and jet_again (both outer indices)
     against the untruncated substitute-and-collect oracle, over Q and F_p,
     with exponents up to 6 on both sides of the level."""
     rng = random.Random(4104)
@@ -143,12 +142,12 @@ def test_engine_matches_naive_oracle():
                         for i in range(n + 1) for j in range(m + 1)} for v in base}
             comps = naive_components(f, fams, (SIGMA, TAU))
             want = _read(comps, [(i, j) for i in range(n + 1) for j in range(m + 1)], field)
-            assert hs_components_2d(f, n, m) == want
+            assert hs_components(f, n, m) == want
         for c in (Poly.zero(field), Poly.constant(field(5) if field is not QQ
                                                   else Fraction(-7, 3), field)):
             assert hs_components(c, 3) == [c] + [Poly.zero(field)] * 3
             assert jet_again(c, 2, "order2") == [c] + [Poly.zero(field)] * 2
-            assert hs_components_2d(c, 1, 2) == [c] + [Poly.zero(field)] * 5
+            assert hs_components(c, 1, 2) == [c] + [Poly.zero(field)] * 5
     assert seen == {"e>n", "e<n", "e=n"}
 
 
@@ -213,7 +212,7 @@ def test_small_characteristic_components():
     assert hs_components(Poly.var(x, f2) ** 2, 3) == [xs(f2, 0) ** 2, zero2, xs(f2, 1) ** 2, zero2]
     zero3 = Poly.zero(f3)
     assert hs_components(Poly.var(x, f3) ** 3, 3) == [xs(f3, 0) ** 3, zero3, zero3, xs(f3, 1) ** 3]
-    flat = hs_components_2d(Poly.var(x, f2) ** 2, 2, 2)  # (i, j) at 3 * i + j
+    flat = hs_components(Poly.var(x, f2) ** 2, 2, 2)  # (i, j) at 3 * i + j
     nonzero = {divmod(k, 3) for k, g in enumerate(flat) if not g.is_zero()}
     assert nonzero == {(0, 0), (2, 0), (0, 2), (2, 2)}
     for i, j in nonzero:
@@ -232,12 +231,12 @@ def test_jet_again_rejects_bad_input():
 
 def test_2d_linear_substitution():
     """Components come flat in (i, j) box order: (i, j) at 2 * i + j."""
-    assert hs_components_2d(P("x", 0), 2, 1) == [Poly.var(jv("x", i, j))
-                                                 for i in range(3) for j in range(2)]
+    assert hs_components(P("x", 0), 2, 1) == [Poly.var(jv("x", i, j))
+                                              for i in range(3) for j in range(2)]
 
 
 def test_2d_product_entry():
-    grid = hs_components_2d(P("x", 0) * P("y", 0), 1, 1)
+    grid = hs_components(P("x", 0) * P("y", 0), 1, 1)
     want = (Poly.var(jv("x", 0, 0)) * Poly.var(jv("y", 1, 1))
             + Poly.var(jv("x", 1, 0)) * Poly.var(jv("y", 0, 1))
             + Poly.var(jv("x", 0, 1)) * Poly.var(jv("y", 1, 0))
@@ -246,7 +245,7 @@ def test_2d_product_entry():
 
 
 def test_2d_constant():
-    grid = hs_components_2d(Poly.constant(3), 1, 2)
+    grid = hs_components(Poly.constant(3), 1, 2)
     assert grid[0] == Poly.constant(3)
     assert len(grid) == 6 and all(g.is_zero() for g in grid[1:])
 
@@ -400,7 +399,7 @@ def test_functoriality_random():
 
 
 def _nonzero_bivariate_relations(A, n, m):
-    return sum(1 for rel in bijet_presentation(A, n, m).relations if rel.terms)
+    return sum(1 for rel in jet_presentation(A, n, m).relations if rel.terms)
 
 
 def test_bigrade_free_ring():
@@ -420,7 +419,7 @@ def test_bigrade_degenerate_level0():
 
 
 def test_bijet_presentation_counts():
-    bp = bijet_presentation(cusp(), 1, 2)
+    bp = jet_presentation(cusp(), 1, 2)
     assert len(bp.relations) == 2 * 3 * 1
     assert len(bp.jet_vars) == 2 * 2 * 3
 
@@ -444,7 +443,7 @@ def test_engine_sorts_families_that_share_an_index():
                     for i in range(n + 1) for j in range(m + 1)} for v in (x, u)}
         comps = naive_components(f, fams, (SIGMA, TAU))
         want = _read(comps, [(i, j) for i in range(n + 1) for j in range(m + 1)], QQ)
-        got = hs_components_2d(f, n, m)
+        got = hs_components(f, n, m)
         assert got == want
         assert [p.render() for p in got] == [p.render() for p in want]
 

@@ -189,7 +189,7 @@ def test_cotangent_theorem_fails_on_transposed_twist(monkeypatch):
 
     def transposed(p, n):
         t = twisted(p, n)
-        return TwistedMatrix(n, [list(col) for col in zip(*t.entries)])
+        return TwistedMatrix([list(col) for col in zip(*t.entries)])
 
     monkeypatch.setattr(hsmodules, "twisted_action_matrix", transposed)
     # the linear relation has constant partials, so its rows stay right

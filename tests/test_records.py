@@ -12,8 +12,7 @@ from jetforge.checks import run_suite
 from jetforge.dsl import InputDocument, parse_document
 from jetforge.errors import InhomogeneousRelation, JetforgeError, MissingGrading, UnknownSuite
 from jetforge.hsmodules import ModulePresentation, TwistedMatrix
-from jetforge.jets import (AlgebraMorphism, AlgebraPresentation, JetPresentation,
-                           bijet_presentation, jet_presentation)
+from jetforge.jets import AlgebraMorphism, AlgebraPresentation, JetPresentation, jet_presentation
 from jetforge.poly import JetVar, Poly
 from jetforge.scalars import QQ, PrimeField
 
@@ -33,17 +32,17 @@ def instances():
     return {
         AlgebraPresentation: (cusp, lambda: AlgebraPresentation(["x", "y"], [Y ** 2 - X ** 3],
                                                                 None, PrimeField(7))),
-        JetPresentation: (lambda: bijet_presentation(A, 1, 1),
+        JetPresentation: (lambda: jet_presentation(A, 1, 1),
                           lambda: JetPresentation((1, 1), AlgebraPresentation(["x", "y"], []))),
         AlgebraMorphism: (lambda: AlgebraMorphism.identity(A),
                           lambda: AlgebraMorphism(A, A, {})),
-        TwistedMatrix: (lambda: TwistedMatrix(1, [[X, Y], [Poly.zero(), X]]),
-                        lambda: TwistedMatrix(1, [[X, Y], [Poly.zero(), Y]])),
+        TwistedMatrix: (lambda: TwistedMatrix([[X, Y], [Poly.zero(), X]]),
+                        lambda: TwistedMatrix([[X, Y], [Poly.zero(), Y]])),
         ModulePresentation: (lambda: ModulePresentation(A, 2, [[X, Y]]),
                              lambda: ModulePresentation(A, 2, [[Y, X]])),
         InputDocument: (lambda: parse_document(doc),
-                        lambda: InputDocument(QQ, cusp(), ["f"],
-                                              ModulePresentation(A, 1, [[X]]), object())),
+                        lambda: InputDocument(cusp(), ["f"], ModulePresentation(A, 1, [[X]]),
+                                              object())),
     }
 
 
@@ -76,9 +75,9 @@ SIGNATURES = {
     AlgebraPresentation: ["vars", "relations", "grading", "field"],
     JetPresentation: ["levels", "source"],
     AlgebraMorphism: ["source", "target", "images"],
-    TwistedMatrix: ["level", "entries"],
+    TwistedMatrix: ["entries"],
     ModulePresentation: ["over", "rank", "relation_matrix"],
-    InputDocument: ["field", "algebra", "ideal_names", "module", "morphism"],
+    InputDocument: ["algebra", "ideal_names", "module", "morphism"],
 }
 
 
@@ -96,14 +95,26 @@ def test_repr_reads_as_the_dataclass_repr():
     assert repr(ModulePresentation(AlgebraPresentation(["x"], []), 0, [])) == (
         "ModulePresentation(over=AlgebraPresentation(vars=['x'], relations=[], grading=None, "
         "field=QQ), rank=0, relation_matrix=[])")
-    assert repr(TwistedMatrix(0, [])) == "TwistedMatrix(level=0, entries=[])"
+    assert repr(TwistedMatrix([])) == "TwistedMatrix(entries=[])"
 
 
 def test_defaults():
     A = AlgebraPresentation(["x"], [])
     assert (A.grading, A.field) == (None, QQ)
-    doc = InputDocument(QQ, A, [])
+    doc = InputDocument(A, [])
     assert (doc.module, doc.morphism) == (None, None)
+
+
+def test_derived_fields_are_read_only():
+    """A twisted matrix's level is its size less one, and a document's field
+    is its algebra's; neither is a slot of its own."""
+    t = TwistedMatrix([[X, Y], [Poly.zero(), X]])
+    doc = parse_document("ring F7[x]\n")
+    assert t.level == 1 and doc.field is doc.algebra.field == PrimeField(7)
+    with pytest.raises(AttributeError):
+        t.level = 2
+    with pytest.raises(AttributeError):
+        doc.field = QQ
 
 
 def test_jet_presentation_equality_ignores_the_cached_relations():
@@ -114,7 +125,7 @@ def test_jet_presentation_equality_ignores_the_cached_relations():
     assert "relations" not in vars(fresh)
     assert read == fresh
     assert read.field is A.field
-    assert read == JetPresentation((2,), A) != bijet_presentation(A, 2, 0)
+    assert read == JetPresentation((2,), A) != jet_presentation(A, 2, 0)
 
 
 def test_algebra_presentation_errors_in_order():

@@ -18,8 +18,8 @@ import pytest
 
 from jetforge.hsmodules import (ModulePresentation, hs_module_presentation,
                                 kaehler_presentation, sym_presentation)
-from jetforge.jets import (AlgebraMorphism, AlgebraPresentation, bijet_presentation,
-                           induced_morphism, jet_presentation)
+from jetforge.jets import (AlgebraMorphism, AlgebraPresentation, induced_morphism,
+                           jet_presentation)
 from jetforge.localized import LocalPoly
 from jetforge.p1 import power_jets
 from jetforge.poly import JetVar, Monomial, Poly
@@ -80,7 +80,7 @@ def test_jet_and_kaehler_builders_commute_with_reduction(prime):
         jq, jp = jet_presentation(A, n), jet_presentation(Ap, n)
         assert jq.jet_vars == jp.jet_vars
         assert_reduces_to(jq.relations, jp.relations, field)
-        bq, bp = bijet_presentation(A, m, n % 3), bijet_presentation(Ap, m, n % 3)
+        bq, bp = jet_presentation(A, m, n % 3), jet_presentation(Ap, m, n % 3)
         assert bq.jet_vars == bp.jet_vars
         assert_reduces_to(bq.relations, bp.relations, field)
         for Pq, Pp in ((A, Ap), (jq, jp)):

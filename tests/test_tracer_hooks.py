@@ -6,6 +6,7 @@ an ``Fp`` operator, ...) fail in this suite, not only in the benchmark."""
 import importlib
 import importlib.util
 from pathlib import Path
+from types import FunctionType
 
 import jetforge
 from jetforge import cli, dsl
@@ -73,3 +74,35 @@ def test_tracer_installs_counts_and_uninstalls(tmp_path, capsys):
                  "checks.points_agree", "cli.main"):
         assert calls.get(name, 0) > 0, name
     assert _namespaces(layers) == before
+
+
+def test_traced_jet_op_runs_cmd_jet_once(capsys):
+    """jet and jet2 both run cmd_jet, looked up by name when main runs, so
+    each traced op records one cmd_jet span and no span of another name."""
+    tracer = _load_tracer().Tracer(jetforge)
+    cusp = str(GOLDEN / "cusp.jf")
+    try:
+        tracer.install()
+        assert cli.main(["jet", "--n", "2", cusp]) == 0
+        calls = tracer.by_name(tracer.calls)
+        assert calls.get("cli.cmd_jet") == 1
+        assert cli.main(["jet2", "--n", "1", "--m", "1", cusp]) == 0
+        calls = tracer.by_name(tracer.calls)
+        assert calls.get("cli.cmd_jet") == 2
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert not [name for name in calls if name.startswith("cli.cmd_") and name != "cli.cmd_jet"]
+
+
+def test_no_function_has_two_public_names():
+    """The tracer wraps each public function of a module by name, and every
+    binding of it with the same wrapper; a second public name would wrap
+    the function twice."""
+    for layer in _load_tracer().ORCHESTRATION:
+        mod = importlib.import_module("jetforge." + layer)
+        names = {}
+        for attr, value in vars(mod).items():
+            if not attr.startswith("_") and isinstance(value, FunctionType):
+                names.setdefault(value, []).append(attr)
+        assert [attrs for attrs in names.values() if len(attrs) > 1] == [], layer
