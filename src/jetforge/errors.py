@@ -32,7 +32,7 @@ class MissingGrading(JetforgeError):
 
 
 class BadLevels(JetforgeError):
-    """Co-truncation comparison requires m > n."""
+    """A jet level is negative, or a co-truncation comparison has m <= n."""
 
 
 class UnsupportedTwist(JetforgeError):

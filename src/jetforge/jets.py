@@ -31,7 +31,8 @@ when the source algebra is graded, the induced one (deg x^(i) = deg x).
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .errors import InhomogeneousRelation, JetforgeError, MissingGrading, NotABaseElement
+from .errors import (BadLevels, InhomogeneousRelation, JetforgeError, MissingGrading,
+                     NotABaseElement)
 from .poly import JetVar, Poly, _monomial, _poly
 from .scalars import QQ
 
@@ -54,6 +55,8 @@ def _grades(bounds):
     """The grade box 0 <= g <= bounds in lexicographic order, and its
     addition table: sums[a][b] is the position of box[a] + box[b] in the
     box, or None outside it."""
+    if any(b < 0 for b in bounds):
+        raise BadLevels("negative jet level in %s" % (bounds,))
     box = list(product(*(range(b + 1) for b in bounds)))
     position = {g: k for k, g in enumerate(box)}
     sums = [[position.get(tuple(x + y for x, y in zip(g, h))) for h in box] for g in box]

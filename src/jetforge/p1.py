@@ -24,7 +24,7 @@ one of reduced forms and nothing is normalized twice.
 regular) pairs.
 """
 
-from .errors import UnsupportedTwist
+from .errors import BadLevels, UnsupportedTwist
 from .hsmodules import upper_triangle
 from .jets import _expansion
 from .localized import _local
@@ -45,6 +45,8 @@ def power_jets(k, chart, n, field=QQ):
     u^max(0, top-k), top its largest m with a term nonzero in the field (a
     multinomial can vanish over F_p).  So m runs downwards, and the first
     term written to a coefficient fixes its denominator."""
+    if n < 0:
+        raise BadLevels("negative jet level: n=%d" % n)
     t = [chart_var(chart, i) for i in range(n + 1)]
     u = t[0]
     shifted = t[1:].__getitem__  # grade h of the table is t^(h+1)

@@ -15,10 +15,11 @@ from jetforge.checks import (MAX_VARS, ORACLE_POINTS, SUITES, base_change_check,
                              report_text, run_suite, sym_theorem_check)
 from jetforge.cli import main
 from jetforge.dsl import document_text, parse_document, print_document
-from jetforge.errors import FieldMismatch, UnknownSuite
-from jetforge.hsmodules import ModulePresentation
-from jetforge.jets import AlgebraMorphism, AlgebraPresentation
-from jetforge.p1 import cocycle_check
+from jetforge.errors import BadLevels, FieldMismatch, UnknownSuite
+from jetforge.hsmodules import ModulePresentation, hs_module_presentation, twisted_action_matrix
+from jetforge.jets import (AlgebraMorphism, AlgebraPresentation, hs_components, induced_morphism,
+                           jet_presentation)
+from jetforge.p1 import cocycle_check, p1_transition
 from jetforge.poly import JetVar, Poly
 from jetforge.scalars import QQ, PrimeField
 from oracles import naive_points_agree
@@ -124,14 +125,20 @@ def test_report_json_shape():
 
 
 def test_failing_suite_is_reported(monkeypatch, capsys):
-    def broken(rng, orng):
-        return False, True, {"input": "ring Q[x]\n"}
-
-    monkeypatch.setitem(checks.SUITES, "broken", broken)
+    """A suite whose two families differ by a polynomial that vanishes at
+    every point the oracle can draw: each trial fails symbolically, and the
+    oracle disagrees with that verdict."""
+    x = Poly.var(JetVar("x", 0, 0))
+    hidden = Poly.constant(1)
+    for value in {Fraction(a, b) for a in range(-9, 10) for b in range(1, 6)}:
+        hidden = hidden * (x - Poly.constant(value))
+    monkeypatch.setattr(checks, "_broken_sides", lambda A, n: ([x], [x + hidden]), raising=False)
+    monkeypatch.setitem(checks.SUITES, "broken",
+                        (lambda rng: (AlgebraPresentation(["x"], []), 0), "_broken_sides"))
     report = run_suite(seed=3, trials=2, suites=("broken",))
     result = report["suites"]["broken"]
-    assert result["failures"] == [{"trial": 0, "input": "ring Q[x]\n"},
-                                  {"trial": 1, "input": "ring Q[x]\n"}]
+    assert result["failures"] == [{"trial": 0, "n": 0, "input": "ring Q[x]\n"},
+                                  {"trial": 1, "n": 0, "input": "ring Q[x]\n"}]
     assert result["oracle_trials"] == 2
     assert result["oracle_disagreements"] == 2
     assert not result["passed"] and not report["passed"]
@@ -281,6 +288,46 @@ def test_mutant_failure_inputs_are_canonical_documents():
         assert document_text(parse_document(text)) == text
 
 
+def _replay_args(suite, failure):
+    """A failing trial's check arguments, rebuilt from its report alone: the
+    instance parsed from its input, then its levels."""
+    levels = [failure[k] for k in ("d", "n", "m") if k in failure]
+    if "input" not in failure:
+        return levels
+    doc = parse_document(failure["input"])
+    if suite == "functoriality":
+        instance = [doc.morphism, doc.algebra.relations[0]]
+    elif doc.module is not None:
+        instance = [doc.morphism, doc.module] if doc.morphism else [doc.module]
+    else:
+        instance = [doc.algebra]
+    return instance + levels
+
+
+def test_every_mutant_failure_replays_from_its_report():
+    """Every failure a mutant engine causes, run again from its report under
+    the same mutant, fails with the detail the report gives, and the
+    serializer writes its input back from the rebuilt arguments."""
+    replayed = 0
+    for mutant, by_seed in mutant_reports().items():
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(jets, "_substitute", MUTANTS[mutant](jets._substitute))
+            for report in by_seed.values():
+                for suite, result in report["suites"].items():
+                    check = getattr(checks, SUITES[suite][1])
+                    for failure in result["failures"]:
+                        args = _replay_args(suite, failure)
+                        ok, detail = check(*args)
+                        if isinstance(ok, list):  # the two families of an identity
+                            ok, detail = ok == detail, {"n": args[-1]}
+                        assert ok is False
+                        want = {k: v for k, v in failure.items() if k not in ("trial", "input")}
+                        assert json.loads(json.dumps(detail)) == want
+                        assert checks._failure_input(args) == {"input": failure["input"]}
+                        replayed += 1
+    assert replayed == 63
+
+
 def test_structural_failure_declares_only_the_drawn_variables(monkeypatch):
     """Under a mutant engine that reverses the jet orders, structural_grading
     fails, and each failure document declares the variables its instance
@@ -288,15 +335,17 @@ def test_structural_failure_declares_only_the_drawn_variables(monkeypatch):
     substitute = jets._substitute
     monkeypatch.setattr(jets, "_substitute",
                         lambda f, families, bounds: substitute(f, families, bounds)[::-1])
+    draw, check = SUITES["structural_grading"]
     rng = random.Random(5)
     drawn = set()
     for _ in range(40):
         probe = random.Random()
         probe.setstate(rng.getstate())
         k = checks._randint(probe, 1, MAX_VARS)
-        ok, _, detail = checks._suite_structural(rng, None)
+        args = draw(rng)
+        ok, _ = getattr(checks, check)(*args)
         if not ok:
-            doc = parse_document(detail["input"])
+            doc = parse_document(checks._failure_input(args)["input"])
             assert doc.algebra.vars == ["x", "y", "z"][:k]
             assert len(doc.algebra.relations) == 1
             drawn.add(k)
@@ -350,8 +399,9 @@ FAIL_UNDER_TOP_GRADE_ZERO = ("bigrade_commute", "cotruncation", "cotangent_theor
 @pytest.mark.parametrize("name", THEOREM_CHECKS)
 def test_theorem_check_contract(name):
     """Each check returns exactly (True, None) when its theorem holds; under
-    the top_grade_zero engine the jet checks return (False, detail), and
-    detail is a JSON document whose input replays the cusp."""
+    the top_grade_zero engine the jet checks return (False, detail), detail
+    is a JSON document without the instance, and the input the checker
+    writes from the arguments replays the cusp."""
     check, args = THEOREM_CHECKS[name]
     result = check(*args)
     assert type(result) is tuple and result[0] is True and result == (True, None)
@@ -362,10 +412,36 @@ def test_theorem_check_contract(name):
         ok, detail = check(*args)
     assert ok is False and type(detail) is dict
     json.dumps(detail)
-    assert "ok" not in detail and "report" not in detail and "trial" not in detail
-    doc = parse_document(detail["input"])
+    assert not {"ok", "report", "trial", "input"} & set(detail)
+    doc = parse_document(checks._failure_input(args)["input"])
     assert doc.algebra.vars == CUSP.vars
     assert doc.algebra.relations == CUSP.relations
+
+
+NEGATIVE_LEVEL_CALLS = {
+    "hs_components": lambda: hs_components(Y ** 2 - X ** 3, -1),
+    "hs_components_box": lambda: hs_components(Y ** 2 - X ** 3, 1, -1),
+    "jet_presentation": lambda: jet_presentation(CUSP, -1).relations,
+    "hs_module_presentation": lambda: hs_module_presentation(CUSP_MODULE, -1),
+    "twisted_action_matrix": lambda: twisted_action_matrix(X * Y, -1),
+    "induced_morphism": lambda: induced_morphism(NORMALIZATION, -1),
+    "p1_transition": lambda: p1_transition(1, -1),
+    "cocycle_check": lambda: cocycle_check(1, -1),
+    "bigrade_commute_check": lambda: bigrade_commute_check(CUSP, 1, -1),
+    "cotruncation_subset_check": lambda: cotruncation_subset_check(CUSP, -1, 1),
+    "cotangent_theorem_check": lambda: cotangent_theorem_check(CUSP, -1),
+    "sym_theorem_check": lambda: sym_theorem_check(CUSP_MODULE, -1),
+    "base_change_check": lambda: base_change_check(NORMALIZATION, CUSP_MODULE, -1),
+    "free_dual_zigzag_check": lambda: free_dual_zigzag_check(-3),
+}
+
+
+@pytest.mark.parametrize("name", NEGATIVE_LEVEL_CALLS)
+def test_negative_level_raises_bad_levels(name):
+    """A negative level is an error with its own type, never an IndexError
+    from an empty grade box or a vacuous verdict."""
+    with pytest.raises(BadLevels, match="negative"):
+        NEGATIVE_LEVEL_CALLS[name]()
 
 
 def test_demo_02_reports_a_failing_cotruncation(monkeypatch, capsys):

@@ -95,6 +95,22 @@ def test_traced_jet_op_runs_cmd_jet_once(capsys):
     assert not [name for name in calls if name.startswith("cli.cmd_") and name != "cli.cmd_jet"]
 
 
+def test_traced_check_records_each_suites_check(capsys):
+    """A suite's check runs through the module binding that the tracer
+    wraps, so a traced check op records a span of the check of each suite
+    it runs."""
+    tracer = _load_tracer().Tracer(jetforge)
+    try:
+        tracer.install()
+        assert cli.main(["check", "--suite", "bigrade_commute,p1_cocycle", "--trials", "1"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    calls = tracer.by_name(tracer.calls)
+    assert calls.get("checks.bigrade_commute_check") == 1
+    assert calls.get("p1.cocycle_check") == 1
+
+
 def test_no_function_has_two_public_names():
     """The tracer wraps each public function of a module by name, and every
     binding of it with the same wrapper; a second public name would wrap
