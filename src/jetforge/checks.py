@@ -14,10 +14,13 @@ public check have a private one, with the same contract but for
 ``_leibniz_sides`` and ``_jacobian_sides``: these return the two families
 of polynomials an identity equates, which ``run_suite`` compares exactly
 and with the point oracle ``points_agree``, on a second stream; verdicts
-that differ count as an oracle disagreement.  Every draw goes through
-``_randint`` and ``_choice``, which run the ``rng.getrandbits`` rejection
-loop of CPython 3.10-3.13's ``Random.randint`` and ``choice``: the same
-values from the same stream, without ``randrange``'s argument checks.
+that differ count as an oracle disagreement.  The oracle draws all its
+points whatever the families are, and evaluates only the pairs whose term
+dicts differ, since an equal pair agrees at every point.  Every draw goes
+through ``_randint`` and ``_choice``, which run the ``rng.getrandbits``
+rejection loop of CPython 3.10-3.13's ``Random.randint`` and ``choice``:
+the same values from the same stream, without ``randrange``'s argument
+checks.
 
 ``run_suite`` takes the seed, the trial count and the suites, and returns
 its report as the plain dict that ``jetforge check --format json`` prints;
@@ -32,14 +35,13 @@ per bivariate level) and integer coefficients in ``COEFF_LO..COEFF_HI``.
 import random
 import time
 from collections import Counter
-from itertools import chain
 
 from .dsl import print_document
 from .errors import BadLevels, FieldMismatch, UnknownSuite
 from .hsmodules import (ModulePresentation, TwistedMatrix, hs_module_presentation,
                         kaehler_presentation, linear_form, module_symbols, sym_presentation,
                         twisted_action_matrix, upper_triangle)
-from .jets import (AlgebraMorphism, AlgebraPresentation, _family, hs_components,
+from .jets import (AlgebraMorphism, AlgebraPresentation, _family, _grades, hs_components,
                    induced_morphism, jet_again, jet_presentation)
 from .p1 import cocycle_check  # p1_cocycle's check, looked up by name
 from .poly import JetVar, Monomial, Poly, _eval_points
@@ -161,22 +163,35 @@ def points_agree(rng, lhs, rhs):
 
     Each coordinate is drawn as a numerator in -9..9 and a denominator in
     1..5, point by point and variable by variable in sort order, and the
-    variable's slot is its place in that order.  One call of the kernel
-    ``_eval_points`` evaluates every distinct polynomial object at all the
-    points over one denominator per point, so each pair is compared as
-    integer rows; with no variables, a point is empty and draws nothing."""
+    variable's slot is its place in that order; the variables are those of
+    both families.  A pair whose two term dicts are equal (dict equality,
+    not ``Poly.__eq__``) agrees at every point, so it is settled without
+    evaluation.  One call of the kernel ``_eval_points`` evaluates every
+    distinct polynomial object of the other pairs at all the points over
+    one denominator per point, so each such pair is compared as integer
+    rows; with no such pair there is no call.  With no variables, a point
+    is empty and draws nothing."""
     distinct = {}  # pair by pair, so the kernel drops a monomial after its last pair
+    differ = []  # the id pairs of the pairs whose term dicts differ
     variables = set()
-    for p in chain.from_iterable(zip(lhs, rhs, strict=True)):
-        if p.field != QQ:
-            raise FieldMismatch("the point oracle evaluates over Q, not %r" % (p.field,))
-        if id(p) not in distinct:
-            distinct[id(p)] = p.terms
-            variables.update([v for m in p.terms for v, _ in m])
+    for a, b in zip(lhs, rhs, strict=True):
+        for p in (a, b):
+            if p.field is not QQ and p.field != QQ:
+                raise FieldMismatch("the point oracle evaluates over Q, not %r" % (p.field,))
+        if a.terms == b.terms:  # the same rows at every point
+            variables.update([v for m in a.terms for v, _ in m])
+            continue
+        differ.append((id(a), id(b)))
+        for p in (a, b):
+            if id(p) not in distinct:
+                distinct[id(p)] = p.terms
+                variables.update([v for m in p.terms for v, _ in m])
     slots = {v: s for s, v in enumerate(sorted(variables, key=JetVar.sort_key))}
     points = [_draw_point(rng, len(slots)) for _ in range(ORACLE_POINTS)]
+    if not differ:
+        return True
     rows = dict(zip(distinct, _eval_points(list(distinct.values()), slots, points)[0]))
-    return all(rows[id(a)] == rows[id(b)] for a, b in zip(lhs, rhs))
+    return all(rows[i] == rows[j] for i, j in differ)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +203,7 @@ def bigrade_commute_check(A, n, m):
     index-permutation renaming folded into variable construction) against
     the direct bivariate jet relations.  The nonzero generators are compared
     as multisets of polynomials, and rendered only for a failure report."""
+    _grades((n, m))  # a negative level raises, even with no relation to take jets of
     side_a = []  # level m first, then level n outside
     side_b = []  # level n first, then level m outside
     side_c = []

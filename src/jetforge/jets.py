@@ -269,6 +269,7 @@ class JetPresentation(_Record):
     _fields = ("levels", "source")
 
     def __init__(self, levels, source):
+        _grades(levels)  # a negative level raises here, even with no relation to build
         self.levels = levels
         self.source = source
 

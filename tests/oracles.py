@@ -11,11 +11,12 @@ it shares no code with Poly.gradient.  The naive evaluator multiplies
 Fractions term by term; it shares no code with the integer kernel of
 Poly.eval.  The reference point oracle makes the same draws as
 jetforge.checks.points_agree, builds Fraction points and compares the two
-sides pair by pair with Poly.eval.  The text references are the renderer
-and tokenizer jetforge had before variables kept their rendered text and
-the tokenizer became one comprehension: each formats every variable and
-coefficient afresh, and the tokenizer reads each token's column from its
-group after a leading-whitespace prefix.
+sides pair by pair with the naive evaluator, so it shares no code with the
+kernel that points_agree evaluates with.  The text references are the
+renderer and tokenizer jetforge had before variables kept their rendered
+text and the tokenizer became one comprehension: each formats every
+variable and coefficient afresh, and the tokenizer reads each token's
+column from its group after a leading-whitespace prefix.
 """
 
 import re
@@ -90,12 +91,13 @@ def naive_eval(f, point):
 
 def naive_points_agree(rng, lhs, rhs):
     """Reference for checks.points_agree: all ORACLE_POINTS Fraction points
-    drawn first, then one Poly.eval per polynomial, pair and point."""
+    drawn first, then one naive_eval per polynomial, pair and point."""
     variables = sorted({v for p in list(lhs) + list(rhs) for v in p.vars()},
                        key=JetVar.sort_key)
     points = [{v: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for v in variables}
               for _ in range(ORACLE_POINTS)]
-    return all(a.eval(pt) == b.eval(pt) for pt in points for a, b in zip(lhs, rhs))
+    return all(naive_eval(a, pt) == naive_eval(b, pt)
+               for pt in points for a, b in zip(lhs, rhs))
 
 
 def reference_var_render(v, base_plain=False):

@@ -209,6 +209,74 @@ def test_points_agree_matches_fraction_reference(monkeypatch):
             assert _points_drawn(start, nvars, ours.getstate()) == (ORACLE_POINTS if nvars else 0)
 
 
+def _record_kernel_calls(monkeypatch):
+    """Wrap checks._eval_points; each call appends the term dicts it got."""
+    calls = []
+    kernel = checks._eval_points
+
+    def recorder(term_dicts, slots, points):
+        calls.append(list(term_dicts))
+        return kernel(term_dicts, slots, points)
+
+    monkeypatch.setattr(checks, "_eval_points", recorder)
+    return calls
+
+
+def _oracle_families():
+    """Families with distinct objects on the two sides: ``equal`` pairs have
+    equal term dicts, ``changed`` is one pair whose dicts differ."""
+    x, y = (Poly.var(JetVar(name, i, 0)) for i, name in enumerate("xy"))
+    f, g = x ** 2 - 3 * y + 1, Fraction(1, 2) * x * y - y ** 3
+    equal = ([f * g, f + g, x - y], [g * f, g + f, -(y - x)])
+    changed = (f * g, f * g + x * (x - 1) * (x + 2))
+    return equal, changed
+
+
+def test_points_agree_evaluates_no_pair_with_equal_term_dicts(monkeypatch):
+    """With every pair dict-equal the kernel is not called, and the oracle
+    still draws what the reference draws; a passing leibniz and
+    jacobian_identity run makes no call either."""
+    calls = _record_kernel_calls(monkeypatch)
+    (lhs, rhs), _ = _oracle_families()
+    assert all(a is not b for a, b in zip(lhs, rhs))
+    ours, ref = random.Random(5), random.Random(5)
+    assert points_agree(ours, lhs, rhs) is True
+    assert naive_points_agree(ref, lhs, rhs) is True
+    assert ours.getstate() == ref.getstate()
+    report = run_suite(seed=42, trials=5, suites=("leibniz", "jacobian_identity"))
+    assert report["passed"]
+    assert all(r["oracle_trials"] == 5 for r in report["suites"].values())
+    assert calls == []
+
+
+def test_points_agree_evaluates_only_the_pairs_that_differ(monkeypatch):
+    """One differing pair among equal ones: the kernel gets exactly that
+    pair's two polynomials, each once, in one call."""
+    calls = _record_kernel_calls(monkeypatch)
+    (lhs, rhs), (a, b) = _oracle_families()
+    # b's pair first, then a dict-equal pair and a repeat of b's pair
+    lhs, rhs = [a] + lhs + [a], [b] + rhs + [b]
+    ours, ref = random.Random(6), random.Random(6)
+    assert points_agree(ours, lhs, rhs) is False
+    assert naive_points_agree(ref, lhs, rhs) is False
+    assert ours.getstate() == ref.getstate()
+    assert len(calls) == 1
+    assert [id(t) for t in calls[0]] == [id(a.terms), id(b.terms)]
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+def test_points_agree_keys_on_dict_equality_not_poly_eq(monkeypatch, verdict):
+    """Whatever Poly.__eq__ answers, the oracle's verdict is the reference's:
+    the shortcut compares term dicts, not Polys."""
+    (lhs, rhs), (a, b) = _oracle_families()
+    cases = [(lhs, rhs), (lhs + [a], rhs + [b]), ([b] + lhs, [a] + rhs)]
+    monkeypatch.setattr(Poly, "__eq__", lambda self, other: verdict)
+    for seed, (left, right) in enumerate(cases):
+        got = points_agree(random.Random(seed), left, right)
+        assert got == naive_points_agree(random.Random(seed), left, right)
+        assert got == (left is lhs)
+
+
 def test_points_agree_rejects_families_of_different_lengths():
     x = Poly.var(JetVar("x", 0, 0))
     rng = random.Random(0)
@@ -418,6 +486,8 @@ def test_theorem_check_contract(name):
     assert doc.algebra.relations == CUSP.relations
 
 
+FREE_LINE = AlgebraPresentation(["x"], [])
+FREE_LINE_MODULE = ModulePresentation(FREE_LINE, 1, [])
 NEGATIVE_LEVEL_CALLS = {
     "hs_components": lambda: hs_components(Y ** 2 - X ** 3, -1),
     "hs_components_box": lambda: hs_components(Y ** 2 - X ** 3, 1, -1),
@@ -433,6 +503,11 @@ NEGATIVE_LEVEL_CALLS = {
     "sym_theorem_check": lambda: sym_theorem_check(CUSP_MODULE, -1),
     "base_change_check": lambda: base_change_check(NORMALIZATION, CUSP_MODULE, -1),
     "free_dual_zigzag_check": lambda: free_dual_zigzag_check(-3),
+    # no relation, so no grade box is built for one
+    "bigrade_commute_check_free": lambda: bigrade_commute_check(FREE_LINE, -1, 0),
+    "sym_theorem_check_free": lambda: sym_theorem_check(FREE_LINE_MODULE, -1),
+    "jet_presentation_free": lambda: jet_presentation(FREE_LINE, -1).relations,
+    "hs_module_presentation_free": lambda: hs_module_presentation(FREE_LINE_MODULE, -1),
 }
 
 
