@@ -35,16 +35,17 @@ per bivariate level) and integer coefficients in ``COEFF_LO..COEFF_HI``.
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 
 from .dsl import print_document
 from .errors import BadLevels, FieldMismatch, UnknownSuite
 from .hsmodules import (ModulePresentation, TwistedMatrix, hs_module_presentation,
                         kaehler_presentation, linear_form, module_symbols, sym_presentation,
-                        twisted_action_matrix, upper_triangle)
-from .jets import (AlgebraMorphism, AlgebraPresentation, _family, _grades, hs_components,
+                        twisted_action_matrix)
+from .jets import (AlgebraMorphism, AlgebraPresentation, _grades, hs_components,
                    induced_morphism, jet_again, jet_presentation)
 from .p1 import cocycle_check  # p1_cocycle's check, looked up by name
-from .poly import JetVar, Monomial, Poly, _eval_points
+from .poly import JetVar, Monomial, Poly, _value
 from .scalars import QQ
 
 ORACLE_POINTS = 20
@@ -162,36 +163,29 @@ def points_agree(rng, lhs, rhs):
     rational points drawn from rng, all of them whatever the verdict.
 
     Each coordinate is drawn as a numerator in -9..9 and a denominator in
-    1..5, point by point and variable by variable in sort order, and the
-    variable's slot is its place in that order; the variables are those of
-    both families.  A pair whose two term dicts are equal (dict equality,
-    not ``Poly.__eq__``) agrees at every point, so it is settled without
-    evaluation.  One call of the kernel ``_eval_points`` evaluates every
-    distinct polynomial object of the other pairs at all the points over
-    one denominator per point, so each such pair is compared as integer
-    rows; with no such pair there is no call.  With no variables, a point
-    is empty and draws nothing."""
-    distinct = {}  # pair by pair, so the kernel drops a monomial after its last pair
-    differ = []  # the id pairs of the pairs whose term dicts differ
+    1..5, point by point and variable by variable in sort order; the
+    variables are those of both families.  A pair whose two term dicts are
+    equal (dict equality, not ``Poly.__eq__``) agrees at every point, so it
+    is settled without evaluation; the others are evaluated with
+    ``poly._value`` at Fraction points, made only when some pair differs.
+    With no variables, a point is empty and draws nothing."""
+    differ = []  # the term dicts of the pairs that differ
     variables = set()
     for a, b in zip(lhs, rhs, strict=True):
         for p in (a, b):
             if p.field is not QQ and p.field != QQ:
                 raise FieldMismatch("the point oracle evaluates over Q, not %r" % (p.field,))
-        if a.terms == b.terms:  # the same rows at every point
+        if a.terms == b.terms:
             variables.update([v for m in a.terms for v, _ in m])
-            continue
-        differ.append((id(a), id(b)))
-        for p in (a, b):
-            if id(p) not in distinct:
-                distinct[id(p)] = p.terms
-                variables.update([v for m in p.terms for v, _ in m])
-    slots = {v: s for s, v in enumerate(sorted(variables, key=JetVar.sort_key))}
-    points = [_draw_point(rng, len(slots)) for _ in range(ORACLE_POINTS)]
+        else:
+            differ.append((a.terms, b.terms))
+            variables.update([v for terms in (a.terms, b.terms) for m in terms for v, _ in m])
+    variables = sorted(variables, key=JetVar.sort_key)
+    points = [_draw_point(rng, len(variables)) for _ in range(ORACLE_POINTS)]
     if not differ:
         return True
-    rows = dict(zip(distinct, _eval_points(list(distinct.values()), slots, points)[0]))
-    return all(rows[i] == rows[j] for i, j in differ)
+    points = [{v: Fraction(*x) for v, x in zip(variables, point)} for point in points]
+    return all(_value(a, x) == _value(b, x) for a, b in differ for x in points)
 
 
 # ---------------------------------------------------------------------------
@@ -378,20 +372,11 @@ def _induced_check(A, n):
 
 def _jacobian_sides(A, n):
     """Both sides of d(d_i f)/d x_l^(j) = d_(i-j)(df/dx_l), entry by entry,
-    for the relation f of A."""
-    f, = A.relations
-    comps = hs_components(f, n)
-    gens = A.base_vars()
-    # jacobian[i][l * (n + 1) + j] is d(d_i f)/d x_l^(j)
-    jacobian = [g.gradient([w for v in gens for w in _family(v, (n,))]) for g in comps]
-    lhs, rhs = [], []
-    for l, df in enumerate(f.gradient(gens)):
-        # d(d_i f)/d x^(j) is entry (j, i) of the twisted matrix of df/dx
-        twisted = upper_triangle(hs_components(df, n), Poly.zero(QQ))
-        for i in range(n + 1):
-            for j in range(n + 1):
-                lhs.append(jacobian[i][l * (n + 1) + j])
-                rhs.append(twisted[j][i])
+    for the relation f of A: the Jacobian of A's level-n jet presentation
+    and the level-n Hasse-Schmidt module of Omega_A, row by row."""
+    sides = (kaehler_presentation(jet_presentation(A, n)),
+             hs_module_presentation(kaehler_presentation(A), n))
+    lhs, rhs = ([p for row in M.relation_matrix for p in row] for M in sides)
     return lhs, rhs
 
 

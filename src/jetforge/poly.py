@@ -22,7 +22,6 @@ bivariate rings; coefficients render as "p/q" with q omitted when 1.
 """
 
 from functools import partial
-from math import lcm
 
 from .errors import FieldMismatch, NonUnitLeadingCoefficient, UnboundVariable
 from .scalars import QQ
@@ -194,59 +193,16 @@ def binary_power(base, e, one):
     return out
 
 
-def _eval_points(term_dicts, slots, points):
-    """The values of a family of term dicts at a list of points, as integer
-    rows over one denominator per point: ``(rows, dens)``, where
-    ``rows[i][k] / dens[k]`` is term_dicts[i] at points[k], dens[k] > 0.
-
-    A point gives slot ``slots[v]``, numbered from 0, of each variable v an
-    integer pair (num, den), den > 0; coefficients are read through
-    ``as_integer_ratio``.
-    dens[k] is S * L_k^K, where L_k is the lcm of point k's denominators, K
-    the family's largest degree and S the lcm of its coefficient
-    denominators.  A coefficient p/q then contributes the integer
-    p * (S // q), and a monomial of degree deg is L_k^(K - deg) times powers
-    of the integers num * (L_k // den); no division is left.  Each distinct
-    monomial is computed once, as a list over the points, and dropped after
-    its last use; every product and sum is one comprehension over all the
-    points."""
-    ells = [lcm(*[d for _, d in point]) for point in points]
-    powers = [[None, [point[s][0] * (ell // point[s][1]) for point, ell in zip(points, ells)]]
-              for s in range(len(slots))]  # powers[s][e]: slot s to the e, per point
-    index = {}  # monomial -> its place among the family's distinct monomials
-    tagged = [[(index.setdefault(m, len(index)), c) for m, c in terms.items()]
-              for terms in term_dicts]
-    uses = [0] * len(index)
-    for terms in tagged:
-        for i, _ in terms:
-            uses[i] += 1
-    degrees = [sum([e for _, e in m]) for m in index]
-    top = max(degrees, default=0)
-    ell_powers = [[1] * len(points)]
-    for _ in range(top):
-        ell_powers.append([a * b for a, b in zip(ell_powers[-1], ells)])
-    scale = lcm(*{c.as_integer_ratio()[1] for terms in term_dicts for c in terms.values()})
-    monomials = list(index)
-    values = [None] * len(index)  # a monomial's list over the points, until its last use
-    rows = []
-    for terms in tagged:
-        row = [0] * len(points)
-        for i, c in terms:
-            value = values[i]
-            if value is None:
-                value = ell_powers[top - degrees[i]]
-                for v, e in monomials[i]:
-                    column = powers[slots[v]]
-                    while len(column) <= e:
-                        column.append([a * b for a, b in zip(column[-1], column[1])])
-                    value = [a * b for a, b in zip(value, column[e])]
-            uses[i] -= 1
-            values[i] = value if uses[i] else None
-            p, q = c.as_integer_ratio()
-            c = p * (scale // q)
-            row = [r + c * x for r, x in zip(row, value)]
-        rows.append(row)
-    return rows, [scale * x for x in ell_powers[top]]
+def _value(terms, point):
+    """The value of a term dict at a point, a map from each of its variables
+    to a scalar: the sum of c * prod point[v] ** e, in the scalars' own
+    arithmetic, with only their +, * and **, from the int 0."""
+    total = 0
+    for m, c in terms.items():
+        for v, e in m:
+            c = c * point[v] ** e
+        total = total + c
+    return total
 
 
 _LAST = ((float("inf"),), 0)  # after every (variable key, -exponent) pair
@@ -412,23 +368,18 @@ class Poly:
     def eval(self, assignment):
         """Exact evaluation at a point; assignment maps JetVar to scalar.
 
-        The variables get slots in the order the terms first use them, and
-        their values are read through the ``as_integer_ratio`` view; the
-        first variable without a value raises ``UnboundVariable``.  This is
-        a one-point call of the family kernel ``_eval_points``; one field
-        scalar is made at the end."""
+        The values are coerced into the field in the order the terms first
+        use their variables, and the first variable without a value raises
+        ``UnboundVariable``; ``_value`` then sums the terms."""
         field = self.field
-        slots = {}
-        point = []
+        point = {}
         for m in self.terms:
             for v, _ in m:
-                if v not in slots:
+                if v not in point:
                     if v not in assignment:
                         raise UnboundVariable("no value for %s" % v)
-                    slots[v] = len(point)
-                    point.append(field.coerce(assignment[v]).as_integer_ratio())
-        ((num,),), (den,) = _eval_points([self.terms], slots, [point])
-        return field.from_ratio(num, den)
+                    point[v] = field.coerce(assignment[v])
+        return field.coerce(_value(self.terms, point))
 
     def substitute(self, mapping):
         """Replace variables by polynomials; unmapped variables stay.  Each

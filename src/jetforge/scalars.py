@@ -9,9 +9,8 @@ instances carrying their modulus.  A field object (``QQ`` or ``PrimeField(p)``) 
 integers and its own scalars (``field(c)`` calls ``field.coerce(c)``, which raises
 ``FieldMismatch`` on anything else), provides constants and inversion,
 renders coefficients in the canonical "p/q" form, and builds a scalar from
-an integer ratio (``from_ratio``).  Scalars give their integer view through
-``as_integer_ratio()``, which over F_p is the residue over 1; integer
-kernels such as ``Poly.eval`` work on that view.
+an integer ratio (``from_ratio``).  ``Poly.eval`` computes in the scalars'
+own arithmetic, with their +, * and **.
 """
 
 from fractions import Fraction
@@ -56,9 +55,6 @@ class Fp:
 
     def __neg__(self):
         return Fp(-self.value, self.p)
-
-    def as_integer_ratio(self):
-        return self.value, 1
 
     def __reduce__(self):
         return Fp, (self.value, self.p)

@@ -7,12 +7,13 @@ ring arithmetic and collects by tau exponents.  It shares no code with the
 multinomial substitution engine in jetforge.jets, which uses none of
 Poly's arithmetic.  The naive derivative differentiates by one variable
 at a time, term by term, summing one-term polynomials with Poly addition;
-it shares no code with Poly.gradient.  The naive evaluator multiplies
-Fractions term by term; it shares no code with the integer kernel of
-Poly.eval.  The reference point oracle makes the same draws as
-jetforge.checks.points_agree, builds Fraction points and compares the two
-sides pair by pair with the naive evaluator, so it shares no code with the
-kernel that points_agree evaluates with.  The text references are the
+it shares no code with Poly.gradient.  The naive evaluator reads every
+coefficient and value as a Fraction, F_p scalars as their residues, and
+multiplies term by term; it shares no code with poly._value, the evaluator
+of Poly.eval and points_agree.  The reference point oracle makes the same
+draws as jetforge.checks.points_agree, builds Fraction points and compares
+every pair with the naive evaluator, equal term dicts too, which
+points_agree settles without evaluating.  The text references are the
 renderer and tokenizer jetforge had before variables kept their rendered
 text and the tokenizer became one comprehension: each formats every
 variable and coefficient afresh, and the tokenizer reads each token's

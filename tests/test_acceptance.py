@@ -2,7 +2,6 @@
 import random
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest

@@ -200,7 +200,7 @@ def test_points_agree_matches_fraction_reference(monkeypatch):
             ours, ref = random.Random(seed), random.Random(seed)
             start = ours.getstate()
             with monkeypatch.context() as m:
-                m.setattr(Poly, "eval", None)  # the oracle evaluates with the kernel only
+                m.setattr(Poly, "eval", None)  # the oracle calls the evaluator, not Poly.eval
                 got = points_agree(ours, lhs, rhs)
             assert got == naive_points_agree(ref, lhs, rhs) == agrees
             assert ours.getstate() == ref.getstate()
@@ -209,16 +209,16 @@ def test_points_agree_matches_fraction_reference(monkeypatch):
             assert _points_drawn(start, nvars, ours.getstate()) == (ORACLE_POINTS if nvars else 0)
 
 
-def _record_kernel_calls(monkeypatch):
-    """Wrap checks._eval_points; each call appends the term dicts it got."""
+def _record_value_calls(monkeypatch):
+    """Wrap checks._value; each call appends the term dict and the point it got."""
     calls = []
-    kernel = checks._eval_points
+    value = checks._value
 
-    def recorder(term_dicts, slots, points):
-        calls.append(list(term_dicts))
-        return kernel(term_dicts, slots, points)
+    def recorder(terms, point):
+        calls.append((terms, point))
+        return value(terms, point)
 
-    monkeypatch.setattr(checks, "_eval_points", recorder)
+    monkeypatch.setattr(checks, "_value", recorder)
     return calls
 
 
@@ -233,10 +233,10 @@ def _oracle_families():
 
 
 def test_points_agree_evaluates_no_pair_with_equal_term_dicts(monkeypatch):
-    """With every pair dict-equal the kernel is not called, and the oracle
+    """With every pair dict-equal nothing is evaluated, and the oracle
     still draws what the reference draws; a passing leibniz and
-    jacobian_identity run makes no call either."""
-    calls = _record_kernel_calls(monkeypatch)
+    jacobian_identity run evaluates nothing either."""
+    calls = _record_value_calls(monkeypatch)
     (lhs, rhs), _ = _oracle_families()
     assert all(a is not b for a, b in zip(lhs, rhs))
     ours, ref = random.Random(5), random.Random(5)
@@ -250,18 +250,18 @@ def test_points_agree_evaluates_no_pair_with_equal_term_dicts(monkeypatch):
 
 
 def test_points_agree_evaluates_only_the_pairs_that_differ(monkeypatch):
-    """One differing pair among equal ones: the kernel gets exactly that
-    pair's two polynomials, each once, in one call."""
-    calls = _record_kernel_calls(monkeypatch)
+    """One differing pair among equal ones: only that pair's two term
+    dicts reach the evaluator, both of them, at Fraction points."""
+    calls = _record_value_calls(monkeypatch)
     (lhs, rhs), (a, b) = _oracle_families()
-    # b's pair first, then a dict-equal pair and a repeat of b's pair
+    # b's pair first, then dict-equal pairs and a repeat of b's pair
     lhs, rhs = [a] + lhs + [a], [b] + rhs + [b]
     ours, ref = random.Random(6), random.Random(6)
     assert points_agree(ours, lhs, rhs) is False
     assert naive_points_agree(ref, lhs, rhs) is False
     assert ours.getstate() == ref.getstate()
-    assert len(calls) == 1
-    assert [id(t) for t in calls[0]] == [id(a.terms), id(b.terms)]
+    assert {id(terms) for terms, _ in calls} == {id(a.terms), id(b.terms)}
+    assert all(type(x) is Fraction for _, point in calls for x in point.values())
 
 
 @pytest.mark.parametrize("verdict", [True, False])

@@ -1,7 +1,7 @@
 import pytest
 
 from jetforge.cli import main
-from jetforge.dsl import document_text, parse_document, print_document
+from jetforge.dsl import document_text, parse_document
 from jetforge.errors import (InhomogeneousRelation, ParseError,
                              UndeclaredVariable)
 from jetforge.poly import JetVar, Poly

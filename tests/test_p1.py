@@ -11,7 +11,7 @@ from jetforge.localized import LocalPoly
 from jetforge.p1 import (chart_var, cocycle_check, global_sections, p1_transition,
                          power_jets, transition_series)
 from jetforge.hsmodules import twisted_action_matrix, upper_triangle
-from jetforge.poly import JetVar, Poly
+from jetforge.poly import Poly
 from jetforge.scalars import QQ, PrimeField
 from jetforge.series import TruncSeries, series_invert
 

@@ -140,3 +140,27 @@ def test_check_and_p1_load_their_modules_when_run():
     assert not startup & NOT_AT_STARTUP
     assert after_p1 - startup >= {"jetforge.p1", "jetforge.series", "jetforge.localized"}
     assert not after_p1 & {"jetforge.checks", "dataclasses", "inspect", "random", "json"}
+
+
+def _unused_imports(path):
+    """The names a file imports and never reads, as "file:line name".  A
+    name is read where it is loaded, as a bare name or an attribute chain's
+    root, or where a string constant equals it: ``checks.SUITES`` names
+    its checks by string."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return ["%s:%d %s" % (path.name, node.lineno, name)
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in [(a.asname or a.name).split(".")[0] for a in node.names]
+            if name != "*" and name not in used]
+
+
+def test_no_unused_import():
+    tests = Path(__file__).resolve().parent
+    files = sorted((SRC / "jetforge").rglob("*.py")) + sorted(tests.rglob("*.py"))
+    assert [hit for path in files for hit in _unused_imports(path)] == []
