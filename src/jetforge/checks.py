@@ -13,14 +13,19 @@ check in this module, looked up when the suite runs.  Suites without a
 public check have a private one, with the same contract but for
 ``_leibniz_sides`` and ``_jacobian_sides``: these return the two families
 of polynomials an identity equates, which ``run_suite`` compares exactly
-and with the point oracle ``points_agree``, on a second stream; verdicts
-that differ count as an oracle disagreement.  The oracle draws all its
-points whatever the families are, and evaluates only the pairs whose term
-dicts differ, since an equal pair agrees at every point.  Every draw goes
-through ``_randint`` and ``_choice``, which run the ``rng.getrandbits``
-rejection loop of CPython 3.10-3.13's ``Random.randint`` and ``choice``:
-the same values from the same stream, without ``randrange``'s argument
-checks.
+and with the point oracle ``points_agree``; verdicts that differ count as
+an oracle disagreement.  An equal pair of term dicts agrees at every
+point, so the oracle draws and evaluates only when some pair's dicts
+differ, and then from the trial's own stream, made from the seed, the
+suite name and the trial number: a passing trial makes no stream and
+draws nothing, and a failing trial's points do not depend on the trials
+before it.  Every draw goes through ``_randint`` and ``_choice``, which
+run the ``rng.getrandbits`` rejection loop of CPython 3.10-3.13's
+``Random.randint`` and ``choice``: the same values from the same stream,
+without ``randrange``'s argument checks.  Drawn relations are over the
+declared names, and homogeneous by construction for a graded draw, so a
+drawn algebra is built as ``dsl.parse_document`` builds one: without
+relations, which are then appended unchecked.
 
 ``run_suite`` takes the seed, the trial count and the suites, and returns
 its report as the plain dict that ``jetforge check --format json`` prints;
@@ -45,7 +50,7 @@ from .hsmodules import (ModulePresentation, TwistedMatrix, hs_module_presentatio
 from .jets import (AlgebraMorphism, AlgebraPresentation, _grades, hs_components,
                    induced_morphism, jet_again, jet_presentation)
 from .p1 import cocycle_check  # p1_cocycle's check, looked up by name
-from .poly import JetVar, Monomial, Poly, _value
+from .poly import JetVar, Monomial, Poly, _monomial, _value
 from .scalars import QQ
 
 ORACLE_POINTS = 20
@@ -80,18 +85,20 @@ def _choice(rng, seq):
 
 
 def random_poly(rng, names, max_terms=5):
+    """Up to max_terms terms of degree at most MAX_DEGREE over names; each
+    monomial is drawn as its variables, one at a time, and held as an
+    exponent list in variable order, so its pairs need no sort."""
     gens = [JetVar(x, i, 0) for i, x in enumerate(names)]
+    last = len(gens) - 1
     terms = {}
     for _ in range(_randint(rng, 0, max_terms)):
-        deg = _randint(rng, 0, MAX_DEGREE)
-        mono = {}
-        for _ in range(deg):
-            v = _choice(rng, gens)
-            mono[v] = mono.get(v, 0) + 1
+        exps = [0] * len(gens)
+        for _ in range(_randint(rng, 0, MAX_DEGREE)):
+            exps[_randint(rng, 0, last)] += 1
         c = _randint(rng, COEFF_LO, COEFF_HI)
         if c == 0:
             continue
-        key = Monomial(mono)
+        key = _monomial(tuple([(v, e) for v, e in zip(gens, exps) if e]))
         terms[key] = terms.get(key, 0) + c
     return Poly(QQ, terms)
 
@@ -122,6 +129,14 @@ def random_homogeneous_poly(rng, names, degrees, target, max_terms=4):
     return Poly(QQ, terms)
 
 
+def _drawn_algebra(names, relations, grading=None):
+    """The algebra on names with drawn relations, which are appended
+    without the checks a relation from outside needs."""
+    A = AlgebraPresentation(names, [], grading, QQ)
+    A.relations.extend(relations)
+    return A
+
+
 def random_algebra(rng, graded=False, max_relations=MAX_RELATIONS):
     nvars = _randint(rng, 1, MAX_VARS)
     names = list(_VAR_NAMES[:nvars])
@@ -132,9 +147,8 @@ def random_algebra(rng, graded=False, max_relations=MAX_RELATIONS):
             degrees[x] = _randint(rng, 1, 2)
         rels = [random_homogeneous_poly(rng, names, degrees, _randint(rng, 1, MAX_DEGREE))
                 for _ in range(nrel)]
-        return AlgebraPresentation(names, rels, degrees, QQ)
-    rels = [random_poly(rng, names) for _ in range(nrel)]
-    return AlgebraPresentation(names, rels, None, QQ)
+        return _drawn_algebra(names, rels, degrees)
+    return _drawn_algebra(names, [random_poly(rng, names) for _ in range(nrel)])
 
 
 def random_module(rng, over=None):
@@ -160,31 +174,32 @@ def _draw_point(rng, nslots):
 def points_agree(rng, lhs, rhs):
     """Numeric verdict: the polynomial families lhs and rhs (sequences of
     Polys over Q, of one length) agree termwise at ORACLE_POINTS random
-    rational points drawn from rng, all of them whatever the verdict.
+    rational points.
 
-    Each coordinate is drawn as a numerator in -9..9 and a denominator in
-    1..5, point by point and variable by variable in sort order; the
-    variables are those of both families.  A pair whose two term dicts are
-    equal (dict equality, not ``Poly.__eq__``) agrees at every point, so it
-    is settled without evaluation; the others are evaluated with
-    ``poly._value`` at Fraction points, made only when some pair differs.
-    With no variables, a point is empty and draws nothing."""
+    A pair whose two term dicts are equal (dict equality, not
+    ``Poly.__eq__``) agrees at every point, so it is settled without
+    evaluation, and when every pair is, nothing is drawn.  Otherwise the
+    points are drawn from rng, a ``random.Random`` or the seed of one made
+    only then, over the variables of the pairs that differ: each
+    coordinate is a numerator in -9..9 and a denominator in 1..5, point by
+    point and variable by variable in sort order.  Those pairs are
+    evaluated with ``poly._value`` at the Fraction points.  With no
+    variables, a point is empty and draws nothing."""
     differ = []  # the term dicts of the pairs that differ
-    variables = set()
     for a, b in zip(lhs, rhs, strict=True):
         for p in (a, b):
             if p.field is not QQ and p.field != QQ:
                 raise FieldMismatch("the point oracle evaluates over Q, not %r" % (p.field,))
-        if a.terms == b.terms:
-            variables.update([v for m in a.terms for v, _ in m])
-        else:
+        if a.terms != b.terms:
             differ.append((a.terms, b.terms))
-            variables.update([v for terms in (a.terms, b.terms) for m in terms for v, _ in m])
-    variables = sorted(variables, key=JetVar.sort_key)
-    points = [_draw_point(rng, len(variables)) for _ in range(ORACLE_POINTS)]
     if not differ:
         return True
-    points = [{v: Fraction(*x) for v, x in zip(variables, point)} for point in points]
+    if not isinstance(rng, random.Random):
+        rng = random.Random(rng)
+    variables = sorted({v for pair in differ for terms in pair for m in terms for v, _ in m},
+                       key=JetVar.sort_key)
+    points = [{v: Fraction(*x) for v, x in zip(variables, _draw_point(rng, len(variables)))}
+              for _ in range(ORACLE_POINTS)]
     return all(_value(a, x) == _value(b, x) for a, b in differ for x in points)
 
 
@@ -408,7 +423,7 @@ def _draw_polys(count, max_terms=5):
     def draw(rng):
         names = list(_VAR_NAMES[:_randint(rng, 1, MAX_VARS)])
         polys = [random_poly(rng, names, max_terms) for _ in range(count)]
-        return AlgebraPresentation(names, polys), _randint(rng, 0, MAX_LEVEL)
+        return _drawn_algebra(names, polys), _randint(rng, 0, MAX_LEVEL)
     return draw
 
 
@@ -486,7 +501,6 @@ def run_suite(seed=42, trials=100, suites=None):
             continue
         check = globals()[check_name]  # looked up as the suite runs, so a wrapped check runs
         rng = random.Random("%d:%s" % (seed, name))
-        orng = random.Random("%d:%s:oracle" % (seed, name))
         r = report["suites"][name] = {"trials": trials, "failures": [], "oracle_trials": 0,
                                       "oracle_disagreements": 0, "seconds": 0.0, "passed": True}
         start = time.perf_counter()
@@ -497,7 +511,8 @@ def run_suite(seed=42, trials=100, suites=None):
                 lhs, rhs = ok, detail
                 ok, detail = lhs == rhs, {"n": args[-1]}  # their level is the last argument
                 r["oracle_trials"] += 1
-                r["oracle_disagreements"] += ok != points_agree(orng, lhs, rhs)
+                r["oracle_disagreements"] += ok != points_agree(
+                    "%d:%s:oracle:%d" % (seed, name, trial), lhs, rhs)
             if not ok:
                 r["failures"].append({"trial": trial, **detail, **_failure_input(args)})
         r["seconds"] = round(time.perf_counter() - start, 3)

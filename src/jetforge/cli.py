@@ -236,6 +236,8 @@ def build_parser():
             p.add_argument("input", nargs="?", default="-",
                            help="DSL input file ('-' or omitted for stdin)")
 
+    parser.commands = sub.choices  # each command's subparser, by name, for main
+
     p = sub.add_parser("jet", help="level-n jet presentation")
     p.add_argument("--n", type=_int_arg(0), required=True)
     common(p)
@@ -283,7 +285,12 @@ def main(argv=None):
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _parser.commands.get(argv[0]) if argv else None
+    if sub is not None:  # one pass, with the command's own subparser
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if sub is None or rest:  # the full parser, for its usage and error texts
+        args = _parser.parse_args(argv)
     # looked up by name per call (jet2 runs cmd_jet): the kept parser holds no command
     command = globals()["cmd_" + ("jet" if args.command == "jet2" else args.command)]
     try:

@@ -35,14 +35,24 @@ class TwistedMatrix(_Record):
         return len(self.entries) - 1
 
     def matmul(self, other):
-        """The matrix product; a product with a zero entry is skipped."""
+        """The matrix product; a product with a zero entry is skipped, and
+        each distinct pair of entry objects is multiplied once, since
+        ``upper_triangle`` repeats one Poly down each diagonal."""
         zero = _poly(self.entries[0][0].field, {})
         columns = list(zip(*other.entries))
+        known = {}  # (id(a), id(b)) -> a * b, for entries that live through the call
         rows = []
         for left in self.entries:
             row = []
             for column in columns:
-                products = [a * b for a, b in zip(left, column) if a.terms and b.terms]
+                products = []
+                for a, b in zip(left, column):
+                    if a.terms and b.terms:
+                        key = id(a), id(b)
+                        ab = known.get(key)
+                        if ab is None:
+                            ab = known[key] = a * b
+                        products.append(ab)
                 row.append(sum(products[1:], products[0]) if products else zero)
             rows.append(row)
         return TwistedMatrix(rows)
@@ -84,9 +94,10 @@ def hs_module_presentation(M, n):
     Position rule: row r is (k, i) = divmod(r, n+1), basis vector c is
     (l, j) = divmod(c, n+1); entry (r, c) is d_{i-j}(p_kl), zero for j > i,
     i.e. column i of the twisted matrices of row k, block by block."""
+    zero = Poly.zero(M.field)
     rows = []
     for relation in M.relation_matrix:
-        blocks = [twisted_action_matrix(p, n).entries for p in relation]
+        blocks = [upper_triangle(hs_components(p, n), zero) for p in relation]
         for i in range(n + 1):
             rows.append([entries[j][i] for entries in blocks for j in range(n + 1)])
     return ModulePresentation(jet_presentation(M.over, n), M.rank * (n + 1), rows)

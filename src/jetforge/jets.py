@@ -130,8 +130,10 @@ def _substitute(f, families, bounds):
 
     ``families[v]`` is a tuple whose k-th variable has the k-th grade of the
     box in lexicographic order; each family must be in increasing variable
-    order, and distinct variables of f must have disjoint families.  Returns
-    one Poly per grade, in box order.
+    order, and distinct variables of f must have disjoint families.  The
+    dict itself must be in increasing order of its variables, as both
+    callers build it from ``f.vars()``.  Returns one Poly per grade, in box
+    order.
 
     The rows of v^e's table, built once per (family, e, box) by ``_rows``,
     are pair tuples of v's family.  Partial products concatenate such rows,
@@ -141,7 +143,7 @@ def _substitute(f, families, bounds):
     order of their variables, some family does not end before the next one
     starts."""
     box, sums = _grades(bounds)
-    ordered = [families[v] for v in sorted(families, key=JetVar.sort_key)]
+    ordered = list(families.values())
     interleaved = any(a[-1]._key > b[0]._key for a, b in zip(ordered, ordered[1:]))
     out = [{} for _ in box]
     tables = {}

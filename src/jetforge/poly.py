@@ -212,14 +212,6 @@ def _render_key(term):
     return tuple([(v._key, -e) for v, e in term[0]] + [_LAST])
 
 
-def _poly(field, terms):
-    """Poly from a dict of nonzero scalars already in field (no coercion)."""
-    p = object.__new__(Poly)
-    object.__setattr__(p, "field", field)
-    object.__setattr__(p, "terms", terms)
-    return p
-
-
 class Poly:
     """Sparse polynomial with exact field coefficients."""
 
@@ -466,3 +458,14 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%s)" % self.render()
+
+
+_set_field, _set_terms = Poly.field.__set__, Poly.terms.__set__  # the slots' member descriptors
+
+
+def _poly(field, terms):
+    """Poly from a dict of nonzero scalars already in field (no coercion)."""
+    p = object.__new__(Poly)
+    _set_field(p, field)
+    _set_terms(p, terms)
+    return p

@@ -11,9 +11,12 @@ it shares no code with Poly.gradient.  The naive evaluator reads every
 coefficient and value as a Fraction, F_p scalars as their residues, and
 multiplies term by term; it shares no code with poly._value, the evaluator
 of Poly.eval and points_agree.  The reference point oracle makes the same
-draws as jetforge.checks.points_agree, builds Fraction points and compares
-every pair with the naive evaluator, equal term dicts too, which
-points_agree settles without evaluating.  The text references are the
+draws as jetforge.checks.points_agree with random.Random's own randint,
+none when no pair's term dicts differ, builds Fraction points and compares
+each differing pair with the naive evaluator.  The reference draw of a
+random polynomial is the checker's before it held monomials as exponent
+lists: random.Random's randint and choice, an exponent dict per monomial
+and a sorting Monomial.  The text references are the
 renderer and tokenizer jetforge had before variables kept their rendered
 text and the tokenizer became one comprehension: each formats every
 variable and coefficient afresh, and the tokenizer reads each token's
@@ -23,10 +26,10 @@ column from its group after a leading-whitespace prefix.
 import re
 from fractions import Fraction
 
-from jetforge.checks import ORACLE_POINTS
+from jetforge.checks import COEFF_HI, COEFF_LO, MAX_DEGREE, ORACLE_POINTS
 from jetforge.errors import ParseError
 from jetforge.poly import JetVar, Monomial, Poly
-from jetforge.scalars import Fp
+from jetforge.scalars import QQ, Fp
 
 TAU = JetVar("tau", 10**6, 0)
 SIGMA = JetVar("sigma", 10**6 + 1, 0)
@@ -91,14 +94,36 @@ def naive_eval(f, point):
 
 
 def naive_points_agree(rng, lhs, rhs):
-    """Reference for checks.points_agree: all ORACLE_POINTS Fraction points
-    drawn first, then one naive_eval per polynomial, pair and point."""
-    variables = sorted({v for p in list(lhs) + list(rhs) for v in p.vars()},
+    """Reference for checks.points_agree: True with no draw when every
+    pair's term dicts are equal; otherwise all ORACLE_POINTS Fraction
+    points over the variables of the differing pairs drawn first, then one
+    naive_eval per polynomial, differing pair and point."""
+    differ = [(a, b) for a, b in zip(lhs, rhs) if a.terms != b.terms]
+    if not differ:
+        return True
+    variables = sorted({v for pair in differ for p in pair for v in p.vars()},
                        key=JetVar.sort_key)
     points = [{v: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for v in variables}
               for _ in range(ORACLE_POINTS)]
-    return all(naive_eval(a, pt) == naive_eval(b, pt)
-               for pt in points for a, b in zip(lhs, rhs))
+    return all(naive_eval(a, pt) == naive_eval(b, pt) for pt in points for a, b in differ)
+
+
+def reference_random_poly(rng, names, max_terms=5):
+    """The checker's random_poly as it drew before exponent lists."""
+    gens = [JetVar(x, i, 0) for i, x in enumerate(names)]
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        deg = rng.randint(0, MAX_DEGREE)
+        mono = {}
+        for _ in range(deg):
+            v = rng.choice(gens)
+            mono[v] = mono.get(v, 0) + 1
+        c = rng.randint(COEFF_LO, COEFF_HI)
+        if c == 0:
+            continue
+        key = Monomial(mono)
+        terms[key] = terms.get(key, 0) + c
+    return Poly(QQ, terms)
 
 
 def reference_var_render(v, base_plain=False):

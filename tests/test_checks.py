@@ -22,7 +22,7 @@ from jetforge.jets import (AlgebraMorphism, AlgebraPresentation, hs_components, 
 from jetforge.p1 import cocycle_check, p1_transition
 from jetforge.poly import JetVar, Poly
 from jetforge.scalars import QQ, PrimeField
-from oracles import naive_points_agree
+from oracles import naive_points_agree, reference_random_poly
 
 
 def test_all_suites_pass_smoke():
@@ -204,8 +204,10 @@ def test_points_agree_matches_fraction_reference(monkeypatch):
                 got = points_agree(ours, lhs, rhs)
             assert got == naive_points_agree(ref, lhs, rhs) == agrees
             assert ours.getstate() == ref.getstate()
-            nvars = len({v for p in lhs + rhs for v in p.vars()})
-            # every point is drawn, whatever the verdict
+            assert points_agree(seed, lhs, rhs) == got  # a seed draws what its Random draws
+            differ = [(a, b) for a, b in zip(lhs, rhs) if a.terms != b.terms]
+            nvars = len({v for pair in differ for p in pair for v in p.vars()})
+            # every point is drawn when some pair differs, over those pairs' variables
             assert _points_drawn(start, nvars, ours.getstate()) == (ORACLE_POINTS if nvars else 0)
 
 
@@ -232,21 +234,91 @@ def _oracle_families():
     return equal, changed
 
 
+def _record_random_seeds(monkeypatch):
+    """Wrap random.Random.seed, which every new Random calls; each call
+    appends the seed it got."""
+    seeds = []
+    seed = random.Random.seed
+
+    def recorder(self, a=None, version=2):
+        seeds.append(a)
+        return seed(self, a, version)
+
+    monkeypatch.setattr(random.Random, "seed", recorder)
+    return seeds
+
+
 def test_points_agree_evaluates_no_pair_with_equal_term_dicts(monkeypatch):
-    """With every pair dict-equal nothing is evaluated, and the oracle
-    still draws what the reference draws; a passing leibniz and
-    jacobian_identity run evaluates nothing either."""
+    """With every pair dict-equal nothing is evaluated and nothing is
+    drawn, as the reference draws nothing, and a seed is not made into a
+    Random; a passing leibniz and jacobian_identity run evaluates nothing
+    either."""
     calls = _record_value_calls(monkeypatch)
     (lhs, rhs), _ = _oracle_families()
     assert all(a is not b for a, b in zip(lhs, rhs))
     ours, ref = random.Random(5), random.Random(5)
+    start = ours.getstate()
+    seeds = _record_random_seeds(monkeypatch)
     assert points_agree(ours, lhs, rhs) is True
     assert naive_points_agree(ref, lhs, rhs) is True
-    assert ours.getstate() == ref.getstate()
+    assert ours.getstate() == ref.getstate() == start
+    assert points_agree("5:leibniz:oracle:0", lhs, rhs) is True
+    assert seeds == []
     report = run_suite(seed=42, trials=5, suites=("leibniz", "jacobian_identity"))
     assert report["passed"]
     assert all(r["oracle_trials"] == 5 for r in report["suites"].values())
     assert calls == []
+
+
+def test_passing_run_makes_no_oracle_stream_and_draws_no_point(monkeypatch):
+    """A passing run makes one Random per suite, for its draws, and none
+    for the oracle, which draws no point."""
+    seeds = _record_random_seeds(monkeypatch)
+    draws = []
+    draw_point = checks._draw_point
+    monkeypatch.setattr(checks, "_draw_point",
+                        lambda rng, nslots: draws.append(nslots) or draw_point(rng, nslots))
+    report = run_suite(seed=42, trials=100)
+    assert report["passed"]
+    assert sum(r["oracle_trials"] for r in report["suites"].values()) == 200
+    assert seeds == ["42:%s" % name for name in SUITES]
+    assert draws == []
+
+
+def test_failing_trial_points_depend_only_on_seed_suite_and_trial(monkeypatch):
+    """A failing trial draws its points from the stream of (seed, suite,
+    trial): they are the same whether the run stops after that trial or
+    goes on, and whatever the trials before it drew, and a trial that
+    passes draws none."""
+    x, y = (Poly.var(JetVar(name, i, 0)) for i, name in enumerate("xy"))
+
+    def sides(A, k):  # the families differ on odd k, over x and y
+        return [x ** k], [x ** k + (k % 2) * x * y]
+
+    monkeypatch.setattr(checks, "_parity_sides", sides, raising=False)
+    monkeypatch.setitem(checks.SUITES, "parity", (
+        lambda rng: (AlgebraPresentation(["x", "y"], []), checks._randint(rng, 0, 3)),
+        "_parity_sides"))
+    draws = []
+    draw_point = checks._draw_point
+    monkeypatch.setattr(checks, "_draw_point",
+                        lambda rng, nslots: draws.append(draw_point(rng, nslots)) or draws[-1])
+
+    def points_by_trial(trials):
+        draws.clear()
+        report = run_suite(seed=11, trials=trials, suites=("parity",))
+        failed = [f["trial"] for f in report["suites"]["parity"]["failures"]]
+        assert len(draws) == ORACLE_POINTS * len(failed)
+        return {t: draws[k * ORACLE_POINTS:(k + 1) * ORACLE_POINTS] for k, t in enumerate(failed)}
+
+    every = points_by_trial(12)
+    # a failure after a pass, with four more trials in the run of 12
+    t = min(s for s in every if s + 4 < 12 and any(r not in every for r in range(s)))
+    assert points_by_trial(t + 1) == {s: p for s, p in every.items() if s <= t}
+    assert points_by_trial(t + 5) == {s: p for s, p in every.items() if s <= t + 4}
+    for s, points in every.items():
+        rng = random.Random("11:parity:oracle:%d" % s)
+        assert points == [draw_point(rng, 2) for _ in range(ORACLE_POINTS)]
 
 
 def test_points_agree_evaluates_only_the_pairs_that_differ(monkeypatch):
@@ -418,6 +490,44 @@ def test_structural_failure_declares_only_the_drawn_variables(monkeypatch):
             assert len(doc.algebra.relations) == 1
             drawn.add(k)
     assert drawn == {1, 2, 3}
+
+
+def test_random_poly_draws_as_the_monomial_reference():
+    """random_poly gives the polynomial, term order included, and leaves
+    the stream where the Monomial-based reference does."""
+    for seed in range(500):
+        for nvars in (1, 2, 3):
+            for max_terms in (3, 5):
+                ours, ref = random.Random(seed), random.Random(seed)
+                names = list("xyz"[:nvars])
+                got = random_poly(ours, names, max_terms)
+                want = reference_random_poly(ref, names, max_terms)
+                assert got.render() == want.render()
+                assert list(got.terms.items()) == list(want.terms.items())
+                assert ours.getstate() == ref.getstate()
+
+
+def _drawn_algebras(args):
+    for a in args:
+        if isinstance(a, AlgebraPresentation):
+            yield a
+        elif isinstance(a, ModulePresentation):
+            yield a.over
+        elif isinstance(a, AlgebraMorphism):
+            yield from (a.source, a.target)
+
+
+def test_drawn_algebras_pass_the_constructor_checks():
+    """Every suite's drawn algebras, built without checking their
+    relations, are what the checking constructor builds from their fields."""
+    graded = relations = 0
+    for name, (draw, _) in SUITES.items():
+        for seed in range(200):
+            for A in _drawn_algebras(draw(random.Random("%d:%s" % (seed, name)))):
+                assert AlgebraPresentation(A.vars, A.relations, A.grading, A.field) == A
+                graded += A.grading is not None
+                relations += len(A.relations)
+    assert graded and relations
 
 
 def test_draw_helpers_follow_the_randint_stream():

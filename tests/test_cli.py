@@ -404,8 +404,10 @@ def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
     assert run(capsys, "jet", "--n", "0", str(doc))[1].endswith("relation f.0 = x_0^2 + 4\n")
     monkeypatch.delenv("JETFORGE_FIELD")
     assert run(capsys, "jet", "--n", "0", str(doc))[1].endswith("relation f.0 = x_0^2 + 9\n")
-    # help and usage texts are those of a freshly built parser
-    for argv in (["--help"], ["jet", "--help"], ["jet"], ["check", "--trials", "0"], []):
+    # help and usage texts are those of a freshly built parser, whether a
+    # command's own subparser or the full parser reports them
+    for argv in (["--help"], ["jet", "--help"], ["jet"], ["check", "--trials", "0"], [],
+                 ["nosuch"], ["jet", "--n", "1", "a", "b"], ["check", "--bogus"]):
         with pytest.raises(SystemExit) as ei:
             main(argv)
         out = capsys.readouterr()

@@ -7,7 +7,7 @@ from jetforge import hsmodules
 from jetforge.cli import main
 from jetforge.errors import JetforgeError
 from jetforge.checks import (base_change_check, cotangent_theorem_check,
-                             free_dual_zigzag_check, sym_theorem_check)
+                             free_dual_zigzag_check, random_poly, sym_theorem_check)
 from jetforge.hsmodules import (ModulePresentation, TwistedMatrix, hs_module_presentation,
                                 kaehler_presentation, linear_form, module_symbols,
                                 sym_presentation, twisted_action_matrix, upper_triangle)
@@ -77,6 +77,45 @@ def test_twisted_ring_hom_random():
         assert tp.matmul(tq) == twisted_action_matrix(p * q, n)
         sums = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(tp.entries, tq.entries)]
         assert sums == twisted_action_matrix(p + q, n).entries
+
+
+def test_matmul_multiplies_each_distinct_entry_pair_once(monkeypatch):
+    """matmul equals the triple loop, on twisted matrices and on matrices
+    with repeated and zero entries, and multiplies each pair of nonzero
+    entry objects once: 15 products for two twisted matrices at n = 4,
+    where the triple loop makes 35."""
+    rng = random.Random(29)
+    pairs = []
+    mul = Poly.__mul__
+
+    def recorder(a, b):
+        pairs.append((id(a), id(b)))
+        return mul(a, b)
+
+    names = ["x", "y"]
+    for n in range(5):
+        p, q = X0 ** 2 - 3 * Y0 + 1, X0 * Y0 + Y0
+        cases = [(twisted_action_matrix(p, n), twisted_action_matrix(q, n))]
+        for _ in range(4):
+            p, q = random_poly(rng, names), random_poly(rng, names)
+            cases.append((twisted_action_matrix(p, n), twisted_action_matrix(q, n)))
+            pool = [p, q, Poly.zero(), X0 - Y0]
+            cases.append(tuple(TwistedMatrix([[rng.choice(pool) for _ in range(n + 1)]
+                                              for _ in range(n + 1)]) for _ in range(2)))
+        for k, (s, t) in enumerate(cases):
+            pairs.clear()
+            with monkeypatch.context() as m:
+                m.setattr(Poly, "__mul__", recorder)
+                got = s.matmul(t)
+            size = range(n + 1)
+            a, b = s.entries, t.entries
+            assert got.entries == [[sum((mul(a[j][l], b[l][i]) for l in size), Poly.zero())
+                                    for i in size] for j in size]
+            want = {(id(a[j][l]), id(b[l][i])) for j in size for i in size for l in size
+                    if a[j][l].terms and b[l][i].terms}
+            assert sorted(pairs) == sorted(want)
+            if k == 0:
+                assert len(pairs) == (n + 1) * (n + 2) // 2
 
 
 # -- Hasse-Schmidt module presentations -------------------------------
@@ -184,14 +223,14 @@ def test_cotangent_theorem():
 
 def test_cotangent_theorem_fails_on_transposed_twist(monkeypatch):
     """Transposed twisted matrices put d_{j-i} where d_{i-j} belongs; the
-    first mismatch is labelled by its row (k, i) and column (l, j)."""
-    twisted = hsmodules.twisted_action_matrix
+    first mismatch is labelled by its row (k, i) and column (l, j).  The
+    Hasse-Schmidt module lays its blocks out with ``upper_triangle``."""
+    layout = hsmodules.upper_triangle
 
-    def transposed(p, n):
-        t = twisted(p, n)
-        return TwistedMatrix([list(col) for col in zip(*t.entries)])
+    def transposed(comps, zero):
+        return [list(col) for col in zip(*layout(comps, zero))]
 
-    monkeypatch.setattr(hsmodules, "twisted_action_matrix", transposed)
+    monkeypatch.setattr(hsmodules, "upper_triangle", transposed)
     # the linear relation has constant partials, so its rows stay right
     A = AlgebraPresentation(["x", "y"], [X0 + Y0 * 2, Y0 ** 2 - X0 ** 3])
     ok, report = cotangent_theorem_check(A, 2)
