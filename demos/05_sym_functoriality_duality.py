@@ -5,9 +5,9 @@ Symmetric algebras, functoriality, base change, duality
 Four structural facts, each verified as an exact identity on concrete
 presentations:
 
-  * jets commute with symmetric algebras: grading the jet algebra of
-    Sym(M) by the induced degree splits its relations into the base jet
-    relations (degree 0) and the Hasse-Schmidt module rows (degree 1);
+  * jets commute with symmetric algebras, HS^n(Sym M) = Sym(HS^n M): the
+    jet relations of Sym(M) are, as a multiset, the base jet relations
+    and one linear relation sum_c p_c e_c per Hasse-Schmidt module row;
   * an algebra map phi induces a map of jet algebras via
     x^(i) -> d_i(phi(x));
   * forming the Hasse-Schmidt module commutes with base change along phi;

@@ -44,13 +44,13 @@ from fractions import Fraction
 
 from .dsl import print_document
 from .errors import BadLevels, FieldMismatch, UnknownSuite
-from .hsmodules import (ModulePresentation, TwistedMatrix, hs_module_presentation,
-                        kaehler_presentation, linear_form, module_symbols, sym_presentation,
-                        twisted_action_matrix)
+from .hsmodules import (ModulePresentation, TwistedMatrix, _linear_combination,
+                        hs_module_presentation, kaehler_presentation, module_symbols,
+                        sym_presentation, twisted_action_matrix)
 from .jets import (AlgebraMorphism, AlgebraPresentation, _grades, hs_components,
                    induced_morphism, jet_again, jet_presentation)
 from .p1 import cocycle_check  # p1_cocycle's check, looked up by name
-from .poly import JetVar, Monomial, Poly, _monomial, _value
+from .poly import JetVar, Monomial, Poly, _monomial, _poly, _value
 from .scalars import QQ
 
 ORACLE_POINTS = 20
@@ -100,7 +100,7 @@ def random_poly(rng, names, max_terms=5):
             continue
         key = _monomial(tuple([(v, e) for v, e in zip(gens, exps) if e]))
         terms[key] = terms.get(key, 0) + c
-    return Poly(QQ, terms)
+    return _poly(QQ, {m: c for m, c in terms.items() if c})
 
 
 def random_homogeneous_poly(rng, names, degrees, target, max_terms=4):
@@ -126,7 +126,7 @@ def random_homogeneous_poly(rng, names, degrees, target, max_terms=4):
         # fall back to a single pure power of a degree-1 generator
         v = next(v for v, d in gens if d == 1)
         terms = {Monomial({v: target}): 1}
-    return Poly(QQ, terms)
+    return _poly(QQ, {m: c for m, c in terms.items() if c})
 
 
 def _drawn_algebra(names, relations, grading=None):
@@ -246,12 +246,17 @@ def cotruncation_subset_check(A, n, m):
     return True, None
 
 
+def _cotangent_sides(A, n):
+    """Omega of the level-n jet algebra of A, and HS^n(Omega_A)."""
+    return (kaehler_presentation(jet_presentation(A, n)),
+            hs_module_presentation(kaehler_presentation(A), n))
+
+
 def cotangent_theorem_check(A, n):
     """Omega of the level-n jet algebra against the level-n Hasse-Schmidt
     module of Omega_A, entrywise; a mismatch is labelled by its row (k, i)
     and column (l, j)."""
-    jet_jac = kaehler_presentation(jet_presentation(A, n))
-    block = hs_module_presentation(kaehler_presentation(A), n)
+    jet_jac, block = _cotangent_sides(A, n)
     if len(jet_jac.relation_matrix) != len(block.relation_matrix):
         return False, {"n": n, "reason": "row count mismatch"}
     mismatches = []
@@ -267,49 +272,20 @@ def cotangent_theorem_check(A, n):
 
 
 def sym_theorem_check(M, n):
-    """Jets of Sym(M) split by induced degree: degree-0 relations must be the
-    jet relations of the base algebra, degree-1 relations the rows of the
-    Hasse-Schmidt module presentation."""
-    sym = sym_presentation(M)
-    sp = jet_presentation(sym, n)
+    """HS^n(Sym M) = Sym(HS^n M): the nonzero level-n jet relations of
+    Sym(M) against those of Sym(HS^n M), the level-n jet relations of the
+    base and one relation sum_c row[c] e_c per Hasse-Schmidt module row,
+    compared as multisets of polynomials."""
     hsm = hs_module_presentation(M, n)
-
-    def failure(**found):
-        return False, {"n": n, **found}
-
-    deg0 = []
-    deg1 = []
-    for g in sp.relations:
-        if g.is_zero():
-            continue
-        d = sym.homogeneous_degree(g)
-        # jets of homogeneous relations stay homogeneous for the induced grading
-        if d is None:
-            return failure(stage="degree1", reason="not homogeneous", relation=g.render())
-        (deg0 if d == 0 else deg1).append(g)
-
-    want0 = Counter(g for g in hsm.over.relations if not g.is_zero())
-    if want0 != Counter(deg0):
-        return failure(stage="degree0", want=sorted(g.render() for g in want0.elements()),
-                       got=sorted(g.render() for g in deg0))
-
-    # each degree-1 relation is a linear form in the e_l^(j), basis vector (l, j) of hsm
     symbols = module_symbols(len(M.over.vars), M.rank, n)
-    rows_got = []
-    for g in deg1:
-        row = linear_form(g, symbols)
-        if row is None:
-            return failure(stage="degree1", reason="not linear in module symbols",
-                           relation=g.render())
-        rows_got.append(tuple(row))
-    # zero rows generate nothing; drop them on both sides
-    rows_want = [tuple(row) for row in hsm.relation_matrix if any(p.terms for p in row)]
-    rows_got = [row for row in rows_got if any(p.terms for p in row)]
-    if Counter(rows_got) == Counter(rows_want):
+    want = hsm.over.relations + [_linear_combination(row, symbols, M.field)
+                                 for row in hsm.relation_matrix]
+    got = jet_presentation(sym_presentation(M), n).relations
+    want, got = (Counter(g for g in side if g.terms) for side in (want, got))
+    if got == want:
         return True, None
-    return failure(degree1_rows=len(rows_got),
-                   want=sorted(tuple(p.render() for p in row) for row in rows_want),
-                   got=sorted(tuple(p.render() for p in row) for row in rows_got))
+    return False, {"n": n, "missing": sorted(g.render() for g in (want - got).elements()),
+                   "extra": sorted(g.render() for g in (got - want).elements())}
 
 
 def base_change_check(phi, M, n):
@@ -387,12 +363,10 @@ def _induced_check(A, n):
 
 def _jacobian_sides(A, n):
     """Both sides of d(d_i f)/d x_l^(j) = d_(i-j)(df/dx_l), entry by entry,
-    for the relation f of A: the Jacobian of A's level-n jet presentation
-    and the level-n Hasse-Schmidt module of Omega_A, row by row."""
-    sides = (kaehler_presentation(jet_presentation(A, n)),
-             hs_module_presentation(kaehler_presentation(A), n))
-    lhs, rhs = ([p for row in M.relation_matrix for p in row] for M in sides)
-    return lhs, rhs
+    for the relation f of A: the two relation matrices of
+    ``_cotangent_sides``, which ``cotangent_theorem_check`` compares,
+    flattened row by row."""
+    return tuple([p for row in M.relation_matrix for p in row] for M in _cotangent_sides(A, n))
 
 
 def _functoriality_check(phi, g, n):

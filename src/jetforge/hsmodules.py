@@ -18,8 +18,9 @@ is the one layout of a twisted matrix; ``p1`` lays out the transition
 matrices of the jet bundles on P^1 with it too.
 """
 
+from .errors import FieldMismatch
 from .jets import AlgebraPresentation, JetPresentation, _Record, hs_components, jet_presentation
-from .poly import JetVar, Poly, _poly
+from .poly import JetVar, Poly, _monomial, _poly
 
 
 class TwistedMatrix(_Record):
@@ -142,18 +143,28 @@ def linear_form(p, symbols):
     return [_poly(p.field, d) for d in coeffs]
 
 
+def _linear_combination(row, symbols, field):
+    """sum_c row[c] * symbols[c], the inverse of ``linear_form``.  The
+    symbols are distinct and sort after every variable of the row, so each
+    term is its monomial with one symbol appended, and no two collide."""
+    return _poly(field, {_monomial(m + ((e, 1),)): c
+                         for p, e in zip(row, symbols) for m, c in p.terms.items()})
+
+
 def sym_presentation(M):
     """Sym of a presented module: adjoin degree-1 symbols e_1..e_r, keep the
     base relations in degree 0, add the module rows as degree-1 relations."""
     A = M.over
+    declared = set(A.base_vars())
+    for p in (p for row in M.relation_matrix for p in row):
+        if p.field != A.field:
+            raise FieldMismatch("module row entry over %r, algebra over %r" % (p.field, A.field))
+        if not declared.issuperset(p.vars()):
+            raise ValueError("module row entry %s is not over %s" % (p, ", ".join(A.vars)))
     symbols = module_symbols(len(A.vars), M.rank, 0)
     names = list(A.vars) + [e.name for e in symbols]
     grading = {x: 0 for x in A.vars}
     grading.update({e.name: 1 for e in symbols})
     relations = list(A.relations)
-    for row in M.relation_matrix:
-        rel = Poly.zero(A.field)
-        for p, e in zip(row, symbols):
-            rel = rel + p * Poly.var(e, A.field)
-        relations.append(rel)
+    relations += [_linear_combination(row, symbols, A.field) for row in M.relation_matrix]
     return AlgebraPresentation(names, relations, grading, A.field)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from jetforge import checks, jets
+from jetforge import checks, hsmodules, jets
 from jetforge.checks import (MAX_VARS, ORACLE_POINTS, SUITES, base_change_check,
                              bigrade_commute_check, cotangent_theorem_check,
                              cotruncation_subset_check, free_dual_zigzag_check, points_agree,
@@ -466,6 +466,76 @@ def test_every_mutant_failure_replays_from_its_report():
                         assert checks._failure_input(args) == {"input": failure["input"]}
                         replayed += 1
     assert replayed == 63
+
+
+def _grade_times_minus_one_to_the_grade(substitute):
+    def mutant(f, families, bounds):
+        box = product(*(range(b + 1) for b in bounds))
+        return [p * (-1) ** sum(g) for p, g in zip(substitute(f, families, bounds), box)]
+    return mutant
+
+
+def _transposed(upper_triangle):
+    def mutant(comps, zero):
+        return [list(column) for column in zip(*upper_triangle(comps, zero))]
+    return mutant
+
+
+# (module, attribute, wrapper): four mutants of the jet engine and of the
+# twisted layout, and the trials of seed 42 on which each suite fails under
+# every one of them
+SIDE_MUTANTS = {
+    "grade_times_two_to_the_grade": (jets, "_substitute", _grade_times_two_to_the_grade),
+    "grade_times_minus_one_to_the_grade": (jets, "_substitute",
+                                           _grade_times_minus_one_to_the_grade),
+    "top_grade_zero": (jets, "_substitute", _top_grade_zero),
+    "upper_triangle_transposed": (hsmodules, "upper_triangle", _transposed),
+}
+FAILING_TRIALS = {"sym_theorem": [2, 7, 10, 19],
+                  "cotangent_theorem": [0, 2, 4, 9, 10, 12, 13, 16]}
+
+
+@pytest.mark.parametrize("mutant", SIDE_MUTANTS)
+def test_sym_and_cotangent_verdicts_under_mutants(mutant):
+    """Each mutant makes the Sym and cotangent checks fail on exactly the
+    same trials: the verdicts, whatever shape their details take."""
+    module, attr, wrap = SIDE_MUTANTS[mutant]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(module, attr, wrap(getattr(module, attr)))
+        report = run_suite(seed=42, trials=20, suites=list(FAILING_TRIALS))
+    assert {name: [f["trial"] for f in r["failures"]]
+            for name, r in report["suites"].items()} == FAILING_TRIALS
+
+
+def test_cotangent_row_count_mismatch_is_reported(monkeypatch):
+    """Sides with different numbers of rows fail before any entry is
+    compared, with the level and the reason only."""
+    sides = checks._cotangent_sides
+
+    def drop_a_row(A, n):
+        jet_jac, block = sides(A, n)
+        return ModulePresentation(jet_jac.over, jet_jac.rank, jet_jac.relation_matrix[1:]), block
+
+    monkeypatch.setattr(checks, "_cotangent_sides", drop_a_row)
+    assert cotangent_theorem_check(CUSP, 1) == (False, {"n": 1, "reason": "row count mismatch"})
+
+
+def test_induced_grading_failure_is_reported(monkeypatch):
+    """Under an engine whose x^(1) takes the name of the next base variable,
+    y, of degree 2, d_1(x^2) = 2 x^(0) x^(1) reads degree 3, not 2."""
+    family = jets._family
+
+    def misnamed(v, levels):
+        jets_of_v = family(v, levels)
+        if v.name != "x":
+            return jets_of_v
+        return (jets_of_v[0], JetVar("y", v.index, 1)) + jets_of_v[2:]
+
+    A = AlgebraPresentation(["x", "y"], [X ** 2], {"x": 1, "y": 2})
+    assert checks._induced_check(A, 1) == (True, None)
+    monkeypatch.setattr(jets, "_family", misnamed)
+    assert checks._induced_check(A, 1) == (
+        False, {"n": 1, "order": 1, "degree": 2, "monomial": "x_0*y_1"})
 
 
 def test_structural_failure_declares_only_the_drawn_variables(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from jetforge import hsmodules
 from jetforge.cli import main
-from jetforge.errors import JetforgeError
+from jetforge.errors import FieldMismatch, JetforgeError
 from jetforge.checks import (base_change_check, cotangent_theorem_check,
                              free_dual_zigzag_check, random_poly, sym_theorem_check)
 from jetforge.hsmodules import (ModulePresentation, TwistedMatrix, hs_module_presentation,
@@ -14,7 +14,7 @@ from jetforge.hsmodules import (ModulePresentation, TwistedMatrix, hs_module_pre
 from jetforge.jets import (AlgebraMorphism, AlgebraPresentation, hs_components,
                            jet_presentation)
 from jetforge.poly import JetVar, Poly
-from jetforge.scalars import QQ
+from jetforge.scalars import QQ, PrimeField
 
 GOLDEN = Path(__file__).parent / "golden"
 X0 = Poly.var(JetVar("x", 0, 0))
@@ -193,6 +193,35 @@ def test_linear_form():
     assert linear_form(Poly.zero(QQ), module_symbols(2, 2, 1)) == [Poly.zero(QQ)] * 4
     for bad in (e[0] ** 2, e[0] * e[3], X0, X0 * e[0] + 1):
         assert linear_form(bad, module_symbols(2, 2, 1)) is None
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7)], ids=str)
+def test_linear_combination_inverts_linear_form(field):
+    """sum_c row[c] * e_c, built as one dict, is the sum that Poly
+    arithmetic builds, and linear_form reads the row back, over jet
+    variables as in a Hasse-Schmidt row and with zero entries."""
+    rng = random.Random("linear-combination:%s" % field)
+    for _ in range(60):
+        names = ["x", "y", "z"][:rng.randint(1, 3)]
+        rank, n = rng.randint(1, 2), rng.randint(0, 2)
+        row = [Poly(field, c.terms) for _ in range(rank)
+               for c in hs_components(random_poly(rng, names, 3), n)]
+        symbols = module_symbols(len(names), rank, n)
+        combination = hsmodules._linear_combination(row, symbols, field)
+        assert combination == sum((p * Poly.var(e, field) for p, e in zip(row, symbols)),
+                                  Poly.zero(field))
+        assert linear_form(combination, symbols) == row
+
+
+@pytest.mark.parametrize("entry, error, message", [
+    (Poly.var(JetVar("x", 0, 0), PrimeField(7)), FieldMismatch,
+     r"over PrimeField\(7\), algebra over QQ"),
+    # the name and index of e1, the symbol sym_presentation adjoins
+    (Poly.var(JetVar("e1", 1, 0)), ValueError, "entry e1_0 is not over x"),
+], ids=["field", "variable"])
+def test_sym_presentation_rejects_a_row_not_over_its_algebra(entry, error, message):
+    with pytest.raises(error, match=message):
+        sym_presentation(ModulePresentation(AlgebraPresentation(["x"], []), 1, [[entry]]))
 
 
 # -- Kaehler ----------------------------------------------------------
