@@ -278,9 +278,12 @@ def sym_theorem_check(M, n):
     compared as multisets of polynomials."""
     hsm = hs_module_presentation(M, n)
     symbols = module_symbols(len(M.over.vars), M.rank, n)
-    want = hsm.over.relations + [_linear_combination(row, symbols, M.field)
-                                 for row in hsm.relation_matrix]
-    got = jet_presentation(sym_presentation(M), n).relations
+    base = hsm.over.relations
+    want = base + [_linear_combination(row, symbols, M.field) for row in hsm.relation_matrix]
+    # a relation of Sym M equal to a base relation reuses that one's jets
+    known = {f: base[k * (n + 1):(k + 1) * (n + 1)] for k, f in enumerate(M.over.relations)}
+    got = [g for f in sym_presentation(M).relations
+           for g in (known[f] if f in known else hs_components(f, n))]
     want, got = (Counter(g for g in side if g.terms) for side in (want, got))
     if got == want:
         return True, None
@@ -334,7 +337,7 @@ def _leibniz_sides(A, n):
     i = 0..n, for the relations f and g of A."""
     f, g = A.relations
     cf, cg, cfg = hs_components(f, n), hs_components(g, n), hs_components(f * g, n)
-    conv = [sum((cf[k] * cg[i - k] for k in range(i + 1)), Poly.zero(QQ))
+    conv = [sum((cf[k] * cg[i - k] for k in range(i + 1)), Poly.zero(f.field))
             for i in range(n + 1)]
     return conv, cfg
 
@@ -384,9 +387,9 @@ def _twisted_check(A, n):
     add_ok = twisted_action_matrix(p + q, n).entries == [
         [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(tp.entries, tq.entries)]
     mul_ok = twisted_action_matrix(p * q, n) == tp.matmul(tq)
-    one_ok = twisted_action_matrix(Poly.constant(1, QQ), n) == TwistedMatrix(
-        [[Poly.constant(1, QQ) if i == j else Poly.zero(QQ)
-          for i in range(n + 1)] for j in range(n + 1)])
+    one, zero = Poly.constant(1, p.field), Poly.zero(p.field)
+    one_ok = twisted_action_matrix(one, n) == TwistedMatrix(
+        [[one if i == j else zero for i in range(n + 1)] for j in range(n + 1)])
     ok = add_ok and mul_ok and one_ok
     return ok, None if ok else {"n": n}
 

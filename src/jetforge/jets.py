@@ -111,7 +111,8 @@ def _rows(family, e, bounds):
     ``_expansion`` entry read through the family as a tuple of (variable,
     exponent) pairs, with its multinomial, grouped by grade position.  Kept
     for the life of the process, like ``_expansion``; it holds no field
-    scalar, so every field shares it."""
+    scalar, so every field shares it.  ``_substitute`` and
+    ``p1.power_jets`` read it."""
     return tuple((g, tuple([(tuple(zip(map(family.__getitem__, grades), exponents)), k)
                             for grades, exponents, k in entries]))
                  for g, entries in _expansion(e, bounds))

@@ -5,14 +5,15 @@ denom_exp > 0 some term of the numerator is free of the unit variable, and
 zero has denom_exp 0.  This is the coordinate ring of the chart overlap on
 the jet spaces of P^1, localized at t^(0).
 
-``LocalPoly(...)`` scans its numerator to cancel the unit variable; the
+``LocalPoly(...)`` scans its numerator to cancel the unit variable u: it
+reads u's exponent in place and stops at the first term without u.  The
 arithmetic keeps lowest terms without a second scan of its result.  A
 product cancels u from a factor with no denominator first, and u is prime,
 so the product of two reduced factors is reduced.  A sum over two different
 denominators keeps the u-free term of the operand with the larger one.
 Only a sum over equal positive denominators can gain a common factor u, and
 only it is scanned.  Negation and scaling by an integer keep the terms'
-exponents, and ``_local`` builds a LocalPoly known to be reduced.
+exponents, and ``_local`` sets the slots of a LocalPoly known to be reduced.
 """
 
 from .errors import DivisionByZero, FieldMismatch, NonUnitLeadingCoefficient
@@ -34,33 +35,29 @@ def _lowest(numerator, u, e):
     if not numerator.terms:
         return numerator, 0
     if e:
-        k = min(e, min(m.exponent(u) for m in numerator.terms))
-        if k:
-            numerator = _poly(numerator.field, {m.divide_by_var(u, k): c
-                                                for m, c in numerator.terms.items()})
-            e -= k
+        k = e
+        for m in numerator.terms:
+            for w, x in m:
+                if w is u:
+                    if x < k:
+                        k = x
+                    break
+            else:
+                return numerator, e
+        numerator = _poly(numerator.field, {m.divide_by_var(u, k): c
+                                            for m, c in numerator.terms.items()})
+        e -= k
     return numerator, e
-
-
-def _local(numerator, unit_var, denom_exp):
-    """LocalPoly from a numerator and exponent already in lowest terms (no scan)."""
-    lp = object.__new__(LocalPoly)
-    object.__setattr__(lp, "numerator", numerator)
-    object.__setattr__(lp, "unit_var", unit_var)
-    object.__setattr__(lp, "denom_exp", denom_exp)
-    return lp
 
 
 class LocalPoly:
     __slots__ = ("numerator", "unit_var", "denom_exp")
 
-    def __init__(self, numerator, unit_var, denom_exp=0):
+    def __new__(cls, numerator, unit_var, denom_exp=0):
         if denom_exp < 0:
             raise ValueError("negative denominator exponent")
         numerator, denom_exp = _lowest(numerator, unit_var, denom_exp)
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "unit_var", unit_var)
-        object.__setattr__(self, "denom_exp", denom_exp)
+        return _local(numerator, unit_var, denom_exp)
 
     def __setattr__(self, name, value):
         raise AttributeError("LocalPoly is immutable")
@@ -73,13 +70,13 @@ class LocalPoly:
         return self.numerator.is_zero()
 
     def _check(self, other):
+        if isinstance(other, LocalPoly):
+            if other.unit_var is not self.unit_var:
+                raise FieldMismatch("different distinguished unit variables")
+            return other
         if isinstance(other, Poly):
-            other = LocalPoly(other, self.unit_var)
-        if not isinstance(other, LocalPoly):
-            raise TypeError("expected LocalPoly, got %r" % (other,))
-        if other.unit_var != self.unit_var:
-            raise FieldMismatch("different distinguished unit variables")
-        return other
+            return LocalPoly(other, self.unit_var)
+        raise TypeError("expected LocalPoly, got %r" % (other,))
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -168,3 +165,16 @@ class LocalPoly:
 
     def __repr__(self):
         return "LocalPoly(%s)" % self.render()
+
+
+_set_numerator, _set_unit_var, _set_denom_exp = (
+    LocalPoly.numerator.__set__, LocalPoly.unit_var.__set__, LocalPoly.denom_exp.__set__)
+
+
+def _local(numerator, unit_var, denom_exp):
+    """LocalPoly from a numerator and exponent already in lowest terms (no scan)."""
+    lp = object.__new__(LocalPoly)
+    _set_numerator(lp, numerator)
+    _set_unit_var(lp, unit_var)
+    _set_denom_exp(lp, denom_exp)
+    return lp

@@ -303,16 +303,23 @@ class Poly:
         self._check(other)
         if not self.terms or not other.terms:
             return _poly(self.field, {})
+        # a first write is a product of two nonzero scalars, so nonzero
         d = {}
         other_terms = other.terms.items()
         for m1, c1 in self.terms.items():
             mul = m1.mul
             for m2, c2 in other_terms:
                 m = mul(m2)
-                c = c1 * c2
                 s = d.get(m)
-                d[m] = c if s is None else s + c
-        return _poly(self.field, {m: c for m, c in d.items() if c})
+                if s is None:
+                    d[m] = c1 * c2
+                else:
+                    s = s + c1 * c2
+                    if s:
+                        d[m] = s
+                    else:
+                        del d[m]
+        return _poly(self.field, d)
 
     __rmul__ = __mul__
 

@@ -20,7 +20,10 @@ and a sorting Monomial.  The text references are the
 renderer and tokenizer jetforge had before variables kept their rendered
 text and the tokenizer became one comprehension: each formats every
 variable and coefficient afresh, and the tokenizer reads each token's
-column from its group after a leading-whitespace prefix.
+column from its group after a leading-whitespace prefix.  The reference
+jets of a power of a P^1 chart coordinate are the loop ``p1.power_jets``
+ran before it read the engine's ``jets._rows`` tables: it zips each
+``jets._expansion`` entry's grades into (variable, exponent) pairs itself.
 """
 
 import re
@@ -28,8 +31,12 @@ from fractions import Fraction
 
 from jetforge.checks import COEFF_HI, COEFF_LO, MAX_DEGREE, ORACLE_POINTS
 from jetforge.errors import ParseError
-from jetforge.poly import JetVar, Monomial, Poly
+from jetforge.jets import _expansion
+from jetforge.localized import _local
+from jetforge.p1 import chart_var
+from jetforge.poly import JetVar, Monomial, Poly, _monomial, _poly
 from jetforge.scalars import QQ, Fp
+from jetforge.series import TruncSeries
 
 TAU = JetVar("tau", 10**6, 0)
 SIGMA = JetVar("sigma", 10**6 + 1, 0)
@@ -182,3 +189,35 @@ def reference_tokenize(text, line_no):
         tokens.append((kind, m.group(kind), line_no, col))
     tokens.append(("end", "", line_no, end + 1))
     return tokens
+
+
+def expansion_power_jets(k, chart, n, field=QQ):
+    """``p1.power_jets(k, chart, n, field)`` as it was built from the
+    ``_expansion`` tables: grade h of the size-m table is t^(h+1), and
+    each entry's grades are mapped and zipped with its exponents here."""
+    t = [chart_var(chart, i) for i in range(n + 1)]
+    u = t[0]
+    shifted = t[1:].__getitem__
+    binoms = [1]
+    for m in range(n):
+        b = binoms[-1] * (k - m) // (m + 1)
+        if not b:
+            break
+        binoms.append(b)
+    coeffs = [{} for _ in range(n + 1)]
+    denoms = [0] * (n + 1)
+    for m in reversed(range(len(binoms))):
+        b = binoms[m]
+        for g, entries in _expansion(m, (n - m,)):
+            j = g + m
+            dest = coeffs[j]
+            if not dest:
+                denoms[j] = max(0, m - k)
+            e = k - m + denoms[j]
+            head = ((u, e),) if e else ()
+            for grades, exponents, mult in entries:
+                c = field.coerce(b * mult)
+                if c:
+                    dest[_monomial(head + tuple(zip(map(shifted, grades), exponents)))] = c
+    return TruncSeries(n, [_local(_poly(field, c), u, e if c else 0)
+                           for c, e in zip(coeffs, denoms)])

@@ -705,3 +705,86 @@ def test_demo_02_reports_a_failing_cotruncation(monkeypatch, capsys):
     monkeypatch.setattr(jets, "_substitute", _top_grade_zero(jets._substitute))
     runpy.run_path(str(Path(__file__).resolve().parents[1] / "demos" / "02_iterated_jets.py"))
     assert "jets at level 1 embed in level 3: FAILED\n" in capsys.readouterr().out
+
+
+def test_sym_check_takes_each_jet_once(monkeypatch):
+    """Within one Sym check no (polynomial, level) is jetted twice: a base
+    relation's jets serve both sides, as HS^n M's algebra computed them."""
+    calls = []
+
+    def counted(hs):
+        def wrapper(f, *levels):
+            calls[-1].append((f, levels))
+            return hs(f, *levels)
+        return wrapper
+
+    for module in (jets, checks):
+        monkeypatch.setattr(module, "hs_components", counted(module.hs_components))
+    check = checks.sym_theorem_check
+
+    def trial(*args):
+        calls.append([])
+        return check(*args)
+
+    monkeypatch.setattr(checks, "sym_theorem_check", trial)
+    assert run_suite(seed=42, trials=100, suites=["sym_theorem"])["passed"]
+    assert len(calls) == 100 and sum(map(len, calls)) > 100
+    assert all(len(set(trial)) == len(trial) for trial in calls)
+
+
+def _sym_with_first_relation(change):
+    def altered(M):
+        S = hsmodules.sym_presentation(M)
+        return AlgebraPresentation(S.vars, change(S.relations[:1]) + S.relations[1:],
+                                   S.grading, S.field)
+    return altered
+
+
+def test_sym_check_fails_on_a_dropped_or_altered_base_relation(monkeypatch):
+    """A base relation that Sym M loses leaves its jets missing; one that it
+    alters is jetted anew, so the altered jets are extra."""
+    cusp_jets = sorted(g.render() for g in hs_components(Y ** 2 - X ** 3, 1))
+    monkeypatch.setattr(checks, "sym_presentation", _sym_with_first_relation(lambda rs: []))
+    assert sym_theorem_check(CUSP_MODULE, 1) == (
+        False, {"n": 1, "missing": cusp_jets, "extra": []})
+    monkeypatch.setattr(checks, "sym_presentation",
+                        _sym_with_first_relation(lambda rs: [2 * f for f in rs]))
+    assert sym_theorem_check(CUSP_MODULE, 1) == (
+        False, {"n": 1, "missing": cusp_jets,
+                "extra": sorted(g.render() for g in hs_components(2 * Y ** 2 - 2 * X ** 3, 1))})
+
+
+def _reduced_draws(suite, field, trials=20):
+    """The first draws of a two-polynomial suite at seed 42, their
+    relations reduced into field."""
+    draw, _ = SUITES[suite]
+    rng = random.Random("42:%s" % suite)
+    for _ in range(trials):
+        A, n = draw(rng)
+        relations = [Poly(field, {m: field.from_ratio(*c.as_integer_ratio())
+                                  for m, c in f.terms.items()}) for f in A.relations]
+        yield AlgebraPresentation(A.vars, relations, None, field), n
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3)], ids=lambda f: f.name)
+def test_leibniz_sides_over_the_draws_field(field):
+    for A, n in _reduced_draws("leibniz", field):
+        conv, direct = checks._leibniz_sides(A, n)
+        assert conv == direct and {p.field for p in conv + direct} == {field}
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3)], ids=lambda f: f.name)
+def test_twisted_check_over_the_draws_field(monkeypatch, field):
+    """Every matrix the check compares, the unit's among them, is over the
+    draw's field."""
+    fields = []
+    build = checks.twisted_action_matrix
+
+    def recorded(p, n):
+        fields.append(p.field)
+        return build(p, n)
+
+    monkeypatch.setattr(checks, "twisted_action_matrix", recorded)
+    for A, n in _reduced_draws("twisted_ring_hom", field):
+        assert checks._twisted_check(A, n) == (True, None)
+    assert set(fields) == {field} and len(fields) == 5 * 20

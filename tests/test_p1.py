@@ -14,6 +14,7 @@ from jetforge.hsmodules import twisted_action_matrix, upper_triangle
 from jetforge.poly import Poly
 from jetforge.scalars import QQ, PrimeField
 from jetforge.series import TruncSeries, series_invert
+from oracles import expansion_power_jets
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -135,6 +136,20 @@ def test_power_jets_written_in_lowest_terms(field):
         for k in range(-6, 7):
             for c in power_jets(k, 0, n, field).coeffs:
                 assert LocalPoly(c.numerator, c.unit_var, c.denom_exp) == c, (k, n)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=lambda f: f.name)
+def test_power_jets_from_row_tables_match_the_expansion_build(field):
+    """power_jets read from the engine's _rows tables equals the build that
+    zipped each _expansion entry itself: the same coefficients, written in
+    the same order, over the same denominators."""
+    for n in range(10):
+        for k in range(-4, 5):
+            for chart in (0, 1):
+                got, want = power_jets(k, chart, n, field), expansion_power_jets(k, chart, n, field)
+                assert got == want, (k, chart, n)
+                assert [(list(c.numerator.terms.items()), c.denom_exp) for c in got.coeffs] == [
+                    (list(c.numerator.terms.items()), c.denom_exp) for c in want.coeffs]
 
 
 def _p1_grid():

@@ -25,6 +25,29 @@ def test_binomial_expansion():
     assert s * s == P(X) ** 2 + 2 * P(X) * P(Y) + P(Y) ** 2
 
 
+def _in_order(field, *terms):
+    """A Poly whose term dict holds terms, (exponent dict, coefficient)
+    pairs, in the given order."""
+    return Poly(field, [(Monomial(exps), c) for exps, c in terms])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=lambda f: f.name)
+def test_product_cancels_a_monomial_and_writes_it_again(field):
+    """(x + y + 1)(y - x + xy): the running sum of x*y reaches zero at
+    y * -x, and 1 * xy writes it again, with no stale or zero entry left;
+    (x + y)(x - y) cancels x*y for good."""
+    x, y = {X: 1}, {Y: 1}
+    a = _in_order(field, (x, 1), (y, 1), ({}, 1))
+    b = _in_order(field, (y, 1), (x, -1), ({X: 1, Y: 1}, 1))
+    want = _in_order(field, ({X: 2}, -1), ({X: 2, Y: 1}, 1), ({Y: 2}, 1), ({X: 1, Y: 2}, 1),
+                     (y, 1), (x, -1), ({X: 1, Y: 1}, 1))
+    product = a * b
+    assert product.terms == want.terms and all(product.terms.values())
+    assert product.terms[Monomial({X: 1, Y: 1})] == field.one
+    difference = _in_order(field, (x, 1), (y, 1)) * _in_order(field, (x, 1), (y, -1))
+    assert difference.terms == _in_order(field, ({X: 2}, 1), ({Y: 2}, -1)).terms
+
+
 def test_additive_identity_and_cancellation():
     p = 3 * P(X) * P(Y) - P(Y) ** 2
     assert p + Poly.zero() == p

@@ -203,6 +203,24 @@ def _in_lowest_terms(lp):
     return not lp.denom_exp or any(not m.exponent(lp.unit_var) for m in lp.numerator.terms)
 
 
+def test_localpoly_reduction_scans_past_the_first_term():
+    """u's exponents need not fall in dict order: (u^2 t1 + t2 + u t3)/u^3
+    is reduced, since t2 has no u, though its first term has u^2; and in
+    (u^2 t1 + u t3 + u^3)/u^3 the common power u comes from the second term."""
+    u, t1, t2, t3 = T0
+    first = Poly(QQ, [(Monomial({u: 2, t1: 1}), 1), (Monomial({t2: 1}), 1),
+                      (Monomial({u: 1, t3: 1}), 1)])
+    lp = LocalPoly(first, u, 3)
+    assert (list(lp.numerator.terms.items()), lp.denom_exp) == (list(first.terms.items()), 3)
+    second = Poly(QQ, [(Monomial({u: 2, t1: 1}), 1), (Monomial({u: 1, t3: 1}), 2),
+                       (Monomial({u: 3}), 3)])
+    lp = LocalPoly(second, u, 3)
+    assert (lp.numerator, lp.denom_exp) == _old_localpoly(second, u, 3)
+    assert (lp.numerator, lp.denom_exp) == (Poly(QQ, [(Monomial({u: 1, t1: 1}), 1),
+                                                      (Monomial({t3: 1}), 2),
+                                                      (Monomial({u: 2}), 3)]), 2)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(7)],
                          ids=lambda f: f.name)
 def test_localpoly_arithmetic_keeps_lowest_terms(field):
@@ -246,3 +264,20 @@ def test_localpoly_zero_sum_checks_the_field():
             seven + zero
         with pytest.raises(FieldMismatch):
             zero + seven
+
+
+def test_localpoly_operands():
+    """A LocalPoly over the same unit variable is taken as it is, a Poly is
+    localized, one over another unit variable is a FieldMismatch and
+    anything else a TypeError."""
+    u, t1 = T0[0], T0[1]
+    a = LocalPoly(Poly.var(t1), u, 1)
+    assert a._check(a) is a
+    assert a + Poly.var(u) == LocalPoly(Poly.var(t1) + Poly.var(u) ** 2, u, 1)
+    other = LocalPoly(Poly.var(u), t1, 1)
+    for op in (lambda: a + other, lambda: a * other, lambda: a - other):
+        with pytest.raises(FieldMismatch):
+            op()
+    for bad in (0.5, "x", None):
+        with pytest.raises(TypeError):
+            a * bad
