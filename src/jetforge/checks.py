@@ -22,10 +22,10 @@ draws nothing, and a failing trial's points do not depend on the trials
 before it.  Every draw goes through ``_randint`` and ``_choice``, which
 run the ``rng.getrandbits`` rejection loop of CPython 3.10-3.13's
 ``Random.randint`` and ``choice``: the same values from the same stream,
-without ``randrange``'s argument checks.  Drawn relations are over the
-declared names, and homogeneous by construction for a graded draw, so a
-drawn algebra is built as ``dsl.parse_document`` builds one: without
-relations, which are then appended unchecked.
+without ``randrange``'s argument checks.  Drawn relations are over Q and
+the declared names, and homogeneous by construction for a graded draw,
+and drawn module rows are over their algebra, so the drawn records are
+built unchecked, with ``_built``.
 
 ``run_suite`` takes the seed, the trial count and the suites, and returns
 its report as the plain dict that ``jetforge check --format json`` prints;
@@ -129,14 +129,6 @@ def random_homogeneous_poly(rng, names, degrees, target, max_terms=4):
     return _poly(QQ, {m: c for m, c in terms.items() if c})
 
 
-def _drawn_algebra(names, relations, grading=None):
-    """The algebra on names with drawn relations, which are appended
-    without the checks a relation from outside needs."""
-    A = AlgebraPresentation(names, [], grading, QQ)
-    A.relations.extend(relations)
-    return A
-
-
 def random_algebra(rng, graded=False, max_relations=MAX_RELATIONS):
     nvars = _randint(rng, 1, MAX_VARS)
     names = list(_VAR_NAMES[:nvars])
@@ -147,8 +139,9 @@ def random_algebra(rng, graded=False, max_relations=MAX_RELATIONS):
             degrees[x] = _randint(rng, 1, 2)
         rels = [random_homogeneous_poly(rng, names, degrees, _randint(rng, 1, MAX_DEGREE))
                 for _ in range(nrel)]
-        return _drawn_algebra(names, rels, degrees)
-    return _drawn_algebra(names, [random_poly(rng, names) for _ in range(nrel)])
+        return AlgebraPresentation._built(names, rels, degrees, QQ)
+    return AlgebraPresentation._built(names, [random_poly(rng, names) for _ in range(nrel)],
+                                      None, QQ)
 
 
 def random_module(rng, over=None):
@@ -157,12 +150,12 @@ def random_module(rng, over=None):
     nrel = _randint(rng, 0, MAX_RELATIONS) if rank else 0
     rows = [[random_poly(rng, A.vars, max_terms=3) for _ in range(rank)]
             for _ in range(nrel)]
-    return ModulePresentation(A, rank, rows)
+    return ModulePresentation._built(A, rank, rows)
 
 
 def random_morphism(rng):
-    src = AlgebraPresentation(list(_VAR_NAMES[:_randint(rng, 1, 2)]), [], None, QQ)
-    tgt = AlgebraPresentation(list(_TARGET_NAMES[:_randint(rng, 1, 2)]), [], None, QQ)
+    src = AlgebraPresentation._built(list(_VAR_NAMES[:_randint(rng, 1, 2)]), [], None, QQ)
+    tgt = AlgebraPresentation._built(list(_TARGET_NAMES[:_randint(rng, 1, 2)]), [], None, QQ)
     images = {v: random_poly(rng, tgt.vars, max_terms=3) for v in src.base_vars()}
     return AlgebraMorphism(src, tgt, images)
 
@@ -400,7 +393,7 @@ def _draw_polys(count, max_terms=5):
     def draw(rng):
         names = list(_VAR_NAMES[:_randint(rng, 1, MAX_VARS)])
         polys = [random_poly(rng, names, max_terms) for _ in range(count)]
-        return _drawn_algebra(names, polys), _randint(rng, 0, MAX_LEVEL)
+        return AlgebraPresentation._built(names, polys, None, QQ), _randint(rng, 0, MAX_LEVEL)
     return draw
 
 
@@ -456,7 +449,7 @@ def _failure_input(args):
         return {}
     names = None
     if g is not None:
-        A, names = AlgebraPresentation(A.vars, [g]), ["g"]
+        A, names = AlgebraPresentation(A.vars, [g], None, A.field), ["g"]
     return {"input": print_document(A, names, M, phi)}
 
 

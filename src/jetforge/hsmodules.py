@@ -10,9 +10,11 @@ module of the base cotangent module, through the identity
 d(d_i f)/d x^(j) = d_{i-j}(df/dx).  The theorem checks on these
 constructions are in ``checks``.
 
-Base, Kaehler and Hasse-Schmidt modules are all one ModulePresentation.
-Indices follow from position: in a level-n Hasse-Schmidt module, row r
-is relation k at order i and basis vector c is e_l at order j, with
+Base, Kaehler and Hasse-Schmidt modules are all one ModulePresentation,
+whose constructor checks each row entry; the builders here make valid
+rows and skip those checks with ``_built``.  Indices follow from
+position: in a level-n Hasse-Schmidt module, row r is relation k at
+order i and basis vector c is e_l at order j, with
 (k, i) = divmod(r, n+1) and (l, j) = divmod(c, n+1).  ``upper_triangle``
 is the one layout of a twisted matrix; ``p1`` lays out the transition
 matrices of the jet bundles on P^1 with it too.
@@ -70,9 +72,14 @@ def twisted_action_matrix(p, n):
     return TwistedMatrix(upper_triangle(hs_components(p, n), Poly.zero(p.field)))
 
 
+def _generators(P):
+    """The generators of an algebra or a jet presentation, in variable order."""
+    return P.jet_vars if isinstance(P, JetPresentation) else P.base_vars()
+
+
 class ModulePresentation(_Record):
     """Cokernel of a relation matrix over an algebra or a jet presentation:
-    row k is the relation sum_c p_kc e_c."""
+    row k is the relation sum_c p_kc e_c, each p_kc over ``over``."""
 
     _fields = ("over", "rank", "relation_matrix")
 
@@ -80,9 +87,19 @@ class ModulePresentation(_Record):
         self.over = over  # AlgebraPresentation or JetPresentation
         self.rank = rank
         self.relation_matrix = relation_matrix  # s rows, each of length rank
-        for row in self.relation_matrix:
-            if len(row) != self.rank:
+        if rank < 0:
+            raise ValueError("negative rank %d" % rank)
+        declared = set(_generators(over))
+        for row in relation_matrix:
+            if len(row) != rank:
                 raise ValueError("relation row length != rank")
+            for p in row:
+                if p.field is not over.field and p.field != over.field:
+                    raise FieldMismatch("module row entry over %r, algebra over %r"
+                                        % (p.field, over.field))
+                if not declared.issuperset([v for m in p.terms for v, _ in m]):
+                    raise ValueError("module row entry %s is not over %s"
+                                     % (p, ", ".join(v.render(True) for v in _generators(over))))
 
     @property
     def field(self):
@@ -101,7 +118,7 @@ def hs_module_presentation(M, n):
         blocks = [upper_triangle(hs_components(p, n), zero) for p in relation]
         for i in range(n + 1):
             rows.append([entries[j][i] for entries in blocks for j in range(n + 1)])
-    return ModulePresentation(jet_presentation(M.over, n), M.rank * (n + 1), rows)
+    return ModulePresentation._built(jet_presentation(M.over, n), M.rank * (n + 1), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +128,8 @@ def hs_module_presentation(M, n):
 def kaehler_presentation(P):
     """Module of differentials of P: basis d(generator), in the order of
     P.jet_vars or P.base_vars(); relations the Jacobian rows."""
-    gens = P.jet_vars if isinstance(P, JetPresentation) else P.base_vars()
-    rows = [f.gradient(gens) for f in P.relations]
-    return ModulePresentation(P, len(gens), rows)
+    gens = _generators(P)
+    return ModulePresentation._built(P, len(gens), [f.gradient(gens) for f in P.relations])
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +171,6 @@ def sym_presentation(M):
     """Sym of a presented module: adjoin degree-1 symbols e_1..e_r, keep the
     base relations in degree 0, add the module rows as degree-1 relations."""
     A = M.over
-    declared = set(A.base_vars())
-    for p in (p for row in M.relation_matrix for p in row):
-        if p.field != A.field:
-            raise FieldMismatch("module row entry over %r, algebra over %r" % (p.field, A.field))
-        if not declared.issuperset(p.vars()):
-            raise ValueError("module row entry %s is not over %s" % (p, ", ".join(A.vars)))
     symbols = module_symbols(len(A.vars), M.rank, 0)
     names = list(A.vars) + [e.name for e in symbols]
     grading = {x: 0 for x in A.vars}

@@ -31,8 +31,8 @@ when the source algebra is graded, the induced one (deg x^(i) = deg x).
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .errors import (BadLevels, InhomogeneousRelation, JetforgeError, MissingGrading,
-                     NotABaseElement)
+from .errors import (BadLevels, FieldMismatch, InhomogeneousRelation, JetforgeError,
+                     MissingGrading, NotABaseElement)
 from .poly import JetVar, Poly, _monomial, _poly
 from .scalars import QQ
 
@@ -212,6 +212,13 @@ class _Record:
 
     _fields = ()
 
+    @classmethod
+    def _built(cls, *values):
+        """The record of ``values`` in ``_fields`` order, without the constructor's checks."""
+        record = object.__new__(cls)
+        vars(record).update(zip(cls._fields, values, strict=True))
+        return record
+
     def _values(self):
         return tuple(getattr(self, f) for f in self._fields)
 
@@ -226,7 +233,7 @@ class _Record:
 
 
 class AlgebraPresentation(_Record):
-    """A k-algebra by generators and relations; optionally graded."""
+    """A k-algebra by generators and relations over ``field``; optionally graded."""
 
     _fields = ("vars", "relations", "grading", "field")
 
@@ -240,6 +247,8 @@ class AlgebraPresentation(_Record):
                 raise JetforgeError("duplicate variable %r" % x)
         declared = set(self.base_vars())
         for f in self.relations:
+            if f.field is not field and f.field != field:
+                raise FieldMismatch("relation over %r, algebra over %r" % (f.field, field))
             for v in _base_vars(f):
                 if v not in declared:
                     raise ValueError("relation mentions undeclared variable %s" % v)

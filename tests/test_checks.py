@@ -16,7 +16,8 @@ from jetforge.checks import (MAX_VARS, ORACLE_POINTS, SUITES, base_change_check,
 from jetforge.cli import main
 from jetforge.dsl import document_text, parse_document, print_document
 from jetforge.errors import BadLevels, FieldMismatch, UnknownSuite
-from jetforge.hsmodules import ModulePresentation, hs_module_presentation, twisted_action_matrix
+from jetforge.hsmodules import (ModulePresentation, hs_module_presentation, kaehler_presentation,
+                                twisted_action_matrix)
 from jetforge.jets import (AlgebraMorphism, AlgebraPresentation, hs_components, induced_morphism,
                            jet_presentation)
 from jetforge.p1 import cocycle_check, p1_transition
@@ -577,27 +578,48 @@ def test_random_poly_draws_as_the_monomial_reference():
                 assert ours.getstate() == ref.getstate()
 
 
-def _drawn_algebras(args):
+def _drawn_records(args):
+    """The algebras and modules of a suite's draw."""
     for a in args:
-        if isinstance(a, AlgebraPresentation):
-            yield a
-        elif isinstance(a, ModulePresentation):
-            yield a.over
+        if isinstance(a, ModulePresentation):
+            yield from (a, a.over)
         elif isinstance(a, AlgebraMorphism):
             yield from (a.source, a.target)
+        elif isinstance(a, AlgebraPresentation):
+            yield a
+
+
+def _built_from(R, n):
+    """R, and the modules that hsmodules builds from it at level n: the
+    Hasse-Schmidt module of a module; the Kaehler modules of an algebra and
+    of its jet presentation, and the Hasse-Schmidt module of the former."""
+    if isinstance(R, ModulePresentation):
+        return [R, hs_module_presentation(R, n)]
+    return [R, kaehler_presentation(R), *checks._cotangent_sides(R, n)]
 
 
 def test_drawn_algebras_pass_the_constructor_checks():
-    """Every suite's drawn algebras, built without checking their
-    relations, are what the checking constructor builds from their fields."""
-    graded = relations = 0
-    for name, (draw, _) in SUITES.items():
-        for seed in range(200):
-            for A in _drawn_algebras(draw(random.Random("%d:%s" % (seed, name)))):
-                assert AlgebraPresentation(A.vars, A.relations, A.grading, A.field) == A
-                graded += A.grading is not None
-                relations += len(A.relations)
-    assert graded and relations
+    """Every record built unchecked, with ``_built``, is what its checking
+    constructor builds from its fields: the drawn algebras and modules of
+    every suite over Q, the draws' F2 and F3 reductions, and the modules
+    built from all of these."""
+    drawn = [(R, seed % 3) for name, (draw, _) in SUITES.items() for seed in range(200)
+             for R in _drawn_records(draw(random.Random("%d:%s" % (seed, name))))]
+    drawn += [(A, n) for field in (PrimeField(2), PrimeField(3))
+              for suite in ("leibniz", "twisted_ring_hom")
+              for A, n in _reduced_draws(suite, field)]
+    graded = relations = rows = 0
+    fields = set()
+    for R, n in drawn:
+        for B in _built_from(R, n):
+            assert type(B)(*B._values()) == B
+            if isinstance(B, AlgebraPresentation):
+                graded += B.grading is not None
+                relations += len(B.relations)
+            else:
+                rows += len(B.relation_matrix)
+            fields.add(B.field)
+    assert graded and relations and rows and fields == {QQ, PrimeField(2), PrimeField(3)}
 
 
 def test_draw_helpers_follow_the_randint_stream():

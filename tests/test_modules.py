@@ -213,15 +213,33 @@ def test_linear_combination_inverts_linear_form(field):
         assert linear_form(combination, symbols) == row
 
 
-@pytest.mark.parametrize("entry, error, message", [
-    (Poly.var(JetVar("x", 0, 0), PrimeField(7)), FieldMismatch,
-     r"over PrimeField\(7\), algebra over QQ"),
+@pytest.mark.parametrize("rows, error, message", [
+    # hs_module_presentation once made of this a module over Q holding the
+    # F7 entry and the undeclared z_0, z_1
+    ([[Poly.var(JetVar("x", 0, 0), PrimeField(7))], [Poly.var(JetVar("z", 1, 0))]],
+     FieldMismatch, r"over PrimeField\(7\), algebra over QQ"),
+    ([[Poly.var(JetVar("z", 1, 0))]], ValueError, "entry z_0 is not over x$"),
     # the name and index of e1, the symbol sym_presentation adjoins
-    (Poly.var(JetVar("e1", 1, 0)), ValueError, "entry e1_0 is not over x"),
-], ids=["field", "variable"])
-def test_sym_presentation_rejects_a_row_not_over_its_algebra(entry, error, message):
+    ([[Poly.var(JetVar("e1", 1, 0))]], ValueError, "entry e1_0 is not over x$"),
+], ids=["field", "variable", "symbol"])
+def test_module_presentation_rejects_a_row_not_over_its_algebra(rows, error, message):
     with pytest.raises(error, match=message):
-        sym_presentation(ModulePresentation(AlgebraPresentation(["x"], []), 1, [[entry]]))
+        ModulePresentation(AlgebraPresentation(["x"], []), 1, rows)
+
+
+def test_module_presentation_rejects_a_negative_rank():
+    with pytest.raises(ValueError, match="negative rank -1"):
+        ModulePresentation(AlgebraPresentation(["x"], []), -1, [])
+
+
+def test_module_over_a_jet_presentation_holds_its_jet_variables():
+    """The generators are the jet variables, read without building the
+    jet relations."""
+    jp = jet_presentation(cusp(), 2)
+    assert ModulePresentation(jp, 1, [[jx(2)]]).relation_matrix == [[jx(2)]]
+    with pytest.raises(ValueError, match="entry x_3 is not over x, x_1, x_2, y, y_1, y_2$"):
+        ModulePresentation(jp, 1, [[jx(3)]])
+    assert "relations" not in jp.__dict__
 
 
 # -- Kaehler ----------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 
 from jetforge.checks import run_suite
 from jetforge.dsl import InputDocument, parse_document
-from jetforge.errors import InhomogeneousRelation, JetforgeError, MissingGrading, UnknownSuite
+from jetforge.errors import (FieldMismatch, InhomogeneousRelation, JetforgeError, MissingGrading,
+                             UnknownSuite)
 from jetforge.hsmodules import ModulePresentation, TwistedMatrix
 from jetforge.jets import AlgebraMorphism, AlgebraPresentation, JetPresentation, jet_presentation
 from jetforge.poly import JetVar, Poly
@@ -26,12 +27,13 @@ def cusp():
 
 def instances():
     """Two equal, separately built instances of each class, and a factory
-    for a third that differs from them in its last field."""
+    for a third that differs from them in its last field; the algebra over
+    F7 also differs in its relations, which must be over F7."""
     A = cusp()
     doc = "ring Q[x,y]\nideal f = y^2 - x^3\nmodule rank 1\nrelation x*e1\n"
     return {
-        AlgebraPresentation: (cusp, lambda: AlgebraPresentation(["x", "y"], [Y ** 2 - X ** 3],
-                                                                None, PrimeField(7))),
+        AlgebraPresentation: (cusp, lambda: AlgebraPresentation(
+            ["x", "y"], [Poly(PrimeField(7), (Y ** 2 - X ** 3).terms)], None, PrimeField(7))),
         JetPresentation: (lambda: jet_presentation(A, 1, 1),
                           lambda: JetPresentation((1, 1), AlgebraPresentation(["x", "y"], []))),
         AlgebraMorphism: (lambda: AlgebraMorphism.identity(A),
@@ -66,8 +68,8 @@ def test_field_wise_equality_and_unhashable(cls):
 def test_fields_are_mutable(cls):
     make, make_other = instances()[cls]
     a, c = make(), make_other()
-    last = SIGNATURES[cls][-1]
-    setattr(a, last, getattr(c, last))
+    for name in SIGNATURES[cls]:
+        setattr(a, name, getattr(c, name))
     assert a == c
 
 
@@ -131,6 +133,8 @@ def test_jet_presentation_equality_ignores_the_cached_relations():
 def test_algebra_presentation_errors_in_order():
     with pytest.raises(JetforgeError, match="duplicate variable 'x'"):
         AlgebraPresentation(["x", "x"], [Poly.var(JetVar("z", 5, 0))], {})
+    with pytest.raises(FieldMismatch, match=r"relation over PrimeField\(7\), algebra over QQ"):
+        AlgebraPresentation(["x"], [Poly.var(JetVar("x", 0, 0), PrimeField(7)) ** 2], {})
     with pytest.raises(ValueError, match="undeclared variable z"):
         AlgebraPresentation(["x"], [Poly.var(JetVar("z", 5, 0))], {})
     with pytest.raises(MissingGrading, match="no degree for y"):
