@@ -24,8 +24,8 @@ run the ``rng.getrandbits`` rejection loop of CPython 3.10-3.13's
 ``Random.randint`` and ``choice``: the same values from the same stream,
 without ``randrange``'s argument checks.  Drawn relations are over Q and
 the declared names, and homogeneous by construction for a graded draw,
-and drawn module rows are over their algebra, so the drawn records are
-built unchecked, with ``_built``.
+and drawn module rows and morphism images are over their algebras, so
+the drawn records are built unchecked, with ``_built``.
 
 ``run_suite`` takes the seed, the trial count and the suites, and returns
 its report as the plain dict that ``jetforge check --format json`` prints;
@@ -157,7 +157,7 @@ def random_morphism(rng):
     src = AlgebraPresentation._built(list(_VAR_NAMES[:_randint(rng, 1, 2)]), [], None, QQ)
     tgt = AlgebraPresentation._built(list(_TARGET_NAMES[:_randint(rng, 1, 2)]), [], None, QQ)
     images = {v: random_poly(rng, tgt.vars, max_terms=3) for v in src.base_vars()}
-    return AlgebraMorphism(src, tgt, images)
+    return AlgebraMorphism._built(src, tgt, images)
 
 
 def _draw_point(rng, nslots):
@@ -181,7 +181,7 @@ def points_agree(rng, lhs, rhs):
     differ = []  # the term dicts of the pairs that differ
     for a, b in zip(lhs, rhs, strict=True):
         for p in (a, b):
-            if p.field is not QQ and p.field != QQ:
+            if p.field is not QQ:
                 raise FieldMismatch("the point oracle evaluates over Q, not %r" % (p.field,))
         if a.terms != b.terms:
             differ.append((a.terms, b.terms))

@@ -20,8 +20,8 @@ is the one layout of a twisted matrix; ``p1`` lays out the transition
 matrices of the jet bundles on P^1 with it too.
 """
 
-from .errors import FieldMismatch
-from .jets import AlgebraPresentation, JetPresentation, _Record, hs_components, jet_presentation
+from .jets import (AlgebraPresentation, _Record, _check_over, _generators, hs_components,
+                   jet_presentation)
 from .poly import JetVar, Poly, _monomial, _poly
 
 
@@ -72,11 +72,6 @@ def twisted_action_matrix(p, n):
     return TwistedMatrix(upper_triangle(hs_components(p, n), Poly.zero(p.field)))
 
 
-def _generators(P):
-    """The generators of an algebra or a jet presentation, in variable order."""
-    return P.jet_vars if isinstance(P, JetPresentation) else P.base_vars()
-
-
 class ModulePresentation(_Record):
     """Cokernel of a relation matrix over an algebra or a jet presentation:
     row k is the relation sum_c p_kc e_c, each p_kc over ``over``."""
@@ -94,12 +89,7 @@ class ModulePresentation(_Record):
             if len(row) != rank:
                 raise ValueError("relation row length != rank")
             for p in row:
-                if p.field is not over.field and p.field != over.field:
-                    raise FieldMismatch("module row entry over %r, algebra over %r"
-                                        % (p.field, over.field))
-                if not declared.issuperset([v for m in p.terms for v, _ in m]):
-                    raise ValueError("module row entry %s is not over %s"
-                                     % (p, ", ".join(v.render(True) for v in _generators(over))))
+                _check_over(p, over, declared, "module row entry")
 
     @property
     def field(self):

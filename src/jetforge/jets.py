@@ -81,7 +81,7 @@ def _expansion(e, bounds):
     positions g in box order, their a_g, and the multinomial
     k = e! / prod a_g!.  The split gives exponents to positions 1 and up;
     each of its nodes is an entry whose remainder goes to position 0, the
-    zero grade, so no branch is dead."""
+    zero grade, so no branch is dead.  The families of a box share it."""
     box, _ = _grades(bounds)
     found = {}
 
@@ -112,7 +112,9 @@ def _rows(family, e, bounds):
     exponent) pairs, with its multinomial, grouped by grade position.  Kept
     for the life of the process, like ``_expansion``; it holds no field
     scalar, so every field shares it.  ``_substitute`` and
-    ``p1.power_jets`` read it."""
+    ``p1.power_jets`` read it directly.  It reads ``_expansion`` only on a
+    miss; that split stays a cache of its own, as the families of a box
+    share it, and one split per family slows a cold ``jet --n 80``."""
     return tuple((g, tuple([(tuple(zip(map(family.__getitem__, grades), exponents)), k)
                             for grades, exponents, k in entries]))
                  for g, entries in _expansion(e, bounds))
@@ -147,13 +149,10 @@ def _substitute(f, families, bounds):
     ordered = list(families.values())
     interleaved = any(a[-1]._key > b[0]._key for a, b in zip(ordered, ordered[1:]))
     out = [{} for _ in box]
-    tables = {}
     for mono, c in f.terms.items():
         acc = _UNIT_TABLE
         for v, e in mono:
-            table = tables.get((v, e))
-            if table is None:
-                table = tables[(v, e)] = _rows(families[v], e, bounds)
+            table = _rows(families[v], e, bounds)
             if acc is _UNIT_TABLE:
                 acc = table
                 continue
@@ -247,7 +246,7 @@ class AlgebraPresentation(_Record):
                 raise JetforgeError("duplicate variable %r" % x)
         declared = set(self.base_vars())
         for f in self.relations:
-            if f.field is not field and f.field != field:
+            if f.field is not field:
                 raise FieldMismatch("relation over %r, algebra over %r" % (f.field, field))
             for v in _base_vars(f):
                 if v not in declared:
@@ -307,12 +306,28 @@ def jet_presentation(A, *levels):
 # morphisms
 
 
+def _generators(P):
+    """The generators of an algebra or a jet presentation, in variable order."""
+    return P.jet_vars if isinstance(P, JetPresentation) else P.base_vars()
+
+
+def _check_over(p, P, declared, what):
+    """Raise unless p is over P's field and its generators ``declared``."""
+    if p.field is not P.field:
+        raise FieldMismatch("%s over %r, algebra over %r" % (what, p.field, P.field))
+    if not declared.issuperset([v for m in p.terms for v, _ in m]):
+        raise ValueError("%s %s is not over %s"
+                         % (what, p, ", ".join(v.render(True) for v in _generators(P))))
+
+
 class AlgebraMorphism(_Record):
     """Map of presented algebras, given on generators.
 
-    Validity (images of relations lying in the target ideal) is the
-    caller's contract; everything built on morphisms here is a free
-    polynomial identity.
+    The constructor checks that each key is a source generator and each
+    image a polynomial over the source's field in the target's generators;
+    a generator may have no image.  Validity (images of relations lying in
+    the target ideal) is the caller's contract; everything built on
+    morphisms here is a free polynomial identity.
     """
 
     _fields = ("source", "target", "images")
@@ -321,6 +336,13 @@ class AlgebraMorphism(_Record):
         self.source = source
         self.target = target
         self.images = images  # JetVar (source generator) -> Poly over target generators
+        if target.field is not source.field:
+            raise FieldMismatch("target over %r, source over %r" % (target.field, source.field))
+        keys, declared = set(_generators(source)), set(_generators(target))
+        for v, img in images.items():
+            if v not in keys:
+                raise ValueError("image given for %s, not a generator of the source" % v)
+            _check_over(img, target, declared, "image")
 
     def apply(self, f):
         return f.substitute(self.images)
@@ -335,5 +357,5 @@ def induced_morphism(phi, n):
     images = {}
     for v, img in phi.images.items():
         images.update(zip(_family(v, (n,)), hs_components(img, n)))
-    return AlgebraMorphism(jet_presentation(phi.source, n),
-                           jet_presentation(phi.target, n), images)
+    return AlgebraMorphism._built(jet_presentation(phi.source, n),
+                                  jet_presentation(phi.target, n), images)

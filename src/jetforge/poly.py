@@ -259,7 +259,7 @@ class Poly:
     def _check(self, other):
         if not isinstance(other, Poly):
             raise TypeError("expected Poly, got %r" % (other,))
-        if other.field is not self.field and other.field != self.field:
+        if other.field is not self.field:
             raise FieldMismatch("mixed-field operands: %r vs %r" % (self.field, other.field))
 
     def __add__(self, other):
@@ -289,8 +289,6 @@ class Poly:
         return _poly(self.field, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Poly.constant(other, self.field)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -329,7 +327,7 @@ class Poly:
         return binary_power(self, e, self.unit_one)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and other.field == self.field and other.terms == self.terms
+        return isinstance(other, Poly) and other.field is self.field and other.terms == self.terms
 
     def __hash__(self):
         return hash((self.field, frozenset(self.terms.items())))
@@ -407,11 +405,7 @@ class Poly:
 
     def rename(self, varmap):
         """Apply a variable-to-variable renaming."""
-        d = {}
-        for m, c in self.terms.items():
-            nm = Monomial([(varmap.get(v, v), e) for v, e in m])
-            d[nm] = d.get(nm, self.field.zero) + c
-        return Poly(self.field, d)
+        return self.substitute({v: Poly.var(w, self.field) for v, w in varmap.items()})
 
     # -- unit handling (for truncated-series inversion) ---------------
 

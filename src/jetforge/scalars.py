@@ -5,8 +5,10 @@ A rational scalar is a Python ``int`` when it is integral and a reduced
 compare and hash equal on equal values, so a term may hold either, and
 products of integral coefficients, such as the integer multinomials of jet
 components, stay off ``Fraction``.  Prime-field scalars are ``Fp``
-instances carrying their modulus.  A field object (``QQ`` or ``PrimeField(p)``) converts
-integers and its own scalars (``field(c)`` calls ``field.coerce(c)``, which raises
+instances carrying their modulus.  A field is one object (``QQ``, which
+``Rationals()`` returns, or ``PrimeField(p)``, interned in a table that never
+shrinks), so fields compare by identity.  It converts integers and its own
+scalars (``field(c)`` calls ``field.coerce(c)``, which raises
 ``FieldMismatch`` on anything else), provides constants and inversion,
 renders coefficients in the canonical "p/q" form, and builds a scalar from
 an integer ratio (``from_ratio``).  ``Poly.eval`` computes in the scalars'
@@ -107,6 +109,9 @@ class Rationals:
 
     name = "Q"
 
+    def __new__(cls):
+        return QQ
+
     @property
     def zero(self):
         return 0
@@ -148,12 +153,6 @@ class Rationals:
                 return _decimal(c.numerator)
             return "%s/%s" % (_decimal(c.numerator), _decimal(c.denominator))
 
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("Q")
-
     def __repr__(self):
         return "QQ"
 
@@ -186,16 +185,24 @@ def is_prime(n):
     return True
 
 
-class PrimeField:
-    """The field F_p for a prime p < 2**31."""
+_PRIME_FIELDS = {}  # p -> the one PrimeField for p
 
-    def __init__(self, p):
-        if not (1 < p < 2**31):
-            raise ValueError("modulus out of range: %d" % p)
-        if not is_prime(p):
-            raise ValueError("modulus is not prime: %d" % p)
-        self.p = p
-        self.name = "F%d" % p
+
+class PrimeField:
+    """The field F_p for a prime p < 2**31: one object per p, checked when first built."""
+
+    def __new__(cls, p):
+        if type(p) is not int:
+            raise TypeError("modulus is not an int: %r" % (p,))
+        F = _PRIME_FIELDS.get(p)
+        if F is None:
+            if not (1 < p < 2**31):
+                raise ValueError("modulus out of range: %d" % p)
+            if not is_prime(p):
+                raise ValueError("modulus is not prime: %d" % p)
+            F = _PRIME_FIELDS[p] = object.__new__(cls)
+            F.p, F.name = p, "F%d" % p
+        return F
 
     @property
     def zero(self):
@@ -229,17 +236,14 @@ class PrimeField:
     def render(self, c):
         return str(c.value)
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("F", self.p))
-
     def __repr__(self):
         return "PrimeField(%d)" % self.p
 
+    def __reduce__(self):
+        return PrimeField, (self.p,)
 
-QQ = Rationals()
+
+QQ = object.__new__(Rationals)
 
 
 # int() refuses longer digit strings (sys.get_int_max_str_digits()).

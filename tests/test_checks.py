@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from jetforge import checks, hsmodules, jets
+from jetforge import checks, hsmodules, jets, p1
 from jetforge.checks import (MAX_VARS, ORACLE_POINTS, SUITES, base_change_check,
                              bigrade_commute_check, cotangent_theorem_check,
                              cotruncation_subset_check, free_dual_zigzag_check, points_agree,
@@ -147,6 +147,19 @@ def test_failing_suite_is_reported(monkeypatch, capsys):
                                           "oracle 0/2 agree, ")
     assert main(["check", "--suite", "broken", "--trials", "1"]) == 1
     assert "broken             FAIL" in capsys.readouterr().out
+
+
+def test_failure_without_an_instance_has_no_input(monkeypatch):
+    """A p1_cocycle trial draws only the integers d and n, so its failure
+    report holds no replayable document: under power_jets of |k| each
+    trial with d != 0 fails with the keys trial, d and n alone."""
+    power_jets = p1.power_jets
+    monkeypatch.setattr(p1, "power_jets",
+                        lambda k, chart, n, field=QQ: power_jets(abs(k), chart, n, field))
+    failures = run_suite(seed=42, trials=20, suites=["p1_cocycle"])["suites"]["p1_cocycle"][
+        "failures"]
+    assert len(failures) == 17
+    assert all(f.keys() == {"trial", "d", "n"} and f["d"] for f in failures)
 
 
 def _points_drawn(start, nvars, end):
@@ -579,20 +592,23 @@ def test_random_poly_draws_as_the_monomial_reference():
 
 
 def _drawn_records(args):
-    """The algebras and modules of a suite's draw."""
+    """The algebras, modules and morphisms of a suite's draw."""
     for a in args:
         if isinstance(a, ModulePresentation):
             yield from (a, a.over)
         elif isinstance(a, AlgebraMorphism):
-            yield from (a.source, a.target)
+            yield from (a, a.source, a.target)
         elif isinstance(a, AlgebraPresentation):
             yield a
 
 
 def _built_from(R, n):
-    """R, and the modules that hsmodules builds from it at level n: the
-    Hasse-Schmidt module of a module; the Kaehler modules of an algebra and
-    of its jet presentation, and the Hasse-Schmidt module of the former."""
+    """R, and what the library builds from it at level n: the induced
+    morphism of a morphism; the Hasse-Schmidt module of a module; the
+    Kaehler modules of an algebra and of its jet presentation, and the
+    Hasse-Schmidt module of the former."""
+    if isinstance(R, AlgebraMorphism):
+        return [R, induced_morphism(R, n)]
     if isinstance(R, ModulePresentation):
         return [R, hs_module_presentation(R, n)]
     return [R, kaehler_presentation(R), *checks._cotangent_sides(R, n)]
@@ -600,15 +616,15 @@ def _built_from(R, n):
 
 def test_drawn_algebras_pass_the_constructor_checks():
     """Every record built unchecked, with ``_built``, is what its checking
-    constructor builds from its fields: the drawn algebras and modules of
-    every suite over Q, the draws' F2 and F3 reductions, and the modules
-    built from all of these."""
+    constructor builds from its fields: the drawn algebras, modules and
+    morphisms of every suite over Q, the draws' F2 and F3 reductions, and
+    the modules and induced morphisms built from all of these."""
     drawn = [(R, seed % 3) for name, (draw, _) in SUITES.items() for seed in range(200)
              for R in _drawn_records(draw(random.Random("%d:%s" % (seed, name))))]
     drawn += [(A, n) for field in (PrimeField(2), PrimeField(3))
               for suite in ("leibniz", "twisted_ring_hom")
               for A, n in _reduced_draws(suite, field)]
-    graded = relations = rows = 0
+    graded = relations = rows = images = 0
     fields = set()
     for R, n in drawn:
         for B in _built_from(R, n):
@@ -616,10 +632,14 @@ def test_drawn_algebras_pass_the_constructor_checks():
             if isinstance(B, AlgebraPresentation):
                 graded += B.grading is not None
                 relations += len(B.relations)
+                fields.add(B.field)
+            elif isinstance(B, AlgebraMorphism):
+                images += len(B.images)
             else:
                 rows += len(B.relation_matrix)
-            fields.add(B.field)
-    assert graded and relations and rows and fields == {QQ, PrimeField(2), PrimeField(3)}
+                fields.add(B.field)
+    assert graded and relations and rows and images
+    assert fields == {QQ, PrimeField(2), PrimeField(3)}
 
 
 def test_draw_helpers_follow_the_randint_stream():

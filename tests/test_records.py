@@ -150,6 +150,30 @@ def test_module_presentation_row_length():
         ModulePresentation(cusp(), 2, [[X, Y], [X]])
 
 
+U = Poly.var(JetVar("u", 0, 0))
+
+
+@pytest.mark.parametrize("images, error, message", [
+    # once built, and carried to the jets of a target over Q by induced_morphism
+    ({JetVar("x", 0, 0): Poly.var(JetVar("w", 0, 0), PrimeField(7))},
+     FieldMismatch, r"image over PrimeField\(7\), algebra over QQ"),
+    ({JetVar("x", 0, 0): Poly.var(JetVar("w", 0, 0))}, ValueError, "image w_0 is not over u$"),
+    ({JetVar("y", 1, 0): U}, ValueError, "image given for y_0, not a generator of the source"),
+    ({JetVar("x", 0, 1): U}, ValueError, "image given for x_1, not a generator of the source"),
+], ids=["field", "variable", "key", "jet key"])
+def test_algebra_morphism_rejects_images_off_its_algebras(images, error, message):
+    A, B = AlgebraPresentation(["x"], []), AlgebraPresentation(["u"], [])
+    with pytest.raises(error, match=message):
+        AlgebraMorphism(A, B, images)
+
+
+def test_algebra_morphism_rejects_a_target_over_another_field():
+    """Checked first, so even a morphism without images is rejected."""
+    B = AlgebraPresentation(["u"], [], None, PrimeField(7))
+    with pytest.raises(FieldMismatch, match=r"target over PrimeField\(7\), source over QQ"):
+        AlgebraMorphism(AlgebraPresentation(["x"], []), B, {})
+
+
 def test_check_config_errors_in_order():
     """run_suite checks its arguments before it runs a trial: trials first,
     then each suite name; suites must be iterable."""

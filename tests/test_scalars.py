@@ -1,15 +1,19 @@
-"""Rational scalars are ints when integral and Fractions otherwise."""
+"""Rational scalars are ints when integral and Fractions otherwise; there
+is one object per field."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from jetforge.dsl import parse_document
 from jetforge.errors import FieldMismatch
 from jetforge.hsmodules import twisted_action_matrix
 from jetforge.jets import hs_components
 from jetforge.poly import JetVar, Monomial, Poly
-from jetforge.scalars import QQ, PrimeField
+from jetforge.scalars import QQ, PrimeField, Rationals, field_by_name
 
 X = JetVar("x", 0, 0)
 Y = JetVar("y", 1, 0)
@@ -102,3 +106,31 @@ def test_prime_field_times_rational_poly_is_rejected():
         Poly.var(X, f7) * Poly.var(X)
     with pytest.raises(FieldMismatch):
         Poly.var(X) * Poly.constant(3, f7)
+
+
+def test_one_object_per_field():
+    """The constructors, the field names, pickle under every protocol, copy
+    and deepcopy all give back the one object of a field."""
+    f7 = PrimeField(7)
+    assert f7 is PrimeField(7) is field_by_name("F7") and Rationals() is QQ is field_by_name("Q")
+    assert f7 != PrimeField(5) and f7 != QQ
+    for field in (QQ, f7):
+        copies = [copy.copy(field), copy.deepcopy(field)]
+        copies += [pickle.loads(pickle.dumps(field, k)) for k in range(pickle.HIGHEST_PROTOCOL + 1)]
+        assert all(c is field for c in copies)
+
+
+def test_polys_parsed_from_two_documents_are_equal():
+    f, g = (parse_document("ring F7[x]\nideal f = 3x^2 + 10\n").algebra.relations[0]
+            for _ in range(2))
+    assert f.field is g.field is PrimeField(7)
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+
+
+@pytest.mark.parametrize("p", [7.0, 7.5, Fraction(7), "7", True, None])
+def test_prime_field_rejects_a_modulus_that_is_not_an_int(p):
+    """Checked before the field table is read: 7.0 would find F7 there, and
+    a field built on it rendered 3*x + 10 as 3.0*x_0 + 3.0."""
+    PrimeField(7)
+    with pytest.raises(TypeError, match="modulus is not an int"):
+        PrimeField(p)
