@@ -116,19 +116,21 @@ def cmd_module(args):
         raise JetforgeError("document declares no module")
     hm = hs_module_presentation(doc.module, args.n)
     basis = ["e%d_%d" % divmod(c, args.n + 1) for c in range(hm.rank)]
+    # upper_triangle repeats each component down a diagonal: render each entry once
+    texts = {}  # id of an entry, alive in hm -> its text
+    for row in hm.relation_matrix:
+        for p in row:
+            if id(p) not in texts:
+                texts[id(p)] = p.render()
+    rows = [[texts[id(p)] for p in row] for row in hm.relation_matrix]
     if args.format == "json":
-        _emit_json({
-            "level": args.n,
-            "rank": doc.module.rank,
-            "basis": basis,
-            "rows": [[p.render() for p in row] for row in hm.relation_matrix],
-        })
+        _emit_json({"level": args.n, "rank": doc.module.rank, "basis": basis, "rows": rows})
         return 0
     print("level %d" % args.n)
     print("basis %s" % " ".join(basis))
-    for r, row in enumerate(hm.relation_matrix):
+    for r, row in enumerate(rows):
         k, i = divmod(r, args.n + 1)
-        print("row %d.%d : %s" % (k, i, " ; ".join(p.render() for p in row)))
+        print("row %d.%d : %s" % (k, i, " ; ".join(row)))
     return 0
 
 

@@ -32,7 +32,8 @@ class MissingGrading(JetforgeError):
 
 
 class BadLevels(JetforgeError):
-    """A jet level is negative, or a co-truncation comparison has m <= n."""
+    """A jet level is negative, a grade box has no level or more than two,
+    or a co-truncation comparison has m <= n."""
 
 
 class UnsupportedTwist(JetforgeError):

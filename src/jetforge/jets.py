@@ -18,10 +18,12 @@ so the grade-d component of a term c * prod_v v^(e_v) is the sum, over
 the ways to split d among its variables, of c times products of these
 monomials and integer multinomials, truncated to the grade box.  A jet
 monomial determines the source term and the split, so every output term
-is written once, with coefficient c * multinomial; over F_p the terms
-whose multinomial vanishes mod p drop out.  The families are disjoint, so
-each output monomial is one concatenation of the variables' pair tuples,
-sorted only when the families interleave.
+is one dict store, with coefficient c * multinomial, made once per distinct
+multinomial of a term; over F_p the terms whose multinomial vanishes mod p
+drop out.  The tables hold ready monomials, written as they are for a term
+in one variable; the families are disjoint, so in a term with several
+variables each output monomial is one concatenation of monomials, sorted
+only when the families interleave.
 
 Two gradings live on a jet presentation, both read by
 ``Monomial.weighted_degree``: the structural one (deg x^(i) = i) and,
@@ -33,7 +35,7 @@ from itertools import product
 
 from .errors import (BadLevels, FieldMismatch, InhomogeneousRelation, JetforgeError,
                      MissingGrading, NotABaseElement)
-from .poly import JetVar, Poly, _monomial, _poly
+from .poly import UNIT, JetVar, Poly, _monomial, _poly
 from .scalars import QQ
 
 
@@ -54,7 +56,9 @@ def _base_vars(f):
 def _grades(bounds):
     """The grade box 0 <= g <= bounds in lexicographic order, and its
     addition table: sums[a][b] is the position of box[a] + box[b] in the
-    box, or None outside it."""
+    box, or None outside it.  A box has one or two levels, none negative."""
+    if not 1 <= len(bounds) <= 2:
+        raise BadLevels("a grade box has one or two levels, not %d" % len(bounds))
     if any(b < 0 for b in bounds):
         raise BadLevels("negative jet level in %s" % (bounds,))
     box = list(product(*(range(b + 1) for b in bounds)))
@@ -108,19 +112,16 @@ def _expansion(e, bounds):
 @lru_cache(maxsize=None)
 def _rows(family, e, bounds):
     """The table of v^e for a variable with jet family ``family``: each
-    ``_expansion`` entry read through the family as a tuple of (variable,
-    exponent) pairs, with its multinomial, grouped by grade position.  Kept
-    for the life of the process, like ``_expansion``; it holds no field
-    scalar, so every field shares it.  ``_substitute`` and
-    ``p1.power_jets`` read it directly.  It reads ``_expansion`` only on a
-    miss; that split stays a cache of its own, as the families of a box
-    share it, and one split per family slows a cold ``jet --n 80``."""
-    return tuple((g, tuple([(tuple(zip(map(family.__getitem__, grades), exponents)), k)
+    ``_expansion`` entry read through the family as a ready ``Monomial``,
+    with its multinomial, grouped by grade position.  Kept for the life of
+    the process, like ``_expansion``; it holds no field scalar, so every
+    field shares it.  ``_substitute`` and ``p1.power_jets`` read it
+    directly.  It reads ``_expansion`` only on a miss; that split stays a
+    cache of its own, as the families of a box share it, and one split per
+    family slows a cold ``jet --n 80``."""
+    return tuple((g, tuple([(_monomial(tuple(zip(map(family.__getitem__, grades), exponents))), k)
                             for grades, exponents, k in entries]))
                  for g, entries in _expansion(e, bounds))
-
-
-_UNIT_TABLE = ((0, (((), 1),)),)  # the empty product: the unit monomial, in grade 0
 
 
 def _pair_key(pair):
@@ -133,55 +134,79 @@ def _substitute(f, families, bounds):
 
     ``families[v]`` is a tuple whose k-th variable has the k-th grade of the
     box in lexicographic order; each family must be in increasing variable
-    order, and distinct variables of f must have disjoint families.  The
-    dict itself must be in increasing order of its variables, as both
-    callers build it from ``f.vars()``.  Returns one Poly per grade, in box
-    order.
+    order, and distinct variables of f must have disjoint families.  Returns
+    one Poly per grade, in box order.
 
     The rows of v^e's table, built once per (family, e, box) by ``_rows``,
-    are pair tuples of v's family.  Partial products concatenate such rows,
-    and each output term becomes one monomial.  A concatenation must be
-    sorted only when the families interleave, as for ``jet_again`` into
+    are monomials in v's family.  A constant writes the unit, and a term in
+    one variable its table's monomials as they are.  A term in several
+    variables convolves its last variable's table straight into the output,
+    after concatenating the others' rows into lists.  A concatenation must
+    be sorted only when the families interleave, as for ``jet_again`` into
     order1 or for two variables that share an index: when, taken in the
     order of their variables, some family does not end before the next one
-    starts."""
+    starts, which is read off the families at the first such term."""
     box, sums = _grades(bounds)
-    ordered = list(families.values())
-    interleaved = any(a[-1]._key > b[0]._key for a, b in zip(ordered, ordered[1:]))
     out = [{} for _ in box]
+    interleaved = None
     for mono, c in f.terms.items():
-        acc = _UNIT_TABLE
-        for v, e in mono:
-            table = _rows(families[v], e, bounds)
-            if acc is _UNIT_TABLE:
-                acc = table
-                continue
+        if not mono:
+            out[0][UNIT] = c
+            continue
+        scaled = {1: c}  # multinomial k -> c * k, zeros included
+        v, e = mono[-1]
+        table = _rows(families[v], e, bounds)
+        if len(mono) == 1:
+            for g, rows in table:
+                dest = out[g]
+                for m, k in rows:
+                    coeff = scaled.get(k)
+                    if coeff is None:
+                        coeff = scaled[k] = c * k
+                    if coeff:
+                        dest[m] = coeff
+            continue
+        if interleaved is None:
+            ordered = [families[w] for w in sorted(families, key=JetVar.sort_key)]
+            interleaved = any(a[-1]._key > b[0]._key for a, b in zip(ordered, ordered[1:]))
+        v, e = mono[0]
+        acc = _rows(families[v], e, bounds)
+        for v, e in mono[1:-1]:
             nxt = {}
             for g1, left in acc:
                 row = sums[g1]
-                for g2, right in table:
+                for g2, right in _rows(families[v], e, bounds):
                     g = row[g2]
-                    if g is None:
-                        continue
-                    terms = nxt.setdefault(g, [])
-                    for m1, k1 in left:
-                        terms.extend([(m1 + m2, k1 * k2) for m2, k2 in right])
+                    if g is not None:
+                        nxt.setdefault(g, []).extend(
+                            [(m1 + m2, k1 * k2) for m1, k1 in left for m2, k2 in right])
             acc = nxt.items()
-        for g, terms in acc:
-            dest = out[g]
-            for m, k in terms:
-                coeff = c if k == 1 else c * k
-                if coeff:
-                    if interleaved:
-                        m = sorted(m, key=_pair_key)
-                    dest[_monomial(m)] = coeff
+        for g1, left in acc:
+            row = sums[g1]
+            for g2, right in table:
+                g = row[g2]
+                if g is None:
+                    continue
+                dest = out[g]
+                for m1, k1 in left:
+                    for m2, k2 in right:
+                        k = k1 * k2
+                        coeff = scaled.get(k)
+                        if coeff is None:
+                            coeff = scaled[k] = c * k
+                        if coeff:
+                            m = m1 + m2
+                            dest[_monomial(sorted(m, key=_pair_key) if interleaved else m)] = coeff
     return [_poly(f.field, d) for d in out]
 
 
 def hs_components(f, *levels):
     """Jet components of a base-ring polynomial over the grade box (n,) or
     (n, m), in box order: d_0(f) .. d_n(f), or the coefficients of s^i t^j."""
-    return _substitute(f, {v: _family(v, levels) for v in _base_vars(f)}, levels)
+    variables = {v for m in f.terms for v, _ in m}
+    if any(v.order1 or v.order2 is not None for v in variables):
+        _base_vars(f)  # raises, naming the least jet variable of f
+    return _substitute(f, {v: _family(v, levels) for v in variables}, levels)
 
 
 def jet_again(f, n, outer_to):

@@ -15,10 +15,11 @@ g = sum h * a_h; binom(k, m) = k(k-1)...(k-m+1)/m! is an integer for
 negative k too, so no series is inverted.
 
 ``power_jets`` reads its multisets from the jet engine's ``jets._rows``
-tables and writes each coefficient in lowest terms (``localized``'s
-invariant), without a scan; the cocycle's series product keeps lowest terms
-through ``LocalPoly`` arithmetic, so its comparison is one of reduced forms
-and nothing is normalized twice.
+tables, which hold them as ready monomials; it writes a table monomial as
+it is where no power of u multiplies it.  It writes each coefficient in
+lowest terms (``localized``'s invariant), without a scan; the cocycle's
+series product keeps lowest terms through ``LocalPoly`` arithmetic, so its
+comparison is one of reduced forms and nothing is normalized twice.
 
 ``p1_transition`` returns the twisted-action matrix as the rows of
 ``hsmodules.upper_triangle``, and ``global_sections`` returns (label,
@@ -68,10 +69,10 @@ def power_jets(k, chart, n, field=QQ):
                 denoms[j] = max(0, m - k)
             e = k - m + denoms[j]
             head = ((u, e),) if e else ()
-            for pairs, mult in rows:
+            for mono, mult in rows:
                 c = field.coerce(b * mult)
                 if c:
-                    dest[_monomial(head + pairs)] = c
+                    dest[_monomial(head + mono) if head else mono] = c
     return TruncSeries(n, [_local(_poly(field, c), u, e if c else 0)
                            for c, e in zip(coeffs, denoms)])
 

@@ -9,6 +9,9 @@ import pytest
 
 from jetforge import checks, cli
 from jetforge.cli import build_parser, main
+from jetforge.dsl import parse_document
+from jetforge.hsmodules import hs_module_presentation
+from jetforge.poly import Poly
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -79,6 +82,27 @@ def test_module_command(capsys):
     assert code == 0
     assert "row 0.0 : x_0 ; 0 ; y_0 ; 0" in out
     assert "row 0.1 : x_1 ; x_0 ; y_1 ; y_0" in out
+
+
+def test_module_renders_each_entry_once(monkeypatch, capsys):
+    """upper_triangle repeats each jet component down a diagonal of its
+    block; module renders each entry object once and prints each row as the
+    entries rendered one by one."""
+    n, path = 3, GOLDEN / "full.jf"
+    hm = hs_module_presentation(parse_document(path.read_text()).module, n)
+    want = ["row %d.%d : %s" % (*divmod(r, n + 1), " ; ".join(p.render() for p in row))
+            for r, row in enumerate(hm.relation_matrix)]
+    render, rendered = Poly.render, []
+
+    def counted(self, *args):
+        rendered.append(id(self))
+        return render(self, *args)
+
+    monkeypatch.setattr(Poly, "render", counted)
+    code, out, _ = run(capsys, "module", "--n", str(n), str(path))
+    assert code == 0
+    assert out.splitlines()[2:] == want
+    assert len(rendered) == len(set(rendered)) < sum(map(len, hm.relation_matrix))
 
 
 def test_module_without_declaration(tmp_path, capsys):

@@ -111,7 +111,14 @@ def _read(comps, grades, field):
 def test_engine_matches_naive_oracle():
     """hs_components over (n,) and (n, m) boxes and jet_again (both outer indices)
     against the untruncated substitute-and-collect oracle, over Q and F_p,
-    with exponents up to 6 on both sides of the level."""
+    with exponents up to 6 on both sides of the level.  Then each path of
+    the engine on hand-picked inputs: a constant and terms in one variable
+    (the unit and the table monomials written as they are); terms in two
+    and three variables, whose products of multinomials repeat within a
+    term (1, 2, 3, 6, ...), and of which over F2 and F3 some vanish and
+    others do not; and families that interleave: x and u share an index,
+    and jet_again into order1 lifts x_0 and x_1 to families that interleave
+    from level 1 on."""
     rng = random.Random(4104)
     fields = (QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(2147483647))
     seen = set()
@@ -148,7 +155,36 @@ def test_engine_matches_naive_oracle():
             assert hs_components(c, 3) == [c] + [Poly.zero(field)] * 3
             assert jet_again(c, 2, "order2") == [c] + [Poly.zero(field)] * 2
             assert hs_components(c, 1, 2) == [c] + [Poly.zero(field)] * 5
+
     assert seen == {"e>n", "e<n", "e=n"}
+
+    for field in fields[:3]:  # Q, F2 and F3
+        x, y, z = (JetVar(s, i, 0) for i, s in enumerate("xyz"))
+        u = JetVar("u", 0, 0)  # shares x's index
+        px, py, pz, pu = (Poly.var(v, field) for v in (x, y, z, u))
+        a = field(Fraction(-7, 3)) if field is QQ else field(5)
+        one_var = Poly.constant(a, field) + 3 * px ** 4 + px + pz ** 2 * a - pu ** 3
+        two_vars = px ** 2 * py ** 3 - 2 * px ** 3 * py ** 3 + px * py * a + py ** 2 * pz ** 2
+        three_vars = px ** 2 * py * pz ** 3 * a + px * py * pz
+        shared = 3 * px ** 2 * pu - pu ** 3 * px + px * pu ** 2 * a
+        for f in (one_var, two_vars, three_vars, shared, one_var + two_vars + shared):
+            for n in range(5):
+                assert hs_components(f, n) == naive_hs_components(f, n)
+            for n, m in ((1, 1), (2, 1), (0, 2)):
+                fams = {v: {(i, j): JetVar(v.name, v.index, i, j)
+                            for i in range(n + 1) for j in range(m + 1)} for v in f.vars()}
+                comps = naive_components(f, fams, (SIGMA, TAU))
+                want = _read(comps, [(i, j) for i in range(n + 1) for j in range(m + 1)], field)
+                assert hs_components(f, n, m) == want
+        px1, py1 = Poly.var(JetVar("x", 0, 1), field), Poly.var(JetVar("y", 1, 1), field)
+        g = px ** 2 * px1 ** 2 * a - px1 ** 3 * py1 + 2 * px * px1 * py1 ** 2 + px + 1
+        for a_level in range(4):
+            for outer, lift in (("order1", lambda v, k: JetVar(v.name, v.index, k, v.order1)),
+                                ("order2", lambda v, k: JetVar(v.name, v.index, v.order1, k))):
+                fams = {v: {(k,): lift(v, k) for k in range(a_level + 1)} for v in g.vars()}
+                want = _read(naive_components(g, fams, (TAU,)),
+                             [(k,) for k in range(a_level + 1)], field)
+                assert jet_again(g, a_level, outer) == want
 
 
 def _compositions(e, parts):
@@ -224,6 +260,18 @@ def test_jet_again_rejects_bad_input():
         jet_again(P("x", 1), 2, "order3")
     with pytest.raises(NotABaseElement):
         jet_again(P("x", 1, 0), 2, "order1")
+
+
+def test_grade_box_needs_one_or_two_levels():
+    """A grade box with no level or with three raises BadLevels, as a
+    negative level does: in hs_components, for a constant too, and when a
+    jet presentation is built."""
+    for levels in ((), (1, 1, 1)):
+        for f in (P("x", 0), Poly.constant(2)):
+            with pytest.raises(BadLevels, match="one or two levels"):
+                hs_components(f, *levels)
+        with pytest.raises(BadLevels, match="one or two levels"):
+            jet_presentation(cusp(), *levels)
 
 
 # -- bivariate components ---------------------------------------------
