@@ -44,13 +44,13 @@ from fractions import Fraction
 
 from .dsl import print_document
 from .errors import BadLevels, FieldMismatch, UnknownSuite
-from .hsmodules import (ModulePresentation, TwistedMatrix, _linear_combination,
-                        hs_module_presentation, kaehler_presentation, module_symbols,
-                        sym_presentation, twisted_action_matrix)
+from .hsmodules import (ModulePresentation, _linear_combination, hs_module_presentation,
+                        kaehler_presentation, module_symbols, sym_presentation,
+                        twisted_action_matrix)
 from .jets import (AlgebraMorphism, AlgebraPresentation, _grades, hs_components,
                    induced_morphism, jet_again, jet_presentation)
 from .p1 import cocycle_check  # p1_cocycle's check, looked up by name
-from .poly import JetVar, Monomial, Poly, _monomial, _poly, _value
+from .poly import JetVar, Monomial, Poly, _monomial, _poly, _value, convolve
 from .scalars import QQ
 
 ORACLE_POINTS = 20
@@ -330,9 +330,7 @@ def _leibniz_sides(A, n):
     i = 0..n, for the relations f and g of A."""
     f, g = A.relations
     cf, cg, cfg = hs_components(f, n), hs_components(g, n), hs_components(f * g, n)
-    conv = [sum((cf[k] * cg[i - k] for k in range(i + 1)), Poly.zero(f.field))
-            for i in range(n + 1)]
-    return conv, cfg
+    return convolve(cf, cg), cfg
 
 
 def _structural_check(A, n):
@@ -374,15 +372,13 @@ def _functoriality_check(phi, g, n):
 
 def _twisted_check(A, n):
     """p -> twisted_action_matrix(p, n) respects sums, products and 1, on
-    the relations p and q of A."""
+    the relations p and q of A; a twisted matrix is determined by its jets."""
     p, q = A.relations
     tp, tq = twisted_action_matrix(p, n), twisted_action_matrix(q, n)
-    add_ok = twisted_action_matrix(p + q, n).entries == [
-        [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(tp.entries, tq.entries)]
+    add_ok = twisted_action_matrix(p + q, n).comps == [a + b for a, b in zip(tp.comps, tq.comps)]
     mul_ok = twisted_action_matrix(p * q, n) == tp.matmul(tq)
-    one, zero = Poly.constant(1, p.field), Poly.zero(p.field)
-    one_ok = twisted_action_matrix(one, n) == TwistedMatrix(
-        [[one if i == j else zero for i in range(n + 1)] for j in range(n + 1)])
+    one = Poly.constant(1, p.field)
+    one_ok = twisted_action_matrix(one, n).comps == [one] + [Poly.zero(p.field)] * n
     ok = add_ok and mul_ok and one_ok
     return ok, None if ok else {"n": n}
 

@@ -3,10 +3,12 @@
 The dual of the free rank-(n+1) module over the level-n jet algebra
 carries an action of the base algebra given by a . e^(i) =
 sum_{j<=i} a^(i-j) e^(j); the matrix of that action is upper triangular
-with entries the jet components of a.  Hasse-Schmidt modules of a
-cokernel presentation are block matrices of those twisted actions, and
-the cotangent module of a jet algebra is exactly the Hasse-Schmidt
-module of the base cotangent module, through the identity
+and Toeplitz, with entries the jet components of a.  A TwistedMatrix
+holds only those jets, so the product of two is the convolution of their
+jets (``poly.convolve``).  Hasse-Schmidt modules of a cokernel
+presentation are block matrices of those twisted actions, and the
+cotangent module of a jet algebra is exactly the Hasse-Schmidt module of
+the base cotangent module, through the identity
 d(d_i f)/d x^(j) = d_{i-j}(df/dx).  The theorem checks on these
 constructions are in ``checks``.
 
@@ -16,49 +18,33 @@ rows and skip those checks with ``_built``.  Indices follow from
 position: in a level-n Hasse-Schmidt module, row r is relation k at
 order i and basis vector c is e_l at order j, with
 (k, i) = divmod(r, n+1) and (l, j) = divmod(c, n+1).  ``upper_triangle``
-is the one layout of a twisted matrix; ``p1`` lays out the transition
+is the one layout of a twisted matrix: ``TwistedMatrix.entries`` and the
+Hasse-Schmidt module's blocks use it, and ``p1`` lays out the transition
 matrices of the jet bundles on P^1 with it too.
 """
 
 from .jets import (AlgebraPresentation, _Record, _check_over, _generators, hs_components,
                    jet_presentation)
-from .poly import JetVar, Poly, _monomial, _poly
+from .poly import JetVar, Poly, _monomial, _poly, convolve
 
 
 class TwistedMatrix(_Record):
-    """Upper-triangular matrix of size level + 1, entry (row j, col i) = d_{i-j}(p)."""
+    """Upper-triangular matrix held as the jets of p: entry (row j, col i) = d_{i-j}(p)."""
 
-    _fields = ("entries",)
+    _fields = ("comps",)
 
-    def __init__(self, entries):
-        self.entries = entries  # rows of Poly
+    def __init__(self, comps):
+        self.comps = comps  # Poly jets, d_0 first
 
     @property
-    def level(self):
-        return len(self.entries) - 1
+    def entries(self):
+        """The rows of the matrix, laid out by ``upper_triangle``."""
+        return upper_triangle(self.comps, Poly.zero(self.comps[0].field))
 
     def matmul(self, other):
-        """The matrix product; a product with a zero entry is skipped, and
-        each distinct pair of entry objects is multiplied once, since
-        ``upper_triangle`` repeats one Poly down each diagonal."""
-        zero = _poly(self.entries[0][0].field, {})
-        columns = list(zip(*other.entries))
-        known = {}  # (id(a), id(b)) -> a * b, for entries that live through the call
-        rows = []
-        for left in self.entries:
-            row = []
-            for column in columns:
-                products = []
-                for a, b in zip(left, column):
-                    if a.terms and b.terms:
-                        key = id(a), id(b)
-                        ab = known.get(key)
-                        if ab is None:
-                            ab = known[key] = a * b
-                        products.append(ab)
-                row.append(sum(products[1:], products[0]) if products else zero)
-            rows.append(row)
-        return TwistedMatrix(rows)
+        """The matrix product: two upper-triangular Toeplitz matrices
+        multiply to the one of the convolution of their jets."""
+        return TwistedMatrix(convolve(self.comps, other.comps))
 
 
 def upper_triangle(comps, zero):
@@ -69,7 +55,7 @@ def upper_triangle(comps, zero):
 
 
 def twisted_action_matrix(p, n):
-    return TwistedMatrix(upper_triangle(hs_components(p, n), Poly.zero(p.field)))
+    return TwistedMatrix(hs_components(p, n))
 
 
 class ModulePresentation(_Record):

@@ -12,7 +12,8 @@ stored strings.  A monomial is a tuple of (variable, exponent) pairs and
 equals the plain tuple of its pairs.  Polynomials are immutable
 dictionaries mapping monomials to nonzero exact field scalars; the zero
 polynomial is the empty map, and a sum or product with a zero operand
-does no arithmetic.
+does no arithmetic.  ``convolve`` is the one product of jet lists: the
+truncated series, the twisted matrices and the Leibniz check all use it.
 
 Canonical textual form (the bit-exact contract for golden tests and JSON
 output): variables sort by (base index, order1, order2, name), with a
@@ -190,6 +191,20 @@ def binary_power(base, e, one):
         if e & 1:
             out = out * base
         e >>= 1
+    return out
+
+
+def convolve(a, b):
+    """The jet list whose entry i is sum_k a[k] * b[i - k], for two jet
+    lists of one length: the product rule of truncated series, over any
+    ring elements.  Each entry starts from its first product."""
+    if len(a) != len(b):
+        raise ValueError("jet lists of lengths %d and %d" % (len(a), len(b)))
+    size = len(b)
+    out = [a[0] * y for y in b]
+    for i, x in enumerate(a[1:], 1):
+        for j, y in enumerate(b[:size - i]):
+            out[i + j] = out[i + j] + x * y
     return out
 
 

@@ -6,12 +6,13 @@ both qualify).  A level-0 series is a plain ring element.
 
 Every coefficient is built with the coefficient ring's own +, - and *, so
 a LocalPoly coefficient is in lowest terms whenever its operands are (see
-``localized``).  A product starts each coefficient from its first term
-product, not from a zero coefficient.
+``localized``).  A product is ``poly.convolve`` of the coefficient lists
+(for a doubly truncated series, of its rows, each a series in t), which
+starts each coefficient from its first term product, not from a zero.
 """
 
 from .errors import NonUnitLeadingCoefficient
-from .poly import binary_power
+from .poly import binary_power, convolve
 
 
 class TruncSeries:
@@ -47,13 +48,7 @@ class TruncSeries:
 
     def __mul__(self, other):
         self._check(other)
-        n = self.level
-        a0 = self.coeffs[0]
-        out = [a0 * b for b in other.coeffs]  # each coefficient starts from its first product
-        for i, a in enumerate(self.coeffs[1:], 1):
-            for j, b in enumerate(other.coeffs[:n + 1 - i]):
-                out[i + j] = out[i + j] + a * b
-        return TruncSeries(n, out)
+        return TruncSeries(self.level, convolve(self.coeffs, other.coeffs))
 
     def __pow__(self, e):
         if e < 0:
@@ -102,7 +97,7 @@ def series_invert(s):
 
 
 class BiSeries:
-    """Doubly truncated series C[[s,t]]/(s^(n+1), t^(m+1)); grid of coefficients."""
+    """Doubly truncated series C[[s,t]]/(s^(n+1), t^(m+1)); grid row i, at s^i, is a series in t."""
 
     __slots__ = ("n", "m", "grid")
 
@@ -117,22 +112,13 @@ class BiSeries:
     def __setattr__(self, name, value):
         raise AttributeError("BiSeries is immutable")
 
-    def _zero_coeff(self):
-        return self.grid[0][0] * 0
-
     def __add__(self, other):
         return BiSeries(self.n, self.m, [
             [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.grid, other.grid)])
 
     def __mul__(self, other):
-        z = self._zero_coeff()
-        out = [[z for _ in range(self.m + 1)] for _ in range(self.n + 1)]
-        for i1, row in enumerate(self.grid):
-            for j1, a in enumerate(row):
-                for i2 in range(self.n + 1 - i1):
-                    for j2 in range(self.m + 1 - j1):
-                        out[i1 + i2][j1 + j2] = out[i1 + i2][j1 + j2] + a * other.grid[i2][j2]
-        return BiSeries(self.n, self.m, out)
+        rows = convolve(*[[TruncSeries(s.m, row) for row in s.grid] for s in (self, other)])
+        return BiSeries(self.n, self.m, [row.coeffs for row in rows])
 
     def __pow__(self, e):
         if e < 0:
@@ -140,7 +126,7 @@ class BiSeries:
         return binary_power(self, e, self.one_like)
 
     def one_like(self):
-        z = self._zero_coeff()
+        z = self.grid[0][0] * 0
         one = self.grid[0][0].unit_one()
         return BiSeries(self.n, self.m, [[one if (i, j) == (0, 0) else z
                                           for j in range(self.m + 1)] for i in range(self.n + 1)])

@@ -8,9 +8,9 @@ from jetforge.cli import main
 from jetforge.errors import FieldMismatch, JetforgeError
 from jetforge.checks import (base_change_check, cotangent_theorem_check,
                              free_dual_zigzag_check, random_poly, sym_theorem_check)
-from jetforge.hsmodules import (ModulePresentation, TwistedMatrix, hs_module_presentation,
-                                kaehler_presentation, linear_form, module_symbols,
-                                sym_presentation, twisted_action_matrix, upper_triangle)
+from jetforge.hsmodules import (ModulePresentation, hs_module_presentation, kaehler_presentation,
+                                linear_form, module_symbols, sym_presentation,
+                                twisted_action_matrix, upper_triangle)
 from jetforge.jets import (AlgebraMorphism, AlgebraPresentation, hs_components,
                            jet_presentation)
 from jetforge.poly import JetVar, Poly
@@ -79,43 +79,32 @@ def test_twisted_ring_hom_random():
         assert sums == twisted_action_matrix(p + q, n).entries
 
 
-def test_matmul_multiplies_each_distinct_entry_pair_once(monkeypatch):
-    """matmul equals the triple loop, on twisted matrices and on matrices
-    with repeated and zero entries, and multiplies each pair of nonzero
-    entry objects once: 15 products for two twisted matrices at n = 4,
-    where the triple loop makes 35."""
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=lambda f: f.name)
+def test_matmul_is_the_matrix_product_of_the_entries(field):
+    """matmul, the convolution of the jets, equals the triple-loop product
+    of the entries, and is the twisted matrix of the product."""
     rng = random.Random(29)
-    pairs = []
-    mul = Poly.__mul__
-
-    def recorder(a, b):
-        pairs.append((id(a), id(b)))
-        return mul(a, b)
-
     names = ["x", "y"]
     for n in range(5):
-        p, q = X0 ** 2 - 3 * Y0 + 1, X0 * Y0 + Y0
-        cases = [(twisted_action_matrix(p, n), twisted_action_matrix(q, n))]
-        for _ in range(4):
-            p, q = random_poly(rng, names), random_poly(rng, names)
-            cases.append((twisted_action_matrix(p, n), twisted_action_matrix(q, n)))
-            pool = [p, q, Poly.zero(), X0 - Y0]
-            cases.append(tuple(TwistedMatrix([[rng.choice(pool) for _ in range(n + 1)]
-                                              for _ in range(n + 1)]) for _ in range(2)))
-        for k, (s, t) in enumerate(cases):
-            pairs.clear()
-            with monkeypatch.context() as m:
-                m.setattr(Poly, "__mul__", recorder)
-                got = s.matmul(t)
+        pairs = [(X0 ** 2 - 3 * Y0 + 1, X0 * Y0 + Y0)]
+        pairs += [(random_poly(rng, names), random_poly(rng, names)) for _ in range(4)]
+        for p, q in pairs:
+            p, q = Poly(field, p.terms), Poly(field, q.terms)
+            s, t = twisted_action_matrix(p, n), twisted_action_matrix(q, n)
             size = range(n + 1)
             a, b = s.entries, t.entries
-            assert got.entries == [[sum((mul(a[j][l], b[l][i]) for l in size), Poly.zero())
+            got = s.matmul(t)
+            assert got.entries == [[sum((a[j][l] * b[l][i] for l in size), Poly.zero(field))
                                     for i in size] for j in size]
-            want = {(id(a[j][l]), id(b[l][i])) for j in size for i in size for l in size
-                    if a[j][l].terms and b[l][i].terms}
-            assert sorted(pairs) == sorted(want)
-            if k == 0:
-                assert len(pairs) == (n + 1) * (n + 2) // 2
+            assert got == twisted_action_matrix(p * q, n)
+
+
+def test_matmul_rejects_another_level():
+    """Twisted matrices of two levels do not multiply, in either order."""
+    with pytest.raises(ValueError, match="jet lists of lengths 2 and 3"):
+        twisted_action_matrix(X0, 1).matmul(twisted_action_matrix(Y0, 2))
+    with pytest.raises(ValueError, match="jet lists of lengths 3 and 2"):
+        twisted_action_matrix(X0, 2).matmul(twisted_action_matrix(Y0, 1))
 
 
 # -- Hasse-Schmidt module presentations -------------------------------

@@ -163,4 +163,5 @@ def _unused_imports(path):
 def test_no_unused_import():
     tests = Path(__file__).resolve().parent
     files = sorted((SRC / "jetforge").rglob("*.py")) + sorted(tests.rglob("*.py"))
+    files += sorted((SRC.parent / "demos").glob("*.py"))
     assert [hit for path in files for hit in _unused_imports(path)] == []

@@ -53,6 +53,7 @@ def test_additive_identity_and_cancellation():
     assert p + Poly.zero() == p
     z = P(X) - P(X)
     assert z.is_zero() and not z.terms
+    assert 1 - P(X) == Poly.constant(1) - P(X) == -(P(X) - 1)
 
 
 def test_mixed_field_rejected():
@@ -62,6 +63,9 @@ def test_mixed_field_rejected():
         a + P(X)
     with pytest.raises(FieldMismatch):
         Fp(1, 5) + Fp(1, 7)
+    for other in ("x", 0.5, X):
+        with pytest.raises(TypeError, match="expected Poly"):
+            P(X) + other
 
 
 def test_partial_derivative_examples():
@@ -176,6 +180,9 @@ def test_prime_field_arithmetic():
     b = Poly.var(X, f7) * 5
     assert (a + b) == Poly.var(X, f7) + Poly.constant(3, f7)
     assert f7.inv(f7(3)) == f7(5)
+    assert Fp(2, 7) - Fp(5, 7) == Fp(2, 7) - 5 == Fp(4, 7)
+    with pytest.raises(FieldMismatch):
+        Fp(2, 7) - Fp(2, 5)
     with pytest.raises(DivisionByZero):
         f7.inv(f7(0))
 

@@ -38,8 +38,7 @@ def instances():
                           lambda: JetPresentation((1, 1), AlgebraPresentation(["x", "y"], []))),
         AlgebraMorphism: (lambda: AlgebraMorphism.identity(A),
                           lambda: AlgebraMorphism(A, A, {})),
-        TwistedMatrix: (lambda: TwistedMatrix([[X, Y], [Poly.zero(), X]]),
-                        lambda: TwistedMatrix([[X, Y], [Poly.zero(), Y]])),
+        TwistedMatrix: (lambda: TwistedMatrix([X, Y]), lambda: TwistedMatrix([X, X])),
         ModulePresentation: (lambda: ModulePresentation(A, 2, [[X, Y]]),
                              lambda: ModulePresentation(A, 2, [[Y, X]])),
         InputDocument: (lambda: parse_document(doc),
@@ -77,7 +76,7 @@ SIGNATURES = {
     AlgebraPresentation: ["vars", "relations", "grading", "field"],
     JetPresentation: ["levels", "source"],
     AlgebraMorphism: ["source", "target", "images"],
-    TwistedMatrix: ["entries"],
+    TwistedMatrix: ["comps"],
     ModulePresentation: ["over", "rank", "relation_matrix"],
     InputDocument: ["algebra", "ideal_names", "module", "morphism"],
 }
@@ -97,7 +96,7 @@ def test_repr_reads_as_the_dataclass_repr():
     assert repr(ModulePresentation(AlgebraPresentation(["x"], []), 0, [])) == (
         "ModulePresentation(over=AlgebraPresentation(vars=['x'], relations=[], grading=None, "
         "field=QQ), rank=0, relation_matrix=[])")
-    assert repr(TwistedMatrix([])) == "TwistedMatrix(entries=[])"
+    assert repr(TwistedMatrix([])) == "TwistedMatrix(comps=[])"
 
 
 def test_defaults():
@@ -108,13 +107,15 @@ def test_defaults():
 
 
 def test_derived_fields_are_read_only():
-    """A twisted matrix's level is its size less one, and a document's field
-    is its algebra's; neither is a slot of its own."""
-    t = TwistedMatrix([[X, Y], [Poly.zero(), X]])
+    """A twisted matrix's entries are its jets laid out as an upper
+    triangle, and a document's field is its algebra's; neither is a slot of
+    its own."""
+    t = TwistedMatrix([X, Y])
     doc = parse_document("ring F7[x]\n")
-    assert t.level == 1 and doc.field is doc.algebra.field == PrimeField(7)
+    assert t.entries == [[X, Y], [Poly.zero(), X]]
+    assert doc.field is doc.algebra.field == PrimeField(7)
     with pytest.raises(AttributeError):
-        t.level = 2
+        t.entries = [[X]]
     with pytest.raises(AttributeError):
         doc.field = QQ
 

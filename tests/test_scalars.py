@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from jetforge.dsl import parse_document
-from jetforge.errors import FieldMismatch
+from jetforge.errors import DivisionByZero, FieldMismatch
 from jetforge.hsmodules import twisted_action_matrix
 from jetforge.jets import hs_components
 from jetforge.poly import JetVar, Monomial, Poly
@@ -32,6 +32,9 @@ def test_rational_constructors_return_int_when_integral(value):
             (QQ.from_ratio(-q.numerator, -q.denominator), q)]
     if q:
         made.append((QQ.inv(value), 1 / q))
+    else:
+        with pytest.raises(DivisionByZero, match="inverse of 0 in Q"):
+            QQ.inv(value)
     for got, want in made:
         assert type(got) is (int if want.denominator == 1 else Fraction)
         assert got == want

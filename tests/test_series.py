@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from jetforge.errors import FieldMismatch, NonUnitLeadingCoefficient
 from jetforge.localized import LocalPoly
-from jetforge.poly import JetVar, Monomial, Poly
+from jetforge.poly import JetVar, Monomial, Poly, convolve
 from jetforge.scalars import QQ, Fp, PrimeField
 from jetforge.series import BiSeries, TruncSeries, series_invert
 
@@ -53,6 +54,52 @@ def test_inversion_property_random_levels():
     for n in range(5):
         s = TruncSeries(n, [const(3)] + [const(i + 1) for i in range(n)])
         assert s * series_invert(s) == s.one_like()
+
+
+def test_sums_and_negation():
+    x, y = Poly.var(T0[1]), Poly.var(T0[2])
+    a = TruncSeries(2, [x, const(1), y])
+    b = TruncSeries(2, [y, x, const(-1)])
+    assert a + b == TruncSeries(2, [x + y, x + const(1), y - const(1)])
+    assert a - b == TruncSeries(2, [x - y, const(1) - x, y + const(1)])
+    assert -a == TruncSeries(2, [-x, const(-1), -y])
+    assert a - a == a + -a == TruncSeries(2, [const(0)] * 3)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match="series level mismatch"):
+            op(a, TruncSeries(1, [x, y]))
+    c = BiSeries(1, 2, [[x, const(1), y], [const(-1), x * y, const(0)]])
+    d = BiSeries(1, 2, [[y, x, const(2)], [const(1), const(0), x]])
+    assert (c + d).grid == [[x + y, x + const(1), y + const(2)], [const(0), x * y, x]]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=lambda f: f.name)
+def test_products_are_the_convolution_sums(field):
+    """A TruncSeries product is the double loop over the coefficients and a
+    BiSeries product the fourfold loop over the grids; two shapes do not
+    multiply."""
+    rng = random.Random(5)
+    gens = [Poly.var(v, field) for v in T0]
+    zero = Poly.zero(field)
+
+    def coeffs(size):
+        return [sum((rng.choice(gens) * rng.randint(-3, 3) for _ in range(rng.randint(0, 2))),
+                    zero) for _ in range(size)]
+
+    assert convolve([1, 2, 3], [4, 5, 6]) == [4, 13, 28]
+    for n in range(4):
+        a, b = coeffs(n + 1), coeffs(n + 1)
+        want = [sum((a[k] * b[i - k] for k in range(i + 1)), zero) for i in range(n + 1)]
+        assert list((TruncSeries(n, a) * TruncSeries(n, b)).coeffs) == want
+        for m in range(3):
+            g, h = [coeffs(m + 1) for _ in range(n + 1)], [coeffs(m + 1) for _ in range(n + 1)]
+            want = [[sum((g[k][l] * h[i - k][j - l] for k in range(i + 1) for l in range(j + 1)),
+                         zero) for j in range(m + 1)] for i in range(n + 1)]
+            assert (BiSeries(n, m, g) * BiSeries(n, m, h)).grid == want
+    one = const(1)
+    square = BiSeries(1, 1, [[one] * 2] * 2)
+    for other in (BiSeries(2, 1, [[one] * 2] * 3), BiSeries(1, 2, [[one] * 3] * 2)):
+        with pytest.raises(ValueError):
+            square * other
 
 
 def test_localpoly_normalization_idempotent():
