@@ -8,20 +8,23 @@ e_l^(0) .. e_l^(n), and a scalar p acts by the upper-triangular matrix
 with entry d_{i-j}(p) in row j, column i.  The assignment p -> T(p) is a
 ring homomorphism: T(p*q) = T(p) T(q).
 """
-from jetforge import (AlgebraPresentation, JetVar, ModulePresentation, Poly,
-                      hs_module_presentation, twisted_action_matrix)
+from jetforge import (AlgebraPresentation, JetVar, ModulePresentation, Poly, hs_components,
+                      hs_module_presentation)
+from jetforge.hsmodules import upper_triangle
+from jetforge.poly import convolve
 
 x = Poly.var(JetVar("x", 0, 0))
 y = Poly.var(JetVar("y", 1, 0))
 free = AlgebraPresentation(["x", "y"], [])
 
-# the twisted action matrix of x*y at level 2
-t = twisted_action_matrix(x * y, 2)
-for row in t.entries:
+# the twisted action matrix of x*y at level 2: its jets, laid out
+t = hs_components(x * y, 2)
+for row in upper_triangle(t, Poly.zero()):
     print("[ " + " ; ".join(p.render() for p in row) + " ]")
 
-# multiplicativity, checked exactly
-lhs = twisted_action_matrix(x, 2).matmul(twisted_action_matrix(y, 2))
+# multiplicativity, checked exactly: two such matrices multiply to the one
+# of the convolution of their jets
+lhs = convolve(hs_components(x, 2), hs_components(y, 2))
 print("T(x) T(y) == T(x*y):", "ok" if lhs == t else "FAILED")
 
 # a rank-2 module with one relation x e1 + y e2, pushed to level 1:

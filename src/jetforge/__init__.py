@@ -23,8 +23,8 @@ _EXPORTS = {
     "localized": ("LocalPoly",),
     "jets": ("AlgebraMorphism", "AlgebraPresentation", "JetPresentation", "hs_components",
              "induced_morphism", "jet_presentation"),
-    "hsmodules": ("ModulePresentation", "TwistedMatrix", "hs_module_presentation",
-                  "kaehler_presentation", "sym_presentation", "twisted_action_matrix"),
+    "hsmodules": ("ModulePresentation", "hs_module_presentation", "kaehler_presentation",
+                  "sym_presentation"),
     "p1": ("cocycle_check", "global_sections", "p1_transition", "transition_series"),
     "checks": ("base_change_check", "bigrade_commute_check", "cotangent_theorem_check",
                "cotruncation_subset_check", "free_dual_zigzag_check", "report_text",

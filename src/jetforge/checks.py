@@ -19,10 +19,13 @@ point, so the oracle draws and evaluates only when some pair's dicts
 differ, and then from the trial's own stream, made from the seed, the
 suite name and the trial number: a passing trial makes no stream and
 draws nothing, and a failing trial's points do not depend on the trials
-before it.  Every draw goes through ``_randint`` and ``_choice``, which
-run the ``rng.getrandbits`` rejection loop of CPython 3.10-3.13's
-``Random.randint`` and ``choice``: the same values from the same stream,
-without ``randrange``'s argument checks.  Drawn relations are over Q and
+before it.  ``_twisted_check`` states the ring-map laws of the twisted
+action p -> hs_components(p, n) on jet lists; as two twisted matrices
+multiply to the one of the convolution of their jets, its product law is
+the Leibniz identity on p and q.  Every draw goes through ``_randint``
+and ``_choice``, which run the ``rng.getrandbits`` rejection loop of
+CPython 3.10-3.13's ``Random.randint`` and ``choice``: the same values
+from the same stream, without ``randrange``'s argument checks.  Drawn relations are over Q and
 the declared names, and homogeneous by construction for a graded draw,
 and drawn module rows and morphism images are over their algebras, so
 the drawn records are built unchecked, with ``_built``.
@@ -45,8 +48,7 @@ from fractions import Fraction
 from .dsl import print_document
 from .errors import BadLevels, FieldMismatch, UnknownSuite
 from .hsmodules import (ModulePresentation, _linear_combination, hs_module_presentation,
-                        kaehler_presentation, module_symbols, sym_presentation,
-                        twisted_action_matrix)
+                        kaehler_presentation, module_symbols, sym_presentation)
 from .jets import (AlgebraMorphism, AlgebraPresentation, _grades, hs_components,
                    induced_morphism, jet_again, jet_presentation)
 from .p1 import cocycle_check  # p1_cocycle's check, looked up by name
@@ -371,14 +373,14 @@ def _functoriality_check(phi, g, n):
 
 
 def _twisted_check(A, n):
-    """p -> twisted_action_matrix(p, n) respects sums, products and 1, on
-    the relations p and q of A; a twisted matrix is determined by its jets."""
+    """The twisted action p -> hs_components(p, n) respects sums, products
+    and 1, on the relations p and q of A."""
     p, q = A.relations
-    tp, tq = twisted_action_matrix(p, n), twisted_action_matrix(q, n)
-    add_ok = twisted_action_matrix(p + q, n).comps == [a + b for a, b in zip(tp.comps, tq.comps)]
-    mul_ok = twisted_action_matrix(p * q, n) == tp.matmul(tq)
+    tp, tq = hs_components(p, n), hs_components(q, n)
+    add_ok = hs_components(p + q, n) == [a + b for a, b in zip(tp, tq)]
+    mul_ok = hs_components(p * q, n) == convolve(tp, tq)
     one = Poly.constant(1, p.field)
-    one_ok = twisted_action_matrix(one, n).comps == [one] + [Poly.zero(p.field)] * n
+    one_ok = hs_components(one, n) == [one] + [Poly.zero(p.field)] * n
     ok = add_ok and mul_ok and one_ok
     return ok, None if ok else {"n": n}
 

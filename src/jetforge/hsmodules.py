@@ -3,12 +3,12 @@
 The dual of the free rank-(n+1) module over the level-n jet algebra
 carries an action of the base algebra given by a . e^(i) =
 sum_{j<=i} a^(i-j) e^(j); the matrix of that action is upper triangular
-and Toeplitz, with entries the jet components of a.  A TwistedMatrix
-holds only those jets, so the product of two is the convolution of their
-jets (``poly.convolve``).  Hasse-Schmidt modules of a cokernel
-presentation are block matrices of those twisted actions, and the
-cotangent module of a jet algebra is exactly the Hasse-Schmidt module of
-the base cotangent module, through the identity
+and Toeplitz, with entries the jet components of a.  So the jet list
+``hs_components(a, n)`` is the twisted action of a, and the product of two
+is the convolution of their jets (``poly.convolve``).  Hasse-Schmidt
+modules of a cokernel presentation are block matrices of those twisted
+actions, and the cotangent module of a jet algebra is exactly the
+Hasse-Schmidt module of the base cotangent module, through the identity
 d(d_i f)/d x^(j) = d_{i-j}(df/dx).  The theorem checks on these
 constructions are in ``checks``.
 
@@ -18,33 +18,14 @@ rows and skip those checks with ``_built``.  Indices follow from
 position: in a level-n Hasse-Schmidt module, row r is relation k at
 order i and basis vector c is e_l at order j, with
 (k, i) = divmod(r, n+1) and (l, j) = divmod(c, n+1).  ``upper_triangle``
-is the one layout of a twisted matrix: ``TwistedMatrix.entries`` and the
-Hasse-Schmidt module's blocks use it, and ``p1`` lays out the transition
-matrices of the jet bundles on P^1 with it too.
+is the one layout of a twisted action, used only where a matrix is built
+or shown: the Hasse-Schmidt module's blocks, and the transition matrices
+of the jet bundles on P^1 in ``p1``.
 """
 
 from .jets import (AlgebraPresentation, _Record, _check_over, _generators, hs_components,
                    jet_presentation)
-from .poly import JetVar, Poly, _monomial, _poly, convolve
-
-
-class TwistedMatrix(_Record):
-    """Upper-triangular matrix held as the jets of p: entry (row j, col i) = d_{i-j}(p)."""
-
-    _fields = ("comps",)
-
-    def __init__(self, comps):
-        self.comps = comps  # Poly jets, d_0 first
-
-    @property
-    def entries(self):
-        """The rows of the matrix, laid out by ``upper_triangle``."""
-        return upper_triangle(self.comps, Poly.zero(self.comps[0].field))
-
-    def matmul(self, other):
-        """The matrix product: two upper-triangular Toeplitz matrices
-        multiply to the one of the convolution of their jets."""
-        return TwistedMatrix(convolve(self.comps, other.comps))
+from .poly import JetVar, Poly, _monomial, _poly
 
 
 def upper_triangle(comps, zero):
@@ -52,10 +33,6 @@ def upper_triangle(comps, zero):
     zero below the diagonal: the layout of a . e^(i) = sum_{j<=i} a^(i-j) e^(j)."""
     size = len(comps)
     return [[zero] * j + list(comps[:size - j]) for j in range(size)]
-
-
-def twisted_action_matrix(p, n):
-    return TwistedMatrix(hs_components(p, n))
 
 
 class ModulePresentation(_Record):

@@ -35,7 +35,7 @@ from itertools import product
 
 from .errors import (BadLevels, FieldMismatch, InhomogeneousRelation, JetforgeError,
                      MissingGrading, NotABaseElement)
-from .poly import UNIT, JetVar, Poly, _monomial, _poly
+from .poly import UNIT, JetVar, _monomial, _poly
 from .scalars import QQ
 
 
@@ -371,10 +371,6 @@ class AlgebraMorphism(_Record):
 
     def apply(self, f):
         return f.substitute(self.images)
-
-    @classmethod
-    def identity(cls, A):
-        return cls(A, A, {v: Poly.var(v, A.field) for v in A.base_vars()})
 
 
 def induced_morphism(phi, n):

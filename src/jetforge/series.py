@@ -113,6 +113,9 @@ class BiSeries:
         raise AttributeError("BiSeries is immutable")
 
     def __add__(self, other):
+        shapes = (self.n, self.m), (other.n, other.m)
+        if shapes[0] != shapes[1]:
+            raise ValueError("BiSeries of shapes %r and %r" % shapes)
         return BiSeries(self.n, self.m, [
             [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.grid, other.grid)])
 

@@ -16,8 +16,7 @@ from jetforge.checks import (MAX_VARS, ORACLE_POINTS, SUITES, base_change_check,
 from jetforge.cli import main
 from jetforge.dsl import document_text, parse_document, print_document
 from jetforge.errors import BadLevels, FieldMismatch, UnknownSuite
-from jetforge.hsmodules import (ModulePresentation, hs_module_presentation, kaehler_presentation,
-                                twisted_action_matrix)
+from jetforge.hsmodules import ModulePresentation, hs_module_presentation, kaehler_presentation
 from jetforge.jets import (AlgebraMorphism, AlgebraPresentation, hs_components, induced_morphism,
                            jet_presentation)
 from jetforge.p1 import cocycle_check, p1_transition
@@ -715,7 +714,6 @@ NEGATIVE_LEVEL_CALLS = {
     "hs_components_box": lambda: hs_components(Y ** 2 - X ** 3, 1, -1),
     "jet_presentation": lambda: jet_presentation(CUSP, -1).relations,
     "hs_module_presentation": lambda: hs_module_presentation(CUSP_MODULE, -1),
-    "twisted_action_matrix": lambda: twisted_action_matrix(X * Y, -1),
     "induced_morphism": lambda: induced_morphism(NORMALIZATION, -1),
     "p1_transition": lambda: p1_transition(1, -1),
     "cocycle_check": lambda: cocycle_check(1, -1),
@@ -817,16 +815,16 @@ def test_leibniz_sides_over_the_draws_field(field):
 
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3)], ids=lambda f: f.name)
 def test_twisted_check_over_the_draws_field(monkeypatch, field):
-    """Every matrix the check compares, the unit's among them, is over the
+    """Every jet list the check compares, the unit's among them, is over the
     draw's field."""
     fields = []
-    build = checks.twisted_action_matrix
+    build = checks.hs_components
 
     def recorded(p, n):
         fields.append(p.field)
         return build(p, n)
 
-    monkeypatch.setattr(checks, "twisted_action_matrix", recorded)
+    monkeypatch.setattr(checks, "hs_components", recorded)
     for A, n in _reduced_draws("twisted_ring_hom", field):
         assert checks._twisted_check(A, n) == (True, None)
     assert set(fields) == {field} and len(fields) == 5 * 20

@@ -417,7 +417,7 @@ def test_induced_morphism_square():
 
 def test_induced_morphism_identity_and_constant():
     A = cusp()
-    ident = AlgebraMorphism.identity(A)
+    ident = AlgebraMorphism(A, A, {v: Poly.var(v) for v in A.base_vars()})
     fn = induced_morphism(ident, 2)
     for v, img in fn.images.items():
         assert img == Poly.var(v)

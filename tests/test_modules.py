@@ -9,11 +9,10 @@ from jetforge.errors import FieldMismatch, JetforgeError
 from jetforge.checks import (base_change_check, cotangent_theorem_check,
                              free_dual_zigzag_check, random_poly, sym_theorem_check)
 from jetforge.hsmodules import (ModulePresentation, hs_module_presentation, kaehler_presentation,
-                                linear_form, module_symbols, sym_presentation,
-                                twisted_action_matrix, upper_triangle)
+                                linear_form, module_symbols, sym_presentation, upper_triangle)
 from jetforge.jets import (AlgebraMorphism, AlgebraPresentation, hs_components,
                            jet_presentation)
-from jetforge.poly import JetVar, Poly
+from jetforge.poly import JetVar, Poly, convolve
 from jetforge.scalars import QQ, PrimeField
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -37,7 +36,7 @@ def free_xy():
     return AlgebraPresentation(["x", "y"], [])
 
 
-# -- twisted matrices -------------------------------------------------
+# -- twisted actions: the jets of a, laid out by upper_triangle --------
 
 
 def test_upper_triangle_layout():
@@ -47,24 +46,23 @@ def test_upper_triangle_layout():
 
 
 def test_twisted_identity():
-    t = twisted_action_matrix(Poly.constant(1), 3)
+    one, zero = Poly.constant(1), Poly.zero()
+    assert hs_components(one, 3) == [one] + [zero] * 3
+    entries = upper_triangle(hs_components(one, 3), zero)
     for j in range(4):
         for i in range(4):
-            assert t.entries[j][i] == (Poly.constant(1) if i == j else Poly.zero())
+            assert entries[j][i] == (one if i == j else zero)
 
 
 def test_twisted_of_x():
-    t = twisted_action_matrix(X0, 2)
     want = [[jx(0), jx(1), jx(2)],
             [Poly.zero(), jx(0), jx(1)],
             [Poly.zero(), Poly.zero(), jx(0)]]
-    assert t.entries == want
+    assert upper_triangle(hs_components(X0, 2), Poly.zero()) == want
 
 
 def test_twisted_multiplicative():
-    tx = twisted_action_matrix(X0, 1)
-    ty = twisted_action_matrix(Y0, 1)
-    assert tx.matmul(ty) == twisted_action_matrix(X0 * Y0, 1)
+    assert convolve(hs_components(X0, 1), hs_components(Y0, 1)) == hs_components(X0 * Y0, 1)
 
 
 def test_twisted_ring_hom_random():
@@ -73,38 +71,40 @@ def test_twisted_ring_hom_random():
         p = X0 ** rng.randint(0, 2) * rng.randint(-4, 4) + Y0 * rng.randint(-4, 4)
         q = Y0 ** rng.randint(0, 2) - rng.randint(0, 3) * X0
         n = rng.randint(0, 4)
-        tp, tq = twisted_action_matrix(p, n), twisted_action_matrix(q, n)
-        assert tp.matmul(tq) == twisted_action_matrix(p * q, n)
-        sums = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(tp.entries, tq.entries)]
-        assert sums == twisted_action_matrix(p + q, n).entries
+        tp, tq = hs_components(p, n), hs_components(q, n)
+        assert convolve(tp, tq) == hs_components(p * q, n)
+        assert [a + b for a, b in zip(tp, tq)] == hs_components(p + q, n)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=lambda f: f.name)
 def test_matmul_is_the_matrix_product_of_the_entries(field):
-    """matmul, the convolution of the jets, equals the triple-loop product
-    of the entries, and is the twisted matrix of the product."""
+    """Two upper-triangular Toeplitz matrices multiply to the one of the
+    convolution of their jets: the triple-loop product of the laid-out
+    triangles is the layout of ``convolve``, which is the jets of the
+    product."""
     rng = random.Random(29)
     names = ["x", "y"]
+    zero = Poly.zero(field)
     for n in range(5):
         pairs = [(X0 ** 2 - 3 * Y0 + 1, X0 * Y0 + Y0)]
         pairs += [(random_poly(rng, names), random_poly(rng, names)) for _ in range(4)]
         for p, q in pairs:
             p, q = Poly(field, p.terms), Poly(field, q.terms)
-            s, t = twisted_action_matrix(p, n), twisted_action_matrix(q, n)
+            jp, jq = hs_components(p, n), hs_components(q, n)
             size = range(n + 1)
-            a, b = s.entries, t.entries
-            got = s.matmul(t)
-            assert got.entries == [[sum((a[j][l] * b[l][i] for l in size), Poly.zero(field))
-                                    for i in size] for j in size]
-            assert got == twisted_action_matrix(p * q, n)
+            a, b = upper_triangle(jp, zero), upper_triangle(jq, zero)
+            got = convolve(jp, jq)
+            assert upper_triangle(got, zero) == [[sum((a[j][l] * b[l][i] for l in size), zero)
+                                                  for i in size] for j in size]
+            assert got == hs_components(p * q, n)
 
 
 def test_matmul_rejects_another_level():
-    """Twisted matrices of two levels do not multiply, in either order."""
+    """Jet lists of two levels do not multiply, in either order."""
     with pytest.raises(ValueError, match="jet lists of lengths 2 and 3"):
-        twisted_action_matrix(X0, 1).matmul(twisted_action_matrix(Y0, 2))
+        convolve(hs_components(X0, 1), hs_components(Y0, 2))
     with pytest.raises(ValueError, match="jet lists of lengths 3 and 2"):
-        twisted_action_matrix(X0, 2).matmul(twisted_action_matrix(Y0, 1))
+        convolve(hs_components(X0, 2), hs_components(Y0, 1))
 
 
 # -- Hasse-Schmidt module presentations -------------------------------
@@ -135,9 +135,9 @@ def test_level0_is_module_itself():
 
 def test_delta_apply():
     """a . (e (x) t^[i]) expands over e (x) t^[j], j <= i, as column i of the
-    twisted matrix of a."""
+    twisted action of a."""
     def column(a, i, n):
-        return [row[i].render() for row in twisted_action_matrix(a, n).entries]
+        return [row[i].render() for row in upper_triangle(hs_components(a, n), Poly.zero())]
 
     assert column(Poly.constant(1), 1, 1) == ["0", "1"]
     assert column(X0, 1, 1) == ["x_1", "x_0"]
@@ -344,7 +344,8 @@ def test_base_change():
     phi = AlgebraMorphism(src, tgt, {JetVar("x", 0, 0): u0 ** 2})
     M = ModulePresentation(src, 1, [[Poly.var(JetVar("x", 0, 0))]])
     assert base_change_check(phi, M, 1)[0]
-    assert base_change_check(AlgebraMorphism.identity(src), M, 2)[0]
+    ident = AlgebraMorphism(src, src, {v: Poly.var(v) for v in src.base_vars()})
+    assert base_change_check(ident, M, 2)[0]
     const_mod = ModulePresentation(src, 1, [[Poly.constant(3)]])
     assert base_change_check(phi, const_mod, 2)[0]
 

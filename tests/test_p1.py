@@ -10,7 +10,8 @@ from jetforge.errors import UnsupportedTwist
 from jetforge.localized import LocalPoly
 from jetforge.p1 import (chart_var, cocycle_check, global_sections, p1_transition,
                          power_jets, transition_series)
-from jetforge.hsmodules import twisted_action_matrix, upper_triangle
+from jetforge.hsmodules import upper_triangle
+from jetforge.jets import hs_components
 from jetforge.poly import Poly
 from jetforge.scalars import QQ, PrimeField
 from jetforge.series import TruncSeries, series_invert
@@ -58,8 +59,8 @@ def test_transition_is_twisted_matrix_of_t1_power():
             jets = power_jets(d, 1, n, field).coeffs
             m = upper_triangle(jets, jets[0] * 0)
             t1 = Poly.var(chart_var(1, 0), field)
-            tw = twisted_action_matrix(t1 ** d, n)
-            assert m == [[LocalPoly(p, chart_var(1, 0)) for p in row] for row in tw.entries]
+            tw = upper_triangle(hs_components(t1 ** d, n), Poly.zero(field))
+            assert m == [[LocalPoly(p, chart_var(1, 0)) for p in row] for row in tw]
 
 
 def test_cocycle_exact():

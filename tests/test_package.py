@@ -19,13 +19,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # jetforge.__all__: the exports of the eager-import era, with the check report
 # records replaced by report_text and the bivariate factory and components
-# folded into jet_presentation and hs_components
+# folded into jet_presentation and hs_components, and the twisted matrix
+# record and its builder folded into hs_components and poly.convolve
 ALL = ['AlgebraMorphism', 'AlgebraPresentation', 'BadLevels',
        'BiSeries', 'DivisionByZero', 'FieldMismatch', 'InhomogeneousRelation',
        'InputDocument', 'JetPresentation', 'JetVar', 'JetforgeError', 'LocalPoly',
        'MissingGrading', 'ModulePresentation', 'Monomial', 'NonUnitLeadingCoefficient',
        'NotABaseElement', 'ParseError', 'Poly', 'PrimeField', 'QQ', 'TruncSeries',
-       'TwistedMatrix', 'UnboundVariable', 'UndeclaredVariable', 'UnknownSuite',
+       'UnboundVariable', 'UndeclaredVariable', 'UnknownSuite',
        'UnsupportedTwist', 'base_change_check', 'bigrade_commute_check', 'checks',
        'cocycle_check', 'cotangent_theorem_check', 'cotruncation_subset_check',
        'document_text', 'dsl', 'errors', 'field_by_name', 'free_dual_zigzag_check',
@@ -33,8 +34,7 @@ ALL = ['AlgebraMorphism', 'AlgebraPresentation', 'BadLevels',
        'induced_morphism', 'jet_presentation', 'jets', 'kaehler_presentation',
        'localized', 'p1', 'p1_transition', 'parse_document', 'poly', 'print_document',
        'report_text', 'run_suite', 'scalars', 'series', 'series_invert',
-       'sym_presentation', 'sym_theorem_check', 'transition_series',
-       'twisted_action_matrix']
+       'sym_presentation', 'sym_theorem_check', 'transition_series']
 MODULES = ("checks", "dsl", "errors", "hsmodules", "jets", "localized", "p1", "poly",
            "scalars", "series")
 

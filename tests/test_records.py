@@ -1,4 +1,4 @@
-"""The six record classes are plain classes on one small base: each keeps
+"""The five record classes are plain classes on one small base: each keeps
 the signature, defaults, validation (same errors, same order), mutability,
 field-wise equality, unhashability and repr of the dataclass it replaced.
 The check report is a plain dict, and ``run_suite`` validates its seed,
@@ -12,7 +12,7 @@ from jetforge.checks import run_suite
 from jetforge.dsl import InputDocument, parse_document
 from jetforge.errors import (FieldMismatch, InhomogeneousRelation, JetforgeError, MissingGrading,
                              UnknownSuite)
-from jetforge.hsmodules import ModulePresentation, TwistedMatrix
+from jetforge.hsmodules import ModulePresentation
 from jetforge.jets import AlgebraMorphism, AlgebraPresentation, JetPresentation, jet_presentation
 from jetforge.poly import JetVar, Poly
 from jetforge.scalars import QQ, PrimeField
@@ -36,9 +36,8 @@ def instances():
             ["x", "y"], [Poly(PrimeField(7), (Y ** 2 - X ** 3).terms)], None, PrimeField(7))),
         JetPresentation: (lambda: jet_presentation(A, 1, 1),
                           lambda: JetPresentation((1, 1), AlgebraPresentation(["x", "y"], []))),
-        AlgebraMorphism: (lambda: AlgebraMorphism.identity(A),
+        AlgebraMorphism: (lambda: AlgebraMorphism(A, A, {v: Poly.var(v) for v in A.base_vars()}),
                           lambda: AlgebraMorphism(A, A, {})),
-        TwistedMatrix: (lambda: TwistedMatrix([X, Y]), lambda: TwistedMatrix([X, X])),
         ModulePresentation: (lambda: ModulePresentation(A, 2, [[X, Y]]),
                              lambda: ModulePresentation(A, 2, [[Y, X]])),
         InputDocument: (lambda: parse_document(doc),
@@ -76,7 +75,6 @@ SIGNATURES = {
     AlgebraPresentation: ["vars", "relations", "grading", "field"],
     JetPresentation: ["levels", "source"],
     AlgebraMorphism: ["source", "target", "images"],
-    TwistedMatrix: ["comps"],
     ModulePresentation: ["over", "rank", "relation_matrix"],
     InputDocument: ["algebra", "ideal_names", "module", "morphism"],
 }
@@ -96,7 +94,6 @@ def test_repr_reads_as_the_dataclass_repr():
     assert repr(ModulePresentation(AlgebraPresentation(["x"], []), 0, [])) == (
         "ModulePresentation(over=AlgebraPresentation(vars=['x'], relations=[], grading=None, "
         "field=QQ), rank=0, relation_matrix=[])")
-    assert repr(TwistedMatrix([])) == "TwistedMatrix(comps=[])"
 
 
 def test_defaults():
@@ -107,15 +104,9 @@ def test_defaults():
 
 
 def test_derived_fields_are_read_only():
-    """A twisted matrix's entries are its jets laid out as an upper
-    triangle, and a document's field is its algebra's; neither is a slot of
-    its own."""
-    t = TwistedMatrix([X, Y])
+    """A document's field is its algebra's, not a slot of its own."""
     doc = parse_document("ring F7[x]\n")
-    assert t.entries == [[X, Y], [Poly.zero(), X]]
     assert doc.field is doc.algebra.field == PrimeField(7)
-    with pytest.raises(AttributeError):
-        t.entries = [[X]]
     with pytest.raises(AttributeError):
         doc.field = QQ
 

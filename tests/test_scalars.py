@@ -10,7 +10,7 @@ import pytest
 
 from jetforge.dsl import parse_document
 from jetforge.errors import DivisionByZero, FieldMismatch
-from jetforge.hsmodules import twisted_action_matrix
+from jetforge.hsmodules import upper_triangle
 from jetforge.jets import hs_components
 from jetforge.poly import JetVar, Monomial, Poly
 from jetforge.scalars import QQ, PrimeField, Rationals, field_by_name
@@ -81,7 +81,7 @@ def test_arithmetic_yields_only_int_and_fraction_coefficients():
         n = rng.randint(0, 3)
         results = [f * g, f + g, f - g, f * Fraction(rng.randint(1, 5), 2), f.partial(X),
                    g.partial(Y), *hs_components(f, n)]
-        results += [e for row in twisted_action_matrix(g, n).entries for e in row]
+        results += [e for row in upper_triangle(hs_components(g, n), Poly.zero()) for e in row]
         for p in results:
             assert p.field is QQ
             for c in p.terms.values():

@@ -72,6 +72,19 @@ def test_sums_and_negation():
     assert (c + d).grid == [[x + y, x + const(1), y + const(2)], [const(0), x * y, x]]
 
 
+def test_bi_series_of_two_shapes_do_not_add():
+    """A sum of two shapes raises, naming both, in either order; it never
+    drops the rows and columns the smaller shape lacks."""
+    one = const(1)
+    small, large = BiSeries(1, 1, [[one] * 2] * 2), BiSeries(2, 2, [[one] * 3] * 3)
+    with pytest.raises(ValueError, match=r"shapes \(1, 1\) and \(2, 2\)"):
+        small + large
+    with pytest.raises(ValueError, match=r"shapes \(2, 2\) and \(1, 1\)"):
+        large + small
+    with pytest.raises(ValueError, match=r"shapes \(1, 1\) and \(1, 2\)"):
+        small + BiSeries(1, 2, [[one] * 3] * 2)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=lambda f: f.name)
 def test_products_are_the_convolution_sums(field):
     """A TruncSeries product is the double loop over the coefficients and a
