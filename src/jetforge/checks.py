@@ -49,7 +49,7 @@ from .dsl import print_document
 from .errors import BadLevels, FieldMismatch, UnknownSuite
 from .hsmodules import (ModulePresentation, _linear_combination, hs_module_presentation,
                         kaehler_presentation, module_symbols, sym_presentation)
-from .jets import (AlgebraMorphism, AlgebraPresentation, _grades, hs_components,
+from .jets import (AlgebraMorphism, AlgebraPresentation, _check_levels, hs_components,
                    induced_morphism, jet_again, jet_presentation)
 from .p1 import cocycle_check  # p1_cocycle's check, looked up by name
 from .poly import JetVar, Monomial, Poly, _monomial, _poly, _value, convolve
@@ -207,7 +207,7 @@ def bigrade_commute_check(A, n, m):
     index-permutation renaming folded into variable construction) against
     the direct bivariate jet relations.  The nonzero generators are compared
     as multisets of polynomials, and rendered only for a failure report."""
-    _grades((n, m))  # a negative level raises, even with no relation to take jets of
+    _check_levels((n, m))  # even with no relation to take jets of
     side_a = []  # level m first, then level n outside
     side_b = []  # level n first, then level m outside
     side_c = []
@@ -305,8 +305,7 @@ def free_dual_zigzag_check(n):
     """Coevaluation 1 -> sum t^[i] (x) t^i against the Kronecker evaluation
     t^i (x) t^[j] -> delta_ij: both triangle composites must be the identity
     on the free rank-(n+1) pair, over Q."""
-    if n < 0:
-        raise BadLevels("negative level: n=%d" % n)
+    _check_levels((n,))
     ident = [[QQ.one if a == b else QQ.zero for b in range(n + 1)] for a in range(n + 1)]
     # eta as a matrix: component (a, b) of the tensor sum_i delta_ia delta_ib;
     # theta(t^a, t^[b]) = delta_ab

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 check-suite failure, 2 usage or parse error, 141
 when the reader closes standard output early (as ``| head`` does).
-The JETFORGE_FIELD environment variable sets the default coefficient
-field for documents whose ring declaration omits one.  Input documents
-are UTF-8; an undecodable byte is an error located by line and column.
+Output depends only on the document and the flags.  A document, a file
+or standard input, is UTF-8 in every locale; a byte that is not UTF-8 is
+an error located by line and column.
 
 Only what the document subcommands run is imported here.  ``check``
 imports ``checks`` and ``p1`` imports ``p1`` when they run, and ``json``
@@ -21,7 +21,6 @@ from .errors import JetforgeError, ParseError
 from .hsmodules import (hs_module_presentation, kaehler_presentation,
                         sym_presentation, upper_triangle)
 from .jets import _grades, induced_morphism, jet_presentation
-from .scalars import field_by_name
 
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell gives a writer the pipe killed
@@ -51,38 +50,29 @@ def _emit_json(obj):
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _not_utf8(name, e):
-    """The error for input `name` that `e` found not to be UTF-8, located at
-    its first bad byte with lines counted as the parser counts them."""
-    lines = (e.object[:e.start].decode("utf-8") + "?").splitlines()
-    return JetforgeError("cannot decode %s: line %d, col %d: byte 0x%02x is not UTF-8"
-                         % (name, len(lines), len(lines[-1]), e.object[e.start]))
-
-
 def _load_document(args):
-    # read() decodes the whole input in one call, so the error's offsets
-    # count from its first byte
-    if args.input and args.input != "-":
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
-            raise JetforgeError("cannot read %s: %s" % (args.input, e.strerror))
-        except UnicodeDecodeError as e:
-            raise _not_utf8(args.input, e)
-    else:
-        try:
-            text = sys.stdin.read()
-        except UnicodeDecodeError as e:
-            raise _not_utf8("standard input", e)
-    default_field = None
-    env = os.environ.get("JETFORGE_FIELD")
-    if env:
-        try:
-            default_field = field_by_name(env)
-        except ValueError as e:
-            raise JetforgeError("JETFORGE_FIELD: %s" % e)
-    return parse_document(text, default_field=default_field)
+    """Parse the input's bytes, decoded in one call, so that an error's
+    offsets count from the first byte.  A text stream put in place of
+    sys.stdin (io.StringIO) has no buffer, and its text is used as it is."""
+    path = "" if args.input == "-" else args.input
+    name = path or "standard input"
+    try:
+        if path:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        elif sys.stdin is None:  # closed when the interpreter started
+            raise JetforgeError("cannot read standard input: it is closed")
+        else:
+            data = getattr(sys.stdin, "buffer", sys.stdin).read()
+        text = data if isinstance(data, str) else data.decode("utf-8")
+    except OSError as e:
+        raise JetforgeError("cannot read %s: %s" % (name, e.strerror))
+    except UnicodeDecodeError as e:
+        # lines counted as the parser counts them, up to the first bad byte
+        lines = (e.object[:e.start].decode("utf-8") + "?").splitlines()
+        raise JetforgeError("cannot decode %s: line %d, col %d: byte 0x%02x is not UTF-8"
+                            % (name, len(lines), len(lines[-1]), e.object[e.start]))
+    return parse_document(text)
 
 
 def cmd_jet(args):

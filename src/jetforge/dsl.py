@@ -236,13 +236,13 @@ class _Parser:
                 terms.pop(key, None)
 
 
-def parse_document(text, default_field=None):
+def parse_document(text):
     """Parse a DSL document into presentations; diagnostics carry line/col.
 
     The first pass reads the syntax of every declaration; expressions are
     parsed in a second pass, once the ring, and so the field and the
-    variables, is known."""
-    field = default_field or QQ
+    variables, is known; the field is Q unless the ring names another."""
+    field = QQ
     once = {}  # "ring" -> its variables; "module", "morphism" -> (value, parser)
     grades = {}  # name -> (degree, parser at its grade line)
     ideals = {}  # name -> parser at its expression

@@ -32,8 +32,8 @@ class MissingGrading(JetforgeError):
 
 
 class BadLevels(JetforgeError):
-    """A jet level is negative, a grade box has no level or more than two,
-    or a co-truncation comparison has m <= n."""
+    """A level is not an int (True is not the level 1) or is negative, a
+    grade box has no level or more than two, or a co-truncation has m <= n."""
 
 
 class UnsupportedTwist(JetforgeError):

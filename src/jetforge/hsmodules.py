@@ -93,6 +93,8 @@ def module_symbols(first_index, rank, n):
     """The jets e_l^(j) of the module symbols e1..e_rank, l-major as in the
     Hasse-Schmidt basis (l, j), j <= n; symbol l has variable index
     first_index + l, after the base variables."""
+    if rank < 0:
+        raise ValueError("negative rank %d" % rank)
     return [JetVar("e%d" % (l + 1), first_index + l, j) for l in range(rank)
             for j in range(n + 1)]
 

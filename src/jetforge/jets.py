@@ -52,15 +52,20 @@ def _base_vars(f):
     return vs
 
 
+def _check_levels(levels):
+    """Raise BadLevels unless levels is one or two ints, none negative; run
+    before they key a cache, where (2.0,) and (True,) find (2,) and (1,)."""
+    if not 1 <= len(levels) <= 2:
+        raise BadLevels("a grade box has one or two levels, not %d" % len(levels))
+    if any(type(b) is not int or b < 0 for b in levels):
+        raise BadLevels("jet levels are ints, none negative: %r" % (levels,))
+
+
 @lru_cache(maxsize=None)
 def _grades(bounds):
     """The grade box 0 <= g <= bounds in lexicographic order, and its
     addition table: sums[a][b] is the position of box[a] + box[b] in the
-    box, or None outside it.  A box has one or two levels, none negative."""
-    if not 1 <= len(bounds) <= 2:
-        raise BadLevels("a grade box has one or two levels, not %d" % len(bounds))
-    if any(b < 0 for b in bounds):
-        raise BadLevels("negative jet level in %s" % (bounds,))
+    box, or None outside it.  The bounds are a box ``_check_levels`` takes."""
     box = list(product(*(range(b + 1) for b in bounds)))
     position = {g: k for k, g in enumerate(box)}
     sums = [[position.get(tuple(x + y for x, y in zip(g, h))) for h in box] for g in box]
@@ -203,6 +208,7 @@ def _substitute(f, families, bounds):
 def hs_components(f, *levels):
     """Jet components of a base-ring polynomial over the grade box (n,) or
     (n, m), in box order: d_0(f) .. d_n(f), or the coefficients of s^i t^j."""
+    _check_levels(levels)
     variables = {v for m in f.terms for v, _ in m}
     if any(v.order1 or v.order2 is not None for v in variables):
         _base_vars(f)  # raises, naming the least jet variable of f
@@ -214,6 +220,7 @@ def jet_again(f, n, outer_to):
     variables; the new (outer) index lands in ``order1`` or ``order2``."""
     if outer_to not in ("order1", "order2"):
         raise ValueError("outer_to must be order1 or order2")
+    _check_levels((n,))
     families = {}
     for v in f.vars():
         if v.order2 is not None:
@@ -305,7 +312,7 @@ class JetPresentation(_Record):
     _fields = ("levels", "source")
 
     def __init__(self, levels, source):
-        _grades(levels)  # a negative level raises here, even with no relation to build
+        _check_levels(levels)  # even with no relation to build
         self.levels = levels
         self.source = source
 
@@ -375,8 +382,8 @@ class AlgebraMorphism(_Record):
 
 def induced_morphism(phi, n):
     """Jet-level morphism: x^(i) maps to d_i(phi(x))."""
+    source = jet_presentation(phi.source, n)  # checks n before _family sees it
     images = {}
     for v, img in phi.images.items():
         images.update(zip(_family(v, (n,)), hs_components(img, n)))
-    return AlgebraMorphism._built(jet_presentation(phi.source, n),
-                                  jet_presentation(phi.target, n), images)
+    return AlgebraMorphism._built(source, jet_presentation(phi.target, n), images)

@@ -26,9 +26,9 @@ comparison is one of reduced forms and nothing is normalized twice.
 regular) pairs.
 """
 
-from .errors import BadLevels, UnsupportedTwist
+from .errors import UnsupportedTwist
 from .hsmodules import upper_triangle
-from .jets import _rows
+from .jets import _check_levels, _rows
 from .localized import _local
 from .poly import JetVar, _monomial, _poly
 from .scalars import QQ
@@ -48,8 +48,7 @@ def power_jets(k, chart, n, field=QQ):
     u^max(0, top-k), top its largest m with a term nonzero in the field (a
     multinomial can vanish over F_p).  So m runs downwards, and the first
     term written to a coefficient fixes its denominator."""
-    if n < 0:
-        raise BadLevels("negative jet level: n=%d" % n)
+    _check_levels((n,))
     t = tuple(chart_var(chart, i) for i in range(n + 1))
     u = t[0]
     binoms = [1]  # binom(k, m) for m = 0..n, up to its first 0

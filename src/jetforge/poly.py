@@ -38,12 +38,14 @@ class JetVar:
     """A jet variable, interned: the constructor returns the one object per
     (name, index, order1, order2), so equality and hashing are identity's.
     The table keeps one small object per distinct variable ever built and
-    never shrinks.  Orders are non-negative, so the sort key (index, order1,
-    order2 or -1, name) determines the variable."""
+    never shrinks.  Index and orders are ints (so True is not 1), orders
+    non-negative, so the sort key (index, order1, order2 or -1, name) is unique."""
 
     __slots__ = ("name", "index", "order1", "order2", "_key", "_text", "_plain")
 
     def __new__(cls, name, index, order1=0, order2=None):
+        if not type(index) is type(order1) is type(0 if order2 is None else order2) is int:
+            raise TypeError("jet index and orders are ints: %r" % ((index, order1, order2),))
         spec = (name, index, order1, order2)
         try:
             return _JETVARS[spec]

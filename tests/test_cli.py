@@ -190,15 +190,6 @@ def test_check_unknown_suite(capsys):
     assert code == 2
 
 
-def test_field_env_default(tmp_path, capsys, monkeypatch):
-    doc = tmp_path / "nofld.jf"
-    doc.write_text("ring [x]\nideal f = x^2 + 9\n")
-    monkeypatch.setenv("JETFORGE_FIELD", "F7")
-    code, out, _ = run(capsys, "jet", "--n", "0", str(doc))
-    assert code == 0
-    assert "relation f.0 = x_0^2 + 2" in out
-
-
 def test_missing_input_file_is_located_error(tmp_path, capsys):
     missing = tmp_path / "missing.jf"
     code, out, err = run(capsys, "jet", "--n", "1", str(missing))
@@ -206,58 +197,64 @@ def test_missing_input_file_is_located_error(tmp_path, capsys):
     assert err == "error: cannot read %s: No such file or directory\n" % missing
 
 
+def _cli_env(env=()):
+    """This process's environment with this checkout's source on the path,
+    env's variables set, and those that env maps to None removed."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    full = {**os.environ, "PYTHONPATH": path, **dict(env)}
+    return {k: v for k, v in full.items() if v is not None}
+
+
+def _cli(*argv, env=(), **kwargs):
+    """Run jetforge in a fresh interpreter, in the environment _cli_env(env)."""
+    return subprocess.run([sys.executable, "-m", "jetforge.cli", *argv], capture_output=True,
+                          env=_cli_env(env), timeout=60, **kwargs)
+
+
 @pytest.mark.parametrize("via", ["file", "stdin"])
 def test_document_not_utf8_is_located_error(via, tmp_path):
     """A byte that is not UTF-8 exits 2 with the input, line and column
     named (columns count characters), not with a traceback and exit 1;
-    standard input is decoded strictly, as under a C locale it may not be."""
+    standard input is decoded as a file is, whatever the locale."""
     doc = tmp_path / "bad.jf"
     doc.write_bytes("ring Q[x]\nideal f = x\u00e9".encode() + b"\xff\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-m", "jetforge.cli", "jet", "--n", "1"]
     if via == "file":
-        proc = subprocess.run(argv + [str(doc)], capture_output=True, env=env, timeout=60)
+        proc = _cli("jet", "--n", "1", str(doc))
         name = str(doc)
     else:
-        proc = subprocess.run(argv, input=doc.read_bytes(), capture_output=True, env=env,
-                              timeout=60)
+        proc = _cli("jet", "--n", "1", input=doc.read_bytes())
         name = "standard input"
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert proc.stderr.decode() == (
         "error: cannot decode %s: line 2, col 13: byte 0xff is not UTF-8\n" % name)
 
 
-def test_bad_field_env_is_error(capsys, monkeypatch):
-    monkeypatch.setenv("JETFORGE_FIELD", "F4")
-    code, out, err = run(capsys, "jet", "--n", "1", str(GOLDEN / "cusp.jf"))
-    assert code == 2 and out == ""
-    assert err == "error: JETFORGE_FIELD: modulus is not prime: 4\n"
+@pytest.mark.parametrize("setup", [
+    {"PYTHONIOENCODING": None},
+    {"PYTHONIOENCODING": None, "LC_ALL": "C"},
+    {"PYTHONIOENCODING": "latin-1"},
+], ids=["default", "LC_ALL=C", "latin-1"])
+@pytest.mark.parametrize("line, col", [("ideal f = x # caf\xff", 18), ("ideal f = x\xff", 12)],
+                         ids=["in-comment", "in-expression"])
+def test_stdin_is_utf8_in_every_locale(setup, line, col):
+    """Standard input is read as bytes and decoded as UTF-8, so the locale
+    neither lets a bad byte through (in a comment, where the parser never
+    looks) nor turns it into a character the parser reports instead."""
+    proc = _cli("jet", "--n", "0", env=setup,
+                input=b"ring Q[x]\n" + line.encode("latin-1") + b"\n")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == (
+        "error: cannot decode standard input: line 2, col %d: byte 0xff is not UTF-8\n" % col)
 
 
-def test_field_env_longer_than_int_conversion_is_error(capsys, monkeypatch):
-    """The DSL's bound on a field name holds for the environment variable
-    too: a name longer than 4300 characters is refused before int() sees
-    its digits, and one of 4300 characters still reaches the modulus check."""
-    monkeypatch.setenv("JETFORGE_FIELD", "F" + "7" * 5000)
-    code, out, err = run(capsys, "jet", "--n", "0", str(GOLDEN / "cusp.jf"))
-    assert (code, out) == (2, "")
-    assert err == "error: JETFORGE_FIELD: field name longer than 4300 characters\n"
-    monkeypatch.setenv("JETFORGE_FIELD", "F" + "7" * 4299)
-    code, out, err = run(capsys, "jet", "--n", "0", str(GOLDEN / "cusp.jf"))
-    assert (code, out) == (2, "")
-    assert err == "error: JETFORGE_FIELD: modulus out of range: %s\n" % ("7" * 4299)
-
-
-@pytest.mark.parametrize("name", ["F\u0667", "F\uff17", "F7\u0663", "F\u00b2", "F", "F-7"])
-def test_field_env_takes_ascii_digits_only(name, capsys, monkeypatch):
-    """F followed by an Arabic-Indic or a fullwidth seven, or by a
-    superscript two, names no field."""
-    monkeypatch.setenv("JETFORGE_FIELD", name)
-    code, out, err = run(capsys, "jet", "--n", "1", str(GOLDEN / "cusp.jf"))
-    assert code == 2 and out == ""
-    assert err == "error: JETFORGE_FIELD: unknown field name: %r\n" % name
+def test_closed_stdin_is_error():
+    """With standard input closed, Python sets sys.stdin to None: the read
+    is an input error (exit 2), not an AttributeError traceback (exit 1)."""
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m jetforge.cli jet --n 1 <&-',
+                           sys.executable], capture_output=True, env=_cli_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == "error: cannot read standard input: it is closed\n"
 
 
 def test_duplicate_ring_variable_exit_code(tmp_path, capsys):
@@ -299,8 +296,8 @@ def test_out_of_range_level_is_usage_error(argv, flag, capsys):
     (["p1", "--d", "1", "--n", "1.0"], "--n"),
 ])
 def test_int_flag_takes_ascii_digits_only(argv, flag, capsys):
-    """Integer flags take an optional sign and ASCII digits, as the DSL and
-    JETFORGE_FIELD do; int() alone would read these as numbers."""
+    """Integer flags take an optional sign and ASCII digits, as the DSL
+    does; int() alone would read these as numbers."""
     with pytest.raises(SystemExit) as ei:
         main(argv)
     assert ei.value.code == 2
@@ -408,7 +405,7 @@ def _fresh_output(argv, capsys):
     return ei.value.code, out.out, out.err
 
 
-def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+def test_main_reuses_one_parser(capsys, monkeypatch):
     built = []
     monkeypatch.setattr(cli, "_parser", None)
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
@@ -419,15 +416,6 @@ def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
     first_usage = capsys.readouterr().err
     assert run(capsys, "jet", "--n", "2", str(GOLDEN / "cusp.jf")) == (
         0, (GOLDEN / "cusp_jet2.txt").read_text(), "")
-    # JETFORGE_FIELD is read on every call
-    doc = tmp_path / "nofld.jf"
-    doc.write_text("ring [x]\nideal f = x^2 + 9\n")
-    monkeypatch.setenv("JETFORGE_FIELD", "F7")
-    assert run(capsys, "jet", "--n", "0", str(doc))[1].endswith("relation f.0 = x_0^2 + 2\n")
-    monkeypatch.setenv("JETFORGE_FIELD", "F5")
-    assert run(capsys, "jet", "--n", "0", str(doc))[1].endswith("relation f.0 = x_0^2 + 4\n")
-    monkeypatch.delenv("JETFORGE_FIELD")
-    assert run(capsys, "jet", "--n", "0", str(doc))[1].endswith("relation f.0 = x_0^2 + 9\n")
     # help and usage texts are those of a freshly built parser, whether a
     # command's own subparser or the full parser reports them
     for argv in (["--help"], ["jet", "--help"], ["jet"], ["check", "--trials", "0"], [],

@@ -137,3 +137,24 @@ def test_prime_field_rejects_a_modulus_that_is_not_an_int(p):
     PrimeField(7)
     with pytest.raises(TypeError, match="modulus is not an int"):
         PrimeField(p)
+
+
+REFUSED_FIELD_NAMES = {
+    **{name: "unknown field name: %r" % name
+       for name in ["F\u0667", "F\uff17", "F7\u0663", "F\u00b2", "F", "F-7"]},
+    "F" + "7" * 5000: "field name longer than 4300 characters",
+    "F" + "7" * 4299: "modulus out of range: " + "7" * 4299,
+    "F4": "modulus is not prime: 4",
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_FIELD_NAMES,
+                         ids=lambda name: name if len(name) < 10 else "F7x%d" % (len(name) - 1))
+def test_field_by_name_refuses(name):
+    """F followed by an Arabic-Indic or a fullwidth seven, or by a
+    superscript two, names no field; a name longer than 4300 characters is
+    refused before int() sees its digits, and one of 4300 reaches the
+    modulus check.  The DSL refuses a non-ASCII tag before it gets here."""
+    with pytest.raises(ValueError) as ei:
+        field_by_name(name)
+    assert str(ei.value) == REFUSED_FIELD_NAMES[name]
