@@ -22,7 +22,7 @@ cusp = AlgebraPresentation(["x", "y"], [y ** 2 - x ** 3])
 # second jet algebra of the cuspidal cubic; its one relation f has
 # components f_0, f_1, f_2, so relation i is f_i
 jp = jet_presentation(cusp, 2)
-print("variables:", " ".join(v.render() for v in jp.jet_vars))
+print("variables:", " ".join(v.render() for v in jp.generators))
 for i, rel in enumerate(jp.relations):
     print("f_%d =" % i, rel.render())
 

@@ -35,4 +35,4 @@ ok, detail = cotruncation_subset_check(cusp, 1, 3)
 print("jets at level 1 embed in level 3:", "ok" if ok else "FAILED")
 for n in (0, 1, 2):
     jp = jet_presentation(cusp, n)
-    print("level %d: %d vars, %d relations" % (n, len(jp.jet_vars), len(jp.relations)))
+    print("level %d: %d vars, %d relations" % (n, len(jp.generators), len(jp.relations)))

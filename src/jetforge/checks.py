@@ -158,7 +158,7 @@ def random_module(rng, over=None):
 def random_morphism(rng):
     src = AlgebraPresentation._built(list(_VAR_NAMES[:_randint(rng, 1, 2)]), [], None, QQ)
     tgt = AlgebraPresentation._built(list(_TARGET_NAMES[:_randint(rng, 1, 2)]), [], None, QQ)
-    images = {v: random_poly(rng, tgt.vars, max_terms=3) for v in src.base_vars()}
+    images = {v: random_poly(rng, tgt.vars, max_terms=3) for v in src.generators}
     return AlgebraMorphism._built(src, tgt, images)
 
 

@@ -81,12 +81,12 @@ def cmd_jet(args):
     doc = _load_document(args)
     levels = (args.n, args.m) if args.command == "jet2" else (args.n,)
     jp = jet_presentation(doc.algebra, *levels)
-    names = [v.render() for v in jp.jet_vars]
+    names = [v.render() for v in jp.generators]
     if args.format == "json":
         out = {"levels": list(levels)} if len(levels) > 1 else {"level": args.n}
         out.update(vars=names, relations=[g.render() for g in jp.relations])
         if len(levels) == 1:
-            grading, pairs = doc.algebra.grading, list(zip(names, jp.jet_vars))
+            grading, pairs = doc.algebra.grading, list(zip(names, jp.generators))
             out["structural_degrees"] = {s: v.order1 for s, v in pairs}
             out["induced_degrees"] = {s: grading[v.name] for s, v in pairs} if grading else {}
         _emit_json(out)
@@ -128,8 +128,7 @@ def cmd_omega(args):
     doc = _load_document(args)
     target = doc.algebra if args.n is None else jet_presentation(doc.algebra, args.n)
     kp = kaehler_presentation(target)
-    gens = doc.algebra.base_vars() if args.n is None else target.jet_vars
-    basis = ["d" + v.render(base_plain=args.n is None) for v in gens]
+    basis = ["d" + v.render(base_plain=args.n is None) for v in target.generators]
     if args.format == "json":
         _emit_json({
             "level": args.n,
@@ -189,12 +188,12 @@ def cmd_check(args):
 def cmd_p1(args):
     from .p1 import _cocycle_holds, global_sections, transition_series
 
-    series = transition_series(args.d, args.n)
+    jets = transition_series(args.d, args.n)
     out = {
         "d": args.d,
         "n": args.n,
-        "transition": upper_triangle([p.render() for p in series.coeffs], "0"),
-        "cocycle_ok": _cocycle_holds(series, args.d, args.n) if args.cocycle else None,
+        "transition": upper_triangle([p.render() for p in jets], "0"),
+        "cocycle_ok": _cocycle_holds(jets, args.d, args.n) if args.cocycle else None,
         "global_sections": None,
     }
     if args.sections:

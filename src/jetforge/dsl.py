@@ -27,7 +27,7 @@ import re
 from .errors import InhomogeneousRelation, ParseError, UndeclaredVariable
 from .jets import AlgebraMorphism, AlgebraPresentation, _Record
 from .hsmodules import ModulePresentation, linear_form, module_symbols
-from .poly import JetVar, _monomial, _poly
+from .poly import _monomial, _poly
 from .scalars import QQ, field_by_name
 
 
@@ -311,10 +311,10 @@ def parse_document(text):
         if x not in ring_names:
             p.fail("grade for undeclared variable %r" % x, 1)
 
-    base = {x: JetVar(x, i, 0) for i, x in enumerate(ring_names)}
     grading = {x: grades[x][0] if x in grades else 0 for x in ring_names} if grades else None
     # built without relations: each ideal is checked once, here, where its column is known
     algebra = AlgebraPresentation(ring_names, [], grading, field)
+    base = dict(zip(ring_names, algebra.generators))
     for p in ideals.values():
         at = p.pos
         f = p.expr(base, field)
@@ -346,7 +346,8 @@ def parse_document(text):
     morphism = None
     if "morphism" in once:
         tgt_names, p = once["morphism"]
-        tvars = {x: JetVar(x, i, 0) for i, x in enumerate(tgt_names)}
+        tgt = AlgebraPresentation(tgt_names, [], None, field)
+        tvars = dict(zip(tgt_names, tgt.generators))
         images = {}
         more = p.tokens[p.pos] != ""  # a ring without variables has no images
         while more:
@@ -363,7 +364,6 @@ def parse_document(text):
         for v in base.values():
             if v not in images:
                 p.fail("morphism misses image for %r" % v.name, p.pos)
-        tgt = AlgebraPresentation(tgt_names, [], None, field)
         morphism = AlgebraMorphism(algebra, tgt, images)
 
     return InputDocument(algebra, list(ideals), module, morphism)
@@ -389,7 +389,7 @@ def print_document(algebra, ideal_names=None, module=None, morphism=None):
     if morphism is not None:
         images = ", ".join(
             "%s -> %s" % (v.name, morphism.images[v].render(base_plain=True))
-            for v in morphism.source.base_vars())
+            for v in morphism.source.generators)
         lines.append("morphism [%s] : %s" % (",".join(morphism.target.vars), images))
     return "\n".join(lines) + "\n"
 

@@ -13,17 +13,17 @@ d(d_i f)/d x^(j) = d_{i-j}(df/dx).  The theorem checks on these
 constructions are in ``checks``.
 
 Base, Kaehler and Hasse-Schmidt modules are all one ModulePresentation,
-whose constructor checks each row entry; the builders here make valid
-rows and skip those checks with ``_built``.  Indices follow from
-position: in a level-n Hasse-Schmidt module, row r is relation k at
-order i and basis vector c is e_l at order j, with
-(k, i) = divmod(r, n+1) and (l, j) = divmod(c, n+1).  ``upper_triangle``
-is the one layout of a twisted action, used only where a matrix is built
-or shown: the Hasse-Schmidt module's blocks, and the transition matrices
-of the jet bundles on P^1 in ``p1``.
+whose constructor checks each row entry against ``over.generators``; the
+builders here make valid rows and skip those checks with ``_built``.
+Indices follow from position: in a level-n Hasse-Schmidt module, row r is
+relation k at order i and basis vector c is e_l at order j, with (k, i) =
+divmod(r, n+1) and (l, j) = divmod(c, n+1).  ``upper_triangle`` is the one
+layout of a twisted action, used only where a matrix is built or shown:
+the Hasse-Schmidt module's blocks, and the transition matrices of the jet
+bundles on P^1 in ``p1``.
 """
 
-from .jets import (AlgebraPresentation, _Record, _check_over, _generators, hs_components,
+from .jets import (AlgebraPresentation, _Record, _check_levels, _check_over, hs_components,
                    jet_presentation)
 from .poly import JetVar, Poly, _monomial, _poly
 
@@ -47,7 +47,7 @@ class ModulePresentation(_Record):
         self.relation_matrix = relation_matrix  # s rows, each of length rank
         if rank < 0:
             raise ValueError("negative rank %d" % rank)
-        declared = set(_generators(over))
+        declared = set(over.generators)
         for row in relation_matrix:
             if len(row) != rank:
                 raise ValueError("relation row length != rank")
@@ -80,8 +80,8 @@ def hs_module_presentation(M, n):
 
 def kaehler_presentation(P):
     """Module of differentials of P: basis d(generator), in the order of
-    P.jet_vars or P.base_vars(); relations the Jacobian rows."""
-    gens = _generators(P)
+    P.generators; relations the Jacobian rows."""
+    gens = P.generators
     return ModulePresentation._built(P, len(gens), [f.gradient(gens) for f in P.relations])
 
 
@@ -93,6 +93,7 @@ def module_symbols(first_index, rank, n):
     """The jets e_l^(j) of the module symbols e1..e_rank, l-major as in the
     Hasse-Schmidt basis (l, j), j <= n; symbol l has variable index
     first_index + l, after the base variables."""
+    _check_levels((n,))
     if rank < 0:
         raise ValueError("negative rank %d" % rank)
     return [JetVar("e%d" % (l + 1), first_index + l, j) for l in range(rank)

@@ -43,7 +43,7 @@ from .scalars import QQ
 # jet components
 
 
-def _base_vars(f):
+def _base_variables(f):
     """The variables of f, sorted; each must be a base variable."""
     vs = f.vars()
     for v in vs:
@@ -123,7 +123,7 @@ def _rows(family, e, bounds):
     field shares it.  ``_substitute`` and ``p1.power_jets`` read it
     directly.  It reads ``_expansion`` only on a miss; that split stays a
     cache of its own, as the families of a box share it, and one split per
-    family slows a cold ``jet --n 80``."""
+    family slows a cold ``jet --n 80`` and ``jet2 --n 8 --m 8``."""
     return tuple((g, tuple([(_monomial(tuple(zip(map(family.__getitem__, grades), exponents))), k)
                             for grades, exponents, k in entries]))
                  for g, entries in _expansion(e, bounds))
@@ -211,7 +211,7 @@ def hs_components(f, *levels):
     _check_levels(levels)
     variables = {v for m in f.terms for v, _ in m}
     if any(v.order1 or v.order2 is not None for v in variables):
-        _base_vars(f)  # raises, naming the least jet variable of f
+        _base_variables(f)  # raises, naming the least jet variable of f
     return _substitute(f, {v: _family(v, levels) for v in variables}, levels)
 
 
@@ -276,11 +276,11 @@ class AlgebraPresentation(_Record):
         for k, x in enumerate(self.vars):
             if x in self.vars[:k]:
                 raise JetforgeError("duplicate variable %r" % x)
-        declared = set(self.base_vars())
+        declared = set(self.generators)
         for f in self.relations:
             if f.field is not field:
                 raise FieldMismatch("relation over %r, algebra over %r" % (f.field, field))
-            for v in _base_vars(f):
+            for v in _base_variables(f):
                 if v not in declared:
                     raise ValueError("relation mentions undeclared variable %s" % v)
         if self.grading is not None:
@@ -291,7 +291,9 @@ class AlgebraPresentation(_Record):
                 if not f.is_zero() and self.homogeneous_degree(f) is None:
                     raise InhomogeneousRelation("relation %s is not homogeneous" % f)
 
-    def base_vars(self):
+    @property
+    def generators(self):
+        """The base variables x_0, in variable order."""
         return [JetVar(x, i, 0) for i, x in enumerate(self.vars)]
 
     def homogeneous_degree(self, f):
@@ -304,10 +306,10 @@ class AlgebraPresentation(_Record):
 
 class JetPresentation(_Record):
     """The jet presentation of ``source`` over the grade box ``levels``:
-    (n,) for the level-n jets, (n, m) for the bivariate jets.  The jet
-    variables are each generator's family in box order; relation r is
-    component g of f_k, (k, g) = divmod(r, box size).  Both are built when
-    first read."""
+    (n,) for the level-n jets, (n, m) for the bivariate jets.  Its
+    generators are each source generator's family in box order; relation r
+    is component g of f_k, (k, g) = divmod(r, box size).  Both are built
+    when first read."""
 
     _fields = ("levels", "source")
 
@@ -321,8 +323,8 @@ class JetPresentation(_Record):
         return self.source.field
 
     @cached_property
-    def jet_vars(self):
-        return [w for v in self.source.base_vars() for w in _family(v, self.levels)]
+    def generators(self):
+        return [w for v in self.source.generators for w in _family(v, self.levels)]
 
     @cached_property
     def relations(self):
@@ -338,18 +340,13 @@ def jet_presentation(A, *levels):
 # morphisms
 
 
-def _generators(P):
-    """The generators of an algebra or a jet presentation, in variable order."""
-    return P.jet_vars if isinstance(P, JetPresentation) else P.base_vars()
-
-
 def _check_over(p, P, declared, what):
     """Raise unless p is over P's field and its generators ``declared``."""
     if p.field is not P.field:
         raise FieldMismatch("%s over %r, algebra over %r" % (what, p.field, P.field))
     if not declared.issuperset([v for m in p.terms for v, _ in m]):
         raise ValueError("%s %s is not over %s"
-                         % (what, p, ", ".join(v.render(True) for v in _generators(P))))
+                         % (what, p, ", ".join(v.render(True) for v in P.generators)))
 
 
 class AlgebraMorphism(_Record):
@@ -370,7 +367,7 @@ class AlgebraMorphism(_Record):
         self.images = images  # JetVar (source generator) -> Poly over target generators
         if target.field is not source.field:
             raise FieldMismatch("target over %r, source over %r" % (target.field, source.field))
-        keys, declared = set(_generators(source)), set(_generators(target))
+        keys, declared = set(source.generators), set(target.generators)
         for v, img in images.items():
             if v not in keys:
                 raise ValueError("image given for %s, not a generator of the source" % v)

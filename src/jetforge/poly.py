@@ -13,7 +13,7 @@ equals the plain tuple of its pairs.  Polynomials are immutable
 dictionaries mapping monomials to nonzero exact field scalars; the zero
 polynomial is the empty map, and a sum or product with a zero operand
 does no arithmetic.  ``convolve`` is the one product of jet lists: the
-truncated series, the twisted matrices and the Leibniz check all use it.
+P^1 cocycle, the twisted-action and Leibniz checks and ``series`` use it.
 
 Canonical textual form (the bit-exact contract for golden tests and JSON
 output): variables sort by (base index, order1, order2, name), with a

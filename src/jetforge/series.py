@@ -9,6 +9,10 @@ a LocalPoly coefficient is in lowest terms whenever its operands are (see
 ``localized``).  A product is ``poly.convolve`` of the coefficient lists
 (for a doubly truncated series, of its rows, each a series in t), which
 starts each coefficient from its first term product, not from a zero.
+
+No library module imports it: a jet list is the truncated series, and
+``poly.convolve`` its product.  It stays as the tests' reference for the
+jets on P^1, and because perfbench's tracer names its classes.
 """
 
 from .errors import NonUnitLeadingCoefficient
@@ -27,9 +31,6 @@ class TruncSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
-
-    def _zero_coeff(self):
-        return self.coeffs[0] * 0
 
     def _check(self, other):
         if not isinstance(other, TruncSeries) or other.level != self.level:
@@ -56,15 +57,11 @@ class TruncSeries:
         return binary_power(self, e, self.one_like)
 
     def one_like(self):
-        z = self._zero_coeff()
-        one = None
         try:
             one = self.coeffs[0].unit_one()
         except AttributeError:
-            pass
-        if one is None:
-            raise TypeError("coefficient ring does not expose a unit")
-        return TruncSeries(self.level, [one] + [z] * self.level)
+            raise TypeError("coefficient ring does not expose a unit") from None
+        return TruncSeries(self.level, [one] + [self.coeffs[0] * 0] * self.level)
 
     def __eq__(self, other):
         return (isinstance(other, TruncSeries) and other.level == self.level

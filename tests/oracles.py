@@ -36,7 +36,6 @@ from jetforge.localized import _local
 from jetforge.p1 import chart_var
 from jetforge.poly import JetVar, Monomial, Poly, _monomial, _poly
 from jetforge.scalars import QQ, Fp
-from jetforge.series import TruncSeries
 
 TAU = JetVar("tau", 10**6, 0)
 SIGMA = JetVar("sigma", 10**6 + 1, 0)
@@ -219,5 +218,4 @@ def expansion_power_jets(k, chart, n, field=QQ):
                 c = field.coerce(b * mult)
                 if c:
                     dest[_monomial(head + tuple(zip(map(shifted, grades), exponents)))] = c
-    return TruncSeries(n, [_local(_poly(field, c), u, e if c else 0)
-                           for c, e in zip(coeffs, denoms)])
+    return [_local(_poly(field, c), u, e if c else 0) for c, e in zip(coeffs, denoms)]

@@ -24,7 +24,7 @@ from jetforge import (AlgebraMorphism, AlgebraPresentation, bigrade_commute_chec
                       free_dual_zigzag_check, hs_components, induced_morphism, jet_presentation)
 from jetforge.hsmodules import module_symbols
 from jetforge.jets import jet_again
-from jetforge.p1 import power_jets
+from jetforge.p1 import global_sections, power_jets, transition_series
 from jetforge.poly import JetVar, Poly
 
 x = Poly.var(JetVar("x", 0))
@@ -42,11 +42,19 @@ ROWS = [
     ("jet_again(x1, 2.0, 'order1')", "jet_again(x1, 2, 'order1')", "BadLevels"),
     ("jet_again(x1, True, 'order2')", "jet_again(x1, 1, 'order2')", "BadLevels"),
     ("jet_presentation(A, 2.0).relations", "jet_presentation(A, 2).relations", "BadLevels"),
-    ("jet_presentation(A, True).jet_vars", "jet_presentation(A, 1).jet_vars", "BadLevels"),
+    ("jet_presentation(A, True).generators", "jet_presentation(A, 1).generators", "BadLevels"),
     ("induced_morphism(phi, 2.0)", "induced_morphism(phi, 2)", "BadLevels"),
     ("induced_morphism(phi, True)", "induced_morphism(phi, 1)", "BadLevels"),
     ("power_jets(2, 0, 2.0)", "power_jets(2, 0, 2)", "BadLevels"),
     ("power_jets(2, 0, True)", "power_jets(2, 0, 1)", "BadLevels"),
+    ("power_jets(True, 0, 2)", "power_jets(1, 0, 2)", "TypeError"),
+    ("power_jets(2.0, 0, 2)", "power_jets(2, 0, 2)", "TypeError"),
+    ("transition_series(True, 2)", "transition_series(1, 2)", "TypeError"),
+    ("transition_series(2.0, 2)", "transition_series(2, 2)", "TypeError"),
+    ("global_sections(True, 2)", "global_sections(1, 2)", "TypeError"),
+    ("module_symbols(0, 2, -1)", "module_symbols(0, 2, 1)", "BadLevels"),
+    ("module_symbols(0, 2, 2.0)", "module_symbols(0, 2, 2)", "BadLevels"),
+    ("module_symbols(0, 2, True)", "module_symbols(0, 2, 1)", "BadLevels"),
     ("bigrade_commute_check(FREE, 2.0, 1)", "bigrade_commute_check(FREE, 2, 1)", "BadLevels"),
     ("JetVar('x', 0, 1.0)", "JetVar('x', 0, 1)", "TypeError"),
     ("JetVar('x', 0, 1.5)", "JetVar('x', 0, 1)", "TypeError"),

@@ -303,7 +303,7 @@ def test_2d_constant():
 
 def test_jet_presentation_cusp():
     jp = jet_presentation(cusp(), 1)
-    assert [v.render() for v in jp.jet_vars] == ["x_0", "x_1", "y_0", "y_1"]
+    assert [v.render() for v in jp.generators] == ["x_0", "x_1", "y_0", "y_1"]
     assert [g.render() for g in jp.relations] == [
         "-x_0^3 + y_0^2", "-3*x_0^2*x_1 + 2*y_0*y_1"]
 
@@ -311,7 +311,7 @@ def test_jet_presentation_cusp():
 def test_jet_presentation_free_and_level0():
     free = AlgebraPresentation(["x"], [])
     jp = jet_presentation(free, 3)
-    assert jp.relations == [] and len(jp.jet_vars) == 4
+    assert jp.relations == [] and len(jp.generators) == 4
     jp0 = jet_presentation(cusp(), 0)
     assert [g.render() for g in jp0.relations] == ["-x_0^3 + y_0^2"]
 
@@ -417,7 +417,7 @@ def test_induced_morphism_square():
 
 def test_induced_morphism_identity_and_constant():
     A = cusp()
-    ident = AlgebraMorphism(A, A, {v: Poly.var(v) for v in A.base_vars()})
+    ident = AlgebraMorphism(A, A, {v: Poly.var(v) for v in A.generators})
     fn = induced_morphism(ident, 2)
     for v, img in fn.images.items():
         assert img == Poly.var(v)
@@ -469,7 +469,7 @@ def test_bigrade_degenerate_level0():
 def test_bijet_presentation_counts():
     bp = jet_presentation(cusp(), 1, 2)
     assert len(bp.relations) == 2 * 3 * 1
-    assert len(bp.jet_vars) == 2 * 2 * 3
+    assert len(bp.generators) == 2 * 2 * 3
 
 
 def test_engine_sorts_families_that_share_an_index():

@@ -344,7 +344,7 @@ def test_base_change():
     phi = AlgebraMorphism(src, tgt, {JetVar("x", 0, 0): u0 ** 2})
     M = ModulePresentation(src, 1, [[Poly.var(JetVar("x", 0, 0))]])
     assert base_change_check(phi, M, 1)[0]
-    ident = AlgebraMorphism(src, src, {v: Poly.var(v) for v in src.base_vars()})
+    ident = AlgebraMorphism(src, src, {v: Poly.var(v) for v in src.generators})
     assert base_change_check(ident, M, 2)[0]
     const_mod = ModulePresentation(src, 1, [[Poly.constant(3)]])
     assert base_change_check(phi, const_mod, 2)[0]

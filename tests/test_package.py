@@ -136,9 +136,11 @@ def test_check_and_p1_load_their_modules_when_run():
     startup, after_check = _modules_after(["check", "--suite", "leibniz", "--trials", "1"])
     assert not startup & NOT_AT_STARTUP
     assert {"jetforge.checks", "jetforge.p1", "random"} <= after_check
+    assert "jetforge.series" not in after_check
     startup, after_p1 = _modules_after(["p1", "--d", "1", "--n", "2", "--cocycle"])
     assert not startup & NOT_AT_STARTUP
-    assert after_p1 - startup >= {"jetforge.p1", "jetforge.series", "jetforge.localized"}
+    assert after_p1 - startup >= {"jetforge.p1", "jetforge.localized"}
+    assert "jetforge.series" not in after_p1
     assert not after_p1 & {"jetforge.checks", "dataclasses", "inspect", "random", "json"}
 
 

@@ -36,7 +36,7 @@ def instances():
             ["x", "y"], [Poly(PrimeField(7), (Y ** 2 - X ** 3).terms)], None, PrimeField(7))),
         JetPresentation: (lambda: jet_presentation(A, 1, 1),
                           lambda: JetPresentation((1, 1), AlgebraPresentation(["x", "y"], []))),
-        AlgebraMorphism: (lambda: AlgebraMorphism(A, A, {v: Poly.var(v) for v in A.base_vars()}),
+        AlgebraMorphism: (lambda: AlgebraMorphism(A, A, {v: Poly.var(v) for v in A.generators}),
                           lambda: AlgebraMorphism(A, A, {})),
         ModulePresentation: (lambda: ModulePresentation(A, 2, [[X, Y]]),
                              lambda: ModulePresentation(A, 2, [[Y, X]])),
