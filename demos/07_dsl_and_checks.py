@@ -13,7 +13,7 @@ The check harness replays every structural theorem on seeded random
 instances; two of the suites additionally compare the jet-component
 engine against numeric evaluation at random rational points.
 """
-from jetforge import document_text, parse_document, report_text, run_suite
+from jetforge import parse_document, print_document, report_text, run_suite
 
 doc = parse_document("""
 ring Q[x,y]
@@ -23,6 +23,6 @@ relation x*e1 + y*e2
 morphism [u] : x -> u^2, y -> u^3
 """)
 print("canonical form round-trips:")
-print(document_text(doc))
+print(print_document(doc))
 
 print(report_text(run_suite(seed=42, trials=25)))

@@ -29,7 +29,7 @@ _EXPORTS = {
     "checks": ("base_change_check", "bigrade_commute_check", "cotangent_theorem_check",
                "cotruncation_subset_check", "free_dual_zigzag_check", "report_text",
                "run_suite", "sym_theorem_check"),
-    "dsl": ("InputDocument", "document_text", "parse_document", "print_document"),
+    "dsl": ("InputDocument", "parse_document", "print_document"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

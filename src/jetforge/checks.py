@@ -45,9 +45,9 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from .dsl import print_document
+from .dsl import InputDocument, print_document
 from .errors import BadLevels, FieldMismatch, UnknownSuite
-from .hsmodules import (ModulePresentation, _linear_combination, hs_module_presentation,
+from .hsmodules import (ModulePresentation, _sym_relations, hs_module_presentation,
                         kaehler_presentation, module_symbols, sym_presentation)
 from .jets import (AlgebraMorphism, AlgebraPresentation, _check_levels, hs_components,
                    induced_morphism, jet_again, jet_presentation)
@@ -86,11 +86,10 @@ def _choice(rng, seq):
     return seq[_randint(rng, 0, len(seq) - 1)]
 
 
-def random_poly(rng, names, max_terms=5):
-    """Up to max_terms terms of degree at most MAX_DEGREE over names; each
-    monomial is drawn as its variables, one at a time, and held as an
-    exponent list in variable order, so its pairs need no sort."""
-    gens = [JetVar(x, i, 0) for i, x in enumerate(names)]
+def random_poly(rng, gens, max_terms=5):
+    """Up to max_terms terms of degree at most MAX_DEGREE over the generators
+    gens; each monomial is drawn as its variables, one at a time, and held as
+    an exponent list in variable order, so its pairs need no sort."""
     last = len(gens) - 1
     terms = {}
     for _ in range(_randint(rng, 0, max_terms)):
@@ -105,9 +104,9 @@ def random_poly(rng, names, max_terms=5):
     return _poly(QQ, {m: c for m, c in terms.items() if c})
 
 
-def random_homogeneous_poly(rng, names, degrees, target, max_terms=4):
-    """Nonzero-by-construction homogeneous polynomial of weighted degree target."""
-    gens = [(JetVar(x, i, 0), degrees[x]) for i, x in enumerate(names)]
+def random_homogeneous_poly(rng, A, target, max_terms=4):
+    """Nonzero-by-construction homogeneous polynomial of degree target over A, graded."""
+    gens = [(v, A.grading[v.name]) for v in A.generators]
     terms = {}
     for _ in range(_randint(rng, 1, max_terms)):
         mono = {}
@@ -135,22 +134,18 @@ def random_algebra(rng, graded=False, max_relations=MAX_RELATIONS):
     nvars = _randint(rng, 1, MAX_VARS)
     names = list(_VAR_NAMES[:nvars])
     nrel = _randint(rng, 0, max_relations)
-    if graded:
-        degrees = {x: 1 for x in names}
-        for x in names[1:]:
-            degrees[x] = _randint(rng, 1, 2)
-        rels = [random_homogeneous_poly(rng, names, degrees, _randint(rng, 1, MAX_DEGREE))
-                for _ in range(nrel)]
-        return AlgebraPresentation._built(names, rels, degrees, QQ)
-    return AlgebraPresentation._built(names, [random_poly(rng, names) for _ in range(nrel)],
-                                      None, QQ)
+    degrees = {x: _randint(rng, 1, 2) if k else 1 for k, x in enumerate(names)} if graded else None
+    A = AlgebraPresentation._built(names, [], degrees, QQ)
+    A.relations += [random_homogeneous_poly(rng, A, _randint(rng, 1, MAX_DEGREE)) if graded
+                    else random_poly(rng, A.generators) for _ in range(nrel)]
+    return A
 
 
 def random_module(rng, over=None):
     A = over or random_algebra(rng, max_relations=1)
     rank = _randint(rng, 0, 2)
     nrel = _randint(rng, 0, MAX_RELATIONS) if rank else 0
-    rows = [[random_poly(rng, A.vars, max_terms=3) for _ in range(rank)]
+    rows = [[random_poly(rng, A.generators, max_terms=3) for _ in range(rank)]
             for _ in range(nrel)]
     return ModulePresentation._built(A, rank, rows)
 
@@ -158,7 +153,7 @@ def random_module(rng, over=None):
 def random_morphism(rng):
     src = AlgebraPresentation._built(list(_VAR_NAMES[:_randint(rng, 1, 2)]), [], None, QQ)
     tgt = AlgebraPresentation._built(list(_TARGET_NAMES[:_randint(rng, 1, 2)]), [], None, QQ)
-    images = {v: random_poly(rng, tgt.vars, max_terms=3) for v in src.generators}
+    images = {v: random_poly(rng, tgt.generators, max_terms=3) for v in src.generators}
     return AlgebraMorphism._built(src, tgt, images)
 
 
@@ -268,13 +263,12 @@ def cotangent_theorem_check(A, n):
 
 def sym_theorem_check(M, n):
     """HS^n(Sym M) = Sym(HS^n M): the nonzero level-n jet relations of
-    Sym(M) against those of Sym(HS^n M), the level-n jet relations of the
-    base and one relation sum_c row[c] e_c per Hasse-Schmidt module row,
+    Sym(M) against the relations of Sym(HS^n M), which ``_sym_relations``
+    builds as it builds those of Sym(M), on the jets of the module symbols,
     compared as multisets of polynomials."""
     hsm = hs_module_presentation(M, n)
-    symbols = module_symbols(len(M.over.vars), M.rank, n)
+    want = _sym_relations(hsm, module_symbols(M.over, M.rank, n))
     base = hsm.over.relations
-    want = base + [_linear_combination(row, symbols, M.field) for row in hsm.relation_matrix]
     # a relation of Sym M equal to a base relation reuses that one's jets
     known = {f: base[k * (n + 1):(k + 1) * (n + 1)] for k, f in enumerate(M.over.relations)}
     got = [g for f in sym_presentation(M).relations
@@ -388,9 +382,9 @@ def _draw_polys(count, max_terms=5):
     """The draw of ``count`` polynomials over the first 1..MAX_VARS
     variables, held as the relations of a free presentation, and a level."""
     def draw(rng):
-        names = list(_VAR_NAMES[:_randint(rng, 1, MAX_VARS)])
-        polys = [random_poly(rng, names, max_terms) for _ in range(count)]
-        return AlgebraPresentation._built(names, polys, None, QQ), _randint(rng, 0, MAX_LEVEL)
+        A = AlgebraPresentation._built(list(_VAR_NAMES[:_randint(rng, 1, MAX_VARS)]), [], None, QQ)
+        A.relations += [random_poly(rng, A.generators, max_terms) for _ in range(count)]
+        return A, _randint(rng, 0, MAX_LEVEL)
     return draw
 
 
@@ -402,7 +396,7 @@ def _draw_cotruncation(rng):
 
 def _draw_functoriality(rng):
     phi = random_morphism(rng)
-    return phi, random_poly(rng, phi.source.vars), _randint(rng, 0, 2)
+    return phi, random_poly(rng, phi.source.generators), _randint(rng, 0, 2)
 
 
 def _draw_base_change(rng):
@@ -447,13 +441,15 @@ def _failure_input(args):
     names = None
     if g is not None:
         A, names = AlgebraPresentation(A.vars, [g], None, A.field), ["g"]
-    return {"input": print_document(A, names, M, phi)}
+    return {"input": print_document(InputDocument(A, names, M, phi))}
 
 
 def run_suite(seed=42, trials=100, suites=None):
     """Run the named suites (every one when None) in ``SUITES`` order and
     return the report that ``jetforge check --format json`` prints;
     deterministic for given arguments, but for the timings."""
+    if type(seed) is not int or type(trials) is not int:
+        raise TypeError("seed and trials are ints, not %r and %r" % (seed, trials))
     if trials < 1:
         raise ValueError("trials must be positive")
     if isinstance(suites, str):

@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 
-from .dsl import parse_document, print_document
+from .dsl import InputDocument, parse_document, print_document
 from .errors import JetforgeError, ParseError
 from .hsmodules import (hs_module_presentation, kaehler_presentation,
                         sym_presentation, upper_triangle)
@@ -154,7 +154,7 @@ def cmd_sym(args):
             "relations": [f.render(base_plain=True) for f in sp.relations],
         })
         return 0
-    sys.stdout.write(print_document(sp))
+    sys.stdout.write(print_document(InputDocument(sp, None)))
     return 0
 
 

@@ -18,8 +18,8 @@ its line and column, found only then by tokenizing the line again.  A
 term's literals multiply into one integer ratio, then one field scalar, and
 its variables into one monomial.  The ring, module and morphism are
 declared at most once, and so are a variable's grade and an ideal's name.
-Only base variables appear in input; jet orders exist only in output.  A
-parsed document round-trips through the canonical printer.
+Only base variables appear in input; jet orders exist only in output.  The
+round trip is ``print_document(parse_document(text))``, which keeps the text.
 """
 
 import re
@@ -32,9 +32,15 @@ from .scalars import QQ, field_by_name
 
 
 class InputDocument(_Record):
+    """An algebra, its relations' names (None: f0, f1, ...), a module and a morphism."""
+
     _fields = ("algebra", "ideal_names", "module", "morphism")
 
     def __init__(self, algebra, ideal_names, module=None, morphism=None):
+        if ideal_names is not None and not (
+                len(set(ideal_names)) == len(ideal_names) == len(algebra.relations)):
+            raise ValueError("ideal names %r are not one distinct name per relation"
+                             % (ideal_names,))
         self.algebra = algebra
         self.ideal_names = ideal_names
         self.module = module
@@ -327,7 +333,7 @@ def parse_document(text):
     module = None
     if "module" in once:
         rank, mp = once["module"]
-        symbols = module_symbols(len(ring_names), rank, 0)
+        symbols = module_symbols(algebra, rank, 0)
         for e in symbols:
             if e.name in base:
                 mp.fail("module symbol %r is also a ring variable" % e.name, 2)
@@ -369,18 +375,19 @@ def parse_document(text):
     return InputDocument(algebra, list(ideals), module, morphism)
 
 
-def print_document(algebra, ideal_names=None, module=None, morphism=None):
-    """Canonical printer; parse(print(doc)) yields an identical document."""
+def print_document(doc):
+    """The canonical text of doc; parse_document of it yields an equal document."""
+    algebra, module, morphism = doc.algebra, doc.module, doc.morphism
     lines = ["ring %s[%s]" % (algebra.field.name, ",".join(algebra.vars))]
     if algebra.grading is not None:
         for x in algebra.vars:
             lines.append("grade %s = %d" % (x, algebra.grading[x]))
     for k, f in enumerate(algebra.relations):
-        name = ideal_names[k] if ideal_names else "f%d" % k
+        name = doc.ideal_names[k] if doc.ideal_names else "f%d" % k
         lines.append("ideal %s = %s" % (name, f.render(base_plain=True)))
     if module is not None:
         lines.append("module rank %d" % module.rank)
-        symbols = module_symbols(len(algebra.vars), module.rank, 0)
+        symbols = module_symbols(algebra, module.rank, 0)
         for row in module.relation_matrix:
             terms = ["(%s)*%s" % (p.render(base_plain=True), e.name)
                      for p, e in zip(row, symbols) if not p.is_zero()]
@@ -392,7 +399,3 @@ def print_document(algebra, ideal_names=None, module=None, morphism=None):
             for v in morphism.source.generators)
         lines.append("morphism [%s] : %s" % (",".join(morphism.target.vars), images))
     return "\n".join(lines) + "\n"
-
-
-def document_text(doc):
-    return print_document(doc.algebra, doc.ideal_names, doc.module, doc.morphism)

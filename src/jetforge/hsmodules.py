@@ -35,6 +35,14 @@ def upper_triangle(comps, zero):
     return [[zero] * j + list(comps[:size - j]) for j in range(size)]
 
 
+def _check_rank(rank):
+    """Raise unless rank is an int (not a bool), and not negative."""
+    if type(rank) is not int:
+        raise TypeError("a rank is an int, not %r" % (rank,))
+    if rank < 0:
+        raise ValueError("negative rank %d" % rank)
+
+
 class ModulePresentation(_Record):
     """Cokernel of a relation matrix over an algebra or a jet presentation:
     row k is the relation sum_c p_kc e_c, each p_kc over ``over``."""
@@ -45,8 +53,7 @@ class ModulePresentation(_Record):
         self.over = over  # AlgebraPresentation or JetPresentation
         self.rank = rank
         self.relation_matrix = relation_matrix  # s rows, each of length rank
-        if rank < 0:
-            raise ValueError("negative rank %d" % rank)
+        _check_rank(rank)
         declared = set(over.generators)
         for row in relation_matrix:
             if len(row) != rank:
@@ -89,15 +96,13 @@ def kaehler_presentation(P):
 # symmetric algebra bridge
 
 
-def module_symbols(first_index, rank, n):
-    """The jets e_l^(j) of the module symbols e1..e_rank, l-major as in the
-    Hasse-Schmidt basis (l, j), j <= n; symbol l has variable index
-    first_index + l, after the base variables."""
+def module_symbols(A, rank, n):
+    """The jets e_l^(j) of the module symbols e1..e_rank over the algebra A,
+    l-major as in the Hasse-Schmidt basis (l, j), j <= n; symbol l has
+    variable index len(A.vars) + l, after the base variables."""
     _check_levels((n,))
-    if rank < 0:
-        raise ValueError("negative rank %d" % rank)
-    return [JetVar("e%d" % (l + 1), first_index + l, j) for l in range(rank)
-            for j in range(n + 1)]
+    _check_rank(rank)
+    return [JetVar("e%d" % (l + 1), len(A.vars) + l, j) for l in range(rank) for j in range(n + 1)]
 
 
 def linear_form(p, symbols):
@@ -115,22 +120,24 @@ def linear_form(p, symbols):
     return [_poly(p.field, d) for d in coeffs]
 
 
-def _linear_combination(row, symbols, field):
-    """sum_c row[c] * symbols[c], the inverse of ``linear_form``.  The
-    symbols are distinct and sort after every variable of the row, so each
-    term is its monomial with one symbol appended, and no two collide."""
-    return _poly(field, {_monomial(m + ((e, 1),)): c
-                         for p, e in zip(row, symbols) for m, c in p.terms.items()})
+def _sym_relations(M, symbols):
+    """The relations of Sym M, symbols[c] standing for basis vector c: those
+    of M.over, then sum_c row[c] * symbols[c] for each row, the inverse of
+    ``linear_form``.  The symbols are distinct and sort after every
+    variable of a row, so each term is its monomial with one symbol
+    appended, and no two collide."""
+    return list(M.over.relations) + [
+        _poly(M.field, {_monomial(m + ((e, 1),)): c
+                        for p, e in zip(row, symbols) for m, c in p.terms.items()})
+        for row in M.relation_matrix]
 
 
 def sym_presentation(M):
     """Sym of a presented module: adjoin degree-1 symbols e_1..e_r, keep the
     base relations in degree 0, add the module rows as degree-1 relations."""
     A = M.over
-    symbols = module_symbols(len(A.vars), M.rank, 0)
+    symbols = module_symbols(A, M.rank, 0)
     names = list(A.vars) + [e.name for e in symbols]
     grading = {x: 0 for x in A.vars}
     grading.update({e.name: 1 for e in symbols})
-    relations = list(A.relations)
-    relations += [_linear_combination(row, symbols, A.field) for row in M.relation_matrix]
-    return AlgebraPresentation(names, relations, grading, A.field)
+    return AlgebraPresentation(names, _sym_relations(M, symbols), grading, A.field)

@@ -88,9 +88,9 @@ class Monomial(tuple):
     A monomial is the tuple of its (var, exponent) pairs sorted by the
     variables' sort keys, and it equals, and hashes like, the plain tuple of
     those pairs, so dict lookups on polynomials hash and compare in C.
-    ``len`` is its number of variables and ``UNIT`` is falsy: test it with
-    ``is_unit()``.  Never format a monomial with ``%``, which would read the
-    tuple as arguments; use ``render``."""
+    ``len`` is its number of variables and ``UNIT`` is the one falsy
+    monomial: ``not m`` tests for it.  Never format a monomial with ``%``,
+    which would read the tuple as arguments; use ``render``."""
 
     __slots__ = ()
 
@@ -105,9 +105,6 @@ class Monomial(tuple):
         return tuple.__new__(cls, items)
 
     __setattr__ = __delattr__ = _immutable
-
-    def is_unit(self):
-        return not self
 
     def vars(self):
         return [v for v, _ in self]

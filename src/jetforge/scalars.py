@@ -8,10 +8,10 @@ components, stay off ``Fraction``.  Prime-field scalars are ``Fp``
 instances carrying their modulus.  A field is one object (``QQ``, which
 ``Rationals()`` returns, or ``PrimeField(p)``, interned in a table that never
 shrinks), so fields compare by identity.  It converts integers and its own
-scalars (``field(c)`` calls ``field.coerce(c)``, which raises
-``FieldMismatch`` on anything else), provides constants and inversion,
-renders coefficients in the canonical "p/q" form, and builds a scalar from
-an integer ratio (``from_ratio``).  ``Poly.eval`` computes in the scalars'
+scalars (``field.coerce(c)``, which raises ``FieldMismatch`` on anything
+else), provides constants and inversion, renders coefficients in the
+canonical "p/q" form, and builds a scalar from an integer ratio
+(``from_ratio``).  ``Poly.eval`` computes in the scalars'
 own arithmetic, with their +, * and **.
 """
 
@@ -137,9 +137,6 @@ class Rationals:
             return int(c)
         raise FieldMismatch("not a rational scalar: %r" % (c,))
 
-    def __call__(self, c):
-        return self.coerce(c)
-
     def from_ratio(self, num, den):
         return _rational(Fraction(num, den))
 
@@ -226,9 +223,6 @@ class PrimeField:
         if isinstance(c, int):
             return Fp(c, self.p)
         raise FieldMismatch("not an F_%d scalar: %r" % (self.p, c))
-
-    def __call__(self, c):
-        return self.coerce(c)
 
     def from_ratio(self, num, den):
         return Fp(num * pow(den, -1, self.p), self.p)

@@ -158,7 +158,7 @@ def reference_poly_render(f, base_plain=False):
         cs = f.field.render(c)
         neg = cs.startswith("-")
         mag = cs[1:] if neg else cs
-        if m.is_unit():
+        if not m:
             body = mag
         elif mag == "1":
             body = reference_monomial_render(m, base_plain)

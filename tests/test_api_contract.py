@@ -20,8 +20,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the names the rows use, bound the same way here and in a fresh interpreter
 SETUP = """
-from jetforge import (AlgebraMorphism, AlgebraPresentation, bigrade_commute_check,
-                      free_dual_zigzag_check, hs_components, induced_morphism, jet_presentation)
+from jetforge import (AlgebraMorphism, AlgebraPresentation, InputDocument, ModulePresentation,
+                      bigrade_commute_check, free_dual_zigzag_check, hs_components,
+                      induced_morphism, jet_presentation, run_suite)
 from jetforge.hsmodules import module_symbols
 from jetforge.jets import jet_again
 from jetforge.p1 import global_sections, power_jets, transition_series
@@ -31,6 +32,7 @@ x = Poly.var(JetVar("x", 0))
 x1 = Poly.var(JetVar("x", 0, 1))
 A = AlgebraPresentation(["x"], [x ** 3])
 FREE = AlgebraPresentation(["x"], [])
+TWO = AlgebraPresentation(["x"], [x ** 2, x ** 3])
 phi = AlgebraMorphism(A, A, {JetVar("x", 0): x ** 2})
 """
 
@@ -52,9 +54,11 @@ ROWS = [
     ("transition_series(True, 2)", "transition_series(1, 2)", "TypeError"),
     ("transition_series(2.0, 2)", "transition_series(2, 2)", "TypeError"),
     ("global_sections(True, 2)", "global_sections(1, 2)", "TypeError"),
-    ("module_symbols(0, 2, -1)", "module_symbols(0, 2, 1)", "BadLevels"),
-    ("module_symbols(0, 2, 2.0)", "module_symbols(0, 2, 2)", "BadLevels"),
-    ("module_symbols(0, 2, True)", "module_symbols(0, 2, 1)", "BadLevels"),
+    ("module_symbols(FREE, 2, -1)", "module_symbols(FREE, 2, 1)", "BadLevels"),
+    ("module_symbols(FREE, 2, 2.0)", "module_symbols(FREE, 2, 2)", "BadLevels"),
+    ("module_symbols(FREE, 2, True)", "module_symbols(FREE, 2, 1)", "BadLevels"),
+    ("module_symbols(FREE, True, 1)", "module_symbols(FREE, 1, 1)", "TypeError"),
+    ("module_symbols(FREE, 1.5, 1)", "module_symbols(FREE, 1, 1)", "TypeError"),
     ("bigrade_commute_check(FREE, 2.0, 1)", "bigrade_commute_check(FREE, 2, 1)", "BadLevels"),
     ("JetVar('x', 0, 1.0)", "JetVar('x', 0, 1)", "TypeError"),
     ("JetVar('x', 0, 1.5)", "JetVar('x', 0, 1)", "TypeError"),
@@ -62,7 +66,18 @@ ROWS = [
     ("JetVar('x', 0, 0, 2.0)", "JetVar('x', 0, 0, 2)", "TypeError"),
     ("JetVar('x', True)", "JetVar('x', 1)", "TypeError"),
     ("free_dual_zigzag_check(True)", None, "BadLevels"),
-    ("module_symbols(0, -1, 2)", None, "ValueError"),
+    ("module_symbols(FREE, -1, 2)", None, "ValueError"),
+    ("ModulePresentation(FREE, True, [])", None, "TypeError"),
+    ("ModulePresentation(FREE, 1.5, [])", None, "TypeError"),
+    ("ModulePresentation(FREE, -1, [])", None, "ValueError"),
+    ("run_suite(seed=1.5, trials=1)", None, "TypeError"),
+    ("run_suite(seed=True, trials=1)", None, "TypeError"),
+    ("run_suite(trials=True)", None, "TypeError"),
+    ("run_suite(trials=2.5)", None, "TypeError"),
+    ("InputDocument(TWO, ['f'])", None, "ValueError"),
+    ("InputDocument(TWO, ['f', 'g', 'h'])", None, "ValueError"),
+    ("InputDocument(TWO, ['f', 'f'])", None, "ValueError"),
+    ("InputDocument(FREE, ['f'])", None, "ValueError"),
 ]
 
 OUTCOME = """

@@ -14,7 +14,7 @@ from jetforge.checks import (MAX_VARS, ORACLE_POINTS, SUITES, base_change_check,
                              random_algebra, random_module, random_morphism, random_poly,
                              report_text, run_suite, sym_theorem_check)
 from jetforge.cli import main
-from jetforge.dsl import document_text, parse_document, print_document
+from jetforge.dsl import InputDocument, parse_document, print_document
 from jetforge.errors import BadLevels, FieldMismatch, UnknownSuite
 from jetforge.hsmodules import ModulePresentation, hs_module_presentation, kaehler_presentation
 from jetforge.jets import (AlgebraMorphism, AlgebraPresentation, hs_components, induced_morphism,
@@ -74,7 +74,8 @@ def test_degenerate_instances_occur():
     rng = random.Random(0)
     saw_zero_poly = saw_free_algebra = saw_free_module = False
     for _ in range(200):
-        if random_poly(rng, ("x", "y", "z")[:rng.randint(1, MAX_VARS)]).is_zero():
+        gens = AlgebraPresentation(["x", "y", "z"][:rng.randint(1, MAX_VARS)], []).generators
+        if random_poly(rng, gens).is_zero():
             saw_zero_poly = True
         if not random_algebra(rng).relations:
             saw_free_algebra = True
@@ -96,9 +97,9 @@ def test_counterexamples_replay_through_dsl():
                      (random_algebra(rng, graded=True), None, None),
                      (phi.source, random_module(rng, over=phi.source), phi)]
         for algebra, module, morphism in instances:
-            text = print_document(algebra, module=module, morphism=morphism)
+            text = print_document(InputDocument(algebra, None, module, morphism))
             doc = parse_document(text)
-            assert document_text(doc) == text
+            assert print_document(doc) == text
             assert doc.algebra.vars == algebra.vars
             assert doc.algebra.relations == algebra.relations
             assert doc.algebra.grading == algebra.grading
@@ -438,7 +439,7 @@ def test_mutant_failure_inputs_are_canonical_documents():
               for failure in suite["failures"] if "input" in failure]
     assert len(inputs) == 63
     for text in inputs:
-        assert document_text(parse_document(text)) == text
+        assert print_document(parse_document(text)) == text
 
 
 def _replay_args(suite, failure):
@@ -583,7 +584,7 @@ def test_random_poly_draws_as_the_monomial_reference():
             for max_terms in (3, 5):
                 ours, ref = random.Random(seed), random.Random(seed)
                 names = list("xyz"[:nvars])
-                got = random_poly(ours, names, max_terms)
+                got = random_poly(ours, AlgebraPresentation(names, []).generators, max_terms)
                 want = reference_random_poly(ref, names, max_terms)
                 assert got.render() == want.render()
                 assert list(got.terms.items()) == list(want.terms.items())

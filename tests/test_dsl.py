@@ -1,7 +1,7 @@
 import pytest
 
 from jetforge.cli import main
-from jetforge.dsl import document_text, parse_document
+from jetforge.dsl import parse_document, print_document
 from jetforge.errors import (InhomogeneousRelation, ParseError,
                              UndeclaredVariable)
 from jetforge.poly import JetVar, Poly
@@ -110,7 +110,7 @@ def test_round_trip():
     ]
     for text in texts:
         doc1 = parse_document(text)
-        printed = document_text(doc1)
+        printed = print_document(doc1)
         doc2 = parse_document(printed)
         assert doc2.algebra.vars == doc1.algebra.vars
         assert doc2.algebra.relations == doc1.algebra.relations
@@ -122,7 +122,7 @@ def test_round_trip():
         if doc1.morphism:
             assert doc2.morphism.images == doc1.morphism.images
         # printing is idempotent
-        assert document_text(doc2) == printed
+        assert print_document(doc2) == printed
 
 
 def test_missing_ring_rejected():

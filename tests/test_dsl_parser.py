@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetforge.dsl import document_text, parse_document
+from jetforge.dsl import parse_document, print_document
 from jetforge.errors import InhomogeneousRelation, ParseError, UndeclaredVariable
 from jetforge.poly import JetVar, Poly
 from jetforge.scalars import QQ, PrimeField
@@ -78,8 +78,8 @@ class _Generator:
             return rng.choice(["%d", "0%d"]) % n, self.const(n)
         if kind == "ratio":
             a = rng.randrange(13)
-            b = rng.choice([b for b in range(1, 13) if self.field(b)])
-            return "%d/%d" % (a, b), self.const(a) * self.const(self.field.inv(self.field(b)))
+            b = rng.choice([b for b in range(1, 13) if self.field.coerce(b)])
+            return "%d/%d" % (a, b), self.const(a) * self.const(self.field.inv(self.field.coerce(b)))
         if kind == "var":
             x = rng.choice(NAMES)
             return x, self.vars[x]
@@ -348,5 +348,5 @@ def test_declaration_corpus(text, cls, line, column, message):
     ("ring Q[x]\nmodule rank 0\nrelation 0\n", "ring Q[x]\nmodule rank 0\nrelation 0\n"),
 ])
 def test_declarations_parse(text, printed):
-    assert document_text(parse_document(text)) == printed
-    assert document_text(parse_document(printed)) == printed
+    assert print_document(parse_document(text)) == printed
+    assert print_document(parse_document(printed)) == printed

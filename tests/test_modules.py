@@ -83,11 +83,11 @@ def test_matmul_is_the_matrix_product_of_the_entries(field):
     triangles is the layout of ``convolve``, which is the jets of the
     product."""
     rng = random.Random(29)
-    names = ["x", "y"]
+    gens = free_xy().generators
     zero = Poly.zero(field)
     for n in range(5):
         pairs = [(X0 ** 2 - 3 * Y0 + 1, X0 * Y0 + Y0)]
-        pairs += [(random_poly(rng, names), random_poly(rng, names)) for _ in range(4)]
+        pairs += [(random_poly(rng, gens), random_poly(rng, gens)) for _ in range(4)]
         for p, q in pairs:
             p, q = Poly(field, p.terms), Poly(field, q.terms)
             jp, jq = hs_components(p, n), hs_components(q, n)
@@ -166,7 +166,7 @@ def test_hs_golden_grid(capsys):
 
 
 def test_module_symbols_follow_the_hs_basis():
-    symbols = module_symbols(2, 2, 1)
+    symbols = module_symbols(free_xy(), 2, 1)
     assert symbols == [JetVar("e1", 2, 0), JetVar("e1", 2, 1),
                        JetVar("e2", 3, 0), JetVar("e2", 3, 1)]
     M = ModulePresentation(free_xy(), 2, [[X0, Y0]])
@@ -176,27 +176,30 @@ def test_module_symbols_follow_the_hs_basis():
 
 
 def test_linear_form():
-    e = [Poly.var(v) for v in module_symbols(2, 2, 1)]
-    row = linear_form(X0 * 3 * e[1] + Y0 * X0 * e[2] - e[2] + e[3], module_symbols(2, 2, 1))
+    symbols = module_symbols(free_xy(), 2, 1)
+    e = [Poly.var(v) for v in symbols]
+    row = linear_form(X0 * 3 * e[1] + Y0 * X0 * e[2] - e[2] + e[3], symbols)
     assert [p.render() for p in row] == ["0", "3*x_0", "x_0*y_0 - 1", "1"]
-    assert linear_form(Poly.zero(QQ), module_symbols(2, 2, 1)) == [Poly.zero(QQ)] * 4
+    assert linear_form(Poly.zero(QQ), symbols) == [Poly.zero(QQ)] * 4
     for bad in (e[0] ** 2, e[0] * e[3], X0, X0 * e[0] + 1):
-        assert linear_form(bad, module_symbols(2, 2, 1)) is None
+        assert linear_form(bad, symbols) is None
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7)], ids=str)
 def test_linear_combination_inverts_linear_form(field):
-    """sum_c row[c] * e_c, built as one dict, is the sum that Poly
-    arithmetic builds, and linear_form reads the row back, over jet
-    variables as in a Hasse-Schmidt row and with zero entries."""
+    """The Sym relation sum_c row[c] * e_c of a module row, built as one
+    dict by _sym_relations, is the sum that Poly arithmetic builds, and
+    linear_form reads the row back, over jet variables as in a
+    Hasse-Schmidt row and with zero entries."""
     rng = random.Random("linear-combination:%s" % field)
     for _ in range(60):
-        names = ["x", "y", "z"][:rng.randint(1, 3)]
+        A = AlgebraPresentation(["x", "y", "z"][:rng.randint(1, 3)], [], None, field)
         rank, n = rng.randint(1, 2), rng.randint(0, 2)
         row = [Poly(field, c.terms) for _ in range(rank)
-               for c in hs_components(random_poly(rng, names, 3), n)]
-        symbols = module_symbols(len(names), rank, n)
-        combination = hsmodules._linear_combination(row, symbols, field)
+               for c in hs_components(random_poly(rng, A.generators, 3), n)]
+        symbols = module_symbols(A, rank, n)
+        M = ModulePresentation(jet_presentation(A, n), len(row), [row])
+        combination, = hsmodules._sym_relations(M, symbols)
         assert combination == sum((p * Poly.var(e, field) for p, e in zip(row, symbols)),
                                   Poly.zero(field))
         assert linear_form(combination, symbols) == row

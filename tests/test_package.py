@@ -20,7 +20,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # jetforge.__all__: the exports of the eager-import era, with the check report
 # records replaced by report_text and the bivariate factory and components
 # folded into jet_presentation and hs_components, and the twisted matrix
-# record and its builder folded into hs_components and poly.convolve
+# record and its builder folded into hs_components and poly.convolve, and
+# the document-to-text wrapper folded into print_document
 ALL = ['AlgebraMorphism', 'AlgebraPresentation', 'BadLevels',
        'BiSeries', 'DivisionByZero', 'FieldMismatch', 'InhomogeneousRelation',
        'InputDocument', 'JetPresentation', 'JetVar', 'JetforgeError', 'LocalPoly',
@@ -29,7 +30,7 @@ ALL = ['AlgebraMorphism', 'AlgebraPresentation', 'BadLevels',
        'UnboundVariable', 'UndeclaredVariable', 'UnknownSuite',
        'UnsupportedTwist', 'base_change_check', 'bigrade_commute_check', 'checks',
        'cocycle_check', 'cotangent_theorem_check', 'cotruncation_subset_check',
-       'document_text', 'dsl', 'errors', 'field_by_name', 'free_dual_zigzag_check',
+       'dsl', 'errors', 'field_by_name', 'free_dual_zigzag_check',
        'global_sections', 'hs_components', 'hs_module_presentation', 'hsmodules',
        'induced_morphism', 'jet_presentation', 'jets', 'kaehler_presentation',
        'localized', 'p1', 'p1_transition', 'parse_document', 'poly', 'print_document',
@@ -167,3 +168,31 @@ def test_no_unused_import():
     files = sorted((SRC / "jetforge").rglob("*.py")) + sorted(tests.rglob("*.py"))
     files += sorted((SRC.parent / "demos").glob("*.py"))
     assert [hit for path in files for hit in _unused_imports(path)] == []
+
+
+# JetVar objects are made at the boundary only: where the jet engine names a
+# variable's family, where a presentation names its generators, and where the
+# module symbols and the P^1 chart variables are named; poly defines JetVar
+JETVAR_BUILDERS = {"jets._family", "jets.generators", "hsmodules.module_symbols",
+                   "p1.chart_var"}
+
+
+def _jetvar_builders(path):
+    """The functions of a library file that call JetVar(...), as "module.function"."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = "%s.%s" % (path.stem, node.name)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "JetVar":
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
+    return found
+
+
+def test_jetvar_is_built_only_at_the_boundary():
+    files = [path for path in sorted((SRC / "jetforge").glob("*.py")) if path.stem != "poly"]
+    assert set().union(*map(_jetvar_builders, files)) == JETVAR_BUILDERS

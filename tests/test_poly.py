@@ -179,12 +179,12 @@ def test_prime_field_arithmetic():
     a = Poly.var(X, f7) * 3 + Poly.constant(10, f7)
     b = Poly.var(X, f7) * 5
     assert (a + b) == Poly.var(X, f7) + Poly.constant(3, f7)
-    assert f7.inv(f7(3)) == f7(5)
+    assert f7.inv(f7.coerce(3)) == f7.coerce(5)
     assert Fp(2, 7) - Fp(5, 7) == Fp(2, 7) - 5 == Fp(4, 7)
     with pytest.raises(FieldMismatch):
         Fp(2, 7) - Fp(2, 5)
     with pytest.raises(DivisionByZero):
-        f7.inv(f7(0))
+        f7.inv(f7.coerce(0))
 
 
 def test_canonical_rendering():
@@ -200,7 +200,7 @@ def test_canonical_rendering():
 def test_monomial_invariants():
     m = Monomial({X: 2, Y: 0})
     assert m == ((X, 2),)
-    assert Monomial().is_unit()
+    assert not Monomial()
     assert m.mul(Monomial({X: 1})).exponent(X) == 3
 
 
@@ -225,7 +225,7 @@ def test_jet_variables_hash_once_and_round_trip():
     m = Monomial({v: 2, X: 1})
     assert pickle.loads(pickle.dumps(m)) == m
     assert m.divide_by_var(v) == Monomial({v: 1, X: 1})
-    assert m.divide_by_var(X).divide_by_var(v).divide_by_var(v).is_unit()
+    assert not m.divide_by_var(X).divide_by_var(v).divide_by_var(v)
     assert m.divide_by_var(Y) is None
     with pytest.raises(ValueError):
         JetVar("x", 0, -1)
@@ -275,7 +275,7 @@ def test_monomial_adds_repeated_variables():
     assert Monomial([(X, 1), (X, 2)]).render() == "x_0^3"
     assert hash(Monomial([(X, 1), (Y, 1), (X, 2)])) == hash(Monomial({X: 3, Y: 1}))
     assert Monomial([(X, 2), (Y, 1), (X, -2)]) == Monomial({Y: 1})
-    assert Monomial([(X, 0), (X, 0)]).is_unit()
+    assert not Monomial([(X, 0), (X, 0)])
     with pytest.raises(ValueError):
         Monomial([(X, 1), (X, -2)])
     with pytest.raises(ValueError):
@@ -322,7 +322,7 @@ def test_eval_matches_naive_oracle():
         def coefficient():
             if field is QQ:
                 return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
-            return field(rng.randrange(-10 ** 12, 10 ** 12))
+            return field.coerce(rng.randrange(-10 ** 12, 10 ** 12))
 
         for _ in range(12):
             terms = {Monomial({v: rng.randint(0, 3) for v in base}): coefficient()
@@ -338,7 +338,7 @@ def test_eval_matches_naive_oracle():
                         assert p.eval(pt) == want
                     else:
                         assert want.denominator == 1
-                        assert p.eval(pt) == field(want.numerator)
+                        assert p.eval(pt) == field.coerce(want.numerator)
                 if p.vars():
                     pt = _random_point(rng, p.vars()[:-1], field)
                     with pytest.raises(UnboundVariable):
@@ -372,13 +372,13 @@ def test_eval_points_matches_reference(field):
         variables = variables[:rng.randint(0, 3)]
         if field is QQ:
             def coefficient():
-                return QQ(Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 12)))
+                return QQ.coerce(Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 12)))
 
             def coordinate():
                 return rng.randint(-9, 9), rng.randint(1, 8)
         else:
             def coefficient():
-                return field(rng.randrange(1, field.p) if field.p > 2 else 1)
+                return field.coerce(rng.randrange(1, field.p) if field.p > 2 else 1)
 
             def coordinate():
                 return rng.randrange(field.p), 1
@@ -393,7 +393,7 @@ def test_eval_points_matches_reference(field):
                     assert got == want
                 else:
                     assert want.denominator == 1
-                    assert got == field(want.numerator)
+                    assert got == field.coerce(want.numerator)
 
 
 def test_eval_names_the_first_unbound_variable():
@@ -433,7 +433,7 @@ def test_monomial_is_the_tuple_of_its_pairs():
     assert isinstance(m, tuple) and m == pairs and pairs == m
     assert hash(m) == hash(pairs) and {pairs: 1}[m] == 1
     assert len(m) == 2 and len(UNIT) == 0
-    assert UNIT.is_unit() and not UNIT and UNIT == () and not m.is_unit()
+    assert not UNIT and UNIT == () and m
     for w in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
         assert type(w) is Monomial and w == m and hash(w) == hash(m)
         assert w[0][0] is X and w.render() == "x_0^2*y_0"

@@ -13,7 +13,7 @@ from jetforge.errors import DivisionByZero, FieldMismatch
 from jetforge.hsmodules import upper_triangle
 from jetforge.jets import hs_components
 from jetforge.poly import JetVar, Monomial, Poly
-from jetforge.scalars import QQ, PrimeField, Rationals, field_by_name
+from jetforge.scalars import QQ, Fp, PrimeField, Rationals, field_by_name
 
 X = JetVar("x", 0, 0)
 Y = JetVar("y", 1, 0)
@@ -27,7 +27,7 @@ def _is_rational(c):
                                    Fraction(1, 2), Fraction(-5, 3), True, False])
 def test_rational_constructors_return_int_when_integral(value):
     q = Fraction(value)
-    made = [(QQ(value), q), (QQ.coerce(value), q), (QQ.zero, 0), (QQ.one, 1),
+    made = [(QQ.coerce(value), q), (QQ.zero, 0), (QQ.one, 1),
             (QQ.from_ratio(3 * q.numerator, 3 * q.denominator), q),
             (QQ.from_ratio(-q.numerator, -q.denominator), q)]
     if q:
@@ -48,21 +48,23 @@ def test_rational_render_and_contains_are_unchanged():
         QQ.coerce(0.5)
 
 
-def test_calling_a_field_converts_as_coerce_does():
-    """field(c) is field.coerce(c): ints and the field's own scalars
-    convert, and anything else, a float or a scalar of another field,
-    raises FieldMismatch either way."""
+def test_coerce_is_the_one_conversion_into_a_field():
+    """field.coerce(c) converts ints and the field's own scalars, and
+    anything else, a float or a scalar of another field, raises
+    FieldMismatch; a field is not callable, so there is no second way."""
     f7, f5 = PrimeField(7), PrimeField(5)
-    for field, good, bad in ((QQ, [3, True, Fraction(4, 2), Fraction(1, 3)],
-                              [0.5, 2.0, "1/2", f7(3)]),
-                             (f7, [3, -1, True, f7(10)], [0.5, Fraction(1, 2), f5(3), "3"])):
-        for c in good:
-            assert field(c) == field.coerce(c)
-            assert type(field(c)) is type(field.coerce(c))
+    for field, good, bad in ((QQ, [(3, 3), (True, 1), (Fraction(4, 2), 2),
+                                   (Fraction(1, 3), Fraction(1, 3))],
+                              [0.5, 2.0, "1/2", f7.coerce(3)]),
+                             (f7, [(3, 3), (-1, 6), (True, 1), (f7.coerce(10), 3)],
+                              [0.5, Fraction(1, 2), f5.coerce(3), "3"])):
+        assert not callable(field)
+        for c, want in good:
+            got = field.coerce(c)
+            assert got == want and type(got) is (type(want) if field is QQ else Fp)
         for c in bad:
-            for convert in (field, field.coerce):
-                with pytest.raises(FieldMismatch):
-                    convert(c)
+            with pytest.raises(FieldMismatch):
+                field.coerce(c)
 
 
 def _random_poly(rng, terms):

@@ -44,7 +44,7 @@ def _coefficient(rng, field):
         return c
     c = Fraction(c)
     # over F_p a denominator divisible by p keeps only its numerator
-    return field.from_ratio(c.numerator, c.denominator if field(c.denominator) else 1)
+    return field.from_ratio(c.numerator, c.denominator if field.coerce(c.denominator) else 1)
 
 
 def _monomial(rng):

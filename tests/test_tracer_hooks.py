@@ -10,7 +10,6 @@ from types import FunctionType
 
 import jetforge
 from jetforge import cli, dsl
-from jetforge.scalars import QQ, PrimeField
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -56,13 +55,6 @@ def test_tracer_installs_counts_and_uninstalls(tmp_path, capsys):
         # the point oracle does not call Poly.eval; evaluating a parsed relation does
         relation = dsl.parse_document((GOLDEN / "cusp.jf").read_text()).algebra.relations[0]
         assert relation.eval({v: 1 for v in relation.vars()}) == 0
-        # calling a field is a conversion too: it goes through the wrapped coerce
-        counts = tracer.by_name(tracer.calls)
-        before_call = [counts.get("scalars.%s.coerce" % k, 0) for k in ("Rationals", "PrimeField")]
-        assert (QQ(3), PrimeField(7)(3)) == (3, PrimeField(7).coerce(3))
-        counts = tracer.by_name(tracer.calls)
-        after_call = [counts.get("scalars.%s.coerce" % k, 0) for k in ("Rationals", "PrimeField")]
-        assert [b - a for a, b in zip(before_call, after_call)] == [1, 2]
     finally:
         tracer.uninstall()
     capsys.readouterr()
