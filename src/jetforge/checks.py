@@ -266,8 +266,9 @@ def sym_theorem_check(M, n):
     Sym(M) against the relations of Sym(HS^n M), which ``_sym_relations``
     builds as it builds those of Sym(M), on the jets of the module symbols,
     compared as multisets of polynomials."""
+    symbols = module_symbols(M.over, M.rank, n)  # raises first on a module over jets
     hsm = hs_module_presentation(M, n)
-    want = _sym_relations(hsm, module_symbols(M.over, M.rank, n))
+    want = _sym_relations(hsm, symbols)
     base = hsm.over.relations
     # a relation of Sym M equal to a base relation reuses that one's jets
     known = {f: base[k * (n + 1):(k + 1) * (n + 1)] for k, f in enumerate(M.over.relations)}

@@ -20,6 +20,16 @@ its variables into one monomial.  The ring, module and morphism are
 declared at most once, and so are a variable's grade and an ideal's name.
 Only base variables appear in input; jet orders exist only in output.  The
 round trip is ``print_document(parse_document(text))``, which keeps the text.
+
+The reader checks every fact about its input where the fact's line and
+column are known.  Its records go through their constructors, but for the
+module, which it builds with ``_built``, skipping ``ModulePresentation``'s
+checks of what the reader has already made sure of: a rank that is an
+``int`` in 0..MAX_RANK, and ``rank`` entries per row, each over the ring
+and its one field, read by ``linear_form`` once the symbols e1..eN are known
+not to be ring names.  A check added to ``ModulePresentation`` must be made
+here too; ``tests/test_dsl_fuzz.py`` rebuilds every record the reader
+returns with its constructor.
 """
 
 import re
@@ -32,15 +42,29 @@ from .scalars import QQ, field_by_name
 
 
 class InputDocument(_Record):
-    """An algebra, its relations' names (None: f0, f1, ...), a module and a morphism."""
+    """An algebra, its relations' names (None: f0, f1, ...), a module and a
+    morphism.  Besides one distinct name per relation, the constructor
+    rejects two ways in which ``print_document`` would write a document
+    that ``parse_document`` rejects: an ideal name that is not a DSL name,
+    and a module over, or a morphism from, an algebra without this
+    algebra's field and generators, such as a jet presentation."""
 
     _fields = ("algebra", "ideal_names", "module", "morphism")
 
     def __init__(self, algebra, ideal_names, module=None, morphism=None):
-        if ideal_names is not None and not (
-                len(set(ideal_names)) == len(ideal_names) == len(algebra.relations)):
-            raise ValueError("ideal names %r are not one distinct name per relation"
-                             % (ideal_names,))
+        if ideal_names is not None:
+            if not len(set(ideal_names)) == len(ideal_names) == len(algebra.relations):
+                raise ValueError("ideal names %r are not one distinct name per relation"
+                                 % (ideal_names,))
+            for name in ideal_names:  # one token, of kind "name"
+                if not (isinstance(name, str) and _KIND_OF.get(name[:1]) == "name"
+                        and _TOKEN.findall(name) == [name]):
+                    raise ValueError("ideal name %r is not a name of the DSL" % (name,))
+        for what, over in (("module's base", module and module.over),
+                           ("morphism's source", morphism and morphism.source)):
+            if over is not None and over is not algebra and (
+                    over.field is not algebra.field or over.generators != algebra.generators):
+                raise ValueError("the %s lacks the algebra's field or generators" % what)
         self.algebra = algebra
         self.ideal_names = ideal_names
         self.module = module
@@ -61,6 +85,7 @@ MAX_RANK = 1000
 MAX_LITERAL_DIGITS = 4300
 _TOO_LONG = "literal longer than %d digits" % MAX_LITERAL_DIGITS
 _TOO_HIGH = "exponent larger than %d" % MAX_EXPONENT
+_EXPONENT_DIGITS = len(str(MAX_EXPONENT))
 _END = "unexpected end of expression"
 
 # Whitespace matches nothing, so findall steps over it; digits are ASCII.  A character
@@ -170,7 +195,9 @@ class _Parser:
         """Parse one term and add sign times it into terms.  A factor is a
         literal, a variable or a parenthesized expression, and an optional
         exponent.  The literals multiply into one integer ratio num/den,
-        reduced mod p over F_p, which becomes one field scalar at the end."""
+        reduced mod p over F_p, which becomes one field scalar at the end.
+        A token of digits short enough for int() is read by int() itself;
+        any other goes to natural, which raises the located error."""
         tokens = self.tokens
         pos = self.pos
         num, den = sign, 1
@@ -183,15 +210,17 @@ class _Parser:
                 a = variables.get(tok)
                 if a is None:
                     self.fail("undeclared variable %r" % tok, pos - 1, UndeclaredVariable)
-            elif kind == "num":
-                a = self.natural(pos - 1, MAX_LITERAL_DIGITS, _TOO_LONG)
+            elif kind == "num":  # a match of [0-9]+, so only its length can stop int()
+                a = (int(tok) if len(tok) <= MAX_LITERAL_DIGITS
+                     else self.natural(pos - 1, MAX_LITERAL_DIGITS, _TOO_LONG))
                 d = 1
                 if tokens[pos] == "/":
                     pos += 2
-                    d = self.natural(pos - 1, MAX_LITERAL_DIGITS, _TOO_LONG, "denominator")
+                    tok = tokens[pos - 1]
+                    d = (int(tok) if tok.isdigit() and len(tok) <= MAX_LITERAL_DIGITS
+                         else self.natural(pos - 1, MAX_LITERAL_DIGITS, _TOO_LONG, "denominator"))
                     if not (d % p if p else d):
-                        self.fail("denominator %s is zero in %s" % (tokens[pos - 1], field.name),
-                                  pos - 1)
+                        self.fail("denominator %s is zero in %s" % (tok, field.name), pos - 1)
             elif tok == "(":
                 if self.depth == MAX_PAREN_DEPTH:
                     self.fail("parentheses nested deeper than %d" % MAX_PAREN_DEPTH, pos - 1)
@@ -208,31 +237,48 @@ class _Parser:
             e = 1
             if tokens[pos] == "^":
                 pos += 2
-                e = self.natural(pos - 1, len(str(MAX_EXPONENT)), _TOO_HIGH, "exponent")
+                tok = tokens[pos - 1]
+                e = (int(tok) if tok.isdigit() and len(tok) <= _EXPONENT_DIGITS
+                     else self.natural(pos - 1, _EXPONENT_DIGITS, _TOO_HIGH, "exponent"))
                 if e > MAX_EXPONENT:
                     self.fail(_TOO_HIGH, pos - 1)
             if kind == "name":
                 exps[a] = exps.get(a, 0) + e
             elif kind == "op":
-                group = a**e if group is None else group * a**e
+                if e != 1:
+                    a = a**e
+                group = a if group is None else group * a
             elif p:  # a literal is reduced into F_p before it is powered
-                num = num * pow(a, e, p) % p
-                den = den * pow(d, e, p) % p
+                if e != 1:
+                    a, d = pow(a, e, p), pow(d, e, p)
+                num = num * a % p
+                den = den * d % p
             else:  # a rational literal is one atom: 3/2^2 is (3/2)^2
-                num *= a**e
-                den *= d**e
+                if e != 1:
+                    a, d = a**e, d**e
+                num *= a
+                den *= d
             tok = tokens[pos]
             if tok == "*":
                 pos += 1
             elif tok in _ENDS_TERM:
                 break
         self.pos = pos
+        if not num:  # den is a unit, so the term is zero
+            return
         c = field.coerce(num) if den == 1 else field.from_ratio(num, den)
         pairs = [ve for ve in exps.items() if ve[1]]
         if len(pairs) > 1:
             pairs.sort(key=lambda ve: ve[0]._key)
         m = _monomial(pairs)
-        items = ((m, c),) if group is None else (group * _poly(field, {m: c})).terms.items()
+        if group is None:
+            s = terms.get(m)
+            if s is None:  # a new monomial: nothing to merge
+                terms[m] = c
+                return
+            items = ((m, c),)
+        else:
+            items = (group * _poly(field, {m: c})).terms.items()
         for key, t in items:
             s = terms.get(key)
             s = t if s is None else s + t
@@ -347,7 +393,8 @@ def parse_document(text):
             if row is None:
                 p.fail("module relation must be linear in e1..e%d" % rank, at)
             rows.append(row)
-        module = ModulePresentation(algebra, rank, rows)
+        # each row was checked above, where its column is known; see the module docstring
+        module = ModulePresentation._built(algebra, rank, rows)
 
     morphism = None
     if "morphism" in once:

@@ -99,7 +99,11 @@ def kaehler_presentation(P):
 def module_symbols(A, rank, n):
     """The jets e_l^(j) of the module symbols e1..e_rank over the algebra A,
     l-major as in the Hasse-Schmidt basis (l, j), j <= n; symbol l has
-    variable index len(A.vars) + l, after the base variables."""
+    variable index len(A.vars) + l, after the base variables.  A is an
+    AlgebraPresentation: a JetPresentation has no base variables to follow."""
+    if not isinstance(A, AlgebraPresentation):
+        raise TypeError("module symbols are over an AlgebraPresentation, not a %s"
+                        % type(A).__name__)
     _check_levels((n,))
     _check_rank(rank)
     return [JetVar("e%d" % (l + 1), len(A.vars) + l, j) for l in range(rank) for j in range(n + 1)]

@@ -158,7 +158,7 @@ def _substitute(f, families, bounds):
         if not mono:
             out[0][UNIT] = c
             continue
-        scaled = {1: c}  # multinomial k -> c * k, zeros included
+        scaled = {1: c}  # multinomial k -> c * k, or None where c * k is 0
         v, e = mono[-1]
         table = _rows(families[v], e, bounds)
         if len(mono) == 1:
@@ -166,9 +166,9 @@ def _substitute(f, families, bounds):
                 dest = out[g]
                 for m, k in rows:
                     coeff = scaled.get(k)
-                    if coeff is None:
-                        coeff = scaled[k] = c * k
-                    if coeff:
+                    if coeff is None and k not in scaled:
+                        coeff = scaled[k] = c * k or None
+                    if coeff is not None:
                         dest[m] = coeff
             continue
         if interleaved is None:
@@ -197,9 +197,9 @@ def _substitute(f, families, bounds):
                     for m2, k2 in right:
                         k = k1 * k2
                         coeff = scaled.get(k)
-                        if coeff is None:
-                            coeff = scaled[k] = c * k
-                        if coeff:
+                        if coeff is None and k not in scaled:
+                            coeff = scaled[k] = c * k or None
+                        if coeff is not None:
                             m = m1 + m2
                             dest[_monomial(sorted(m, key=_pair_key) if interleaved else m)] = coeff
     return [_poly(f.field, d) for d in out]

@@ -49,7 +49,7 @@ class Fp:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = Fp(other, self.p)
+            return Fp(self.value * other, self.p)
         self._check(other)
         return Fp(self.value * other.value, self.p)
 

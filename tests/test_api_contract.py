@@ -21,8 +21,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # the names the rows use, bound the same way here and in a fresh interpreter
 SETUP = """
 from jetforge import (AlgebraMorphism, AlgebraPresentation, InputDocument, ModulePresentation,
-                      bigrade_commute_check, free_dual_zigzag_check, hs_components,
-                      induced_morphism, jet_presentation, run_suite)
+                      PrimeField, bigrade_commute_check, free_dual_zigzag_check, hs_components,
+                      hs_module_presentation, induced_morphism, jet_presentation, run_suite,
+                      sym_presentation, sym_theorem_check)
 from jetforge.hsmodules import module_symbols
 from jetforge.jets import jet_again
 from jetforge.p1 import global_sections, power_jets, transition_series
@@ -34,6 +35,10 @@ A = AlgebraPresentation(["x"], [x ** 3])
 FREE = AlgebraPresentation(["x"], [])
 TWO = AlgebraPresentation(["x"], [x ** 2, x ** 3])
 phi = AlgebraMorphism(A, A, {JetVar("x", 0): x ** 2})
+XY = AlgebraPresentation(["x", "y"], [])
+F7 = AlgebraPresentation(["x"], [], None, PrimeField(7))
+M = ModulePresentation(FREE, 1, [[x]])
+HS = hs_module_presentation(M, 1)  # a module over a JetPresentation
 """
 
 ROWS = [
@@ -78,6 +83,21 @@ ROWS = [
     ("InputDocument(TWO, ['f', 'g', 'h'])", None, "ValueError"),
     ("InputDocument(TWO, ['f', 'f'])", None, "ValueError"),
     ("InputDocument(FREE, ['f'])", None, "ValueError"),
+    # a document that print_document could write but parse_document would reject
+    ("InputDocument(A, ['f g'])", None, "ValueError"),
+    ("InputDocument(A, ['1f'])", None, "ValueError"),
+    ("InputDocument(A, ['f\\n'])", None, "ValueError"),
+    ("InputDocument(A, [''])", None, "ValueError"),
+    ("InputDocument(A, [1])", None, "ValueError"),
+    ("InputDocument(FREE, None, HS)", None, "ValueError"),
+    ("InputDocument(FREE, None, ModulePresentation(XY, 0, []))", None, "ValueError"),
+    ("InputDocument(FREE, None, ModulePresentation(F7, 0, []))", None, "ValueError"),
+    ("InputDocument(FREE, None, None, AlgebraMorphism(XY, FREE, {}))", None, "ValueError"),
+    ("InputDocument(FREE, None, None, AlgebraMorphism(F7, F7, {}))", None, "ValueError"),
+    # Sym and the module symbols are over an algebra, not over its jets
+    ("module_symbols(HS.over, 1, 0)", "module_symbols(FREE, 1, 0)", "TypeError"),
+    ("sym_presentation(HS)", "sym_presentation(M)", "TypeError"),
+    ("sym_theorem_check(HS, 1)", "sym_theorem_check(M, 1)", "TypeError"),
 ]
 
 OUTCOME = """

@@ -6,7 +6,8 @@ spans deleted, whole lines copied.  Whatever the edits, every document
 subcommand exits 0 or 2, never with a traceback, and a rejected document
 is reported as a located parse error.  A document that parses loses no
 declaration in its canonical print, which reprints to itself after one
-more parse."""
+more parse, and each record the reader built without its constructor's
+checks is one that the constructor accepts."""
 
 import contextlib
 import io
@@ -31,6 +32,22 @@ PIECES = ["ring", "grade", "ideal", "module", "rank", "relation", "morphism", "Q
 COMMANDS = [["jet", "--n", "1"], ["jet2", "--n", "1", "--m", "1"], ["module", "--n", "1"],
             ["omega"], ["omega", "--n", "1"], ["sym"], ["morphism", "--n", "1"]]
 _KEYWORD = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*)")
+
+
+def _assert_records_pass_their_constructors(doc):
+    """The reader builds its module with ``_built``; each record, rebuilt
+    by its checked constructor, raises nothing and equals the record read."""
+    records = [doc, doc.algebra, doc.module, doc.morphism]
+    if doc.morphism is not None:
+        records.append(doc.morphism.target)
+    for record in records:
+        if record is not None:
+            assert type(record)(*(getattr(record, f) for f in record._fields)) == record
+
+
+def test_golden_records_pass_their_constructors():
+    for text in DOCUMENTS:
+        _assert_records_pass_their_constructors(parse_document(text))
 
 
 def _declarations(text, keyword):
@@ -71,10 +88,12 @@ def _run(argv, text):
 @given(mutated_documents())
 def test_mutated_documents_exit_0_or_2(text):
     try:
-        printed = print_document(parse_document(text))
+        doc = parse_document(text)
     except ParseError:
         printed = None
     else:
+        _assert_records_pass_their_constructors(doc)
+        printed = print_document(doc)
         assert print_document(parse_document(printed)) == printed
         for keyword in ("ring", "ideal", "module", "relation", "morphism"):
             assert _declarations(printed, keyword) == _declarations(text, keyword), keyword

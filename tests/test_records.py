@@ -42,7 +42,7 @@ def instances():
                              lambda: ModulePresentation(A, 2, [[Y, X]])),
         InputDocument: (lambda: parse_document(doc),
                         lambda: InputDocument(cusp(), ["f"], ModulePresentation(A, 1, [[X]]),
-                                              object())),
+                                              AlgebraMorphism(A, A, {}))),
     }
 
 
