@@ -100,19 +100,25 @@ def cmd_jet(args):
     return 0
 
 
+def _rendered(matrix):
+    """The texts of a relation matrix's rows, each distinct entry object
+    rendered once: ``upper_triangle`` repeats each jet component down a
+    diagonal of its block, so a Hasse-Schmidt row shares most of its entries."""
+    texts = {}  # id of an entry, alive in matrix -> its text
+    for row in matrix:
+        for p in row:
+            if id(p) not in texts:
+                texts[id(p)] = p.render()
+    return [[texts[id(p)] for p in row] for row in matrix]
+
+
 def cmd_module(args):
     doc = _load_document(args)
     if doc.module is None:
         raise JetforgeError("document declares no module")
     hm = hs_module_presentation(doc.module, args.n)
     basis = ["e%d_%d" % divmod(c, args.n + 1) for c in range(hm.rank)]
-    # upper_triangle repeats each component down a diagonal: render each entry once
-    texts = {}  # id of an entry, alive in hm -> its text
-    for row in hm.relation_matrix:
-        for p in row:
-            if id(p) not in texts:
-                texts[id(p)] = p.render()
-    rows = [[texts[id(p)] for p in row] for row in hm.relation_matrix]
+    rows = _rendered(hm.relation_matrix)
     if args.format == "json":
         _emit_json({"level": args.n, "rank": doc.module.rank, "basis": basis, "rows": rows})
         return 0
@@ -125,20 +131,22 @@ def cmd_module(args):
 
 
 def cmd_omega(args):
+    """Kaehler differentials of the algebra A, or with --n N of its level-N
+    jets, printed as HS^N(Omega_A): by de Fernex and Docampo, the module of
+    differentials of the jet algebra, which the ``cotangent_theorem`` suite
+    checks against the jet algebra's Jacobian."""
     doc = _load_document(args)
-    target = doc.algebra if args.n is None else jet_presentation(doc.algebra, args.n)
-    kp = kaehler_presentation(target)
-    basis = ["d" + v.render(base_plain=args.n is None) for v in target.generators]
+    omega = kaehler_presentation(doc.algebra)
+    if args.n is not None:
+        omega = hs_module_presentation(omega, args.n)
+    basis = ["d" + v.render(base_plain=args.n is None) for v in omega.over.generators]
+    rows = _rendered(omega.relation_matrix)
     if args.format == "json":
-        _emit_json({
-            "level": args.n,
-            "basis": basis,
-            "rows": [[p.render() for p in row] for row in kp.relation_matrix],
-        })
+        _emit_json({"level": args.n, "basis": basis, "rows": rows})
         return 0
     print("basis %s" % " ".join(basis))
-    for k, row in enumerate(kp.relation_matrix):
-        print("row %d : %s" % (k, " ; ".join(p.render() for p in row)))
+    for k, row in enumerate(rows):
+        print("row %d : %s" % (k, " ; ".join(row)))
     return 0
 
 

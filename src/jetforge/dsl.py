@@ -44,10 +44,11 @@ from .scalars import QQ, field_by_name
 class InputDocument(_Record):
     """An algebra, its relations' names (None: f0, f1, ...), a module and a
     morphism.  Besides one distinct name per relation, the constructor
-    rejects two ways in which ``print_document`` would write a document
+    rejects three ways in which ``print_document`` would write a document
     that ``parse_document`` rejects: an ideal name that is not a DSL name,
-    and a module over, or a morphism from, an algebra without this
-    algebra's field and generators, such as a jet presentation."""
+    a module over, or a morphism from, an algebra without this algebra's
+    field and generators, such as a jet presentation, and a morphism
+    without an image for every generator."""
 
     _fields = ("algebra", "ideal_names", "module", "morphism")
 
@@ -65,6 +66,9 @@ class InputDocument(_Record):
             if over is not None and over is not algebra and (
                     over.field is not algebra.field or over.generators != algebra.generators):
                 raise ValueError("the %s lacks the algebra's field or generators" % what)
+        missing = morphism and [v for v in morphism.source.generators if v not in morphism.images]
+        if missing:  # the reader requires an image for every generator
+            raise ValueError("the morphism has no image for %r" % missing[0].name)
         self.algebra = algebra
         self.ideal_names = ideal_names
         self.module = module

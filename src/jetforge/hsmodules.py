@@ -115,12 +115,12 @@ def linear_form(p, symbols):
     position = {v: k for k, v in enumerate(symbols)}
     coeffs = [{} for _ in symbols]
     for m, c in p.terms.items():
-        hits = [(v, e) for v, e in m if v in position]
-        if len(hits) != 1 or hits[0][1] != 1:
+        hits = [i for i, (v, _) in enumerate(m) if v in position]
+        if len(hits) != 1 or m[hits[0]][1] != 1:
             return None
-        v = hits[0][0]
-        # distinct terms stay distinct once their one symbol is divided out
-        coeffs[position[v]][m.divide_by_var(v)] = c
+        i = hits[0]
+        # distinct terms stay distinct once their one symbol is sliced out
+        coeffs[position[m[i][0]]][_monomial(m[:i] + m[i + 1:])] = c
     return [_poly(p.field, d) for d in coeffs]
 
 
@@ -129,10 +129,11 @@ def _sym_relations(M, symbols):
     of M.over, then sum_c row[c] * symbols[c] for each row, the inverse of
     ``linear_form``.  The symbols are distinct and sort after every
     variable of a row, so each term is its monomial with one symbol
-    appended, and no two collide."""
+    appended, and no two collide.  A row longer or shorter than the
+    symbols raises ValueError."""
     return list(M.over.relations) + [
         _poly(M.field, {_monomial(m + ((e, 1),)): c
-                        for p, e in zip(row, symbols) for m, c in p.terms.items()})
+                        for p, e in zip(row, symbols, strict=True) for m, c in p.terms.items()})
         for row in M.relation_matrix]
 
 

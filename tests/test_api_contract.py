@@ -94,6 +94,7 @@ ROWS = [
     ("InputDocument(FREE, None, ModulePresentation(F7, 0, []))", None, "ValueError"),
     ("InputDocument(FREE, None, None, AlgebraMorphism(XY, FREE, {}))", None, "ValueError"),
     ("InputDocument(FREE, None, None, AlgebraMorphism(F7, F7, {}))", None, "ValueError"),
+    ("InputDocument(XY, None, None, AlgebraMorphism(XY, XY, {}))", None, "ValueError"),
     # Sym and the module symbols are over an algebra, not over its jets
     ("module_symbols(HS.over, 1, 0)", "module_symbols(FREE, 1, 0)", "TypeError"),
     ("sym_presentation(HS)", "sym_presentation(M)", "TypeError"),

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 from jetforge import checks, cli
 from jetforge.cli import build_parser, main
 from jetforge.dsl import parse_document
-from jetforge.hsmodules import hs_module_presentation
+from jetforge.hsmodules import hs_module_presentation, kaehler_presentation
+from jetforge.jets import jet_presentation
 from jetforge.poly import Poly
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -105,6 +107,23 @@ def test_module_renders_each_entry_once(monkeypatch, capsys):
     assert len(rendered) == len(set(rendered)) < sum(map(len, hm.relation_matrix))
 
 
+def test_omega_renders_each_entry_once(monkeypatch, capsys):
+    """omega --n prints a Hasse-Schmidt module too, and renders each entry
+    object of its rows once."""
+    render, rendered = Poly.render, []
+
+    def counted(self, *args):
+        rendered.append(id(self))
+        return render(self, *args)
+
+    monkeypatch.setattr(Poly, "render", counted)
+    code, out, _ = run(capsys, "omega", "--n", "3", str(GOLDEN / "surface.jf"))
+    assert code == 0
+    entries = sum(len(line.split(" ; ")) for line in out.splitlines()[1:])
+    assert entries == 8 * 12  # 2 relations by 3 variables, each a 4 x 4 block
+    assert len(rendered) == len(set(rendered)) < entries
+
+
 def test_module_without_declaration(tmp_path, capsys):
     doc = tmp_path / "plain.jf"
     doc.write_text("ring Q[x]\n")
@@ -119,6 +138,74 @@ def test_omega_base_and_jet(capsys):
     assert "-3*x_0^2 ; 2*y_0" in out
     code, out, _ = run(capsys, "omega", "--n", "1", str(GOLDEN / "cusp.jf"))
     assert "-6*x_0*x_1 ; -3*x_0^2 ; 2*y_1 ; 2*y_0" in out
+
+
+def _seeded_document(rng, field):
+    """A ring over ``field`` on one to three of x, y, z with one or two
+    relations, each up to four terms of exponents up to 3 (a term may be a
+    constant); over Q a coefficient may be a fraction."""
+    names = ["x", "y", "z"][:rng.randint(1, 3)]
+    lines = ["ring %s[%s]" % (field, ",".join(names))]
+    for k in range(rng.randint(1, 2)):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            c = "%d" % rng.choice([-9, -3, -1, 1, 2, 5, 6])
+            if field == "Q" and rng.random() < 0.3:
+                c += "/%d" % rng.randint(2, 7)
+            factors = ["%s^%d" % (v, e) for v in names for e in [rng.randint(0, 3)] if e]
+            terms.append("*".join(["(%s)" % c] + factors))
+        lines.append("ideal f%d = %s" % (k, " + ".join(terms)))
+    return "\n".join(lines) + "\n"
+
+
+OMEGA_DOCUMENTS = [
+    "ring Q[x,y]\n",  # no relations
+    "ring F2[x,y,z]\n",
+    "ring Q[x,y,z]\nideal f = x^2 - 3*y\n",  # misses z
+    "ring F7[x,y]\nideal f = y^3 + 2\n",  # misses x
+    "ring Q[x]\nideal f = 5\n",  # a constant
+    "ring F3[x,y]\nideal f = 4\nideal g = x*y\n",
+    "ring F2[x,y]\nideal f = x^2 + y\n",  # x^p over F_p
+    "ring F3[x,y]\nideal f = x^3 - y^2\nideal g = x^3*y^3\n",
+    "ring F7[x,y]\nideal f = x^7 + x^8 + 3*x*y\n",
+] + [_seeded_document(random.Random("omega:%s:%d" % (field, k)), field)
+     for field in ("Q", "F2", "F3", "F7") for k in range(4)]
+
+
+def _jacobian_output(A, n, fmt):
+    """What omega --n prints, built as the Jacobian of the jet algebra."""
+    kp = kaehler_presentation(jet_presentation(A, n))
+    basis = ["d" + v.render() for v in kp.over.generators]
+    rows = [[p.render() for p in row] for row in kp.relation_matrix]
+    if fmt == "json":
+        return json.dumps({"level": n, "basis": basis, "rows": rows}, indent=2) + "\n"
+    return "".join(["basis %s\n" % " ".join(basis)]
+                   + ["row %d : %s\n" % (k, " ; ".join(row)) for k, row in enumerate(rows)])
+
+
+@pytest.mark.parametrize("text", OMEGA_DOCUMENTS,
+                         ids=["doc%d" % k for k in range(len(OMEGA_DOCUMENTS))])
+def test_omega_is_the_jacobian_of_the_jet_algebra(text, tmp_path, capsys):
+    """omega --n prints HS^n(Omega_A); by de Fernex and Docampo that is the
+    module of differentials of the jet algebra, its Jacobian, entry for
+    entry and byte for byte, in small characteristic too."""
+    doc = tmp_path / "doc.jf"
+    doc.write_text(text)
+    A = parse_document(text).algebra
+    for n in range(5):
+        for fmt in ("text", "json"):
+            code, out, _ = run(capsys, "omega", "--n", str(n), "--format", fmt, str(doc))
+            assert code == 0
+            assert out == _jacobian_output(A, n, fmt), (n, fmt)
+
+
+def test_omega_surface_is_the_jacobian_at_level_20(capsys):
+    A = parse_document((GOLDEN / "surface.jf").read_text()).algebra
+    for fmt in ("text", "json"):
+        code, out, _ = run(capsys, "omega", "--n", "20", "--format", fmt,
+                           str(GOLDEN / "surface.jf"))
+        assert code == 0
+        assert out == _jacobian_output(A, 20, fmt)
 
 
 def test_sym_command(capsys):

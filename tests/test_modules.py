@@ -185,6 +185,20 @@ def test_linear_form():
         assert linear_form(bad, symbols) is None
 
 
+def test_linear_form_finds_the_symbol_anywhere_in_a_term():
+    """The one symbol of a term is sliced out wherever it sorts among the
+    term's variables: first, in the middle or last; a squared symbol and a
+    term with two symbols read as no linear form."""
+    x, e, y = (JetVar(name, k, 0) for k, name in enumerate("xey"))
+    X, E, Y = map(Poly.var, (x, e, y))
+    for term, coeff in ((E * Y, Y), (X * E * Y, X * Y), (X * E, X), (E, Poly.constant(1))):
+        assert linear_form(term * 5, [e]) == [coeff * 5]
+    f = JetVar("f", 3, 0)
+    F = Poly.var(f)
+    for bad in (X * E ** 2 * Y, E ** 2, X * E * F, E * Y * F, X * E * Y + E * F):
+        assert linear_form(bad, [e, f]) is None
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7)], ids=str)
 def test_linear_combination_inverts_linear_form(field):
     """The Sym relation sum_c row[c] * e_c of a module row, built as one
@@ -317,6 +331,15 @@ def test_sym_of_zero_module():
     sp = sym_presentation(M)
     assert sp.vars == ["x", "y"]
     assert len(sp.relations) == 1
+
+
+@pytest.mark.parametrize("row", [[X0, Y0], []], ids=["long", "short"])
+def test_sym_of_a_row_of_the_wrong_length_raises(row):
+    """A row is zipped with the symbols strictly: a longer row once lost
+    its extra entries without an error, and a shorter one would too."""
+    M = ModulePresentation._built(free_xy(), 1, [row])
+    with pytest.raises(ValueError):
+        sym_presentation(M)
 
 
 def test_sym_symbol_may_not_shadow_a_ring_variable():

@@ -30,6 +30,7 @@ def instances():
     for a third that differs from them in its last field; the algebra over
     F7 also differs in its relations, which must be over F7."""
     A = cusp()
+    images = {v: X for v in A.generators}  # InputDocument takes a morphism with every image
     doc = "ring Q[x,y]\nideal f = y^2 - x^3\nmodule rank 1\nrelation x*e1\n"
     return {
         AlgebraPresentation: (cusp, lambda: AlgebraPresentation(
@@ -42,7 +43,7 @@ def instances():
                              lambda: ModulePresentation(A, 2, [[Y, X]])),
         InputDocument: (lambda: parse_document(doc),
                         lambda: InputDocument(cusp(), ["f"], ModulePresentation(A, 1, [[X]]),
-                                              AlgebraMorphism(A, A, {}))),
+                                              AlgebraMorphism(A, A, images))),
     }
 
 
