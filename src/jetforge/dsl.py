@@ -15,11 +15,12 @@ pattern into plain strings, a token's kind given by its first character.
 Tokens may be separated by any whitespace; digits are ASCII, and any other
 character outside the grammar is an unexpected character.  An error names
 its line and column, found only then by tokenizing the line again.  A
-term's literals multiply into one integer ratio, then one field scalar, and
-its variables into one monomial.  The ring, module and morphism are
-declared at most once, and so are a variable's grade and an ideal's name.
-Only base variables appear in input; jet orders exist only in output.  The
-round trip is ``print_document(parse_document(text))``, which keeps the text.
+term's literals multiply into one integer ratio, then one field scalar, its
+variables into one monomial, and ``poly._add_terms`` sums the terms.  The
+ring, module and morphism are declared at most once, and so are a
+variable's grade and an ideal's name.  Only base variables appear in input;
+jet orders exist only in output.  The round trip is
+``print_document(parse_document(text))``, which keeps the text.
 
 The reader checks every fact about its input where the fact's line and
 column are known.  Its records go through their constructors, but for the
@@ -37,7 +38,7 @@ import re
 from .errors import InhomogeneousRelation, ParseError, UndeclaredVariable
 from .jets import AlgebraMorphism, AlgebraPresentation, _Record
 from .hsmodules import ModulePresentation, linear_form, module_symbols
-from .poly import _monomial, _poly
+from .poly import _add_terms, _monomial, _poly
 from .scalars import QQ, field_by_name
 
 
@@ -47,8 +48,8 @@ class InputDocument(_Record):
     rejects three ways in which ``print_document`` would write a document
     that ``parse_document`` rejects: an ideal name that is not a DSL name,
     a module over, or a morphism from, an algebra without this algebra's
-    field and generators, such as a jet presentation, and a morphism
-    without an image for every generator."""
+    field and generators (compared even when it is this algebra), such as a
+    jet presentation, and a morphism without an image for every generator."""
 
     _fields = ("algebra", "ideal_names", "module", "morphism")
 
@@ -63,7 +64,7 @@ class InputDocument(_Record):
                     raise ValueError("ideal name %r is not a name of the DSL" % (name,))
         for what, over in (("module's base", module and module.over),
                            ("morphism's source", morphism and morphism.source)):
-            if over is not None and over is not algebra and (
+            if over is not None and (
                     over.field is not algebra.field or over.generators != algebra.generators):
                 raise ValueError("the %s lacks the algebra's field or generators" % what)
         missing = morphism and [v for v in morphism.source.generators if v not in morphism.images]
@@ -275,21 +276,11 @@ class _Parser:
         if len(pairs) > 1:
             pairs.sort(key=lambda ve: ve[0]._key)
         m = _monomial(pairs)
-        if group is None:
-            s = terms.get(m)
-            if s is None:  # a new monomial: nothing to merge
-                terms[m] = c
-                return
-            items = ((m, c),)
+        if group is None and m not in terms:  # a new monomial: nothing to merge
+            terms[m] = c
         else:
-            items = (group * _poly(field, {m: c})).terms.items()
-        for key, t in items:
-            s = terms.get(key)
-            s = t if s is None else s + t
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
+            _add_terms(terms, [(m, c)] if group is None
+                       else (group * _poly(field, {m: c})).terms.items())
 
 
 def parse_document(text):

@@ -72,13 +72,14 @@ def hs_module_presentation(M, n):
     Position rule: row r is (k, i) = divmod(r, n+1), basis vector c is
     (l, j) = divmod(c, n+1); entry (r, c) is d_{i-j}(p_kl), zero for j > i,
     i.e. column i of the twisted matrices of row k, block by block."""
+    over = jet_presentation(M.over, n)  # raises unless M is over an AlgebraPresentation
     zero = Poly.zero(M.field)
     rows = []
     for relation in M.relation_matrix:
         blocks = [upper_triangle(hs_components(p, n), zero) for p in relation]
         for i in range(n + 1):
             rows.append([entries[j][i] for entries in blocks for j in range(n + 1)])
-    return ModulePresentation._built(jet_presentation(M.over, n), M.rank * (n + 1), rows)
+    return ModulePresentation._built(over, M.rank * (n + 1), rows)
 
 
 # ---------------------------------------------------------------------------

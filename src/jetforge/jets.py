@@ -25,7 +25,8 @@ in one variable; the families are disjoint, so in a term with several
 variables each output monomial is one concatenation of monomials, sorted
 only when the families interleave.
 
-Two gradings live on a jet presentation, both read by
+Both presentations build their one generator list when first read.  Two
+gradings live on a jet presentation, both read by
 ``Monomial.weighted_degree``: the structural one (deg x^(i) = i) and,
 when the source algebra is graded, the induced one (deg x^(i) = deg x).
 """
@@ -276,7 +277,7 @@ class AlgebraPresentation(_Record):
         for k, x in enumerate(self.vars):
             if x in self.vars[:k]:
                 raise JetforgeError("duplicate variable %r" % x)
-        declared = set(self.generators)
+        declared = relations and set(self.generators)
         for f in self.relations:
             if f.field is not field:
                 raise FieldMismatch("relation over %r, algebra over %r" % (f.field, field))
@@ -291,9 +292,9 @@ class AlgebraPresentation(_Record):
                 if not f.is_zero() and self.homogeneous_degree(f) is None:
                     raise InhomogeneousRelation("relation %s is not homogeneous" % f)
 
-    @property
+    @cached_property
     def generators(self):
-        """The base variables x_0, in variable order."""
+        """The base variables x_0, in variable order, built when first read."""
         return [JetVar(x, i, 0) for i, x in enumerate(self.vars)]
 
     def homogeneous_degree(self, f):
@@ -305,15 +306,17 @@ class AlgebraPresentation(_Record):
 
 
 class JetPresentation(_Record):
-    """The jet presentation of ``source`` over the grade box ``levels``:
-    (n,) for the level-n jets, (n, m) for the bivariate jets.  Its
-    generators are each source generator's family in box order; relation r
-    is component g of f_k, (k, g) = divmod(r, box size).  Both are built
-    when first read."""
+    """The jet presentation of ``source``, an AlgebraPresentation, over the
+    grade box ``levels``: (n,) for the level-n jets, (n, m) for bivariate
+    jets.  Its generators are each source generator's family in box order;
+    relation r is component g of f_k, (k, g) = divmod(r, box size).  Both
+    are built when first read."""
 
     _fields = ("levels", "source")
 
     def __init__(self, levels, source):
+        if not isinstance(source, AlgebraPresentation):
+            raise TypeError("jets are of an AlgebraPresentation, not a %s" % type(source).__name__)
         _check_levels(levels)  # even with no relation to build
         self.levels = levels
         self.source = source

@@ -12,8 +12,11 @@ stored strings.  A monomial is a tuple of (variable, exponent) pairs and
 equals the plain tuple of its pairs.  Polynomials are immutable
 dictionaries mapping monomials to nonzero exact field scalars; the zero
 polynomial is the empty map, and a sum or product with a zero operand
-does no arithmetic.  ``convolve`` is the one product of jet lists: the
-P^1 cocycle, the twisted-action and Leibniz checks and ``series`` use it.
+does no arithmetic.  One helper, ``_add_terms``, sums terms into such a
+dict for ``+``, ``substitute``, the DSL reader and ``Poly(field, terms)``,
+which takes (``Monomial``, scalar) pairs and adds repeated monomials.
+``convolve`` is the one product of jet lists: the P^1 cocycle, the
+twisted-action and Leibniz checks and ``series`` use it.
 
 Canonical textual form (the bit-exact contract for golden tests and JSON
 output): variables sort by (base index, order1, order2, name), with a
@@ -219,6 +222,22 @@ def _value(terms, point):
     return total
 
 
+def _add_terms(terms, pairs):
+    """Add (monomial, nonzero scalar) pairs into the term dict ``terms``, and
+    return it; a monomial whose sum is 0 leaves, so if it comes back it is last."""
+    for m, c in pairs:
+        s = terms.get(m)
+        if s is None:
+            terms[m] = c
+        else:
+            s = s + c
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+    return terms
+
+
 _LAST = ((float("inf"),), 0)  # after every (variable key, -exponent) pair
 
 
@@ -232,13 +251,15 @@ class Poly:
     __slots__ = ("field", "terms")
 
     def __init__(self, field, terms=()):
-        tdict = {}
+        pairs = []
         for m, c in (terms.items() if isinstance(terms, dict) else terms):
+            if not isinstance(m, Monomial):
+                raise TypeError("a term's key is a Monomial, not %r" % (m,))
             c = field.coerce(c)
             if c:
-                tdict[m] = c
+                pairs.append((m, c))
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "terms", tdict)
+        object.__setattr__(self, "terms", _add_terms({}, pairs))
 
     __setattr__ = __delattr__ = _immutable
 
@@ -284,18 +305,7 @@ class Poly:
             return self
         if not self.terms:
             return other
-        d = dict(self.terms)
-        for m, c in other.terms.items():
-            s = d.get(m)
-            if s is None:
-                d[m] = c
-            else:
-                s = s + c
-                if s:
-                    d[m] = s
-                else:
-                    del d[m]
-        return _poly(self.field, d)
+        return _poly(self.field, _add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -395,7 +405,7 @@ class Poly:
     def substitute(self, mapping):
         """Replace variables by polynomials; unmapped variables stay.  Each
         power of an image is computed once, and the terms are summed into one
-        dict, in the order and with the cancellations of ``__add__``."""
+        dict by ``_add_terms``, as ``__add__`` sums."""
         field = self.field
         powers = {}
         d = {}
@@ -408,13 +418,7 @@ class Poly:
                 term = term * power
                 if not term.terms:
                     break  # a zero factor: the term is zero, whatever follows
-            for m2, c2 in term.terms.items():
-                s = d.get(m2)
-                s = c2 if s is None else s + c2
-                if s:
-                    d[m2] = s
-                else:
-                    del d[m2]
+            _add_terms(d, term.terms.items())
         return _poly(field, d)
 
     def rename(self, varmap):

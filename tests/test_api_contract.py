@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the names the rows use, bound the same way here and in a fresh interpreter
 SETUP = """
-from jetforge import (AlgebraMorphism, AlgebraPresentation, InputDocument, ModulePresentation,
+from jetforge import (QQ, AlgebraMorphism, AlgebraPresentation, InputDocument, ModulePresentation,
                       PrimeField, bigrade_commute_check, free_dual_zigzag_check, hs_components,
                       hs_module_presentation, induced_morphism, jet_presentation, run_suite,
                       sym_presentation, sym_theorem_check)
@@ -99,6 +99,12 @@ ROWS = [
     ("module_symbols(HS.over, 1, 0)", "module_symbols(FREE, 1, 0)", "TypeError"),
     ("sym_presentation(HS)", "sym_presentation(M)", "TypeError"),
     ("sym_theorem_check(HS, 1)", "sym_theorem_check(M, 1)", "TypeError"),
+    # and so are jets, and a Hasse-Schmidt module's base
+    ("jet_presentation(HS.over, 1)", None, "TypeError"),
+    ("hs_module_presentation(HS, 1)", None, "TypeError"),
+    # a term's key is a Monomial, not a tuple equal to one
+    ("Poly(QQ, {((JetVar('x', 0), 1),): 1})", None, "TypeError"),
+    ("Poly(QQ, [((), 1)])", None, "TypeError"),
 ]
 
 OUTCOME = """

@@ -8,7 +8,7 @@ import pytest
 
 from jetforge.errors import DivisionByZero, FieldMismatch, UnboundVariable
 from jetforge.jets import hs_components
-from jetforge.poly import UNIT, JetVar, Monomial, Poly
+from jetforge.poly import UNIT, JetVar, Monomial, Poly, _add_terms
 from jetforge.scalars import QQ, Fp, PrimeField, is_prime
 from oracles import naive_eval, naive_partial
 
@@ -54,6 +54,39 @@ def test_additive_identity_and_cancellation():
     z = P(X) - P(X)
     assert z.is_zero() and not z.terms
     assert 1 - P(X) == Poly.constant(1) - P(X) == -(P(X) - 1)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7)], ids=lambda f: f.name)
+def test_constructor_adds_repeated_monomials(field):
+    """Poly(field, pairs) is the sum of its one-term polynomials, with the
+    dict order of that sum, for pairs drawn with repeats; pairs that cancel
+    give zero, and the last of two repeated pairs no longer wins."""
+    rng = random.Random(42)
+    monomials = [UNIT, Monomial({X: 1}), Monomial({Y: 2}), Monomial({X: 1, Y: 1})]
+    for _ in range(100):
+        pairs = [(rng.choice(monomials), rng.randint(-3, 3)) for _ in range(rng.randint(0, 8))]
+        total = Poly.zero(field)
+        for pair in pairs:
+            total = total + Poly(field, [pair])
+        p = Poly(field, pairs)
+        assert p == total and list(p.terms) == list(total.terms)
+    x = Monomial({X: 1})
+    assert Poly(field, [(x, 1), (x, -1)]).is_zero()
+    assert Poly(field, [(x, 2), (UNIT, 1), (x, -2)]).terms == {UNIT: field.one}
+    assert Poly(field, [(x, 1), (x, 2)]) == 3 * Poly.var(X, field)
+
+
+def test_sums_keep_one_merge_order():
+    """_add_terms, through which + sums, keeps a monomial where it first
+    came, appends a new one, drops one whose sum is 0, and appends it again
+    if it comes back."""
+    x, y, xy = Monomial({X: 1}), Monomial({Y: 1}), Monomial({X: 1, Y: 1})
+    terms = _add_terms({x: 1, y: 1}, [(xy, 2), (x, -1), (y, 1), (x, 5)])
+    assert list(terms.items()) == [(y, 2), (xy, 2), (x, 5)]
+    a, b = _in_order(QQ, ({X: 1}, 1), ({Y: 1}, 1)), _in_order(QQ, ({X: 1, Y: 1}, 2), ({X: 1}, -1))
+    assert list((a + b).terms.items()) == [(y, 1), (xy, 2)]
+    assert list((a + b + P(X)).terms) == [y, xy, x]
+    assert list((b + a).terms.items()) == [(xy, 2), (y, 1)]
 
 
 def test_mixed_field_rejected():

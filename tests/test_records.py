@@ -9,7 +9,7 @@ import inspect
 import pytest
 
 from jetforge.checks import run_suite
-from jetforge.dsl import InputDocument, parse_document
+from jetforge.dsl import InputDocument, parse_document, print_document
 from jetforge.errors import (FieldMismatch, InhomogeneousRelation, JetforgeError, MissingGrading,
                              UnknownSuite)
 from jetforge.hsmodules import ModulePresentation
@@ -121,6 +121,26 @@ def test_jet_presentation_equality_ignores_the_cached_relations():
     assert read == fresh
     assert read.field is A.field
     assert read == JetPresentation((2,), A) != jet_presentation(A, 2, 0)
+
+
+def test_presentations_build_one_generator_list():
+    """Each presentation builds its generator list at the first read and
+    returns that list after, checked or built with ``_built``."""
+    built = AlgebraPresentation._built(["x", "y"], [], None, QQ)
+    for P in (cusp(), AlgebraPresentation(["x"], []), built, jet_presentation(cusp(), 2)):
+        assert P.generators is P.generators
+    assert built.generators == cusp().generators == [JetVar("x", 0, 0), JetVar("y", 1, 0)]
+
+
+def test_input_document_takes_records_over_an_equal_algebra():
+    """A module and a morphism over an algebra equal to, but not, the
+    document's are accepted, and print as they do over the algebra itself."""
+    A, B = cusp(), cusp()
+    module = ModulePresentation(B, 1, [[X]])
+    morphism = AlgebraMorphism(B, A, {v: Poly.var(v) for v in B.generators})
+    doc = InputDocument(A, None, module, morphism)
+    assert doc.module is module and doc.morphism is morphism
+    assert print_document(doc) == print_document(InputDocument(B, None, module, morphism))
 
 
 def test_algebra_presentation_errors_in_order():
