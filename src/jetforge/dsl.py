@@ -45,11 +45,12 @@ from .scalars import QQ, field_by_name
 class InputDocument(_Record):
     """An algebra, its relations' names (None: f0, f1, ...), a module and a
     morphism.  Besides one distinct name per relation, the constructor
-    rejects three ways in which ``print_document`` would write a document
+    rejects four ways in which ``print_document`` would write a document
     that ``parse_document`` rejects: an ideal name that is not a DSL name,
     a module over, or a morphism from, an algebra without this algebra's
     field and generators (compared even when it is this algebra), such as a
-    jet presentation, and a morphism without an image for every generator."""
+    jet presentation, a ring variable named as a module symbol e1 .. e<rank>,
+    and a morphism without an image for every generator."""
 
     _fields = ("algebra", "ideal_names", "module", "morphism")
 
@@ -67,6 +68,11 @@ class InputDocument(_Record):
             if over is not None and (
                     over.field is not algebra.field or over.generators != algebra.generators):
                 raise ValueError("the %s lacks the algebra's field or generators" % what)
+        if module is not None:
+            ring = set(algebra.vars)
+            for l in range(module.rank):  # the reader's rule and message
+                if "e%d" % (l + 1) in ring:
+                    raise ValueError("module symbol 'e%d' is also a ring variable" % (l + 1))
         missing = morphism and [v for v in morphism.source.generators if v not in morphism.images]
         if missing:  # the reader requires an image for every generator
             raise ValueError("the morphism has no image for %r" % missing[0].name)

@@ -23,7 +23,8 @@ multinomial of a term; over F_p the terms whose multinomial vanishes mod p
 drop out.  The tables hold ready monomials, written as they are for a term
 in one variable; the families are disjoint, so in a term with several
 variables each output monomial is one concatenation of monomials, sorted
-only when the families interleave.
+only when the families interleave.  As D_0 = id and D_i(0) = 0, the zero
+polynomial and ``hs_components(f, 0)`` build no table (see ``_substitute``).
 
 Both presentations build their one generator list when first read.  Two
 gradings live on a jet presentation, both read by
@@ -58,8 +59,9 @@ def _check_levels(levels):
     before they key a cache, where (2.0,) and (True,) find (2,) and (1,)."""
     if not 1 <= len(levels) <= 2:
         raise BadLevels("a grade box has one or two levels, not %d" % len(levels))
-    if any(type(b) is not int or b < 0 for b in levels):
-        raise BadLevels("jet levels are ints, none negative: %r" % (levels,))
+    for b in levels:  # a loop, not any(<genexpr>): this runs on every jet call
+        if type(b) is not int or b < 0:
+            raise BadLevels("jet levels are ints, none negative: %r" % (levels,))
 
 
 @lru_cache(maxsize=None)
@@ -151,8 +153,15 @@ def _substitute(f, families, bounds):
     be sorted only when the families interleave, as for ``jet_again`` into
     order1 or for two variables that share an index: when, taken in the
     order of their variables, some family does not end before the next one
-    starts, which is read off the families at the first such term."""
+    starts, which is read off the families at the first such term.  The
+    zero polynomial, and f over one grade whose families are each (v,) (not
+    the renaming (0, 0) box or ``jet_again(g, 0, ...)``), need no table;
+    those returns are here, so the checker's mutants, which wrap this, see them."""
     box, sums = _grades(bounds)
+    if not f.terms:
+        return [f] * len(box)
+    if len(box) == 1 and list(zip(families)) == list(families.values()):
+        return [f]  # every family is (v,): zip yields each key v as (v,)
     out = [{} for _ in box]
     interleaved = None
     for mono, c in f.terms.items():
@@ -270,6 +279,8 @@ class AlgebraPresentation(_Record):
     _fields = ("vars", "relations", "grading", "field")
 
     def __init__(self, vars, relations, grading=None, field=QQ):
+        if isinstance(vars, str):  # 'xy' would be read as the variables x and y
+            raise TypeError("vars is a list of names, not the str %r" % vars)
         self.vars = vars
         self.relations = relations
         self.grading = grading

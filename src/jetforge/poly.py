@@ -403,9 +403,10 @@ class Poly:
         return field.coerce(_value(self.terms, point))
 
     def substitute(self, mapping):
-        """Replace variables by polynomials; unmapped variables stay.  Each
-        power of an image is computed once, and the terms are summed into one
-        dict by ``_add_terms``, as ``__add__`` sums."""
+        """Replace variables by polynomials; unmapped variables stay, and only
+        they are built as ``Poly.var``.  Each power of an image is computed
+        once, and the terms are summed into one dict by ``_add_terms``, as
+        ``__add__`` sums."""
         field = self.field
         powers = {}
         d = {}
@@ -414,7 +415,8 @@ class Poly:
             for v, e in m:
                 power = powers.get((v, e))
                 if power is None:
-                    power = powers[(v, e)] = mapping.get(v, Poly.var(v, field)) ** e
+                    image = mapping[v] if v in mapping else Poly.var(v, field)
+                    power = powers[(v, e)] = image ** e
                 term = term * power
                 if not term.terms:
                     break  # a zero factor: the term is zero, whatever follows

@@ -39,6 +39,8 @@ XY = AlgebraPresentation(["x", "y"], [])
 F7 = AlgebraPresentation(["x"], [], None, PrimeField(7))
 M = ModulePresentation(FREE, 1, [[x]])
 HS = hs_module_presentation(M, 1)  # a module over a JetPresentation
+e1 = Poly.var(JetVar("e1", 0))
+E1 = AlgebraPresentation(["e1"], [])  # a ring variable named as a module symbol
 """
 
 ROWS = [
@@ -46,6 +48,10 @@ ROWS = [
     ("hs_components(x ** 2, 2.0)", "hs_components(x ** 2, 2)", "BadLevels"),
     ("hs_components(x ** 2, True)", "hs_components(x ** 2, 1)", "BadLevels"),
     ("hs_components(x ** 2, 1, 2.0)", "hs_components(x ** 2, 1, 2)", "BadLevels"),
+    # level 0 builds no table, but its levels are checked all the same
+    ("hs_components(x ** 2, 0.0)", "hs_components(x ** 2, 0)", "BadLevels"),
+    ("hs_components(x ** 2, False)", "hs_components(x ** 2, 0)", "BadLevels"),
+    ("hs_components(x1, 0)", "hs_components(x, 0)", "NotABaseElement"),
     ("jet_again(x1, 2.0, 'order1')", "jet_again(x1, 2, 'order1')", "BadLevels"),
     ("jet_again(x1, True, 'order2')", "jet_again(x1, 1, 'order2')", "BadLevels"),
     ("jet_presentation(A, 2.0).relations", "jet_presentation(A, 2).relations", "BadLevels"),
@@ -95,6 +101,9 @@ ROWS = [
     ("InputDocument(FREE, None, None, AlgebraMorphism(XY, FREE, {}))", None, "ValueError"),
     ("InputDocument(FREE, None, None, AlgebraMorphism(F7, F7, {}))", None, "ValueError"),
     ("InputDocument(XY, None, None, AlgebraMorphism(XY, XY, {}))", None, "ValueError"),
+    # print_document would write documents that the reader rejects
+    ("AlgebraPresentation('xy', [])", None, "TypeError"),
+    ("InputDocument(E1, None, ModulePresentation(E1, 1, [[e1]]))", None, "ValueError"),
     # Sym and the module symbols are over an algebra, not over its jets
     ("module_symbols(HS.over, 1, 0)", "module_symbols(FREE, 1, 0)", "TypeError"),
     ("sym_presentation(HS)", "sym_presentation(M)", "TypeError"),

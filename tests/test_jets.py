@@ -514,3 +514,55 @@ def test_engine_sorts_jets_of_jets_into_order1():
             for m in p.terms:
                 keys = [v.sort_key() for v, _ in m]
                 assert keys == sorted(keys)
+
+
+# -- jets that build no table ------------------------------------------
+
+
+def _refuse_tables(monkeypatch):
+    """Make the engine's tables unreachable: a jet that builds one fails."""
+    def refused(*_):
+        raise AssertionError("a trivial jet built a table")
+
+    monkeypatch.setattr(jets, "_rows", refused)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7)], ids=lambda f: f.name)
+def test_level_zero_jet_is_f_and_agrees_with_the_tables(field, monkeypatch):
+    """d_0 f = f: hs_components(f, 0) is [f], the grade-0 component that the
+    tables give at every higher level, and it builds no table."""
+    rng = random.Random(20261022)
+    fs = [_random_poly(rng, field, [X, Y], 4) for _ in range(30)] + [Poly.constant(3, field)]
+    firsts = [(hs_components(f, 1)[0], hs_components(f, 3)[0]) for f in fs]
+    _refuse_tables(monkeypatch)
+    for f, first in zip(fs, firsts):
+        got = hs_components(f, 0)
+        assert got == [f] and first == (f, f)
+        assert got[0].field is field
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7)], ids=lambda f: f.name)
+def test_zero_jets_have_the_box_length(field, monkeypatch):
+    """The jets of 0 are zeros, as many as the grade box has grades, at
+    (n,), at (n, m) and through jet_again into either order; they build no
+    table."""
+    _refuse_tables(monkeypatch)
+    zero = Poly.zero(field)
+    for levels, length in (((0,), 1), ((3,), 4), ((0, 0), 1), ((2, 1), 6), ((1, 3), 8)):
+        got = hs_components(zero, *levels)
+        assert len(got) == length
+        assert all(p.is_zero() and p.field is field for p in got)
+    for outer in ("order1", "order2"):
+        for n in (0, 2):
+            got = jet_again(zero, n, outer)
+            assert len(got) == n + 1 and all(p.is_zero() and p.field is field for p in got)
+
+
+def test_one_grade_boxes_that_rename_take_the_tables():
+    """The (0, 0) box and jet_again at level 0 have one grade each, but they
+    map x^(i) to another variable, so their component is not f."""
+    f = 2 * P("x", 0) ** 2 * P("y", 0) - P("y", 0) + 3
+    assert hs_components(f, 0, 0) == [2 * P("x", 0, 0) ** 2 * P("y", 0, 0) - P("y", 0, 0) + 3]
+    g = P("x", 1) * P("y", 0) ** 2 + P("x", 0)
+    assert jet_again(g, 0, "order1") == [P("x", 0, 1) * P("y", 0, 0) ** 2 + P("x", 0, 0)]
+    assert jet_again(g, 0, "order2") == [P("x", 1, 0) * P("y", 0, 0) ** 2 + P("x", 0, 0)]

@@ -1,5 +1,6 @@
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -374,6 +375,39 @@ def test_base_change():
     assert base_change_check(ident, M, 2)[0]
     const_mod = ModulePresentation(src, 1, [[Poly.constant(3)]])
     assert base_change_check(phi, const_mod, 2)[0]
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+def test_base_change_maps_each_entry_once(wrong, monkeypatch):
+    """base_change_check applies f_n once per distinct entry object of the
+    Hasse-Schmidt matrix, which repeats each jet component down a diagonal
+    of its block; a wrong image of one repeated entry still fails it."""
+    from jetforge import checks
+    src, tgt = free_xy(), AlgebraPresentation(["u"], [])
+    u0 = Poly.var(JetVar("u", 0, 0))
+    phi = AlgebraMorphism(src, tgt, {JetVar("x", 0, 0): u0 ** 2, JetVar("y", 1, 0): u0 ** 3})
+    M = ModulePresentation(src, 2, [[X0 * Y0, Y0 ** 2 - X0]])
+    repeated = hs_components(X0 * Y0, 2)[1]  # at (row 1, column 0) and (2, 1) of its block
+    induced = checks.induced_morphism
+    applied = []
+
+    def induced_with_one_wrong_image(phi, n):
+        fn = induced(phi, n)
+
+        def apply(p):
+            applied.append(p)
+            image = fn.apply(p)
+            return image + 1 if wrong and p == repeated else image
+        return SimpleNamespace(apply=apply)
+
+    monkeypatch.setattr(checks, "induced_morphism", induced_with_one_wrong_image)
+    got = base_change_check(phi, M, 2)
+    if wrong:
+        assert got == (False, {"n": 2})
+    else:
+        assert got == (True, None)
+        # 3 rows of 6 entries: two blocks of 3 jets each, and the one zero
+        assert len(applied) == 2 * 3 + 1 == len({id(p) for p in applied})
 
 
 def test_zigzag():

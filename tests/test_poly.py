@@ -515,6 +515,26 @@ def test_substitute_matches_term_by_term_formula(field):
         (P(X) * P(Y)).substitute({X: Poly.var(u, PrimeField(5))})
 
 
+def test_substitute_builds_only_unmapped_variables(monkeypatch):
+    """An unmapped variable stays, and only it is built with Poly.var: once
+    per power of it that the polynomial has."""
+    z = JetVar("z", 2, 0)
+    f = P(X) ** 2 * P(Y) + 3 * P(X) * P(z) ** 2 - P(Y) * P(z) ** 2 + P(z)
+    built = []
+    var = Poly.var
+
+    def counted(v, field=QQ):
+        built.append(v)
+        return var(v, field)
+
+    monkeypatch.setattr(Poly, "var", staticmethod(counted))
+    image = Poly.constant(2) - Poly.constant(1)  # 1, built without Poly.var
+    got = f.substitute({X: image, Y: image})
+    monkeypatch.undo()
+    assert got == 1 + 2 * P(z) ** 2 + P(z)
+    assert built == [z, z]  # z^2 and z, each once
+
+
 def test_zero_operands_return_without_arithmetic(monkeypatch):
     p = 3 * P(X) * P(Y) - P(Y) ** 2
     zero = Poly.zero()

@@ -11,7 +11,7 @@ import pytest
 from jetforge.checks import run_suite
 from jetforge.dsl import InputDocument, parse_document, print_document
 from jetforge.errors import (FieldMismatch, InhomogeneousRelation, JetforgeError, MissingGrading,
-                             UnknownSuite)
+                             ParseError, UnknownSuite)
 from jetforge.hsmodules import ModulePresentation
 from jetforge.jets import AlgebraMorphism, AlgebraPresentation, JetPresentation, jet_presentation
 from jetforge.poly import JetVar, Poly
@@ -141,6 +141,20 @@ def test_input_document_takes_records_over_an_equal_algebra():
     doc = InputDocument(A, None, module, morphism)
     assert doc.module is module and doc.morphism is morphism
     assert print_document(doc) == print_document(InputDocument(B, None, module, morphism))
+
+
+def test_input_document_rejects_a_ring_variable_named_as_a_module_symbol():
+    """e1 .. e<rank> name the module's generators, so a ring variable among
+    them is rejected with the reader's message; e2 next to rank 1 is not."""
+    E = AlgebraPresentation(["x", "e2", "e1"], [])
+    e1 = Poly.var(JetVar("e1", 2, 0))
+    with pytest.raises(ValueError, match="^module symbol 'e1' is also a ring variable$"):
+        InputDocument(E, None, ModulePresentation(E, 2, [[e1, X]]))
+    with pytest.raises(ParseError, match="col 13: module symbol 'e1' is also a ring variable"):
+        parse_document("ring Q[x,e2,e1]\nmodule rank 2\nrelation e1*e1\n")
+    F = AlgebraPresentation(["x", "e2"], [])
+    doc = InputDocument(F, [], ModulePresentation(F, 1, [[Poly.var(JetVar("e2", 1, 0)) + X]]))
+    assert parse_document(print_document(doc)) == doc
 
 
 def test_algebra_presentation_errors_in_order():
