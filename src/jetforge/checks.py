@@ -48,7 +48,7 @@ from fractions import Fraction
 from .dsl import InputDocument, print_document
 from .errors import BadLevels, FieldMismatch, UnknownSuite
 from .hsmodules import (ModulePresentation, _sym_relations, hs_module_presentation,
-                        kaehler_presentation, module_symbols, sym_presentation)
+                        kaehler_presentation, map_entries, module_symbols, sym_presentation)
 from .jets import (AlgebraMorphism, AlgebraPresentation, _check_levels, hs_components,
                    induced_morphism, jet_again, jet_presentation)
 from .p1 import cocycle_check  # p1_cocycle's check, looked up by name
@@ -290,15 +290,8 @@ def base_change_check(phi, M, n):
     pushed = ModulePresentation(phi.target, M.rank,
                                 [[phi.apply(p) for p in row] for row in M.relation_matrix])
     right = hs_module_presentation(pushed, n)
-    images = {}  # id of an entry, alive in left -> its image under f_n
-    for row1, row2 in zip(left.relation_matrix, right.relation_matrix):
-        for p1, p2 in zip(row1, row2):
-            image = images.get(id(p1))
-            if image is None:
-                image = images[id(p1)] = fn.apply(p1)
-            if image != p2:
-                return False, {"n": n}
-    return True, None
+    ok = map_entries(fn.apply, left.relation_matrix) == right.relation_matrix
+    return ok, None if ok else {"n": n}
 
 
 def free_dual_zigzag_check(n):

@@ -18,9 +18,10 @@ import sys
 
 from .dsl import InputDocument, parse_document, print_document
 from .errors import JetforgeError, ParseError
-from .hsmodules import (hs_module_presentation, kaehler_presentation,
+from .hsmodules import (hs_module_presentation, kaehler_presentation, map_entries,
                         sym_presentation, upper_triangle)
 from .jets import _grades, induced_morphism, jet_presentation
+from .poly import Poly
 
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell gives a writer the pipe killed
@@ -100,25 +101,13 @@ def cmd_jet(args):
     return 0
 
 
-def _rendered(matrix):
-    """The texts of a relation matrix's rows, each distinct entry object
-    rendered once: ``upper_triangle`` repeats each jet component down a
-    diagonal of its block, so a Hasse-Schmidt row shares most of its entries."""
-    texts = {}  # id of an entry, alive in matrix -> its text
-    for row in matrix:
-        for p in row:
-            if id(p) not in texts:
-                texts[id(p)] = p.render()
-    return [[texts[id(p)] for p in row] for row in matrix]
-
-
 def cmd_module(args):
     doc = _load_document(args)
     if doc.module is None:
         raise JetforgeError("document declares no module")
     hm = hs_module_presentation(doc.module, args.n)
     basis = ["e%d_%d" % divmod(c, args.n + 1) for c in range(hm.rank)]
-    rows = _rendered(hm.relation_matrix)
+    rows = map_entries(Poly.render, hm.relation_matrix)
     if args.format == "json":
         _emit_json({"level": args.n, "rank": doc.module.rank, "basis": basis, "rows": rows})
         return 0
@@ -140,7 +129,7 @@ def cmd_omega(args):
     if args.n is not None:
         omega = hs_module_presentation(omega, args.n)
     basis = ["d" + v.render(base_plain=args.n is None) for v in omega.over.generators]
-    rows = _rendered(omega.relation_matrix)
+    rows = map_entries(Poly.render, omega.relation_matrix)
     if args.format == "json":
         _emit_json({"level": args.n, "basis": basis, "rows": rows})
         return 0

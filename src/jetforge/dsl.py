@@ -11,16 +11,17 @@ Example document::
     morphism [u] : x -> u^2, y -> u^3
 
 Every line, declarations included, is read by one findall of one token
-pattern into plain strings, a token's kind given by its first character.
-Tokens may be separated by any whitespace; digits are ASCII, and any other
-character outside the grammar is an unexpected character.  An error names
-its line and column, found only then by tokenizing the line again.  A
-term's literals multiply into one integer ratio, then one field scalar, its
-variables into one monomial, and ``poly._add_terms`` sums the terms.  The
-ring, module and morphism are declared at most once, and so are a
-variable's grade and an ideal's name.  Only base variables appear in input;
-jet orders exist only in output.  The round trip is
-``print_document(parse_document(text))``, which keeps the text.
+pattern, built on the name rule ``jets._NAME``, into plain strings, a
+token's kind given by its first character.  Tokens may be separated by any
+whitespace; digits are ASCII, and any other character outside the grammar
+is an unexpected character.  An error names its line and column, found only
+then by matching the pattern on its line again.  A term's literals multiply
+into one integer ratio, then one field scalar, its variables into one
+monomial, and ``poly._add_terms`` sums the terms.  The ring, module and
+morphism are declared at most once, and so are a variable's grade and an
+ideal's name.  Only base variables appear in input; jet orders exist only
+in output.  The round trip is ``print_document(parse_document(text))``,
+which keeps the text.
 
 The reader checks every fact about its input where the fact's line and
 column are known.  Its records go through their constructors, but for the
@@ -36,32 +37,34 @@ returns with its constructor.
 import re
 
 from .errors import InhomogeneousRelation, ParseError, UndeclaredVariable
-from .jets import AlgebraMorphism, AlgebraPresentation, _Record
+from .jets import _NAME, AlgebraMorphism, AlgebraPresentation, _Record
 from .hsmodules import ModulePresentation, linear_form, module_symbols
-from .poly import _add_terms, _monomial, _poly
+from .poly import _add_terms, _monomial, _pair_key, _poly
 from .scalars import QQ, field_by_name
 
 
 class InputDocument(_Record):
     """An algebra, its relations' names (None: f0, f1, ...), a module and a
-    morphism.  Besides one distinct name per relation, the constructor
-    rejects four ways in which ``print_document`` would write a document
-    that ``parse_document`` rejects: an ideal name that is not a DSL name,
-    a module over, or a morphism from, an algebra without this algebra's
-    field and generators (compared even when it is this algebra), such as a
-    jet presentation, a ring variable named as a module symbol e1 .. e<rank>,
-    and a morphism without an image for every generator."""
+    morphism.  Besides an AlgebraPresentation and one distinct name per
+    relation, the constructor rejects four ways in which ``print_document``
+    would write a document that ``parse_document`` rejects: an ideal name
+    that is not a DSL name, a module over, or a morphism from, an algebra
+    without this algebra's field and generators (compared even when it is
+    this algebra), a ring variable named as one of ``module_symbols``, and
+    a morphism without an image for every generator."""
 
     _fields = ("algebra", "ideal_names", "module", "morphism")
 
     def __init__(self, algebra, ideal_names, module=None, morphism=None):
+        if not isinstance(algebra, AlgebraPresentation):
+            raise TypeError("a document is over an AlgebraPresentation, not a %s"
+                            % type(algebra).__name__)
         if ideal_names is not None:
             if not len(set(ideal_names)) == len(ideal_names) == len(algebra.relations):
                 raise ValueError("ideal names %r are not one distinct name per relation"
                                  % (ideal_names,))
-            for name in ideal_names:  # one token, of kind "name"
-                if not (isinstance(name, str) and _KIND_OF.get(name[:1]) == "name"
-                        and _TOKEN.findall(name) == [name]):
+            for name in ideal_names:
+                if not (isinstance(name, str) and _NAME.fullmatch(name)):
                     raise ValueError("ideal name %r is not a name of the DSL" % (name,))
         for what, over in (("module's base", module and module.over),
                            ("morphism's source", morphism and morphism.source)):
@@ -70,9 +73,9 @@ class InputDocument(_Record):
                 raise ValueError("the %s lacks the algebra's field or generators" % what)
         if module is not None:
             ring = set(algebra.vars)
-            for l in range(module.rank):  # the reader's rule and message
-                if "e%d" % (l + 1) in ring:
-                    raise ValueError("module symbol 'e%d' is also a ring variable" % (l + 1))
+            for e in module_symbols(algebra, module.rank, 0):  # the reader's rule and message
+                if e.name in ring:
+                    raise ValueError("module symbol %r is also a ring variable" % e.name)
         missing = morphism and [v for v in morphism.source.generators if v not in morphism.images]
         if missing:  # the reader requires an image for every generator
             raise ValueError("the morphism has no image for %r" % missing[0].name)
@@ -102,26 +105,12 @@ _END = "unexpected end of expression"
 # Whitespace matches nothing, so findall steps over it; digits are ASCII.  A character
 # that starts no token starts a match to the end of the line, so a line holds one just
 # when the first character of its last token is not a key of _KIND_OF.
-_TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9]*|->|[-+*/^(),\[\]:=]|\S.*")
+_TOKEN = re.compile(r"[0-9]+|%s|->|[-+*/^(),\[\]:=]|\S.*" % _NAME.pattern)
 _KIND_OF = (dict.fromkeys("0123456789", "num") | dict.fromkeys("-+*/^(),[]:=", "op")
             | dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz", "name"))
 _KINDS = {"name": "a name", "num": "a natural number"}
 # the tokens after a factor that end its term: every operator but "*" and "(", and the end
 _ENDS_TERM = frozenset(("", "->") + tuple("-+/^),[]:="))
-
-
-def _tokenize(text, line_no):
-    """Tokens (kind, text, line, column) and an "end" token just past them.
-    The parser reads only the token texts, from findall of the same pattern,
-    and tokenizes a line again here only to locate an error on it."""
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = _KIND_OF.get(m.group()[0])
-        if kind is None:
-            raise ParseError("unexpected character %r" % m.group()[0], line_no, m.start() + 1)
-        tokens.append((kind, m.group(), line_no, m.start() + 1))
-    tokens.append(("end", "", line_no, len(text.rstrip()) + 1))  # just past the last token
-    return tokens
 
 
 class _Parser:
@@ -139,8 +128,10 @@ class _Parser:
         self.depth = 0  # parentheses open at the current position
 
     def fail(self, message, i, error=ParseError):
-        """Raise error(message) located at token i."""
-        raise error(message, self.line_no, _tokenize(self.text, self.line_no)[i][3])
+        """Raise error(message) located at token i, found by matching the line
+        again; the end, token "", is just past the last token."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text.rstrip())]
+        raise error(message, self.line_no, starts[i] + 1)
 
     def natural(self, i, most_digits, message, what="literal"):
         """Token i as a natural number (a what); its length is checked before int()."""
@@ -280,7 +271,7 @@ class _Parser:
         c = field.coerce(num) if den == 1 else field.from_ratio(num, den)
         pairs = [ve for ve in exps.items() if ve[1]]
         if len(pairs) > 1:
-            pairs.sort(key=lambda ve: ve[0]._key)
+            pairs.sort(key=_pair_key)
         m = _monomial(pairs)
         if group is None and m not in terms:  # a new monomial: nothing to merge
             terms[m] = c
@@ -307,10 +298,10 @@ def parse_document(text):
         tokens = _TOKEN.findall(line)
         if not tokens:
             continue
-        if tokens[-1][0] not in _KIND_OF:
-            _tokenize(line, ln)  # raises at the line's first unexpected character
         tokens.append("")
         p = _Parser(tokens, line, ln)
+        if tokens[-2][0] not in _KIND_OF:  # the line's first unexpected character
+            p.fail("unexpected character %r" % tokens[-2][0], len(tokens) - 2)
         kw = tokens[0]
         if kw in once:
             p.fail("duplicate %s declaration" % kw, 0)

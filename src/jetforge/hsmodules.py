@@ -20,11 +20,12 @@ relation k at order i and basis vector c is e_l at order j, with (k, i) =
 divmod(r, n+1) and (l, j) = divmod(c, n+1).  ``upper_triangle`` is the one
 layout of a twisted action, used only where a matrix is built or shown:
 the Hasse-Schmidt module's blocks, and the transition matrices of the jet
-bundles on P^1 in ``p1``.
+bundles on P^1 in ``p1``.  It repeats each entry down a diagonal, so
+``map_entries`` maps a matrix, to texts or images, once per entry object.
 """
 
-from .jets import (AlgebraPresentation, _Record, _check_levels, _check_over, hs_components,
-                   jet_presentation)
+from .jets import (AlgebraPresentation, _Record, _check_levels, _check_natural, _check_over,
+                   hs_components, jet_presentation)
 from .poly import JetVar, Poly, _monomial, _poly
 
 
@@ -35,12 +36,15 @@ def upper_triangle(comps, zero):
     return [[zero] * j + list(comps[:size - j]) for j in range(size)]
 
 
-def _check_rank(rank):
-    """Raise unless rank is an int (not a bool), and not negative."""
-    if type(rank) is not int:
-        raise TypeError("a rank is an int, not %r" % (rank,))
-    if rank < 0:
-        raise ValueError("negative rank %d" % rank)
+def map_entries(fn, matrix):
+    """The matrix of fn of each entry, fn called once per distinct entry
+    object; a Hasse-Schmidt row shares most of its entries."""
+    images = {}  # id of an entry, alive in matrix -> fn of it
+    for row in matrix:
+        for p in row:
+            if id(p) not in images:
+                images[id(p)] = fn(p)
+    return [[images[id(p)] for p in row] for row in matrix]
 
 
 class ModulePresentation(_Record):
@@ -53,7 +57,7 @@ class ModulePresentation(_Record):
         self.over = over  # AlgebraPresentation or JetPresentation
         self.rank = rank
         self.relation_matrix = relation_matrix  # s rows, each of length rank
-        _check_rank(rank)
+        _check_natural(rank, "rank")
         declared = set(over.generators)
         for row in relation_matrix:
             if len(row) != rank:
@@ -106,7 +110,7 @@ def module_symbols(A, rank, n):
         raise TypeError("module symbols are over an AlgebraPresentation, not a %s"
                         % type(A).__name__)
     _check_levels((n,))
-    _check_rank(rank)
+    _check_natural(rank, "rank")
     return [JetVar("e%d" % (l + 1), len(A.vars) + l, j) for l in range(rank) for j in range(n + 1)]
 
 

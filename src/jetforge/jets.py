@@ -26,18 +26,20 @@ variables each output monomial is one concatenation of monomials, sorted
 only when the families interleave.  As D_0 = id and D_i(0) = 0, the zero
 polynomial and ``hs_components(f, 0)`` build no table (see ``_substitute``).
 
-Both presentations build their one generator list when first read.  Two
-gradings live on a jet presentation, both read by
+A variable is named by ``_NAME``, the DSL's name token, and graded by a
+natural int.  Both presentations build their one generator list when first
+read.  Two gradings live on a jet presentation, both read by
 ``Monomial.weighted_degree``: the structural one (deg x^(i) = i) and,
 when the source algebra is graded, the induced one (deg x^(i) = deg x).
 """
 
+import re
 from functools import cached_property, lru_cache
 from itertools import product
 
 from .errors import (BadLevels, FieldMismatch, InhomogeneousRelation, JetforgeError,
                      MissingGrading, NotABaseElement)
-from .poly import UNIT, JetVar, _monomial, _poly
+from .poly import UNIT, JetVar, _monomial, _pair_key, _poly
 from .scalars import QQ
 
 
@@ -130,10 +132,6 @@ def _rows(family, e, bounds):
     return tuple((g, tuple([(_monomial(tuple(zip(map(family.__getitem__, grades), exponents))), k)
                             for grades, exponents, k in entries]))
                  for g, entries in _expansion(e, bounds))
-
-
-def _pair_key(pair):
-    return pair[0]._key
 
 
 def _substitute(f, families, bounds):
@@ -247,6 +245,18 @@ def jet_again(f, n, outer_to):
 # presentations
 
 
+# A name of the DSL: of a variable, an ideal or a field; ``dsl._TOKEN`` is built from it.
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+
+
+def _check_natural(n, what):
+    """Raise unless n is an int (not a bool), and not negative."""
+    if type(n) is not int:
+        raise TypeError("a %s is an int, not %r" % (what, n))
+    if n < 0:
+        raise ValueError("negative %s %d" % (what, n))
+
+
 class _Record:
     """Base of the record classes: field-wise ``==`` over ``_fields`` (so
     instances are unhashable) and a repr listing them, as a dataclass has."""
@@ -274,7 +284,8 @@ class _Record:
 
 
 class AlgebraPresentation(_Record):
-    """A k-algebra by generators and relations over ``field``; optionally graded."""
+    """A k-algebra by generators and relations over ``field``; optionally graded.
+    Its variables match ``_NAME`` and its degrees are natural ints, as in the DSL."""
 
     _fields = ("vars", "relations", "grading", "field")
 
@@ -286,6 +297,8 @@ class AlgebraPresentation(_Record):
         self.grading = grading
         self.field = field
         for k, x in enumerate(self.vars):
+            if not (isinstance(x, str) and _NAME.fullmatch(x)):
+                raise ValueError("variable %r is not a name of the DSL" % (x,))
             if x in self.vars[:k]:
                 raise JetforgeError("duplicate variable %r" % x)
         declared = relations and set(self.generators)
@@ -299,6 +312,10 @@ class AlgebraPresentation(_Record):
             missing = [x for x in self.vars if x not in self.grading]
             if missing:
                 raise MissingGrading("no degree for %s" % ", ".join(missing))
+            for x, d in self.grading.items():
+                if x not in self.vars:
+                    raise ValueError("grade for undeclared variable %r" % (x,))
+                _check_natural(d, "degree")
             for f in self.relations:
                 if not f.is_zero() and self.homogeneous_degree(f) is None:
                     raise InhomogeneousRelation("relation %s is not homogeneous" % f)

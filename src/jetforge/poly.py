@@ -85,6 +85,10 @@ class JetVar:
         return self._text
 
 
+def _pair_key(pair):
+    return pair[0]._key
+
+
 class Monomial(tuple):
     """Finite map JetVar -> positive exponent; the empty map is the unit.
 
@@ -102,7 +106,7 @@ class Monomial(tuple):
             pairs, exps = exps, {}
             for v, e in pairs:
                 exps[v] = exps.get(v, 0) + e
-        items = sorted(((v, e) for v, e in exps.items() if e), key=lambda ve: ve[0]._key)
+        items = sorted(((v, e) for v, e in exps.items() if e), key=_pair_key)
         if any(e < 0 for _, e in items):
             raise ValueError("negative exponent in monomial")
         return tuple.__new__(cls, items)

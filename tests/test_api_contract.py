@@ -103,6 +103,22 @@ ROWS = [
     ("InputDocument(XY, None, None, AlgebraMorphism(XY, XY, {}))", None, "ValueError"),
     # print_document would write documents that the reader rejects
     ("AlgebraPresentation('xy', [])", None, "TypeError"),
+    ("AlgebraPresentation([''], [])", "AlgebraPresentation(['x'], [])", "ValueError"),
+    ("AlgebraPresentation(['x y'], [])", "AlgebraPresentation(['x', 'y'], [])", "ValueError"),
+    ("AlgebraPresentation(['x_1'], [])", "AlgebraPresentation(['x1'], [])", "ValueError"),
+    ("AlgebraPresentation(['\u00e9'], [])", "AlgebraPresentation(['e'], [])", "ValueError"),
+    ("AlgebraPresentation([1], [])", "AlgebraPresentation(['x'], [])", "ValueError"),
+    ("AlgebraPresentation(['x'], [], {'x': 2.5})", "AlgebraPresentation(['x'], [], {'x': 2})",
+     "TypeError"),
+    ("AlgebraPresentation(['x'], [], {'x': '2'})", "AlgebraPresentation(['x'], [], {'x': 2})",
+     "TypeError"),
+    ("AlgebraPresentation(['x'], [], {'x': True})", "AlgebraPresentation(['x'], [], {'x': 1})",
+     "TypeError"),
+    ("AlgebraPresentation(['x'], [], {'x': -1})", "AlgebraPresentation(['x'], [], {'x': 0})",
+     "ValueError"),
+    ("AlgebraPresentation(['x'], [], {'x': 1, 'y': 1})",
+     "AlgebraPresentation(['x', 'y'], [], {'x': 1, 'y': 1})", "ValueError"),
+    ("InputDocument(jet_presentation(A, 1), None)", "InputDocument(A, None)", "TypeError"),
     ("InputDocument(E1, None, ModulePresentation(E1, 1, [[e1]]))", None, "ValueError"),
     # Sym and the module symbols are over an algebra, not over its jets
     ("module_symbols(HS.over, 1, 0)", "module_symbols(FREE, 1, 0)", "TypeError"),

@@ -21,8 +21,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
 from jetforge.cli import main  # noqa: E402
-from jetforge.dsl import _KIND_OF, _TOKEN, _tokenize, parse_document, print_document  # noqa: E402
+from jetforge.dsl import _KIND_OF, _TOKEN, parse_document, print_document  # noqa: E402
 from jetforge.errors import ParseError  # noqa: E402
+from oracles import reference_tokenize  # noqa: E402
 
 DOCUMENTS = [p.read_text() for p in sorted((Path(__file__).parent / "golden").glob("*.jf"))]
 PIECES = ["ring", "grade", "ideal", "module", "rank", "relation", "morphism", "Q", "F2", "F4",
@@ -110,16 +111,19 @@ def test_mutated_documents_exit_0_or_2(text):
 def _assert_token_texts_agree(text):
     """parse_document reads each line as the texts findall gives, and looks
     for an unexpected character only at the first character of the last
-    one; _tokenize, which locates errors, must find the same tokens."""
+    one, which runs to the line's end; the reference tokenizer must find
+    the same tokens, or fail at that character."""
     for raw in text.splitlines():
         line = raw.split("#", 1)[0]
         texts = _TOKEN.findall(line)
         try:
-            located = _tokenize(line, 1)
-        except ParseError:
+            want = reference_tokenize(line, 1)
+        except ParseError as e:
             assert texts[-1][0] not in _KIND_OF, line
+            assert str(e) == str(ParseError("unexpected character %r" % texts[-1][0], 1,
+                                            len(line) - len(texts[-1]) + 1)), line
         else:
-            assert texts == [tok[1] for tok in located[:-1]], line
+            assert texts == [tok[1] for tok in want[:-1]], line
             assert not texts or texts[-1][0] in _KIND_OF, line
 
 

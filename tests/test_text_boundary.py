@@ -2,9 +2,10 @@
 
 Seeded random polynomials over Q and three prime fields must render byte
 for byte as the reference renderer renders them, with and without
-base_plain; seeded random lines must tokenize, or fail, as the reference
-tokenizer does.  A variable's rendered text is fixed when it is interned,
-so it must also survive pickle, copy and deepcopy, and a fresh process."""
+base_plain; seeded random lines must split into the reference tokenizer's
+tokens, and their parse errors be located as that reference locates them.
+A variable's rendered text is fixed when it is interned, so it must also
+survive pickle, copy and deepcopy, and a fresh process."""
 
 import copy
 import os
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from jetforge.dsl import _tokenize
+from jetforge.dsl import _TOKEN, _Parser, parse_document
 from jetforge.errors import ParseError
 from jetforge.poly import UNIT, JetVar, Monomial, Poly
 from jetforge.scalars import QQ, PrimeField
@@ -105,7 +106,16 @@ ALPHABET = (list("xyzQF0123456789+-*/^(),[]:=>") + ["->", " ", " ", "\t", " "]
             + list("$_.;é٣２"))
 
 
+def _located(call):
+    with pytest.raises(ParseError) as ei:
+        call()
+    return str(ei.value)
+
+
 def test_tokenize_matches_reference():
+    """A random line, read as line 4 of a document, either fails as the
+    reference fails on it, or splits into the reference's token texts, and
+    an error at any of its tokens, or at its end, has the reference's column."""
     rng = random.Random("tokenize")
     errors = 0
     for _ in range(3000):
@@ -113,12 +123,15 @@ def test_tokenize_matches_reference():
         try:
             want = reference_tokenize(text, 4)
         except ParseError as e:
-            with pytest.raises(ParseError) as ei:
-                _tokenize(text, 4)
-            assert str(ei.value) == str(e)
+            assert _located(lambda: parse_document("ring Q[x]\n\n\n" + text)) == str(e), text
             errors += 1
-        else:
-            assert _tokenize(text, 4) == want, text
+            continue
+        tokens = _TOKEN.findall(text) + [""]
+        assert tokens == [tok[1] for tok in want], text
+        p = _Parser(tokens, text, 4)
+        for i, (_, tok, line, col) in enumerate(want):
+            assert _located(lambda: p.fail("at %r" % tok, i)) == str(ParseError(
+                "at %r" % tok, line, col)), text
     assert 100 < errors < 2900
 
 
